@@ -6,34 +6,30 @@ reports closed-form vs refined location error quantiles per level.
 """
 
 import argparse
-import math
+from dataclasses import replace
 
 import numpy as np
 
-from box3d.camera import ray_angle
-from box3d.properties import CAR_PRIOR, decode_cbf, decode_dimensions, decode_local_angle, global_from_local
-from box3d.solver import SolveInput, initial_location, solve_cascaded
+from box3d.solver import DEFAULT_SOLVER_CONFIG, DecodedRows, decode_rows, lift_batch
 from box3d.synthetic import DEFAULT_IMAGE_SIZE, SyntheticSceneSpec, generate_scene
 
 
 def solve_level(sigma, n_scenes, seed0):
-    init_errs, ref_errs = [], []
+    parts, truth = [], []
     for seed in range(n_scenes):
         spec = SyntheticSceneSpec(
             n_objects_min=1, n_objects_max=1, seed=seed0 + seed, box_noise_sigma=sigma
         )
         gt, dets, props = generate_scene(spec)
-        for obj, det, prop in zip(gt.objects, dets, props.properties):
-            dims = decode_dimensions(prop.dim_residual, CAR_PRIOR)
-            cbf = decode_cbf(prop.cbf_offset, det.box)
-            theta_l = decode_local_angle(prop.multibin)
-            yaw = global_from_local(theta_l, ray_angle(gt.camera, cbf[0]))
-            inp = SolveInput(det.box, dims, yaw, prop.viewpoint_class, cbf, gt.camera, DEFAULT_IMAGE_SIZE)
-            t0 = initial_location(cbf, det.box.v_min, dims.h, gt.camera)
-            report = solve_cascaded(inp)
-            init_errs.append(np.linalg.norm(t0 - obj.location))
-            ref_errs.append(np.linalg.norm(report.location - obj.location))
-    return np.array(init_errs), np.array(ref_errs)
+        parts.append(decode_rows(dets, props.properties, gt.camera))
+        truth.extend(obj.location for obj in gt.objects)
+    rows, truth = DecodedRows.concatenate(parts), np.array(truth)
+    init = lift_batch(rows, DEFAULT_IMAGE_SIZE, replace(DEFAULT_SOLVER_CONFIG, refine=False))
+    refined = lift_batch(rows, DEFAULT_IMAGE_SIZE)
+    lifted = init.lifted & refined.lifted
+    return tuple(
+        np.linalg.norm(r.location[lifted] - truth[lifted], axis=1) for r in (init, refined)
+    )
 
 
 def main():

@@ -29,7 +29,20 @@ from .properties import (
     global_from_local,
     local_from_global,
 )
-from .solver import SolveInput, SolveReport, SolverConfig, gauss_newton_refine, initial_location, is_truncated, solve_cascaded
+from .solver import (
+    STATUSES,
+    DecodedRows,
+    LiftResult,
+    SolveInput,
+    SolveReport,
+    SolverConfig,
+    decode_rows,
+    gauss_newton_refine,
+    initial_location,
+    is_truncated,
+    lift_batch,
+    solve_cascaded,
+)
 from .synthetic import SyntheticSceneSpec, generate_scene
 from .viewpoints import classify_viewpoint, extremal_vertices, selection_matrices
 

@@ -10,13 +10,12 @@ Subcommands:
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import kitti_io
-from .camera import ray_angle
+from . import kitti_io, solver
+from .camera import Box2D, Dimensions
 from .depuration import DEFAULT_DEPURATION_CONFIG, depurate
 from .metrics import (
     RECALL_POINTS_11,
@@ -27,8 +26,7 @@ from .metrics import (
     match_frame,
     passes_difficulty,
 )
-from .properties import CAR_PRIOR, alpha_from_local, decode_cbf, decode_dimensions, decode_local_angle, global_from_local
-from .solver import DEFAULT_SOLVER_CONFIG, SolveInput, SolveReport, initial_location, solve_cascaded
+from .solver import DEFAULT_SOLVER_CONFIG, DecodedRows, decode_rows
 from .synthetic import SyntheticSceneSpec, generate_scene
 from .viewpoints import format_viewpoint_table
 
@@ -53,39 +51,44 @@ def cmd_solve(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _load_config(args.config, DEFAULT_SOLVER_CONFIG)
+    if args.no_refine:
+        config = replace(config, refine=False)
     image_size = _parse_image_size(args.image_size)
-    for frame in _frames_in(Path(args.detections)):
+    frames = _frames_in(Path(args.detections))
+    # every frame is parsed and decoded into flat columns first, so that one
+    # lift covers the whole run; no per-detection objects are kept meanwhile
+    parts, classes = [], []
+    for frame in frames:
         camera = kitti_io.parse_calib((Path(args.calib) / f"{frame}.txt").read_text())
         detections = kitti_io.parse_detections((Path(args.detections) / f"{frame}.txt").read_text())
         record = kitti_io.parse_properties(
             (Path(args.properties) / f"{frame}.txt").read_text(), frame
         )
-        if len(record.properties) != len(detections):
-            raise SystemExit(
-                f"frame {frame}: {len(detections)} detections but "
-                f"{len(record.properties)} property rows"
-            )
-        results = []
-        for det, prop in zip(detections, record.properties):
-            dims = decode_dimensions(prop.dim_residual, CAR_PRIOR)
-            cbf = decode_cbf(prop.cbf_offset, det.box)
-            theta_l = decode_local_angle(prop.multibin)
-            yaw = global_from_local(theta_l, ray_angle(camera, cbf[0]))
-            inp = SolveInput(det.box, dims, yaw, prop.viewpoint_class, cbf, camera, image_size)
-            if args.no_refine:
-                location = initial_location(cbf, det.box.v_min, dims.h, camera)
-                report = SolveReport(location, False, 0, math.nan, True)
-            else:
-                report = solve_cascaded(inp, config)
-            results.append(
-                kitti_io.ObjectLabel(
-                    cls=det.cls, truncated=0.0, occluded=0, alpha=alpha_from_local(theta_l),
-                    box2d=det.box, dims=dims, location=report.location, yaw=yaw,
-                    score=det.score,
-                )
-            )
-        (out_dir / f"{frame}.txt").write_text(kitti_io.write_labels(results))
-    print(f"solved {len(_frames_in(Path(args.detections)))} frames -> {out_dir}")
+        try:
+            parts.append(decode_rows(detections, record.properties, camera))
+        except ValueError as exc:
+            raise SystemExit(f"frame {frame}: {exc}")
+        classes.append([d.cls for d in detections])
+    if not frames:
+        print(f"solved 0 frames -> {out_dir}")
+        return
+    rows = DecodedRows.concatenate(parts)
+    result = solver.lift_batch(rows, image_size, config)
+    lifted, end = result.lifted, 0
+    for frame, cls in zip(frames, classes):
+        start, end = end, end + len(cls)
+        labels = []
+        for j, i in enumerate(range(start, end)):
+            if not lifted[i]:
+                print(f"box3d solve: frame {frame} row {j}: skipped ({result.status[i]})", file=sys.stderr)
+                continue
+            labels.append(kitti_io.ObjectLabel(
+                cls=cls[j], truncated=0.0, occluded=0, alpha=float(rows.alpha[i]),
+                box2d=Box2D(*rows.box[i].tolist()), dims=Dimensions(*rows.dims[i].tolist()),
+                location=result.location[i], yaw=float(rows.yaw[i]), score=float(rows.score[i]),
+            ))
+        (out_dir / f"{frame}.txt").write_text(kitti_io.write_labels(labels))
+    print(f"solved {len(frames)} frames -> {out_dir}")
 
 
 def cmd_depurate(args):
@@ -198,7 +201,7 @@ def build_parser():
     p.add_argument("--detections", required=True)
     p.add_argument("--properties", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-refine", action="store_true", help="closed-form initialization only")
+    p.add_argument("--no-refine", action="store_true", help="closed-form initialization only (refine = false)")
     p.add_argument("--image-size", default="1242x375", help="WxH in pixels")
     p.add_argument("--config", default=None, help="key-value solver config overrides")
     p.set_defaults(func=cmd_solve)

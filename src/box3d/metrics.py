@@ -218,20 +218,18 @@ def aos_and_os(matches, n_gt: int, recall_points=RECALL_POINTS_11):
 
 def dimension_error(detections, ground_truths) -> float:
     """Mean Euclidean (w, h, l) error of each detection against the ground
-    truth closest by 3D center distance."""
+    truth closest by 3D center distance (ties go to the first)."""
     if not ground_truths:
         raise ValueError("no ground truth to match against")
     if not detections:
         return 0.0
-    total = 0.0
-    for det in detections:
-        gt = min(ground_truths, key=lambda g: float(np.linalg.norm(g.location - det.location)))
-        total += math.sqrt(
-            (det.dims.w - gt.dims.w) ** 2
-            + (det.dims.h - gt.dims.h) ** 2
-            + (det.dims.l - gt.dims.l) ** 2
-        )
-    return total / len(detections)
+    # one row per box: x, y, z, w, h, l
+    det = np.array([[*d.location.tolist(), d.dims.w, d.dims.h, d.dims.l] for d in detections])
+    gt = np.array([[*g.location.tolist(), g.dims.w, g.dims.h, g.dims.l] for g in ground_truths])
+    diff = det[:, None, :3] - gt[None, :, :3]
+    closest = (diff * diff).sum(axis=2).argmin(axis=1)  # D x G squared center distances
+    err = det[:, 3:] - gt[closest, 3:]
+    return float(np.sqrt((err * err).sum(axis=1)).sum()) / len(detections)
 
 
 # KITTI-style difficulty gates on (2D box height px, occlusion, truncation)

@@ -5,6 +5,11 @@ center and the similar-triangle relation between the box height and its
 projected height, (vc - v_min)/h = f/Z.  Stage two, skipped for truncated
 detections, refines that location with Gauss-Newton on the four tight-fit
 constraints tying the selected 3D corners to the 2D box edges.
+
+``lift_batch`` runs both stages on the decoded rows of a whole run at once,
+``LIFT_BLOCK_ROWS`` rows per vectorised pass, and gives every row a status
+instead of raising.  ``solve_cascaded`` and ``gauss_newton_refine`` are its
+one-row forms.
 """
 
 import math
@@ -17,26 +22,42 @@ from .camera import (
     Box2D,
     CameraIntrinsics,
     Dimensions,
-    back_project,
-    yaw_rotation,
+    ray_angle,
 )
-from .viewpoints import selected_offsets, selection_matrices
+from .properties import (
+    CAR_PRIOR,
+    alpha_from_local,
+    decode_cbf,
+    decode_local_angle,
+    global_from_local,
+)
+from .viewpoints import N_VIEWPOINTS, selected_vertex_indices
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Refinement tolerances; all overridable from key-value config files."""
+    """Refinement switch and tolerances; all overridable from key-value config files."""
 
+    refine: bool = True             # False: closed form only, for every row
     max_iterations: int = 100
     step_tol: float = 1e-6          # meters, on the accepted step norm
     residual_change_tol: float = 1e-9  # pixels, on the residual-norm change
-    fd_step: float = 1e-5           # meters, central-difference half step
     damping: float = 1e-9           # Tikhonov lambda added on singular normal eqs
     max_halvings: int = 10
     truncation_margin_px: float = 10.0
 
 
 DEFAULT_SOLVER_CONFIG = SolverConfig()
+
+# Rows per vectorised pass of lift_batch: bounds the pass's temporaries
+# (a few kB per row) whatever the size of the run.
+LIFT_BLOCK_ROWS = 256
+
+# Per-row outcome of lift_batch.  The first three carry a finite location:
+# refined, closed form behind the truncation gate, closed form after a failed
+# refinement.  The last two carry none, and their rows are not lifted.
+STATUSES = ("ok", "truncated_init_only", "refine_failed", "degenerate_input", "non_finite")
+_OK, _TRUNCATED, _REFINE_FAILED, _DEGENERATE, _NON_FINITE = range(len(STATUSES))
 
 
 @dataclass
@@ -63,62 +84,365 @@ class SolveReport:
     iterations: int
     final_residual_norm: float
     converged: bool
+    status: str = "ok"
+
+
+def _column_group(cols, doc):
+    return property(lambda self: self.data[:, cols], doc=doc)
+
+
+class DecodedRows:
+    """Decoded detections, the input of lift_batch: one row each, held as a
+    single (N, 17) float array whose column groups the properties below name
+    (views: writing to one writes to the rows).
+
+    ``alpha`` and ``score`` are not used by the lift; they ride along for
+    writing result rows.  Indexing with a slice or an index array selects rows.
+    """
+
+    __slots__ = ("data",)
+    WIDTH = 17
+
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=float).reshape(-1, self.WIDTH)
+
+    @classmethod
+    def concatenate(cls, parts):
+        return cls(np.concatenate([p.data for p in parts]))
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, idx):
+        return DecodedRows(self.data[idx])
+
+    box = _column_group(slice(0, 4), "(N, 4) u_min, v_min, u_max, v_max")
+    dims = _column_group(slice(4, 7), "(N, 3) h, w, l meters")
+    yaw = _column_group(7, "(N,) global yaw")
+    alpha = _column_group(8, "(N,) KITTI observation angle")
+    viewpoint = _column_group(9, "(N,) viewpoint class id")
+    cbf = _column_group(slice(10, 12), "(N, 2) projected bottom-face center")
+    camera = _column_group(slice(12, 16), "(N, 4) fu, fv, cu, cv")
+    score = _column_group(16, "(N,) detection score")
+
+
+def decode_rows(detections, properties, camera: CameraIntrinsics) -> DecodedRows:
+    """Decode one frame's car detections and index-aligned regressed properties.
+
+    Nothing is validated: a malformed row decodes to whatever its numbers
+    give, and lift_batch reports it.
+    """
+    if len(detections) != len(properties):
+        raise ValueError(f"{len(detections)} detections but {len(properties)} property rows")
+    mean = CAR_PRIOR.mean_dims
+    intrinsics = (camera.fu, camera.fv, camera.cu, camera.cv)
+    data = []
+    for det, prop in zip(detections, properties):
+        b = det.box
+        cbf = decode_cbf(prop.cbf_offset, b)
+        theta_l = decode_local_angle(prop.multibin)
+        dh, dw, dl = prop.dim_residual
+        data.append((
+            b.u_min, b.v_min, b.u_max, b.v_max, mean.h + dh, mean.w + dw, mean.l + dl,
+            global_from_local(theta_l, ray_angle(camera, cbf[0])), alpha_from_local(theta_l),
+            prop.viewpoint_class, *cbf, *intrinsics, det.score,
+        ))
+    return DecodedRows(data)
+
+
+@dataclass
+class LiftResult:
+    """Per-row outcome of lift_batch, index-aligned to its rows."""
+
+    location: np.ndarray         # (N, 3) bottom-face centers; NaN where not lifted
+    status: np.ndarray           # (N,) entries of STATUSES
+    used_refinement: np.ndarray  # (N,) whether Gauss-Newton ran
+    iterations: np.ndarray       # (N,) Gauss-Newton iterations
+    residual: np.ndarray         # (N,) final residual norm, px; NaN where not refined
+    converged: np.ndarray        # (N,)
+
+    def __len__(self):
+        return len(self.status)
+
+    @property
+    def lifted(self) -> np.ndarray:
+        """Rows that carry a finite location."""
+        return np.isin(self.status, STATUSES[:_DEGENERATE])
+
+    def report(self, i) -> SolveReport:
+        return SolveReport(
+            self.location[i].copy(), bool(self.used_refinement[i]), int(self.iterations[i]),
+            float(self.residual[i]), bool(self.converged[i]), str(self.status[i]),
+        )
+
+
+# ---------------------------------------------------------------------------
+# closed form, truncation gate and tight-fit residuals, on arrays of rows
+
+
+def _closed_form(cbf, v_min, h, cam):
+    """Z = fv*h/(vc - v_min); lateral/vertical components by back-projecting
+    the bottom-face-center pixel at that depth.  The vertical focal length
+    carries the triangle since the projected height is vertical."""
+    z = cam[:, 1] * h / (cbf[:, 1] - v_min)
+    return np.stack(
+        [(cbf[:, 0] - cam[:, 2]) * z / cam[:, 0], (cbf[:, 1] - cam[:, 3]) * z / cam[:, 1], z], axis=1
+    )
+
+
+def _truncated(box, image_size, margin):
+    width, height = image_size
+    return (
+        (box[:, 0] <= margin)
+        | (box[:, 1] <= margin)
+        | (box[:, 2] >= width - margin)
+        | (box[:, 3] >= height - margin)
+    )
+
+
+# Object-frame offset of each viewpoint class's selected corners as factors of
+# (l, h, w), from the vertex index bit pattern (see camera.vertex_offsets).
+_SELECTED = np.array([selected_vertex_indices(v) for v in range(N_VIEWPOINTS)])  # (16, 4)
+_HALF_SIGN_L = np.where(_SELECTED & 4, -0.5, 0.5)
+_LEVEL_H = np.where(_SELECTED & 2, -1.0, 0.0)
+_HALF_SIGN_W = np.where(_SELECTED & 1, -0.5, 0.5)
+_VIEWPOINT_IDS = np.arange(N_VIEWPOINTS)
+
+
+def _prepared(rows: DecodedRows):
+    """Camera-frame offsets of each row's four selected corners, (n, 4, 3),
+    and the 2D edges they must touch, [u_min, u_max, v_min, v_max] (n, 4)."""
+    dims, vp = rows.dims, rows.viewpoint.astype(np.intp)
+    ox = _HALF_SIGN_L[vp] * dims[:, 2:3]
+    oy = _LEVEL_H[vp] * dims[:, 0:1]
+    oz = _HALF_SIGN_W[vp] * dims[:, 1:2]
+    yaw = rows.yaw[:, None]
+    c, s = np.cos(yaw), np.sin(yaw)  # rotation about the (downward) y axis
+    rotated = np.stack([ox * c + oz * s, oy, oz * c - ox * s], axis=2)
+    return rotated, rows.box[:, [0, 2, 1, 3]]
+
+
+def _residuals(t, rotated, targets, cam):
+    """Tight-fit residuals [u_left, u_right, v_top, v_bottom] in pixels of n
+    rows at candidate bottom-face centers t (n, 3), and which rows have a
+    selected corner at or behind the camera."""
+    verts = rotated + t[:, None, :]
+    z = verts[:, :, 2]
+    proj = np.empty_like(targets)
+    proj[:, :2] = cam[:, 2:3] + cam[:, 0:1] * verts[:, :2, 0] / z[:, :2]
+    proj[:, 2:] = cam[:, 3:4] + cam[:, 1:2] * verts[:, 2:, 1] / z[:, 2:]
+    return proj - targets, (z <= 0.0).any(axis=1)
+
+
+def _norm(a):
+    return np.sqrt((a * a).sum(axis=1))
+
+
+def _normal_equations(t, r, rotated, cam):
+    """J^T J (n, 3, 3) and J^T r (n, 3) from the analytic Jacobian of the
+    residuals: du/dt = fu*(1/z, 0, -x/z^2) on the two u rows and
+    dv/dt = fv*(0, 1/z, -y/z^2) on the two v rows."""
+    verts = rotated + t[:, None, :]
+    z = verts[:, :, 2]
+    a = cam[:, 0:1] / z[:, :2]            # du/dtx
+    b = -a * verts[:, :2, 0] / z[:, :2]   # du/dtz
+    c = cam[:, 1:2] / z[:, 2:]            # dv/dty
+    d = -c * verts[:, 2:, 1] / z[:, 2:]   # dv/dtz
+    ab, cd = (a * b).sum(axis=1), (c * d).sum(axis=1)
+    H = np.zeros((len(t), 3, 3))
+    H[:, 0, 0] = (a * a).sum(axis=1)
+    H[:, 1, 1] = (c * c).sum(axis=1)
+    H[:, 2, 2] = (b * b).sum(axis=1) + (d * d).sum(axis=1)
+    H[:, 0, 2] = H[:, 2, 0] = ab
+    H[:, 1, 2] = H[:, 2, 1] = cd
+    ru, rv = r[:, :2], r[:, 2:]
+    g = np.stack([(a * ru).sum(axis=1), (c * rv).sum(axis=1), (b * ru).sum(axis=1) + (d * rv).sum(axis=1)], axis=1)
+    return H, g
+
+
+def _normal_step(H, g, damping):
+    """Solve H step = g row by row.  A singular row is retried once with
+    damping*I, and flagged when that is singular too."""
+    singular = np.zeros(len(g), dtype=bool)
+    try:
+        return np.linalg.solve(H, g[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        pass  # some row is singular: solve each on its own
+    step = np.zeros_like(g)
+    for i in range(len(g)):
+        try:
+            step[i] = np.linalg.solve(H[i], g[i])
+        except np.linalg.LinAlgError:
+            try:
+                step[i] = np.linalg.solve(H[i] + damping * np.eye(3), g[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    return step, singular
+
+
+def _gauss_newton(t0, rotated, targets, cam, config: SolverConfig):
+    """Gauss-Newton on the tight-fit equations of n rows at once.
+
+    Each row takes plain Gauss-Newton steps, halved up to max_halvings times
+    until the residual norm decreases.  It stops converged when no halving
+    decreases it (already at a local minimum) or when the accepted step or
+    the residual decrease falls below its tolerance.  A selected corner
+    behind the camera at t0, or normal equations still singular after
+    damping, stop it failed at t0.
+
+    Returns (location, iterations, final residual norm, converged, failed).
+    """
+    n = len(t0)
+    location = t0.copy()
+    iterations = np.zeros(n, dtype=np.int64)
+    final = np.full(n, math.inf)
+    converged = np.zeros(n, dtype=bool)
+    r, failed = _residuals(t0, rotated, targets, cam)
+    act = np.flatnonzero(~failed)  # rows still iterating
+    t, r, rotated, targets, cam = t0[act], r[act], rotated[act], targets[act], cam[act]
+    rnorm = _norm(r)
+    for it in range(config.max_iterations):
+        if not act.size:
+            break
+        step, singular = _normal_step(*_normal_equations(t, r, rotated, cam), config.damping)
+
+        alpha = np.ones(len(act))
+        accepted = np.zeros(len(act), dtype=bool)
+        t_new, r_new, rnorm_new = t.copy(), r.copy(), rnorm.copy()
+        searching = ~singular
+        for _ in range(config.max_halvings + 1):
+            s = np.flatnonzero(searching)
+            if not s.size:
+                break
+            t_try = t[s] - alpha[s, None] * step[s]
+            r_try, behind = _residuals(t_try, rotated[s], targets[s], cam[s])
+            rnorm_try = _norm(r_try)
+            better = ~behind & (rnorm_try < rnorm[s])
+            won = s[better]
+            t_new[won], r_new[won], rnorm_new[won] = t_try[better], r_try[better], rnorm_try[better]
+            accepted[won] = True
+            searching[won] = False
+            alpha[s[~better]] *= 0.5
+
+        small = (_norm(alpha[:, None] * step) < config.step_tol) | (
+            rnorm - rnorm_new < config.residual_change_tol
+        )
+        t, r, rnorm = t_new, r_new, rnorm_new
+        # not accepted: a stalled line search (a local minimum) or singular
+        done = ~accepted | small
+        stop = act[done]
+        ok = ~singular[done]
+        iterations[stop] = it + ok
+        final[stop] = rnorm[done]
+        converged[stop] = ok
+        failed[stop] = ~ok
+        location[stop[ok]] = t[done][ok]
+        keep = ~done
+        act, t, r, rnorm = act[keep], t[keep], r[keep], rnorm[keep]
+        rotated, targets, cam = rotated[keep], targets[keep], cam[keep]
+    location[act] = t
+    iterations[act] = config.max_iterations
+    final[act] = rnorm
+    return location, iterations, final, converged, failed
+
+
+# ---------------------------------------------------------------------------
+# the batched lift
+
+
+def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> LiftResult:
+    """Lift every row: closed form, then, unless config.refine is off,
+    Gauss-Newton on the rows the truncation gate lets through.
+
+    Rows are processed LIFT_BLOCK_ROWS at a time.  No row raises or affects
+    another: each gets a status from STATUSES.
+      ok                   refined (converged says whether it converged), or
+                           the closed form when refinement is off
+      truncated_init_only  the closed form; the 2D box touches the image margin
+      refine_failed        the closed form; Gauss-Newton started with a
+                           corner behind the camera or met a singular system
+      degenerate_input     no location: zero-width or inverted 2D box, bottom
+                           center at or above the box top, non-positive
+                           dimensions or focal length, unknown viewpoint class
+      non_finite           no location: a non-finite input or result
+    """
+    n = len(rows)
+    codes = np.full(n, _OK, dtype=np.int8)
+    location = np.full((n, 3), np.nan)
+    used = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=np.int64)
+    residual = np.full(n, np.nan)
+    converged = np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        for start in range(0, n, LIFT_BLOCK_ROWS):
+            block = rows[start:start + LIFT_BLOCK_ROWS]
+            box, dims, cbf, cam, vp = block.box, block.dims, block.cbf, block.camera, block.viewpoint
+            finite = np.isfinite(block.data).all(axis=1)
+            well_formed = (
+                (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]) & (cbf[:, 1] > box[:, 1])
+                & (dims > 0).all(axis=1) & (cam[:, :2] > 0).all(axis=1) & np.isin(vp, _VIEWPOINT_IDS)
+            )
+            idx = np.arange(start, start + len(block))
+            codes[idx[~well_formed]] = _DEGENERATE
+            codes[idx[~finite]] = _NON_FINITE
+            good = finite & well_formed
+            lift = idx[good]
+            t0 = _closed_form(cbf[good], box[good, 1], dims[good, 0], cam[good])
+            location[lift] = t0
+            converged[lift] = True
+            if not config.refine:
+                continue
+            gated = _truncated(box[good], image_size, config.truncation_margin_px)
+            codes[lift[gated]] = _TRUNCATED
+            refine = lift[~gated]
+            rotated, targets = _prepared(rows[refine])
+            t, it, rnorm, conv, failed = _gauss_newton(t0[~gated], rotated, targets, rows.camera[refine], config)
+            location[refine], iterations[refine], residual[refine], converged[refine] = t, it, rnorm, conv
+            used[refine] = True
+            codes[refine[failed]] = _REFINE_FAILED
+        codes[(codes < _DEGENERATE) & ~np.isfinite(location).all(axis=1)] = _NON_FINITE
+    return LiftResult(location, np.array(STATUSES)[codes], used, iterations, residual, converged)
+
+
+# ---------------------------------------------------------------------------
+# one-row forms
+
+
+def _one_row(inp: SolveInput) -> DecodedRows:
+    b, d, k = inp.box2d, inp.dims, inp.camera
+    # alpha and score are not used by the lift; any finite value does
+    return DecodedRows([
+        b.u_min, b.v_min, b.u_max, b.v_max, d.h, d.w, d.l, inp.global_yaw, 0.0,
+        inp.viewpoint, *inp.cbf, k.fu, k.fv, k.cu, k.cv, 1.0,
+    ])
 
 
 def initial_location(cbf, v_min: float, h: float, k: CameraIntrinsics) -> np.ndarray:
     """Closed-form bottom-face center from the similar-triangle depth.
 
     Z = fv*h/(vc - v_min); lateral/vertical components by back-projecting
-    the bottom-face-center pixel at that depth.  The vertical focal length
-    carries the triangle since the projected height is vertical.
+    the bottom-face-center pixel at that depth.
     """
     if h <= 0:
         raise ValueError(f"height must be positive, got {h}")
-    dv = cbf[1] - v_min
-    if dv <= 0:
+    if cbf[1] - v_min <= 0:
         raise ValueError(
             f"degenerate projected height: bottom-center v {cbf[1]} not below box top {v_min}"
         )
-    return back_project(k, cbf, k.fv * h / dv)
-
-
-def _prepared(inp: SolveInput):
-    offsets = selected_offsets(selection_matrices(inp.viewpoint), inp.dims)
-    rotated = offsets @ yaw_rotation(inp.global_yaw).T  # (4, 3) camera-frame offsets
-    targets = np.array([inp.box2d.u_min, inp.box2d.u_max, inp.box2d.v_min, inp.box2d.v_max])
-    return rotated, targets
-
-
-def _residuals(t, rotated, targets, k: CameraIntrinsics):
-    verts = rotated + t
-    z = verts[:, 2]
-    if np.any(z <= 0.0):
-        raise BehindCameraError("selected corner behind camera during solve")
-    proj = np.empty(4)
-    proj[0] = k.cu + k.fu * verts[0, 0] / z[0]
-    proj[1] = k.cu + k.fu * verts[1, 0] / z[1]
-    proj[2] = k.cv + k.fv * verts[2, 1] / z[2]
-    proj[3] = k.cv + k.fv * verts[3, 1] / z[3]
-    return proj - targets
+    cam = np.array([[k.fu, k.fv, k.cu, k.cv]], dtype=float)
+    return _closed_form(np.array([cbf], dtype=float), np.array([v_min], dtype=float), np.array([h], dtype=float), cam)[0]
 
 
 def fitting_residuals(t, inp: SolveInput) -> np.ndarray:
     """Tight-fit residuals [u_left, u_right, v_top, v_bottom] in pixels at
     candidate bottom-face center t."""
-    rotated, targets = _prepared(inp)
-    return _residuals(np.asarray(t, dtype=float), rotated, targets, inp.camera)
-
-
-def _fd_jacobian(t, rotated, targets, k, step):
-    J = np.empty((4, 3))
-    for j in range(3):
-        dt = np.zeros(3)
-        dt[j] = step
-        J[:, j] = (
-            _residuals(t + dt, rotated, targets, k)
-            - _residuals(t - dt, rotated, targets, k)
-        ) / (2.0 * step)
-    return J
+    rows = _one_row(inp)
+    rotated, targets = _prepared(rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r, behind = _residuals(np.asarray(t, dtype=float).reshape(1, 3), rotated, targets, rows.camera)
+    if behind[0]:
+        raise BehindCameraError("selected corner behind camera during solve")
+    return r[0]
 
 
 def gauss_newton_refine(
@@ -129,67 +453,16 @@ def gauss_newton_refine(
     Plain Gauss-Newton steps with step halving whenever the residual norm
     fails to decrease; on singular normal equations a lambda*I damping is
     tried once before giving up.  Any hard failure returns t0 unchanged with
-    converged=False.
+    converged=False and status refine_failed.
     """
-    t0 = np.asarray(t0, dtype=float).reshape(3)
-    rotated, targets = _prepared(inp)
-    k = inp.camera
-
-    def failure(iterations, rnorm=math.inf):
-        return SolveReport(t0.copy(), True, iterations, rnorm, False)
-
-    try:
-        r = _residuals(t0, rotated, targets, k)
-    except BehindCameraError:
-        return failure(0)
-
-    t = t0.copy()
-    rnorm = float(np.linalg.norm(r))
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iterations):
-        try:
-            J = _fd_jacobian(t, rotated, targets, k, config.fd_step)
-        except BehindCameraError:
-            return failure(iterations, rnorm)
-        H = J.T @ J
-        g = J.T @ r
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            try:
-                step = np.linalg.solve(H + config.damping * np.eye(3), g)
-            except np.linalg.LinAlgError:
-                return failure(iterations, rnorm)
-
-        alpha = 1.0
-        accepted = False
-        for _ in range(config.max_halvings + 1):
-            t_new = t - alpha * step
-            try:
-                r_new = _residuals(t_new, rotated, targets, k)
-            except BehindCameraError:
-                alpha *= 0.5
-                continue
-            rnorm_new = float(np.linalg.norm(r_new))
-            if rnorm_new < rnorm:
-                accepted = True
-                break
-            alpha *= 0.5
-        iterations += 1
-        if not accepted:
-            # line search stalled: already at a local minimum of the residual
-            converged = True
-            break
-
-        dt_norm = float(np.linalg.norm(alpha * step))
-        change = rnorm - rnorm_new
-        t, r, rnorm = t_new, r_new, rnorm_new
-        if dt_norm < config.step_tol or change < config.residual_change_tol:
-            converged = True
-            break
-
-    return SolveReport(t, True, iterations, rnorm, converged)
+    rows = _one_row(inp)
+    rotated, targets = _prepared(rows)
+    t0 = np.asarray(t0, dtype=float).reshape(1, 3)
+    with np.errstate(all="ignore"):
+        t, it, rnorm, conv, failed = _gauss_newton(t0, rotated, targets, rows.camera, config)
+    return SolveReport(
+        t[0], True, int(it[0]), float(rnorm[0]), bool(conv[0]), STATUSES[_REFINE_FAILED if failed[0] else _OK]
+    )
 
 
 def is_truncated(
@@ -197,20 +470,15 @@ def is_truncated(
 ) -> bool:
     """Whether any box edge lies within `margin` px of an image border
     (closed threshold: exactly at the margin counts as truncated)."""
-    width, height = image_size
-    return (
-        box2d.u_min <= margin
-        or box2d.v_min <= margin
-        or box2d.u_max >= width - margin
-        or box2d.v_max >= height - margin
-    )
+    box = np.array([[box2d.u_min, box2d.v_min, box2d.u_max, box2d.v_max]], dtype=float)
+    return bool(_truncated(box, image_size, margin)[0])
 
 
 def solve_cascaded(inp: SolveInput, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> SolveReport:
     """Closed-form initialization, then tight-fit refinement unless the
     detection is truncated; refinement failure falls back to the
-    initialization."""
-    t0 = initial_location(inp.cbf, inp.box2d.v_min, inp.dims.h, inp.camera)
-    if is_truncated(inp.box2d, inp.image_size, config.truncation_margin_px):
-        return SolveReport(t0, False, 0, math.nan, True)
-    return gauss_newton_refine(t0, inp, config)
+    initialization.  Raises ValueError for input that cannot be lifted."""
+    report = lift_batch(_one_row(inp), inp.image_size, config).report(0)
+    if report.status in STATUSES[_DEGENERATE:]:
+        raise ValueError(f"cannot lift {inp}: {report.status}")
+    return report

@@ -59,6 +59,66 @@ def test_solve_no_refine_uses_closed_form_only(pipeline_dirs, tmp_path):
     assert len(a) == len(b)
 
 
+def _solve(data, out, *flags):
+    return main([
+        "solve", "--calib", str(data / "calib"), "--detections", str(data / "detections"),
+        "--properties", str(data / "properties"), "--out", str(out), *flags,
+    ])
+
+
+def _skipped_rows(stderr):
+    return [line.split(":")[1].split() for line in stderr.splitlines() if "skipped" in line]
+
+
+def test_solve_skips_malformed_truncated_detections(tmp_path, capsys):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("allow_truncated = true\n")
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--frames", "20", "--seed", "0", "--spec", str(spec)]) == 0
+    malformed, n_rows = set(), 0
+    for path in sorted((data / "detections").glob("*.txt")):
+        for j, line in enumerate(path.read_text().splitlines()):
+            u0, v0, u1, v1 = map(float, line.split()[1:5])
+            n_rows += 1
+            if not (u0 < u1 and v0 < v1):
+                malformed.add((path.stem, j))
+    assert (len(malformed), n_rows) == (6, 61)
+    capsys.readouterr()
+
+    results = tmp_path / "results"
+    assert _solve(data, results) == 0
+    skipped = {(frame, int(row)) for _, frame, _, row in _skipped_rows(capsys.readouterr().err)}
+    assert skipped == malformed
+    assert len(list(results.glob("*.txt"))) == 20
+    written = sum(len(parse_labels(p.read_text()).objects) for p in results.glob("*.txt"))
+    assert written == n_rows - len(malformed)
+
+
+def test_solve_skips_non_finite_property_row(pipeline_dirs, tmp_path, capsys):
+    props = pipeline_dirs / "properties" / "000001.txt"
+    lines = props.read_text().splitlines()
+    cols = lines[1].split()
+    cols[5] = "nan"  # dv of the first row
+    props.write_text("\n".join([lines[0], " ".join(cols), *lines[2:]]) + "\n")
+    n_rows = len(lines) - 1
+
+    results = tmp_path / "results"
+    assert _solve(pipeline_dirs, results) == 0
+    assert _skipped_rows(capsys.readouterr().err) == [["frame", "000001", "row", "0"]]
+    text = (results / "000001.txt").read_text()
+    assert "nan" not in text
+    assert len(parse_labels(text).objects) == n_rows - 1
+
+
+def test_solve_refine_field_matches_no_refine_flag(pipeline_dirs, tmp_path):
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("refine = false\n")
+    assert _solve(pipeline_dirs, tmp_path / "flag", "--no-refine") == 0
+    assert _solve(pipeline_dirs, tmp_path / "field", "--config", str(cfg)) == 0
+    for path in sorted((tmp_path / "flag").glob("*.txt")):
+        assert path.read_text() == (tmp_path / "field" / path.name).read_text()
+
+
 def test_depurate_cli(pipeline_dirs, tmp_path):
     results = tmp_path / "results"
     main([

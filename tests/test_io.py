@@ -198,9 +198,9 @@ def test_parse_keyvalue_basics():
 
 
 def test_coerce_solver_config():
-    cfg = coerce_fields(SolverConfig(), {"max_iterations": "7", "fd_step": "1e-4"})
+    cfg = coerce_fields(SolverConfig(), {"max_iterations": "7", "step_tol": "1e-4"})
     assert cfg.max_iterations == 7
-    assert cfg.fd_step == pytest.approx(1e-4)
+    assert cfg.step_tol == pytest.approx(1e-4)
 
 
 def test_coerce_unknown_key_raises():

@@ -286,6 +286,35 @@ def test_dimension_error_matches_closest_gt():
     assert dimension_error(det, gts) == pytest.approx(0.0)
 
 
+def _dimension_error_loop(detections, ground_truths):
+    """Reference: the per-pair loop dimension_error replaced."""
+    total = 0.0
+    for det in detections:
+        gt = min(ground_truths, key=lambda g: float(np.linalg.norm(g.location - det.location)))
+        total += math.sqrt(
+            (det.dims.w - gt.dims.w) ** 2
+            + (det.dims.h - gt.dims.h) ** 2
+            + (det.dims.l - gt.dims.l) ** 2
+        )
+    return total / len(detections)
+
+
+def test_dimension_error_matches_loop_reference():
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        def boxes(n):
+            return [
+                _box(*rng.uniform(-20.0, 20.0, 3), *rng.uniform(0.5, 5.0, 3), rng.uniform(-3.0, 3.0))
+                for _ in range(n)
+            ]
+        gts = boxes(int(rng.integers(1, 8)))
+        if trial % 4 == 0:  # exact ties: the first of two ground truths at one center wins
+            twin = gts[0]
+            gts.append(Box3D(twin.location.copy(), Dimensions(9.0, 9.0, 9.0), twin.yaw))
+        dets = boxes(int(rng.integers(1, 8))) + [_box(*gts[0].location)]
+        assert dimension_error(dets, gts) == pytest.approx(_dimension_error_loop(dets, gts), rel=1e-12)
+
+
 def test_dimension_error_empty_gt_raises():
     with pytest.raises(ValueError):
         dimension_error([_box()], [])

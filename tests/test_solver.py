@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from box3d.camera import (
+    BehindCameraError,
     Box2D,
     Box3D,
     CameraIntrinsics,
@@ -12,12 +15,16 @@ from box3d.camera import (
     yaw_rotation,
 )
 from box3d.solver import (
+    STATUSES,
+    DecodedRows,
     SolveInput,
     SolverConfig,
+    decode_rows,
     fitting_residuals,
     gauss_newton_refine,
     initial_location,
     is_truncated,
+    lift_batch,
     solve_cascaded,
 )
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
@@ -251,9 +258,248 @@ def test_refinement_failure_falls_back_to_initialization():
     assert np.all(np.isfinite(report.location))
 
 
+def test_cascade_raises_on_input_it_cannot_lift():
+    gt, inp = _scene_input(seed=5)
+    above = SolveInput(inp.box2d, inp.dims, inp.global_yaw, inp.viewpoint,
+                       (inp.cbf[0], inp.box2d.v_min - 1.0), inp.camera, IMAGE)
+    with pytest.raises(ValueError, match="degenerate_input"):
+        solve_cascaded(above)
+
+
 def test_solver_config_overrides():
     gt, inp = _scene_input(seed=6)
     report = gauss_newton_refine(
         gt.location + 0.5, inp, SolverConfig(max_iterations=1)
     )
     assert report.iterations <= 1
+
+
+# ---------------------------------------------------------------------------
+# the batched lift against the per-object finite-difference solver it replaced
+
+
+def _fd_prepared(inp):
+    offsets = selected_offsets(selection_matrices(inp.viewpoint), inp.dims)
+    rotated = offsets @ yaw_rotation(inp.global_yaw).T
+    targets = np.array([inp.box2d.u_min, inp.box2d.u_max, inp.box2d.v_min, inp.box2d.v_max])
+    return rotated, targets
+
+
+def _fd_residuals(t, rotated, targets, k):
+    verts = rotated + t
+    z = verts[:, 2]
+    if np.any(z <= 0.0):
+        raise BehindCameraError("selected corner behind camera during solve")
+    proj = np.empty(4)
+    proj[0] = k.cu + k.fu * verts[0, 0] / z[0]
+    proj[1] = k.cu + k.fu * verts[1, 0] / z[1]
+    proj[2] = k.cv + k.fv * verts[2, 1] / z[2]
+    proj[3] = k.cv + k.fv * verts[3, 1] / z[3]
+    return proj - targets
+
+
+def _fd_jacobian(t, rotated, targets, k, step):
+    J = np.empty((4, 3))
+    for j in range(3):
+        dt = np.zeros(3)
+        dt[j] = step
+        J[:, j] = (
+            _fd_residuals(t + dt, rotated, targets, k)
+            - _fd_residuals(t - dt, rotated, targets, k)
+        ) / (2.0 * step)
+    return J
+
+
+def _fd_gauss_newton(t0, inp, config=SolverConfig(), fd_step=1e-5):
+    """Reference: the per-object Gauss-Newton with a central-difference
+    Jacobian that lift_batch replaced.  Returns (location, iterations,
+    final residual norm, converged)."""
+    t0 = np.asarray(t0, dtype=float).reshape(3)
+    rotated, targets = _fd_prepared(inp)
+    k = inp.camera
+    try:
+        r = _fd_residuals(t0, rotated, targets, k)
+    except BehindCameraError:
+        return t0.copy(), 0, math.inf, False
+    t = t0.copy()
+    rnorm = float(np.linalg.norm(r))
+    converged = False
+    iterations = 0
+    for _ in range(config.max_iterations):
+        try:
+            J = _fd_jacobian(t, rotated, targets, k, fd_step)
+        except BehindCameraError:
+            return t0.copy(), iterations, rnorm, False
+        H = J.T @ J
+        g = J.T @ r
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            try:
+                step = np.linalg.solve(H + config.damping * np.eye(3), g)
+            except np.linalg.LinAlgError:
+                return t0.copy(), iterations, rnorm, False
+        alpha = 1.0
+        accepted = False
+        for _ in range(config.max_halvings + 1):
+            t_new = t - alpha * step
+            try:
+                r_new = _fd_residuals(t_new, rotated, targets, k)
+            except BehindCameraError:
+                alpha *= 0.5
+                continue
+            rnorm_new = float(np.linalg.norm(r_new))
+            if rnorm_new < rnorm:
+                accepted = True
+                break
+            alpha *= 0.5
+        iterations += 1
+        if not accepted:
+            converged = True
+            break
+        dt_norm = float(np.linalg.norm(alpha * step))
+        change = rnorm - rnorm_new
+        t, r, rnorm = t_new, r_new, rnorm_new
+        if dt_norm < config.step_tol or change < config.residual_change_tol:
+            converged = True
+            break
+    return t, iterations, rnorm, converged
+
+
+def _decoded_run(seeds, **spec_kwargs):
+    """Generated scenes decoded as `box3d solve` decodes them: the rows of
+    the whole run and one SolveInput per row."""
+    parts, inputs = [], []
+    for seed in seeds:
+        gt, dets, props = generate_scene(SyntheticSceneSpec(seed=seed, **spec_kwargs))
+        rows = decode_rows(dets, props.properties, gt.camera)
+        parts.append(rows)
+        for i in range(len(rows)):
+            inputs.append(SolveInput(
+                Box2D(*rows.box[i]), Dimensions(*rows.dims[i]), float(rows.yaw[i]),
+                int(rows.viewpoint[i]), tuple(rows.cbf[i]), gt.camera, IMAGE,
+            ))
+    return DecodedRows.concatenate(parts), inputs
+
+
+@pytest.mark.parametrize("seeds, spec", [
+    (range(1000), {"n_objects_min": 1, "n_objects_max": 1}),  # the acceptance scenes
+    (range(300), {"box_noise_sigma": 1.0}),
+], ids=["exact", "box_noise_1px"])
+def test_lift_batch_agrees_with_finite_difference_reference(seeds, spec):
+    rows, inputs = _decoded_run(seeds, **spec)
+    result = lift_batch(rows, IMAGE)
+    assert len(result) == len(inputs)
+    assert set(result.status) == {"ok"}
+    for i, inp in enumerate(inputs):
+        t0 = initial_location(inp.cbf, inp.box2d.v_min, inp.dims.h, inp.camera)
+        t, iterations, rnorm, converged = _fd_gauss_newton(t0, inp)
+        assert np.linalg.norm(result.location[i] - t) <= 1e-6
+        assert result.iterations[i] == iterations
+        assert result.converged[i] == converged
+        assert result.residual[i] == pytest.approx(rnorm, rel=1e-6, abs=1e-6)
+
+
+def _mixed_rows():
+    """Ordinary noisy rows plus one row of each special case."""
+    rows, _ = _decoded_run(range(12), box_noise_sigma=1.0)
+    n = len(rows)
+    rows = rows[np.r_[np.arange(n), np.arange(8)]]  # 8 rows to overwrite
+    rows.box[n, 0] = 5.0                              # truncated
+    rows.cbf[n + 1, 1] = rows.box[n + 1, 1] + 1500.0  # corners behind the camera at t0
+    # J^T J singular: with fu tiny and the bottom center on the principal
+    # column, the closed form has x = 0 and the whole tx column underflows to 0
+    rows.camera[n + 2, 0] = 1e-170
+    rows.cbf[n + 2, 0] = rows.camera[n + 2, 2]
+    rows.box[n + 3] = [300.0, 100.0, 300.0, 150.0]    # zero width
+    rows.box[n + 4] = [300.0, 150.0, 350.0, 100.0]    # inverted
+    rows.cbf[n + 5, 1] = rows.box[n + 5, 1]           # bottom center at the box top
+    rows.cbf[n + 6, 0] = np.nan                       # non-finite
+    rows.dims[n + 7, 0] = -1.0                        # non-positive height
+    return rows
+
+
+def test_mixed_batch_statuses():
+    rows = _mixed_rows()
+    n = len(rows) - 8
+    result = lift_batch(rows, IMAGE)
+    assert list(result.status[n:]) == [
+        "truncated_init_only", "refine_failed", "ok", "degenerate_input", "degenerate_input",
+        "degenerate_input", "non_finite", "degenerate_input",
+    ]
+    assert set(result.status[:n]) == {"ok"}
+    assert np.isfinite(result.location[result.lifted]).all()
+    assert np.isnan(result.location[~result.lifted]).all()
+    # without damping the singular row fails back to the closed form
+    failed = lift_batch(rows, IMAGE, SolverConfig(damping=0.0))
+    assert failed.status[n + 2] == "refine_failed" and not failed.converged[n + 2]
+    closed = lift_batch(rows, IMAGE, SolverConfig(refine=False))
+    assert np.array_equal(failed.location[n + 2], closed.location[n + 2])
+    assert np.array_equal(result.location[n + 1], closed.location[n + 1])
+
+
+@pytest.mark.parametrize("config", [
+    SolverConfig(), SolverConfig(max_iterations=1), SolverConfig(damping=0.0), SolverConfig(refine=False),
+], ids=["default", "max_iterations_1", "no_damping", "no_refine"])
+def test_lift_batch_rows_are_independent_of_the_batch(config):
+    rows = _mixed_rows()
+    order = np.random.default_rng(3).permutation(len(rows))
+    shuffled = rows[order]
+    together = lift_batch(shuffled, IMAGE, config)
+    for i in range(len(shuffled)):
+        alone = lift_batch(shuffled[[i]], IMAGE, config)
+        assert together.status[i] == alone.status[0]
+        assert np.array_equal(together.location[i], alone.location[0], equal_nan=True)
+        assert np.array_equal(together.residual[i], alone.residual[0], equal_nan=True)
+        assert together.iterations[i] == alone.iterations[0]
+        assert together.converged[i] == alone.converged[0]
+        assert together.used_refinement[i] == alone.used_refinement[0]
+
+
+def test_lift_batch_blocks_do_not_change_results(monkeypatch):
+    import box3d.solver as solver
+
+    rows = _mixed_rows()
+    whole = lift_batch(rows, IMAGE)
+    monkeypatch.setattr(solver, "LIFT_BLOCK_ROWS", 3)
+    blocked = lift_batch(rows, IMAGE)
+    for name in ("location", "status", "iterations", "residual", "converged", "used_refinement"):
+        assert np.array_equal(getattr(whole, name), getattr(blocked, name), equal_nan=name in ("location", "residual"))
+
+
+def test_no_refine_returns_the_closed_form():
+    rows = _mixed_rows()
+    result = lift_batch(rows, IMAGE, SolverConfig(refine=False))
+    lifted = result.lifted
+    assert set(result.status[lifted]) == {"ok"}
+    assert not result.used_refinement.any() and (result.iterations == 0).all()
+    for i in np.flatnonzero(lifted):
+        k = CameraIntrinsics(*rows.camera[i])
+        expected = initial_location(rows.cbf[i], rows.box[i, 1], rows.dims[i, 0], k)
+        assert np.array_equal(result.location[i], expected)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+moderate = st.floats(-2000.0, 2000.0)
+
+
+@st.composite
+def _finite_rows(draw):
+    n = draw(st.integers(1, 6))
+    values = st.one_of(moderate, finite)
+
+    def column(*shape):
+        return np.array(draw(st.lists(values, min_size=n * int(np.prod(shape)), max_size=n * int(np.prod(shape))))).reshape(n, *shape)
+
+    viewpoint = np.array(draw(st.lists(st.integers(-1, 16), min_size=n, max_size=n)), dtype=float)
+    # columns: box, dims, yaw, alpha, viewpoint, cbf, camera, score
+    return DecodedRows(np.column_stack([column(4), column(3), column(), column(), viewpoint, column(2), column(4), column()]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_rows())
+def test_lift_batch_never_raises_on_finite_input(rows):
+    result = lift_batch(rows, IMAGE)
+    assert len(result) == len(rows)
+    assert set(result.status) <= set(STATUSES)
+    assert np.isfinite(result.location[result.lifted]).all()
