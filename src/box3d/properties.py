@@ -109,11 +109,17 @@ def local_from_alpha(alpha: float) -> float:
     return wrap_angle(1.5 * math.pi - alpha)
 
 
+def dimension_values(residual, prior: ClassPrior) -> tuple:
+    """Mean dimensions plus the regressed residual, componentwise (h, w, l),
+    unchecked: batched decoding leaves the rejection of non-positive values
+    to the lift."""
+    m = prior.mean_dims
+    return (m.h + residual[0], m.w + residual[1], m.l + residual[2])
+
+
 def decode_dimensions(residual, prior: ClassPrior) -> Dimensions:
     """Mean dimensions plus the regressed residual, componentwise (h, w, l)."""
-    h = prior.mean_dims.h + residual[0]
-    w = prior.mean_dims.w + residual[1]
-    l = prior.mean_dims.l + residual[2]
+    h, w, l = dimension_values(residual, prior)
     if min(h, w, l) <= 0:
         raise ValueError(f"decoded dimensions not positive: {(h, w, l)}")
     return Dimensions(h, w, l)

@@ -29,6 +29,7 @@ from .properties import (
     alpha_from_local,
     decode_cbf,
     decode_local_angle,
+    dimension_values,
     global_from_local,
 )
 from .viewpoints import N_VIEWPOINTS, selected_vertex_indices
@@ -134,16 +135,14 @@ def decode_rows(detections, properties, camera: CameraIntrinsics) -> DecodedRows
     """
     if len(detections) != len(properties):
         raise ValueError(f"{len(detections)} detections but {len(properties)} property rows")
-    mean = CAR_PRIOR.mean_dims
     intrinsics = (camera.fu, camera.fv, camera.cu, camera.cv)
     data = []
     for det, prop in zip(detections, properties):
         b = det.box
         cbf = decode_cbf(prop.cbf_offset, b)
         theta_l = decode_local_angle(prop.multibin)
-        dh, dw, dl = prop.dim_residual
         data.append((
-            b.u_min, b.v_min, b.u_max, b.v_max, mean.h + dh, mean.w + dw, mean.l + dl,
+            b.u_min, b.v_min, b.u_max, b.v_max, *dimension_values(prop.dim_residual, CAR_PRIOR),
             global_from_local(theta_l, ray_angle(camera, cbf[0])), alpha_from_local(theta_l),
             prop.viewpoint_class, *cbf, *intrinsics, det.score,
         ))
@@ -401,6 +400,7 @@ def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOL
             used[refine] = True
             codes[refine[failed]] = _REFINE_FAILED
         codes[(codes < _DEGENERATE) & ~np.isfinite(location).all(axis=1)] = _NON_FINITE
+    location[codes >= _DEGENERATE] = np.nan
     return LiftResult(location, np.array(STATUSES)[codes], used, iterations, residual, converged)
 
 

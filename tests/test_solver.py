@@ -404,7 +404,7 @@ def _mixed_rows():
     """Ordinary noisy rows plus one row of each special case."""
     rows, _ = _decoded_run(range(12), box_noise_sigma=1.0)
     n = len(rows)
-    rows = rows[np.r_[np.arange(n), np.arange(8)]]  # 8 rows to overwrite
+    rows = rows[np.r_[np.arange(n), np.arange(9)]]  # 9 rows to overwrite
     rows.box[n, 0] = 5.0                              # truncated
     rows.cbf[n + 1, 1] = rows.box[n + 1, 1] + 1500.0  # corners behind the camera at t0
     # J^T J singular: with fu tiny and the bottom center on the principal
@@ -416,16 +416,17 @@ def _mixed_rows():
     rows.cbf[n + 5, 1] = rows.box[n + 5, 1]           # bottom center at the box top
     rows.cbf[n + 6, 0] = np.nan                       # non-finite
     rows.dims[n + 7, 0] = -1.0                        # non-positive height
+    rows.camera[n + 8, 1] = 1e308                     # finite input, depth overflows
     return rows
 
 
 def test_mixed_batch_statuses():
     rows = _mixed_rows()
-    n = len(rows) - 8
+    n = len(rows) - 9
     result = lift_batch(rows, IMAGE)
     assert list(result.status[n:]) == [
         "truncated_init_only", "refine_failed", "ok", "degenerate_input", "degenerate_input",
-        "degenerate_input", "non_finite", "degenerate_input",
+        "degenerate_input", "non_finite", "degenerate_input", "non_finite",
     ]
     assert set(result.status[:n]) == {"ok"}
     assert np.isfinite(result.location[result.lifted]).all()
@@ -503,3 +504,4 @@ def test_lift_batch_never_raises_on_finite_input(rows):
     assert len(result) == len(rows)
     assert set(result.status) <= set(STATUSES)
     assert np.isfinite(result.location[result.lifted]).all()
+    assert np.isnan(result.location[~result.lifted]).all()
