@@ -41,12 +41,6 @@ class CameraIntrinsics:
         if not all(math.isfinite(x) for x in (self.fu, self.fv, self.cu, self.cv)):
             raise ValueError("intrinsics must be finite")
 
-    @property
-    def matrix(self):
-        return np.array(
-            [[self.fu, 0.0, self.cu], [0.0, self.fv, self.cv], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class Dimensions:
@@ -84,6 +78,18 @@ class Box2D:
     @property
     def center_u(self):
         return 0.5 * (self.u_min + self.u_max)
+
+
+def box_iou_2d(a: Box2D, b: Box2D) -> float:
+    """Intersection over union of two image boxes; positive exactly when
+    they overlap by a positive extent on both axes."""
+    iw = min(a.u_max, b.u_max) - max(a.u_min, b.u_min)
+    ih = min(a.v_max, b.v_max) - max(a.v_min, b.v_min)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a.width * a.height + b.width * b.height - inter
+    return inter / union if union > 0 else 0.0
 
 
 @dataclass(frozen=True)

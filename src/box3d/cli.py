@@ -31,8 +31,12 @@ from .synthetic import SyntheticSceneSpec, generate_scene
 from .viewpoints import format_viewpoint_table
 
 
+# written among the kept frames; frame listings skip it
+DEPURATION_REPORT = "depuration_report.txt"
+
+
 def _frames_in(directory: Path):
-    return sorted(p.stem for p in directory.glob("*.txt"))
+    return sorted(p.stem for p in directory.glob("*.txt") if p.name != DEPURATION_REPORT)
 
 
 def _parse_image_size(text):
@@ -59,12 +63,11 @@ def cmd_solve(args):
     # lift covers the whole run; no per-detection objects are kept meanwhile
     parts, classes = [], []
     for frame in frames:
-        camera = kitti_io.parse_calib((Path(args.calib) / f"{frame}.txt").read_text())
-        detections = kitti_io.parse_detections((Path(args.detections) / f"{frame}.txt").read_text())
-        record = kitti_io.parse_properties(
-            (Path(args.properties) / f"{frame}.txt").read_text(), frame
-        )
         try:
+            name = f"{frame}.txt"
+            camera = kitti_io.parse_calib((Path(args.calib) / name).read_text())
+            detections = kitti_io.parse_detections((Path(args.detections) / name).read_text())
+            record = kitti_io.parse_properties((Path(args.properties) / name).read_text(), frame)
             parts.append(decode_rows(detections, record.properties, camera))
         except ValueError as exc:
             raise SystemExit(f"frame {frame}: {exc}")
@@ -112,10 +115,10 @@ def cmd_depurate(args):
                     f"{frame} object {i} ({record.objects[i].cls}): removed, "
                     f"{'hard rule' if v.hard_violation else 'co-determination'} [{rules}]"
                 )
-    (out_dir / "depuration_report.txt").write_text(
+    (out_dir / DEPURATION_REPORT).write_text(
         "\n".join(report_lines) + ("\n" if report_lines else "")
     )
-    print(f"removed {n_removed} detections; report -> {out_dir / 'depuration_report.txt'}")
+    print(f"removed {n_removed} detections; report -> {out_dir / DEPURATION_REPORT}")
 
 
 def cmd_eval(args):
@@ -124,7 +127,13 @@ def cmd_eval(args):
     n_gt = 0
     dim_err_sum = 0.0
     dim_err_count = 0
-    for frame in _frames_in(Path(args.gt)):
+    gt_frames = _frames_in(Path(args.gt))
+    for frame in sorted(set(_frames_in(Path(args.results))) - set(gt_frames)):
+        text = (Path(args.results) / f"{frame}.txt").read_text()
+        n_det = sum(1 for line in text.splitlines() if line.strip())
+        print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)",
+              file=sys.stderr)
+    for frame in gt_frames:
         gt_record = kitti_io.parse_labels((Path(args.gt) / f"{frame}.txt").read_text(), frame)
         gts = [
             o for o in gt_record.objects

@@ -9,7 +9,8 @@ two must fail.  Removing a 2D detection abandons its paired 3D box.
 
 from dataclasses import dataclass
 
-from .camera import Box2D, CameraIntrinsics, Dimensions
+from .camera import CameraIntrinsics, Dimensions, box_iou_2d
+from .properties import CAR_PRIOR
 
 RULE_DIMS = "dims"
 RULE_VERTICAL = "vertical"
@@ -23,7 +24,7 @@ ALL_RULES = (RULE_DIMS, RULE_VERTICAL, RULE_HEIGHT_DEPTH, RULE_ADJACENT_DEPTH)
 class DepurationConfig:
     """Thresholds for the four rules; car-tuned defaults, all overridable."""
 
-    mean_dims: Dimensions = Dimensions(1.52, 1.64, 3.86)
+    mean_dims: Dimensions = CAR_PRIOR.mean_dims
     dim_tolerance: float = 0.5  # fractional band around the mean
     vertical_centers: tuple = (1.28842871, 1.72911, 2.2184)  # bottom-face Y, meters
     vertical_slack: float = 0.75
@@ -65,16 +66,6 @@ def check_vertical(y: float, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG) 
         <= y
         <= max(cfg.vertical_centers) + cfg.vertical_slack
     )
-
-
-def _box_iou_2d(a: Box2D, b: Box2D) -> float:
-    iw = min(a.u_max, b.u_max) - max(a.u_min, b.u_min)
-    ih = min(a.v_max, b.v_max) - max(a.v_min, b.v_min)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a.width * a.height + b.width * b.height - inter
-    return inter / union if union > 0 else 0.0
 
 
 def check_height_depth(scene, camera: CameraIntrinsics,
@@ -122,7 +113,7 @@ def check_adjacent_depth(scene, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFI
             if j == i:
                 continue
             b2j, b3j = scene[j]
-            if _box_iou_2d(b2i, b2j) <= cfg.adjacency_iou_min:
+            if box_iou_2d(b2i, b2j) <= cfg.adjacency_iou_min:
                 continue
             gap = abs(b3i.location[2] - b3j.location[2])
             if b2j.center_u < b2i.center_u:

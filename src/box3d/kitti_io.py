@@ -98,11 +98,15 @@ def _parse_label_line(parts):
 
 
 def parse_labels(text: str, frame_id: str = "") -> FrameRecord:
+    """Label rows; a bad row raises ValueError("line N: ...")."""
     objects = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if parts:
-            objects.append(_parse_label_line(parts))
+            try:
+                objects.append(_parse_label_line(parts))
+            except (ValueError, OverflowError) as exc:  # int(inf) overflows
+                raise ValueError(f"line {n}: {exc}") from exc
     return FrameRecord(frame_id, objects)
 
 
@@ -133,16 +137,20 @@ def write_labels(objects) -> str:
 
 
 def parse_detections(text: str):
-    """2D detection rows: class u_min v_min u_max v_max score."""
+    """2D detection rows: class u_min v_min u_max v_max score.  A bad row
+    raises ValueError("line N: ...")."""
     out = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
             continue
-        if len(parts) != 6:
-            raise ValueError(f"detection row has {len(parts)} columns, expected 6")
-        vals = [float(x) for x in parts[1:]]
-        out.append(Detection2D(Box2D(vals[0], vals[1], vals[2], vals[3]), vals[4], parts[0]))
+        try:
+            if len(parts) != 6:
+                raise ValueError(f"detection row has {len(parts)} columns, expected 6")
+            vals = [float(x) for x in parts[1:]]
+            out.append(Detection2D(Box2D(vals[0], vals[1], vals[2], vals[3]), vals[4], parts[0]))
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from exc
     return out
 
 
@@ -182,33 +190,40 @@ def write_properties(record: PropertyRecord) -> str:
 
 
 def parse_properties(text: str, frame_id: str = "") -> PropertyRecord:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].lstrip().startswith("#"):
-        raise ValueError("property file must start with a '# <columns>' header")
-    cols = lines[0].lstrip("# ").split()
+    """Property rows after the column header.  A bad row or header raises
+    ValueError("line N: ..."), N counting the header."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    n, header = lines[0] if lines else (1, "")
+    if not header.lstrip().startswith("#"):
+        raise ValueError(f"line {n}: property file must start with a '# <columns>' header")
+    cols = header.lstrip("# ").split()
     n_bins = sum(1 for c in cols if c.startswith("conf"))
     expected = _property_columns(n_bins)
     if cols != expected:
-        raise ValueError(f"unexpected property columns {cols}, expected {expected}")
+        raise ValueError(f"line {n}: unexpected property columns {cols}, expected {expected}")
     centers = default_bin_centers(n_bins)
     props = []
-    for line in lines[1:]:
-        vals = line.split()
-        if len(vals) != len(cols):
-            raise ValueError(f"property row has {len(vals)} columns, expected {len(cols)}")
-        row = dict(zip(cols, vals))
-        conf = tuple(float(row[f"conf{i}"]) for i in range(n_bins))
-        sins = tuple(float(row[f"sin{i}"]) for i in range(n_bins))
-        coss = tuple(float(row[f"cos{i}"]) for i in range(n_bins))
-        props.append(
-            RegressedProperties(
-                dim_residual=(float(row["dh"]), float(row["dw"]), float(row["dl"])),
-                multibin=MultiBinOutput(conf, sins, coss, centers),
-                viewpoint_class=int(row["viewpoint"]),
-                cbf_offset=(float(row["du"]), float(row["dv"])),
-            )
-        )
+    for n, line in lines[1:]:
+        try:
+            props.append(_parse_property_row(line.split(), cols, n_bins, centers))
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from exc
     return PropertyRecord(frame_id, props)
+
+
+def _parse_property_row(vals, cols, n_bins, centers) -> RegressedProperties:
+    if len(vals) != len(cols):
+        raise ValueError(f"property row has {len(vals)} columns, expected {len(cols)}")
+    row = dict(zip(cols, vals))
+    conf = tuple(float(row[f"conf{i}"]) for i in range(n_bins))
+    sins = tuple(float(row[f"sin{i}"]) for i in range(n_bins))
+    coss = tuple(float(row[f"cos{i}"]) for i in range(n_bins))
+    return RegressedProperties(
+        dim_residual=(float(row["dh"]), float(row["dw"]), float(row["dl"])),
+        multibin=MultiBinOutput(conf, sins, coss, centers),
+        viewpoint_class=int(row["viewpoint"]),
+        cbf_offset=(float(row["du"]), float(row["dv"])),
+    )
 
 
 # ---------------------------------------------------------------------------

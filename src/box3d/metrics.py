@@ -115,16 +115,6 @@ class MatchedDetection:
     iou3d: float
 
 
-@dataclass(frozen=True)
-class PRCurve:
-    recalls: tuple
-    precisions: tuple
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.recalls, self.recalls[1:])):
-            raise ValueError("recall points must be strictly increasing")
-
-
 def match_frame(detections, ground_truths, iou_threshold: float):
     """Greedy match of one frame.
 
@@ -156,30 +146,25 @@ def match_frame(detections, ground_truths, iou_threshold: float):
     return out
 
 
-def _ranked_curves(matches, n_gt):
-    ranked = sorted(matches, key=lambda m: -m.score)
-    tp = 0
-    sim = 0.0
-    recalls, precisions, sims = [], [], []
-    for rank, m in enumerate(ranked, start=1):
-        if m.is_tp:
-            tp += 1
-            sim += m.orientation_sim
-        recalls.append(tp / n_gt if n_gt else 0.0)
-        precisions.append(tp / rank)
-        sims.append(sim / rank)
-    return recalls, precisions, sims
+def _ranked(matches, n_gt):
+    """Recall, precision and cumulative orientation similarity over rank,
+    after each detection in descending score (ties keep their input order).
+    Only true positives add their similarity."""
+    scores = np.array([m.score for m in matches], dtype=float)
+    order = np.argsort(-scores, kind="stable")
+    is_tp = np.array([m.is_tp for m in matches], dtype=bool)[order]
+    sims = np.array([m.orientation_sim for m in matches], dtype=float)[order]
+    rank = np.arange(1, len(matches) + 1)
+    tp = np.cumsum(is_tp)
+    return tp / n_gt, tp / rank, np.cumsum(np.where(is_tp, sims, 0.0)) / rank
 
 
-def _interpolated_average(recalls, values, recall_points):
-    total = 0.0
-    for r in recall_points:
-        best = 0.0
-        for rec, val in zip(recalls, values):
-            if rec >= r and val > best:
-                best = val
-        total += best
-    return total / len(recall_points)
+def _interpolated(recalls, values, recall_points):
+    """Mean over the recall grid of the largest value at recall >= r, 0 for
+    a grid point past the last recall."""
+    best_from = np.append(np.maximum.accumulate(values[::-1])[::-1], 0.0)
+    picked = best_from[np.searchsorted(recalls, recall_points)]
+    return float(np.cumsum(picked)[-1]) / len(recall_points)  # summed in grid order
 
 
 def average_precision(matches, n_gt: int, recall_points=RECALL_POINTS_11) -> float:
@@ -187,19 +172,8 @@ def average_precision(matches, n_gt: int, recall_points=RECALL_POINTS_11) -> flo
     recall >= r."""
     if n_gt <= 0 or not matches:
         return 0.0
-    recalls, precisions, _ = _ranked_curves(matches, n_gt)
-    return _interpolated_average(recalls, precisions, recall_points)
-
-
-def pr_curve(matches, n_gt: int, recall_points=RECALL_POINTS_11) -> PRCurve:
-    """Interpolated precision sampled at the recall grid."""
-    if n_gt <= 0 or not matches:
-        return PRCurve(tuple(recall_points), tuple(0.0 for _ in recall_points))
-    recalls, precisions, _ = _ranked_curves(matches, n_gt)
-    interp = []
-    for r in recall_points:
-        interp.append(max((p for rec, p in zip(recalls, precisions) if rec >= r), default=0.0))
-    return PRCurve(tuple(recall_points), tuple(interp))
+    recalls, precisions, _ = _ranked(matches, n_gt)
+    return _interpolated(recalls, precisions, recall_points)
 
 
 def aos_and_os(matches, n_gt: int, recall_points=RECALL_POINTS_11):
@@ -210,9 +184,9 @@ def aos_and_os(matches, n_gt: int, recall_points=RECALL_POINTS_11):
     """
     if n_gt <= 0 or not matches:
         return 0.0, 0.0
-    recalls, precisions, sims = _ranked_curves(matches, n_gt)
-    ap = _interpolated_average(recalls, precisions, recall_points)
-    aos = _interpolated_average(recalls, sims, recall_points)
+    recalls, precisions, sims = _ranked(matches, n_gt)
+    ap = _interpolated(recalls, precisions, recall_points)
+    aos = _interpolated(recalls, sims, recall_points)
     return aos, (aos / ap if ap > 0 else 0.0)
 
 

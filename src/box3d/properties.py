@@ -12,9 +12,7 @@ Angles are normalized to [-pi, pi) everywhere.
 import math
 from dataclasses import dataclass
 
-from .camera import Box2D, Dimensions, wrap_angle
-
-TWO_PI = 2.0 * math.pi
+from .camera import TWO_PI, Box2D, Dimensions, wrap_angle
 
 
 def default_bin_centers(n_bins: int = 2):

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions, box_vertices, project_point
+from .camera import (
+    Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions, box_iou_2d, box_vertices, project_point,
+)
 from .kitti_io import FrameRecord, ObjectLabel, PropertyRecord
 from .properties import (
     CAR_PRIOR,
@@ -117,13 +119,6 @@ def _sample_box3d(spec: SyntheticSceneSpec, rng) -> Box3D:
     return Box3D(location, dims, yaw)
 
 
-def _boxes_overlap(a: Box2D, b: Box2D) -> bool:
-    return (
-        min(a.u_max, b.u_max) > max(a.u_min, b.u_min)
-        and min(a.v_max, b.v_max) > max(a.v_min, b.v_min)
-    )
-
-
 def _acceptable(b: Box3D, spec: SyntheticSceneSpec, placed) -> bool:
     k = spec.camera
     verts = box_vertices(b)
@@ -140,7 +135,7 @@ def _acceptable(b: Box3D, spec: SyntheticSceneSpec, placed) -> bool:
             return False
     if spec.overlap_free:
         for other_box, other in placed:
-            if _boxes_overlap(box, other_box):
+            if box_iou_2d(box, other_box) > 0:
                 return False
             reach = 0.5 * (math.hypot(b.dims.l, b.dims.w) + math.hypot(other.dims.l, other.dims.w))
             if math.hypot(b.location[0] - other.location[0], b.location[2] - other.location[2]) < reach:

@@ -30,13 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Box3D, CameraIntrinsics, Dimensions, box_vertices, project_point
+from .camera import TWO_PI, Box3D, CameraIntrinsics, Dimensions, box_vertices, project_point
 
 N_VIEWPOINTS = 16
 
 QUARTER_PI = math.pi / 4.0
 HALF_PI = math.pi / 2.0
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

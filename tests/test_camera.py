@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from box3d.camera import (
     BehindCameraError,
+    Box2D,
     Box3D,
     CameraIntrinsics,
     Dimensions,
     back_project,
+    box_iou_2d,
     box_vertices,
     project_point,
     ray_angle,
@@ -151,3 +153,45 @@ def test_invalid_intrinsics_and_dimensions():
         CameraIntrinsics(700.0, 700.0, math.nan, 180.0)
     with pytest.raises(ValueError):
         Dimensions(1.0, -0.5, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# 2D box overlap
+
+
+def test_box_iou_2d_hand_computed():
+    a = Box2D(0.0, 0.0, 4.0, 2.0)
+    assert box_iou_2d(a, a) == 1.0
+    # 2 x 2 overlap of an 8 and a 4 area box: 4 / (8 + 4 - 4)
+    assert box_iou_2d(a, Box2D(2.0, 0.0, 4.0, 2.0)) == 0.5
+    # 1 x 1 overlap of two 2 x 2 boxes: 1 / 7
+    assert box_iou_2d(Box2D(0, 0, 2, 2), Box2D(1, 1, 3, 3)) == pytest.approx(1.0 / 7.0)
+    assert box_iou_2d(Box2D(1, 1, 3, 3), Box2D(0, 0, 2, 2)) == pytest.approx(1.0 / 7.0)
+
+
+def test_box_iou_2d_touching_and_degenerate_are_zero():
+    a = Box2D(0.0, 0.0, 2.0, 2.0)
+    assert box_iou_2d(a, Box2D(2.0, 0.0, 4.0, 2.0)) == 0.0  # shared edge
+    assert box_iou_2d(a, Box2D(2.0, 2.0, 4.0, 4.0)) == 0.0  # shared corner
+    assert box_iou_2d(a, Box2D(5.0, 5.0, 6.0, 6.0)) == 0.0  # apart
+    assert box_iou_2d(a, Box2D(1.0, 0.0, 1.0, 2.0)) == 0.0  # zero width
+    assert box_iou_2d(a, Box2D(1.0, 1.0, 1.0, 1.0)) == 0.0  # a point
+
+
+def _boxes_overlap(a, b):
+    """Reference: the overlap predicate box_iou_2d(a, b) > 0 replaced."""
+    return (
+        min(a.u_max, b.u_max) > max(a.u_min, b.u_min)
+        and min(a.v_max, b.v_max) > max(a.v_min, b.v_min)
+    )
+
+
+def test_box_iou_2d_positive_iff_old_overlap_predicate():
+    rng = np.random.default_rng(5)
+    for _ in range(5000):
+        # a coarse integer grid makes touching edges, zero-width and
+        # inverted boxes common
+        a, b = (Box2D(*rng.integers(0, 6, 4).astype(float)) for _ in range(2))
+        assert (box_iou_2d(a, b) > 0) == _boxes_overlap(a, b)
+        assert box_iou_2d(a, b) == box_iou_2d(b, a)
+        assert 0.0 <= box_iou_2d(a, b) <= 1.0

@@ -110,6 +110,35 @@ def test_solve_skips_non_finite_property_row(pipeline_dirs, tmp_path, capsys):
     assert len(parse_labels(text).objects) == n_rows - 1
 
 
+def test_solve_malformed_file_exits_with_frame_and_line(pipeline_dirs, tmp_path):
+    dets = pipeline_dirs / "detections" / "000002.txt"
+    lines = dets.read_text().splitlines()
+    lines[-1] += " 0.5"
+    dets.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit, match=rf"^frame 000002: line {len(lines)}: detection row has 7 columns"):
+        _solve(pipeline_dirs, tmp_path / "results")
+
+
+def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path, capsys):
+    results, kept = tmp_path / "results", tmp_path / "kept"
+    assert _solve(pipeline_dirs, results) == 0
+    assert main(["depurate", "--in", str(results), "--calib", str(pipeline_dirs / "calib"),
+                 "--out", str(kept)]) == 0
+    n_det = len(parse_labels((kept / "000001.txt").read_text()).objects)
+    (pipeline_dirs / "gt" / "000001.txt").unlink()
+    capsys.readouterr()
+    json_path = tmp_path / "metrics.json"
+    assert main(["eval", "--results", str(kept), "--gt", str(pipeline_dirs / "gt"),
+                 "--json", str(json_path)]) == 0
+    # one line for the unscored frame, none for the depuration report
+    assert capsys.readouterr().err.splitlines() == [
+        f"box3d eval: frame 000001: not scored ({n_det} detections, no ground-truth file)"
+    ]
+    assert json.loads(json_path.read_text())["n_det"] == sum(
+        len(parse_labels((kept / f"{i:06d}.txt").read_text()).objects) for i in (0, 2, 3)
+    )
+
+
 def test_solve_refine_field_matches_no_refine_flag(pipeline_dirs, tmp_path):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("refine = false\n")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from box3d.camera import Box2D, CameraIntrinsics, Detection2D, Dimensions
 from box3d.kitti_io import (
@@ -186,6 +188,132 @@ def test_properties_round_trip():
 def test_properties_header_required():
     with pytest.raises(ValueError):
         parse_properties("1 2 3\n")
+
+
+# ---------------------------------------------------------------------------
+# parser errors: ValueError naming the 1-based line
+
+
+def test_label_occlusion_overflow_is_value_error():
+    good = "Car 0 0 0.5 10 10 50 50 1.5 1.6 3.9 1 1.6 20 0.3\n"
+    with pytest.raises(ValueError, match=r"^line 3: "):
+        parse_labels(good + "\n" + good.replace(" 0 0 ", " 0 1e400 ", 1))
+    with pytest.raises(ValueError, match=r"^line 1: "):
+        parse_labels(good.replace(" 0 0 ", " 0 nan ", 1))
+
+
+def test_detection_error_names_line():
+    with pytest.raises(ValueError, match=r"^line 2: detection row has 4 columns"):
+        parse_detections("Car 1 2 3 4 0.5\nCar 1 2 3\n")
+    with pytest.raises(ValueError, match=r"^line 1: could not convert"):
+        parse_detections("Car 1 2 x 4 0.5\n")
+
+
+def test_property_error_line_counts_header():
+    lines = write_properties(_property_fixture()).splitlines()
+    with pytest.raises(ValueError, match=r"^line 4: viewpoint class out of range"):
+        parse_properties("\n".join([lines[0], lines[1], "", lines[2].replace(" 3 ", " 16 ", 1)]))
+    with pytest.raises(ValueError, match=r"^line 2: property row has 1 columns"):
+        parse_properties(lines[0] + "\nfoo\n")
+    with pytest.raises(ValueError, match=r"^line 2: property file must start"):
+        parse_properties("\n1 2 3\n")
+    with pytest.raises(ValueError, match=r"^line 1: unexpected property columns"):
+        parse_properties("# dh dw\n")
+
+
+_coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
+_names = st.sampled_from(["Car", "Van", "Pedestrian", "DontCare"])
+
+
+def _at_written_precision(x):
+    return float(f"{x:.6f}")
+
+
+@given(st.lists(st.tuples(_names, st.lists(_coords, min_size=5, max_size=5)), max_size=5))
+@settings(max_examples=100)
+def test_detections_round_trip_at_written_precision(rows):
+    dets = [Detection2D(Box2D(*v[:4]), v[4], name) for name, v in rows]
+    text = write_detections(dets)
+    back = parse_detections(text)
+    for a, b in zip(dets, back, strict=True):
+        assert b.cls == a.cls
+        written = [*vars(a.box).values(), a.score]
+        assert [*vars(b.box).values(), b.score] == [_at_written_precision(x) for x in written]
+    assert write_detections(back) == text
+
+
+@given(
+    st.lists(
+        st.tuples(
+            _names, st.integers(0, 3), st.booleans(),
+            st.lists(_coords, min_size=10, max_size=10),
+            st.lists(st.floats(min_value=0.01, max_value=50.0), min_size=3, max_size=3),
+        ),
+        max_size=4,
+    )
+)
+@settings(max_examples=100)
+def test_labels_round_trip_at_written_precision(rows):
+    objs = [
+        ObjectLabel(name, v[0], occluded, v[1], Box2D(*v[2:6]), Dimensions(*dims),
+                    np.array(v[6:9]), v[9], v[0] if scored else None)
+        for name, occluded, scored, v, dims in rows
+    ]
+    text = write_labels(objs)
+    back = parse_labels(text).objects
+    for a, b in zip(objs, back, strict=True):
+        assert (b.cls, b.occluded, b.score is None) == (a.cls, a.occluded, a.score is None)
+        written = [a.truncated, a.alpha, *vars(a.box2d).values(), *vars(a.dims).values(),
+                   *a.location, a.yaw]
+        parsed = [b.truncated, b.alpha, *vars(b.box2d).values(), *vars(b.dims).values(),
+                  *b.location, b.yaw]
+        assert parsed == [_at_written_precision(x) for x in written]
+    assert write_labels(back) == text
+
+
+def _parse_or_line_error(parse, text, prefix="line "):
+    try:
+        parse(text)
+    except ValueError as exc:
+        assert str(exc).startswith(prefix), str(exc)
+
+
+_token = st.one_of(
+    st.sampled_from(["1e400", "-1e400", "inf", "nan", "-1", "16", "1.5", "0x1", "#", "x"]),
+    st.floats().map(str),
+)
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_parsers_accept_or_name_line_of_mutated_row(data):
+    """A valid row with one to three columns replaced and one column dropped
+    or added, after a valid row: accepted, or a ValueError for its line."""
+    props = write_properties(_property_fixture()).splitlines()
+    cases = [
+        (parse_labels, "", "Car 0.1 1 0.5 10 10 50 50 1.5 1.6 3.9 1 1.6 20 0.3", 2),
+        (parse_detections, "", "Car 10 20 110 90 0.75", 2),
+        (parse_properties, props[0] + "\n", props[1], 3),
+    ]
+    for parse, head, good, line_no in cases:
+        cols = good.split()
+        edits = st.lists(st.tuples(st.integers(0, len(cols) - 1), _token), min_size=1, max_size=3)
+        for i, token in data.draw(edits):
+            cols[i] = token
+        change = data.draw(st.sampled_from(["keep", "drop", "add"]))
+        if change == "drop":
+            cols.pop()
+        elif change == "add":
+            cols.append(data.draw(_token))
+        _parse_or_line_error(parse, f"{head}{good}\n{' '.join(cols)}\n", f"line {line_no}: ")
+
+
+@given(st.text(max_size=80))
+@settings(max_examples=200)
+def test_parsers_accept_or_name_line_of_arbitrary_text(text):
+    header = write_properties(PropertyRecord("", [])).splitlines()[0]
+    for parse in (parse_labels, parse_detections, lambda t: parse_properties(header + "\n" + t)):
+        _parse_or_line_error(parse, text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from box3d.camera import Box3D, Dimensions
 from box3d.metrics import (
     MatchedDetection,
-    PRCurve,
     RECALL_POINTS_11,
     RECALL_POINTS_40,
     aos_and_os,
@@ -20,7 +19,6 @@ from box3d.metrics import (
     match_frame,
     orientation_similarity,
     passes_difficulty,
-    pr_curve,
 )
 
 
@@ -249,12 +247,52 @@ def test_match_frame_greedy_consumes_each_gt_once():
     assert flags == [(0.9, True), (0.8, False), (0.7, True)]
 
 
-def test_pr_curve_recalls_strictly_increasing():
-    curve = pr_curve(_fixture_matches(), 3)
-    assert list(curve.recalls) == list(RECALL_POINTS_11)
-    assert all(0.0 <= p <= 1.0 for p in curve.precisions)
-    with pytest.raises(ValueError):
-        PRCurve((0.0, 0.0), (1.0, 1.0))
+def _ap_aos_os_loop(matches, n_gt, recall_points):
+    """Reference: the per-rank and per-grid-point loops AP and AOS replaced."""
+    if n_gt <= 0 or not matches:
+        return 0.0, 0.0, 0.0
+    recalls, precisions, sims = [], [], []
+    tp, sim = 0, 0.0
+    for rank, m in enumerate(sorted(matches, key=lambda m: -m.score), start=1):
+        if m.is_tp:
+            tp += 1
+            sim += m.orientation_sim
+        recalls.append(tp / n_gt)
+        precisions.append(tp / rank)
+        sims.append(sim / rank)
+
+    def interpolated(values):
+        total = 0.0
+        for r in recall_points:
+            best = 0.0
+            for rec, val in zip(recalls, values):
+                if rec >= r and val > best:
+                    best = val
+            total += best
+        return total / len(recall_points)
+
+    ap, aos = interpolated(precisions), interpolated(sims)
+    return ap, aos, (aos / ap if ap > 0 else 0.0)
+
+
+@pytest.mark.parametrize("recall_points", [RECALL_POINTS_11, RECALL_POINTS_40])
+def test_ap_aos_os_match_loop_reference(recall_points):
+    rng = np.random.default_rng(11)
+    for trial in range(1000):
+        n = int(rng.integers(1, 40))
+        # few distinct scores make ties common; false positives carry a
+        # similarity the metrics must ignore
+        scores = rng.integers(0, 6, n) / 5.0 if trial % 2 else rng.uniform(size=n)
+        matches = [
+            MatchedDetection(float(s), bool(t), float(o), 0.5)
+            for s, t, o in zip(scores, rng.uniform(size=n) < 0.6, rng.uniform(size=n))
+        ]
+        n_tp = sum(m.is_tp for m in matches)
+        # every fifth list has fewer ground truths than true positives
+        n_gt = max(1, n_tp - 2 if trial % 5 == 0 else int(rng.integers(n_tp, n_tp + 6)))
+        ap = average_precision(matches, n_gt, recall_points)
+        aos, os_score = aos_and_os(matches, n_gt, recall_points)
+        assert (ap, aos, os_score) == _ap_aos_os_loop(matches, n_gt, recall_points)
 
 
 def test_recall_grid_variants():
