@@ -39,6 +39,15 @@ def _frames_in(directory: Path):
     return sorted(p.stem for p in directory.glob("*.txt") if p.name != DEPURATION_REPORT)
 
 
+def _read(directory, frame, kind):
+    """The text of a frame's file; a missing one ends the run naming it."""
+    path = Path(directory) / f"{frame}.txt"
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise SystemExit(f"frame {frame}: missing {kind} file {path}") from None
+
+
 def _parse_image_size(text):
     w, h = text.lower().split("x")
     return (float(w), float(h))
@@ -53,7 +62,6 @@ def _load_config(path, base):
 
 def cmd_solve(args):
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = _load_config(args.config, DEFAULT_SOLVER_CONFIG)
     if args.no_refine:
         config = replace(config, refine=False)
@@ -63,15 +71,18 @@ def cmd_solve(args):
     # lift covers the whole run; no per-detection objects are kept meanwhile
     parts, classes = [], []
     for frame in frames:
+        calib_text = _read(args.calib, frame, "calibration")
+        detection_text = _read(args.detections, frame, "detection")
+        property_text = _read(args.properties, frame, "properties")
         try:
-            name = f"{frame}.txt"
-            camera = kitti_io.parse_calib((Path(args.calib) / name).read_text())
-            detections = kitti_io.parse_detections((Path(args.detections) / name).read_text())
-            record = kitti_io.parse_properties((Path(args.properties) / name).read_text(), frame)
+            camera = kitti_io.parse_calib(calib_text)
+            detections = kitti_io.parse_detections(detection_text)
+            record = kitti_io.parse_properties(property_text, frame)
             parts.append(decode_rows(detections, record.properties, camera))
         except ValueError as exc:
             raise SystemExit(f"frame {frame}: {exc}")
         classes.append([d.cls for d in detections])
+    out_dir.mkdir(parents=True, exist_ok=True)
     if not frames:
         print(f"solved 0 frames -> {out_dir}")
         return
@@ -101,8 +112,12 @@ def cmd_depurate(args):
     report_lines = []
     n_removed = 0
     for frame in _frames_in(Path(args.in_dir)):
-        camera = kitti_io.parse_calib((Path(args.calib) / f"{frame}.txt").read_text())
-        record = kitti_io.parse_labels((Path(args.in_dir) / f"{frame}.txt").read_text(), frame)
+        calib_text = _read(args.calib, frame, "calibration")
+        try:
+            camera = kitti_io.parse_calib(calib_text)
+            record = kitti_io.parse_labels(_read(args.in_dir, frame, "result"), frame)
+        except ValueError as exc:
+            raise SystemExit(f"frame {frame}: {exc}")
         scene = [(o.box2d, o.box3d()) for o in record.objects]
         verdicts = depurate(scene, camera, cfg)
         kept = [o for o, v in zip(record.objects, verdicts) if v.kept]
@@ -134,32 +149,32 @@ def cmd_eval(args):
         print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)",
               file=sys.stderr)
     for frame in gt_frames:
-        gt_record = kitti_io.parse_labels((Path(args.gt) / f"{frame}.txt").read_text(), frame)
-        gts = [
-            o for o in gt_record.objects
+        result_path = Path(args.results) / f"{frame}.txt"
+        try:
+            gt_record = kitti_io.parse_labels(_read(args.gt, frame, "ground-truth"), frame)
+            dets = (
+                kitti_io.parse_labels(result_path.read_text(), frame).objects
+                if result_path.exists()
+                else []
+            )
+        except ValueError as exc:
+            raise SystemExit(f"frame {frame}: {exc}")
+        gt_boxes = [
+            o.box3d() for o in gt_record.objects
             if not o.is_dontcare
             and passes_difficulty(o.box2d.height, o.occluded, o.truncated, args.difficulty)
         ]
-        result_path = Path(args.results) / f"{frame}.txt"
-        dets = (
-            kitti_io.parse_labels(result_path.read_text(), frame).objects
-            if result_path.exists()
-            else []
-        )
-        matches.extend(
-            match_frame(
-                [(o.box3d(), o.score if o.score is not None else 1.0) for o in dets],
-                [o.box3d() for o in gts],
-                args.iou,
-            )
-        )
-        n_gt += len(gts)
-        if gts and dets:
+        det_boxes = [o.box3d() for o in dets]
+        matches.extend(match_frame(
+            [(b, o.score if o.score is not None else 1.0) for b, o in zip(det_boxes, dets)],
+            gt_boxes,
+            args.iou,
+        ))
+        n_gt += len(gt_boxes)
+        if gt_boxes and det_boxes:
             # closest-ground-truth matching is per frame
-            dim_err_sum += dimension_error(
-                [o.box3d() for o in dets], [o.box3d() for o in gts]
-            ) * len(dets)
-            dim_err_count += len(dets)
+            dim_err_sum += dimension_error(det_boxes, gt_boxes) * len(det_boxes)
+            dim_err_count += len(det_boxes)
 
     ap = average_precision(matches, n_gt, recall_points)
     aos, os_score = aos_and_os(matches, n_gt, recall_points)

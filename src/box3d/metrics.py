@@ -4,6 +4,8 @@ AP follows the interpolated protocol at a configurable recall grid
 (11 points {0.0, 0.1, ..., 1.0} by default, 40-point variant available).
 Matching is greedy in descending score, each ground truth consumable once,
 a detection is a true positive when its best 3D IoU clears the threshold.
+A frame's IoU matrix clips only the pairs whose vertical extents and
+ground-plane bounding circles overlap; every other pair scores exactly 0.
 """
 
 import math
@@ -65,11 +67,9 @@ def _polygon_area(poly) -> float:
     return 0.5 * abs(area)
 
 
-def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    """Area of the intersection of the two ground-plane rectangles
-    (sequential half-plane clipping of convex polygons)."""
-    subject = [tuple(p) for p in bev_corners(a)]
-    clip = bev_corners(b)
+def _clipped_area(subject, clip) -> float:
+    """Area of the intersection of two convex quads, given as (x, z) corner
+    lists: the subject clipped by the half plane of each clip edge in turn."""
     for i in range(4):
         if len(subject) < 3:
             return 0.0
@@ -79,21 +79,61 @@ def bev_intersection_area(a: Box3D, b: Box3D) -> float:
     return _polygon_area(subject)
 
 
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volume IoU of two yaw-rotated boxes: BEV polygon intersection times
-    vertical overlap, over the union volume."""
+def bev_intersection_area(a: Box3D, b: Box3D) -> float:
+    """Area of the intersection of the two ground-plane rectangles
+    (sequential half-plane clipping of convex polygons)."""
+    return _clipped_area(bev_corners(a).tolist(), bev_corners(b).tolist())
+
+
+def _iou(a: Box3D, b: Box3D, corners_a, corners_b) -> float:
     # y points down: a box spans [y - h, y]
     overlap_y = min(a.location[1], b.location[1]) - max(
         a.location[1] - a.dims.h, b.location[1] - b.dims.h
     )
     if overlap_y <= 0:
         return 0.0
-    inter = bev_intersection_area(a, b) * overlap_y
+    inter = _clipped_area(corners_a, corners_b) * overlap_y
     if inter <= 0:
         return 0.0
     vol_a = a.dims.h * a.dims.w * a.dims.l
     vol_b = b.dims.h * b.dims.w * b.dims.l
     return inter / (vol_a + vol_b - inter)
+
+
+def iou_3d(a: Box3D, b: Box3D) -> float:
+    """Volume IoU of two yaw-rotated boxes: BEV polygon intersection times
+    vertical overlap, over the union volume."""
+    return _iou(a, b, bev_corners(a).tolist(), bev_corners(b).tolist())
+
+
+# Added to each ground-plane bounding-circle radius (metres), so that a culled
+# pair is farther apart than the rounding error of the clipping.
+CULL_PAD = 1e-6
+
+
+def _box_arrays(boxes):
+    """(N, 3) locations and (N, 3) h, w, l of a list of boxes."""
+    loc = np.array([b.location for b in boxes], dtype=float).reshape(-1, 3)
+    hwl = np.array([(b.dims.h, b.dims.w, b.dims.l) for b in boxes], dtype=float).reshape(-1, 3)
+    return loc, hwl
+
+
+def may_intersect(boxes_a, boxes_b) -> np.ndarray:
+    """(A, B) mask of the pairs whose volumes may intersect: a positive
+    vertical overlap, computed as iou_3d does, and overlapping ground-plane
+    bounding circles of radius hypot(l, w) / 2 + CULL_PAD.  iou_3d is exactly
+    0.0 for every pair outside the mask; a non-finite coordinate never
+    excludes a pair."""
+    loc_a, hwl_a = _box_arrays(boxes_a)
+    loc_b, hwl_b = _box_arrays(boxes_b)
+    ya, yb = loc_a[:, 1, None], loc_b[None, :, 1]
+    overlap_y = np.minimum(ya, yb) - np.maximum(ya - hwl_a[:, 0, None], yb - hwl_b[None, :, 0])
+    reach = (0.5 * np.hypot(hwl_a[:, 2], hwl_a[:, 1]) + CULL_PAD)[:, None] + (
+        0.5 * np.hypot(hwl_b[:, 2], hwl_b[:, 1]) + CULL_PAD
+    )[None, :]
+    dx = loc_a[:, 0, None] - loc_b[None, :, 0]
+    dz = loc_a[:, 2, None] - loc_b[None, :, 2]
+    return ~((overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
 
 
 def orientation_similarity(theta_det: float, theta_gt: float) -> float:
@@ -119,28 +159,34 @@ def match_frame(detections, ground_truths, iou_threshold: float):
     """Greedy match of one frame.
 
     detections: iterable of (Box3D, score); ground_truths: iterable of Box3D.
-    Returns a list of MatchedDetection (every detection appears, matched or
-    not) to be pooled across frames.
+    In descending score (ties keep their input order), each detection takes
+    the first unused ground truth of largest positive 3D IoU, and is a true
+    positive if that IoU clears the threshold.  Returns a list of
+    MatchedDetection (every detection appears, matched or not) to be pooled
+    across frames.
     """
+    boxes = [box for box, _ in detections]
+    # column 0 stands for "no ground truth": argmax lands there when no unused
+    # ground truth has a positive IoU.  Column j + 1 is ground truth j.
+    iou = np.zeros((len(boxes), len(ground_truths) + 1))
+    rows, cols = (idx.tolist() for idx in np.nonzero(may_intersect(boxes, ground_truths)))
+    corners_d = {i: bev_corners(boxes[i]).tolist() for i in set(rows)}
+    corners_g = {j: bev_corners(ground_truths[j]).tolist() for j in set(cols)}
+    for i, j in zip(rows, cols):
+        value = _iou(boxes[i], ground_truths[j], corners_d[i], corners_g[j])
+        if value > 0:  # a NaN IoU never matches
+            iou[i, j + 1] = value
     order = sorted(range(len(detections)), key=lambda i: -detections[i][1])
-    used = [False] * len(ground_truths)
     out = []
     for i in order:
         box, score = detections[i]
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(ground_truths):
-            if used[j]:
-                continue
-            iou = iou_3d(box, gt)
-            if iou > best_iou:
-                best_iou, best_j = iou, j
-        if best_j >= 0 and best_iou >= iou_threshold:
-            used[best_j] = True
-            out.append(
-                MatchedDetection(
-                    score, True, orientation_similarity(box.yaw, ground_truths[best_j].yaw), best_iou
-                )
-            )
+        j = int(iou[i].argmax())
+        best_iou = float(iou[i, j])
+        if j > 0 and best_iou >= iou_threshold:
+            iou[:, j] = 0.0  # each ground truth is consumed once
+            out.append(MatchedDetection(
+                score, True, orientation_similarity(box.yaw, ground_truths[j - 1].yaw), best_iou
+            ))
         else:
             out.append(MatchedDetection(score, False, 0.0, best_iou))
     return out

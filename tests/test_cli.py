@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,32 @@ def test_solve_malformed_file_exits_with_frame_and_line(pipeline_dirs, tmp_path)
     dets.write_text("\n".join(lines) + "\n")
     with pytest.raises(SystemExit, match=rf"^frame 000002: line {len(lines)}: detection row has 7 columns"):
         _solve(pipeline_dirs, tmp_path / "results")
+
+
+def test_depurate_and_eval_malformed_result_exit_with_frame_and_line(pipeline_dirs, tmp_path):
+    results = tmp_path / "results"
+    assert _solve(pipeline_dirs, results) == 0
+    path = results / "000001.txt"
+    n_line = len(path.read_text().splitlines()) + 1
+    with path.open("a") as f:
+        f.write("Car 1 2\n")
+    expected = rf"^frame 000001: line {n_line}: label row has 3 columns, expected 15 or 16$"
+    with pytest.raises(SystemExit, match=expected):
+        main(["depurate", "--in", str(results), "--calib", str(pipeline_dirs / "calib"),
+              "--out", str(tmp_path / "kept")])
+    with pytest.raises(SystemExit, match=expected):
+        main(["eval", "--results", str(results), "--gt", str(pipeline_dirs / "gt")])
+
+
+def test_solve_missing_properties_file_exits_before_writing(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--frames", "3", "--seed", "11"]) == 0
+    missing = data / "properties" / "000002.txt"
+    missing.unlink()
+    results = tmp_path / "results"
+    with pytest.raises(SystemExit, match=rf"^frame 000002: missing properties file {re.escape(str(missing))}$"):
+        _solve(data, results)
+    assert not results.exists()
 
 
 def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, project_point
 from box3d.depuration import (
@@ -205,6 +207,32 @@ def test_scene_order_invariance():
         verdicts = depurate(shuffled, K, CFG)
         for new_pos, old_pos in enumerate(perm):
             assert verdicts[new_pos] == base[old_pos]
+
+
+@given(
+    objects=st.lists(
+        st.tuples(
+            st.floats(-15.0, 15.0),                                      # x
+            st.sampled_from([-2.0, 1.65, 1.7]) | st.floats(-3.0, 3.5),   # bottom-face y
+            st.sampled_from([12.0, 20.0, 40.0]) | st.floats(8.0, 60.0),  # z; repeats tie
+            st.floats(-math.pi, math.pi),                                # yaw
+            st.sampled_from([1.0, 0.4, 1.8]) | st.floats(0.3, 2.0),      # dims scale
+            st.sampled_from([0.0, -200.0]) | st.floats(-80.0, 20.0),     # 2D box top shift, px
+        ),
+        min_size=1, max_size=9,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_verdicts_permute_with_the_scene(objects, data):
+    scene = []
+    for x, y, z, yaw, scale, shift in objects:
+        box3d = Box3D(np.array([x, y, z]), Dimensions(CAR.h * scale, CAR.w, CAR.l * scale), yaw)
+        b = exact_box2d(box3d, K)
+        scene.append((Box2D(b.u_min, b.v_min + shift, b.u_max, b.v_max), box3d))
+    perm = data.draw(st.permutations(range(len(scene))))
+    base = depurate(scene, K, CFG)
+    assert depurate([scene[i] for i in perm], K, CFG) == [base[i] for i in perm]
 
 
 def test_config_validation():

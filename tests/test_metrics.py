@@ -17,6 +17,7 @@ from box3d.metrics import (
     dimension_error,
     iou_3d,
     match_frame,
+    may_intersect,
     orientation_similarity,
     passes_difficulty,
 )
@@ -245,6 +246,142 @@ def test_match_frame_greedy_consumes_each_gt_once():
     matches = match_frame(dets, gt, iou_threshold=0.7)
     flags = sorted(((m.score, m.is_tp) for m in matches), reverse=True)
     assert flags == [(0.9, True), (0.8, False), (0.7, True)]
+
+
+def _match_frame_loop(detections, ground_truths, iou_threshold):
+    """Reference: the per-pair greedy loop match_frame replaced."""
+    order = sorted(range(len(detections)), key=lambda i: -detections[i][1])
+    used = [False] * len(ground_truths)
+    out = []
+    for i in order:
+        box, score = detections[i]
+        best_iou, best_j = 0.0, -1
+        for j, gt in enumerate(ground_truths):
+            if used[j]:
+                continue
+            iou = iou_3d(box, gt)
+            if iou > best_iou:
+                best_iou, best_j = iou, j
+        if best_j >= 0 and best_iou >= iou_threshold:
+            used[best_j] = True
+            out.append(
+                MatchedDetection(
+                    score, True, orientation_similarity(box.yaw, ground_truths[best_j].yaw), best_iou
+                )
+            )
+        else:
+            out.append(MatchedDetection(score, False, 0.0, best_iou))
+    return out
+
+
+def _car(rng, x, z):
+    return _box(x, rng.uniform(1.4, 1.9), z, *rng.uniform([1.3, 1.4, 3.2], [1.8, 1.9, 4.6]),
+                rng.uniform(-math.pi, math.pi))
+
+
+def _moved(box, dx=0.0, dy=0.0, dz=0.0, yaw=None):
+    return Box3D(box.location + np.array([dx, dy, dz]), box.dims, box.yaw if yaw is None else yaw)
+
+
+def _crowded_frame(rng):
+    """Up to 29 ground truths, and detections that are noisy copies,
+    duplicates, exact copies, boxes touching or nearly touching a ground
+    truth along its length or width, boxes stacked on one (a ground-plane
+    overlap only), boxes just outside its bounding circle (a vertical
+    overlap only), boxes with a NaN coordinate, and false detections
+    anywhere.  A few ground truths get a twin with a NaN height."""
+    n_gt = int(rng.integers(0, 30))
+    gts = [_car(rng, rng.uniform(-12.0, 12.0), rng.uniform(4.0, 50.0)) for _ in range(n_gt)]
+    dets = []
+    for _ in range(int(rng.integers(0, 36))):
+        kind = int(rng.integers(0, 9)) if gts else 8
+        gt = gts[int(rng.integers(0, len(gts)))] if gts else None
+        if kind == 0:
+            dets.append(_moved(gt, *rng.normal(0.0, 0.4, 3), gt.yaw + rng.normal(0.0, 0.2)))
+        elif kind == 1 and dets:
+            dets.append(dets[int(rng.integers(0, len(dets)))])
+        elif kind == 2:
+            dets.append(Box3D(gt.location.copy(), gt.dims, gt.yaw))
+        elif kind in (3, 4):
+            # beside the ground truth along its length (3) or width (4) axis
+            eps = (0.0, 1e-12, -1e-12, 1e-9, -1e-9)[int(rng.integers(0, 5))]
+            step = gt.dims.l + eps if kind == 3 else gt.dims.w + eps
+            c, s = math.cos(gt.yaw), math.sin(gt.yaw)
+            dx, dz = (step * c, -step * s) if kind == 3 else (step * s, step * c)
+            dets.append(_moved(gt, dx=dx, dz=dz, yaw=gt.yaw))
+        elif kind == 5:  # vertically stacked: same footprint, touching or apart
+            dets.append(_moved(gt, dy=-gt.dims.h - (0.0, 1e-12, 0.5)[int(rng.integers(0, 3))]))
+        elif kind == 6:  # vertical overlap only, ground-plane circles just apart
+            reach = 0.5 * (math.hypot(gt.dims.l, gt.dims.w) + math.hypot(3.0, 1.5))
+            angle = rng.uniform(-math.pi, math.pi)
+            far = reach + (1e-9, 1e-5, 0.3)[int(rng.integers(0, 3))]
+            dets.append(_box(gt.location[0] + far * math.cos(angle), gt.location[1],
+                             gt.location[2] + far * math.sin(angle), 1.5, 1.5, 3.0,
+                             rng.uniform(-math.pi, math.pi)))
+        elif kind == 7:  # no usable location
+            loc = gt.location.copy()
+            loc[int(rng.integers(0, 3))] = math.nan
+            dets.append(Box3D(loc, gt.dims, gt.yaw))
+        else:
+            dets.append(_car(rng, rng.uniform(-14.0, 14.0), rng.uniform(3.0, 55.0)))
+    for gt in gts[: int(rng.integers(0, 3))]:
+        gts.append(Box3D(gt.location * np.array([1.0, math.nan, 1.0]), gt.dims, gt.yaw))
+    # few distinct scores make ties common
+    scores = rng.integers(0, 5, len(dets)) / 4.0 if rng.uniform() < 0.5 else rng.uniform(size=len(dets))
+    return [(d, float(s)) for d, s in zip(dets, scores)], gts
+
+
+@pytest.mark.parametrize("iou_threshold", [0.5, 0.7])
+def test_match_frame_matches_loop_reference(iou_threshold):
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        dets, gts = _crowded_frame(rng)
+        assert match_frame(dets, gts, iou_threshold) == _match_frame_loop(dets, gts, iou_threshold)
+    assert match_frame([], [_box()], iou_threshold) == []
+    assert match_frame([(_box(), 0.5)], [], iou_threshold) == [MatchedDetection(0.5, False, 0.0, 0.0)]
+
+
+@given(
+    dims_a=st.tuples(*[st.floats(0.1, 6.0)] * 3),
+    dims_b=st.tuples(*[st.floats(0.1, 6.0)] * 3),
+    yaw_a=st.floats(-math.pi, math.pi),
+    yaw_b=st.floats(-math.pi, math.pi),
+    direction=st.floats(-math.pi, math.pi),
+    gap=st.one_of(st.floats(-0.5, 0.5), st.sampled_from([0.0, 1e-12, 2e-6, 2.1e-6])),
+    dy=st.floats(-7.0, 7.0),
+    origin=st.tuples(st.floats(-60.0, 60.0), st.floats(-3.0, 3.0), st.floats(0.0, 80.0)),
+    corner_to_corner=st.booleans(),
+)
+@settings(max_examples=300)
+def test_culled_pairs_have_zero_iou(dims_a, dims_b, yaw_a, yaw_b, direction, gap, dy, origin,
+                                    corner_to_corner):
+    # b sits at its bounding-circle distance from a, plus the gap; a corner of
+    # each box may point at the other, the one way such boxes can touch
+    _, w_a, l_a = dims_a
+    _, w_b, l_b = dims_b
+    if corner_to_corner:
+        direction = math.atan2(w_a, l_a) - yaw_a
+        yaw_b = math.atan2(w_b, l_b) - direction - math.pi
+    a = _box(*origin, *dims_a, yaw_a)
+    reach = 0.5 * (math.hypot(w_a, l_a) + math.hypot(w_b, l_b))
+    dist = max(reach + gap, 0.0)
+    b = _box(origin[0] + dist * math.cos(direction), origin[1] + dy,
+             origin[2] + dist * math.sin(direction), *dims_b, yaw_b)
+    if not may_intersect([a], [b])[0, 0]:
+        assert iou_3d(a, b) == 0.0
+    assert may_intersect([a], [b])[0, 0] == may_intersect([b], [a])[0, 0]
+
+
+def test_match_frame_equal_iou_takes_first_ground_truth():
+    # the first detection overlaps both ground truths by the same IoU; taking
+    # the first leaves the second detection only its below-threshold IoU
+    gts = [_box(x=-0.5, h=1.5, w=2.0, l=4.0), _box(x=0.5, h=1.5, w=2.0, l=4.0)]
+    dets = [(_box(h=1.5, w=2.0, l=4.0), 0.9), (_box(x=-0.5, h=1.5, w=2.0, l=4.0), 0.8)]
+    assert iou_3d(dets[0][0], gts[0]) == iou_3d(dets[0][0], gts[1]) == 10.5 / 13.5
+    assert match_frame(dets, gts, 0.7) == [
+        MatchedDetection(0.9, True, 1.0, 10.5 / 13.5),
+        MatchedDetection(0.8, False, 0.0, 0.6),
+    ]
 
 
 def _ap_aos_os_loop(matches, n_gt, recall_points):
