@@ -8,7 +8,6 @@ from .camera import (
     CameraIntrinsics,
     Detection2D,
     Dimensions,
-    back_project,
     box_vertices,
     project_point,
     ray_angle,
@@ -23,7 +22,6 @@ from .properties import (
     MultiBinOutput,
     RegressedProperties,
     decode_cbf,
-    decode_dimensions,
     decode_local_angle,
     encode_local_angle,
     global_from_local,
@@ -33,15 +31,10 @@ from .solver import (
     STATUSES,
     DecodedRows,
     LiftResult,
-    SolveInput,
-    SolveReport,
     SolverConfig,
     decode_rows,
     gauss_newton_refine,
-    initial_location,
-    is_truncated,
     lift_batch,
-    solve_cascaded,
 )
 from .synthetic import SyntheticSceneSpec, generate_scene
 from .viewpoints import classify_viewpoint, extremal_vertices, selection_matrices

@@ -54,9 +54,6 @@ class Dimensions:
         if not (self.h > 0 and self.w > 0 and self.l > 0):
             raise ValueError(f"dimensions must be positive, got {(self.h, self.w, self.l)}")
 
-    def as_array(self):
-        return np.array([self.h, self.w, self.l])
-
 
 @dataclass(frozen=True)
 class Box2D:
@@ -121,14 +118,6 @@ def project_point(k: CameraIntrinsics, p) -> np.ndarray:
     if z <= 0.0:
         raise BehindCameraError(f"point has non-positive depth z={z}")
     return np.array([k.cu + k.fu * x / z, k.cv + k.fv * y / z])
-
-
-def back_project(k: CameraIntrinsics, px, depth: float) -> np.ndarray:
-    """Invert the projection at a given depth (meters, > 0)."""
-    if depth <= 0.0:
-        raise BehindCameraError(f"depth must be positive, got {depth}")
-    u, v = float(px[0]), float(px[1])
-    return np.array([(u - k.cu) * depth / k.fu, (v - k.cv) * depth / k.fv, depth])
 
 
 def ray_angle(k: CameraIntrinsics, uc: float) -> float:

@@ -10,6 +10,7 @@ Subcommands:
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,16 +49,26 @@ def _read(directory, frame, kind):
         raise SystemExit(f"frame {frame}: missing {kind} file {path}") from None
 
 
-def _parse_image_size(text):
-    w, h = text.lower().split("x")
-    return (float(w), float(h))
+def _image_size(text):
+    """WxH in pixels, both positive and finite."""
+    try:
+        w, h = (float(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected WxH in pixels, got {text!r}") from None
+    if not (0 < w < math.inf and 0 < h < math.inf):
+        raise argparse.ArgumentTypeError(f"width and height must be positive and finite, got {text!r}")
+    return (w, h)
 
 
 def _load_config(path, base):
+    """base with the overrides of a key-value file; a file that cannot be
+    read or applied ends the run naming it."""
     if path is None:
         return base
-    overrides = kitti_io.parse_keyvalue(Path(path).read_text())
-    return kitti_io.coerce_fields(base, overrides)
+    try:
+        return kitti_io.coerce_fields(base, kitti_io.parse_keyvalue(Path(path).read_text()))
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"config {path}: {exc}") from None
 
 
 def cmd_solve(args):
@@ -65,7 +76,6 @@ def cmd_solve(args):
     config = _load_config(args.config, DEFAULT_SOLVER_CONFIG)
     if args.no_refine:
         config = replace(config, refine=False)
-    image_size = _parse_image_size(args.image_size)
     frames = _frames_in(Path(args.detections))
     # every frame is parsed and decoded into flat columns first, so that one
     # lift covers the whole run; no per-detection objects are kept meanwhile
@@ -87,7 +97,13 @@ def cmd_solve(args):
         print(f"solved 0 frames -> {out_dir}")
         return
     rows = DecodedRows.concatenate(parts)
-    result = solver.lift_batch(rows, image_size, config)
+    width, height = args.image_size
+    box = rows.box
+    outside = int(((box[:, :2] < 0).any(axis=1) | (box[:, 2] > width) | (box[:, 3] > height)).sum())
+    if outside:
+        print(f"box3d solve: {outside} of {len(rows)} detection boxes reach past the "
+              f"{width:g}x{height:g} image", file=sys.stderr)
+    result = solver.lift_batch(rows, args.image_size, config)
     lifted, end = result.lifted, 0
     for frame, cls in zip(frames, classes):
         start, end = end, end + len(cls)
@@ -106,9 +122,9 @@ def cmd_solve(args):
 
 
 def cmd_depurate(args):
+    cfg = _load_config(args.config, DEFAULT_DEPURATION_CONFIG)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = _load_config(args.config, DEFAULT_DEPURATION_CONFIG)
     report_lines = []
     n_removed = 0
     for frame in _frames_in(Path(args.in_dir)):
@@ -226,7 +242,7 @@ def build_parser():
     p.add_argument("--properties", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-refine", action="store_true", help="closed-form initialization only (refine = false)")
-    p.add_argument("--image-size", default="1242x375", help="WxH in pixels")
+    p.add_argument("--image-size", type=_image_size, default="1242x375", help="WxH in pixels")
     p.add_argument("--config", default=None, help="key-value solver config overrides")
     p.set_defaults(func=cmd_solve)
 

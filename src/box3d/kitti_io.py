@@ -11,6 +11,7 @@ observation angle alpha is stored verbatim; conversion to this package's
 local yaw lives in the properties module.
 """
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -78,6 +79,8 @@ def _parse_label_line(parts):
     if len(parts) not in (15, 16):
         raise ValueError(f"label row has {len(parts)} columns, expected 15 or 16")
     vals = [float(x) for x in parts[1:]]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("label row has a non-finite number")
     # DontCare rows carry -1 placeholders that Dimensions would reject
     dims = (
         Dimensions(vals[7], vals[8], vals[9])
@@ -206,7 +209,7 @@ def parse_properties(text: str, frame_id: str = "") -> PropertyRecord:
     for n, line in lines[1:]:
         try:
             props.append(_parse_property_row(line.split(), cols, n_bins, centers))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {n}: {exc}") from exc
     return PropertyRecord(frame_id, props)
 
@@ -218,10 +221,12 @@ def _parse_property_row(vals, cols, n_bins, centers) -> RegressedProperties:
     conf = tuple(float(row[f"conf{i}"]) for i in range(n_bins))
     sins = tuple(float(row[f"sin{i}"]) for i in range(n_bins))
     coss = tuple(float(row[f"cos{i}"]) for i in range(n_bins))
+    viewpoint = int(row["viewpoint"])
+    float(viewpoint)  # OverflowError for a class no float holds; decode_rows stores a float
     return RegressedProperties(
         dim_residual=(float(row["dh"]), float(row["dw"]), float(row["dl"])),
         multibin=MultiBinOutput(conf, sins, coss, centers),
-        viewpoint_class=int(row["viewpoint"]),
+        viewpoint_class=viewpoint,
         cbf_offset=(float(row["du"]), float(row["dv"])),
     )
 
@@ -243,28 +248,39 @@ def parse_keyvalue(text: str) -> dict:
     return out
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(current, raw: str):
+    if isinstance(current, bool):
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    if isinstance(current, (int, float)):
+        return type(current)(raw)
+    if isinstance(current, tuple):
+        return tuple(float(v) for v in raw.replace(",", " ").split())
+    if isinstance(current, Dimensions):
+        h, w, l = (float(v) for v in raw.replace(",", " ").split())
+        return Dimensions(h, w, l)
+    return raw
+
+
 def coerce_fields(obj, overrides: dict):
     """Replace dataclass fields from string values, with type coercion.
 
-    Tuple-valued fields take comma-separated numbers; unknown keys raise.
+    Booleans take 1/0, true/false, yes/no or on/off in any case; tuple-valued
+    fields take comma-separated numbers.  An unknown key or a value that does
+    not coerce raises ValueError naming the key.
     """
-    known = {f.name: f for f in fields(obj)}
+    known = {f.name for f in fields(obj)}
     updates = {}
     for key, raw in overrides.items():
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        current = getattr(obj, key)
-        if isinstance(current, bool):
-            updates[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            updates[key] = int(raw)
-        elif isinstance(current, float):
-            updates[key] = float(raw)
-        elif isinstance(current, tuple):
-            updates[key] = tuple(float(v) for v in raw.replace(",", " ").split())
-        elif isinstance(current, Dimensions):
-            h, w, l = (float(v) for v in raw.replace(",", " ").split())
-            updates[key] = Dimensions(h, w, l)
-        else:
-            updates[key] = raw
+        try:
+            updates[key] = _coerce(getattr(obj, key), raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return replace(obj, **updates)

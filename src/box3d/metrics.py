@@ -79,12 +79,6 @@ def _clipped_area(subject, clip) -> float:
     return _polygon_area(subject)
 
 
-def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    """Area of the intersection of the two ground-plane rectangles
-    (sequential half-plane clipping of convex polygons)."""
-    return _clipped_area(bev_corners(a).tolist(), bev_corners(b).tolist())
-
-
 def _iou(a: Box3D, b: Box3D, corners_a, corners_b) -> float:
     # y points down: a box spans [y - h, y]
     overlap_y = min(a.location[1], b.location[1]) - max(

@@ -48,10 +48,6 @@ class RegressedProperties:
     viewpoint_class: int
     cbf_offset: tuple  # (du, dv) pixels from the 2D-box anchor
 
-    def __post_init__(self):
-        if not 0 <= self.viewpoint_class < 16:
-            raise ValueError(f"viewpoint class out of range: {self.viewpoint_class}")
-
 
 @dataclass(frozen=True)
 class ClassPrior:
@@ -103,24 +99,12 @@ def alpha_from_local(theta_l: float) -> float:
     return wrap_angle(1.5 * math.pi - theta_l)
 
 
-def local_from_alpha(alpha: float) -> float:
-    return wrap_angle(1.5 * math.pi - alpha)
-
-
 def dimension_values(residual, prior: ClassPrior) -> tuple:
     """Mean dimensions plus the regressed residual, componentwise (h, w, l),
     unchecked: batched decoding leaves the rejection of non-positive values
     to the lift."""
     m = prior.mean_dims
     return (m.h + residual[0], m.w + residual[1], m.l + residual[2])
-
-
-def decode_dimensions(residual, prior: ClassPrior) -> Dimensions:
-    """Mean dimensions plus the regressed residual, componentwise (h, w, l)."""
-    h, w, l = dimension_values(residual, prior)
-    if min(h, w, l) <= 0:
-        raise ValueError(f"decoded dimensions not positive: {(h, w, l)}")
-    return Dimensions(h, w, l)
 
 
 def cbf_anchor(box: Box2D):

@@ -8,8 +8,8 @@ constraints tying the selected 3D corners to the 2D box edges.
 
 ``lift_batch`` runs both stages on the decoded rows of a whole run at once,
 ``LIFT_BLOCK_ROWS`` rows per vectorised pass, and gives every row a status
-instead of raising.  ``solve_cascaded`` and ``gauss_newton_refine`` are its
-one-row forms.
+instead of raising.  ``gauss_newton_refine`` runs stage two alone, from
+given starting locations.
 """
 
 import math
@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import (
-    BehindCameraError,
-    Box2D,
-    CameraIntrinsics,
-    Dimensions,
-    ray_angle,
-)
+from .camera import CameraIntrinsics, ray_angle
 from .properties import (
     CAR_PRIOR,
     alpha_from_local,
@@ -59,33 +53,6 @@ LIFT_BLOCK_ROWS = 256
 # refinement.  The last two carry none, and their rows are not lifted.
 STATUSES = ("ok", "truncated_init_only", "refine_failed", "degenerate_input", "non_finite")
 _OK, _TRUNCATED, _REFINE_FAILED, _DEGENERATE, _NON_FINITE = range(len(STATUSES))
-
-
-@dataclass
-class SolveInput:
-    """Everything the location solve needs for one detection."""
-
-    box2d: Box2D
-    dims: Dimensions
-    global_yaw: float
-    viewpoint: int
-    cbf: tuple  # (u, v) projection of the bottom-face center
-    camera: CameraIntrinsics
-    image_size: tuple  # (width, height) pixels
-
-    def __post_init__(self):
-        if not (self.box2d.u_min < self.box2d.u_max and self.box2d.v_min < self.box2d.v_max):
-            raise ValueError(f"malformed 2D box {self.box2d}")
-
-
-@dataclass
-class SolveReport:
-    location: np.ndarray
-    used_refinement: bool
-    iterations: int
-    final_residual_norm: float
-    converged: bool
-    status: str = "ok"
 
 
 def _column_group(cols, doc):
@@ -167,12 +134,6 @@ class LiftResult:
     def lifted(self) -> np.ndarray:
         """Rows that carry a finite location."""
         return np.isin(self.status, STATUSES[:_DEGENERATE])
-
-    def report(self, i) -> SolveReport:
-        return SolveReport(
-            self.location[i].copy(), bool(self.used_refinement[i]), int(self.iterations[i]),
-            float(self.residual[i]), bool(self.converged[i]), str(self.status[i]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -404,81 +365,16 @@ def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOL
     return LiftResult(location, np.array(STATUSES)[codes], used, iterations, residual, converged)
 
 
-# ---------------------------------------------------------------------------
-# one-row forms
+def gauss_newton_refine(t0, rows: DecodedRows, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> LiftResult:
+    """Stage two alone: refine each row from its start in t0 (n, 3), with no
+    closed form and no truncation gate, on rows lift_batch would lift.
 
-
-def _one_row(inp: SolveInput) -> DecodedRows:
-    b, d, k = inp.box2d, inp.dims, inp.camera
-    # alpha and score are not used by the lift; any finite value does
-    return DecodedRows([
-        b.u_min, b.v_min, b.u_max, b.v_max, d.h, d.w, d.l, inp.global_yaw, 0.0,
-        inp.viewpoint, *inp.cbf, k.fu, k.fv, k.cu, k.cv, 1.0,
-    ])
-
-
-def initial_location(cbf, v_min: float, h: float, k: CameraIntrinsics) -> np.ndarray:
-    """Closed-form bottom-face center from the similar-triangle depth.
-
-    Z = fv*h/(vc - v_min); lateral/vertical components by back-projecting
-    the bottom-face-center pixel at that depth.
+    Every row has used_refinement set and status ok or refine_failed; a
+    failed row keeps its start.
     """
-    if h <= 0:
-        raise ValueError(f"height must be positive, got {h}")
-    if cbf[1] - v_min <= 0:
-        raise ValueError(
-            f"degenerate projected height: bottom-center v {cbf[1]} not below box top {v_min}"
-        )
-    cam = np.array([[k.fu, k.fv, k.cu, k.cv]], dtype=float)
-    return _closed_form(np.array([cbf], dtype=float), np.array([v_min], dtype=float), np.array([h], dtype=float), cam)[0]
-
-
-def fitting_residuals(t, inp: SolveInput) -> np.ndarray:
-    """Tight-fit residuals [u_left, u_right, v_top, v_bottom] in pixels at
-    candidate bottom-face center t."""
-    rows = _one_row(inp)
     rotated, targets = _prepared(rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r, behind = _residuals(np.asarray(t, dtype=float).reshape(1, 3), rotated, targets, rows.camera)
-    if behind[0]:
-        raise BehindCameraError("selected corner behind camera during solve")
-    return r[0]
-
-
-def gauss_newton_refine(
-    t0, inp: SolveInput, config: SolverConfig = DEFAULT_SOLVER_CONFIG
-) -> SolveReport:
-    """Refine a location on the over-determined tight-fit equations.
-
-    Plain Gauss-Newton steps with step halving whenever the residual norm
-    fails to decrease; on singular normal equations a lambda*I damping is
-    tried once before giving up.  Any hard failure returns t0 unchanged with
-    converged=False and status refine_failed.
-    """
-    rows = _one_row(inp)
-    rotated, targets = _prepared(rows)
-    t0 = np.asarray(t0, dtype=float).reshape(1, 3)
+    t0 = np.asarray(t0, dtype=float).reshape(-1, 3)
     with np.errstate(all="ignore"):
         t, it, rnorm, conv, failed = _gauss_newton(t0, rotated, targets, rows.camera, config)
-    return SolveReport(
-        t[0], True, int(it[0]), float(rnorm[0]), bool(conv[0]), STATUSES[_REFINE_FAILED if failed[0] else _OK]
-    )
-
-
-def is_truncated(
-    box2d: Box2D, image_size, margin: float = DEFAULT_SOLVER_CONFIG.truncation_margin_px
-) -> bool:
-    """Whether any box edge lies within `margin` px of an image border
-    (closed threshold: exactly at the margin counts as truncated)."""
-    box = np.array([[box2d.u_min, box2d.v_min, box2d.u_max, box2d.v_max]], dtype=float)
-    return bool(_truncated(box, image_size, margin)[0])
-
-
-def solve_cascaded(inp: SolveInput, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> SolveReport:
-    """Closed-form initialization, then tight-fit refinement unless the
-    detection is truncated; refinement failure falls back to the
-    initialization.  Raises ValueError for input that cannot be lifted."""
-    report = lift_batch(_one_row(inp), inp.image_size, config).report(0)
-    if report.status in STATUSES[_DEGENERATE:]:
-        raise ValueError(f"cannot lift {inp}: {report.status}")
-    return report
+    status = np.array(STATUSES)[np.where(failed, _REFINE_FAILED, _OK)]
+    return LiftResult(t, status, np.ones(len(t), dtype=bool), it, rnorm, conv)

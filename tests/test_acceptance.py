@@ -10,16 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from box3d.camera import (
-    Box2D,
-    Box3D,
-    CameraIntrinsics,
-    Dimensions,
-    box_vertices,
-    project_point,
-    ray_angle,
-    wrap_angle,
-)
+from box3d.camera import Box3D, CameraIntrinsics, Dimensions, box_vertices, wrap_angle
 from box3d.depuration import DEFAULT_DEPURATION_CONFIG, RULE_DIMS, depurate
 from box3d.kitti_io import (
     parse_calib,
@@ -34,15 +25,13 @@ from box3d.kitti_io import (
 from box3d.metrics import MatchedDetection, aos_and_os, average_precision, dimension_error, iou_3d
 from box3d.properties import (
     CAR_PRIOR,
-    decode_cbf,
-    decode_dimensions,
     decode_local_angle,
     default_bin_centers,
     encode_local_angle,
     global_from_local,
     local_from_global,
 )
-from box3d.solver import SolveInput, initial_location, is_truncated, solve_cascaded
+from box3d.solver import DecodedRows, SolverConfig, decode_rows, lift_batch
 from box3d.synthetic import DEFAULT_IMAGE_SIZE, SyntheticSceneSpec, exact_box2d, generate_scene
 from box3d.viewpoints import (
     away_from_viewpoint_boundaries,
@@ -52,6 +41,7 @@ from box3d.viewpoints import (
 )
 
 IMAGE = (float(DEFAULT_IMAGE_SIZE[0]), float(DEFAULT_IMAGE_SIZE[1]))
+CLOSED_FORM = SolverConfig(refine=False)
 
 
 def _report(criterion, ok, detail):
@@ -59,36 +49,31 @@ def _report(criterion, ok, detail):
     assert ok, detail
 
 
-def _solve_generated(seed, **spec_kwargs):
-    """Ground truth and solver reports for one generated scene, through the
-    full property-decode path."""
-    spec = SyntheticSceneSpec(n_objects_min=1, n_objects_max=1, seed=seed, **spec_kwargs)
-    gt, dets, props = generate_scene(spec)
-    out = []
-    for obj, det, prop in zip(gt.objects, dets, props.properties):
-        dims = decode_dimensions(prop.dim_residual, CAR_PRIOR)
-        cbf = decode_cbf(prop.cbf_offset, det.box)
-        theta_l = decode_local_angle(prop.multibin)
-        yaw = global_from_local(theta_l, ray_angle(gt.camera, cbf[0]))
-        inp = SolveInput(det.box, dims, yaw, prop.viewpoint_class, cbf, gt.camera, IMAGE)
-        report = solve_cascaded(inp)
-        out.append((obj, inp, report))
-    return out
+def _decoded_scenes(seeds, **spec_kwargs):
+    """Ground-truth locations (N, 3) and decoded rows of one-object generated
+    scenes, through the full property-decode path."""
+    truth, parts = [], []
+    for seed in seeds:
+        spec = SyntheticSceneSpec(n_objects_min=1, n_objects_max=1, seed=seed, **spec_kwargs)
+        gt, dets, props = generate_scene(spec)
+        truth.extend(obj.location for obj in gt.objects)
+        parts.append(decode_rows(dets, props.properties, gt.camera))
+    return np.array(truth), DecodedRows.concatenate(parts)
+
+
+def _errors(location, truth):
+    return np.linalg.norm(location - truth, axis=1)
 
 
 def test_criterion_1_exact_recovery_1000_scenes():
     start = time.perf_counter()
-    max_err = 0.0
-    max_resid = 0.0
-    n = 0
-    for seed in range(1000):
-        for obj, inp, report in _solve_generated(seed):
-            err = float(np.linalg.norm(report.location - obj.location))
-            max_err = max(max_err, err)
-            max_resid = max(max_resid, report.final_residual_norm)
-            n += 1
+    truth, rows = _decoded_scenes(range(1000))
+    result = lift_batch(rows, IMAGE)
+    n = len(result)
+    max_err = float(_errors(result.location, truth).max())
+    max_resid = float(result.residual.max())
     elapsed = time.perf_counter() - start
-    ok = max_err <= 1e-3 and max_resid <= 1e-6 and elapsed < 10.0
+    ok = set(result.status) == {"ok"} and max_err <= 1e-3 and max_resid <= 1e-6 and elapsed < 10.0
     _report(
         1, ok,
         f"{n} exact scenes: max location error {max_err:.2e} m (<=1e-3), "
@@ -97,14 +82,9 @@ def test_criterion_1_exact_recovery_1000_scenes():
 
 
 def test_criterion_2_cascade_beats_closed_form_under_cbf_noise():
-    init_errs, ref_errs = [], []
-    for seed in range(500):
-        for obj, inp, report in _solve_generated(seed, cbf_noise_sigma=5.0):
-            t0 = initial_location(inp.cbf, inp.box2d.v_min, inp.dims.h, inp.camera)
-            init_errs.append(float(np.linalg.norm(t0 - obj.location)))
-            ref_errs.append(float(np.linalg.norm(report.location - obj.location)))
-    med_init = float(np.median(init_errs))
-    med_ref = float(np.median(ref_errs))
+    truth, rows = _decoded_scenes(range(500), cbf_noise_sigma=5.0)
+    med_init = float(np.median(_errors(lift_batch(rows, IMAGE, CLOSED_FORM).location, truth)))
+    med_ref = float(np.median(_errors(lift_batch(rows, IMAGE).location, truth)))
     _report(
         2, med_ref < med_init,
         f"500 scenes, CBF noise 5 px: median refined {med_ref:.3f} m < "
@@ -113,28 +93,22 @@ def test_criterion_2_cascade_beats_closed_form_under_cbf_noise():
 
 
 def test_criterion_3_truncation_gate_bit_identical():
-    checked = 0
-    ok = True
-    for seed in range(50):
-        for obj, inp, _ in _solve_generated(seed + 2000):
-            # clamp each border in turn to within the 10 px threshold
-            for clamped in (
-                Box2D(5.0, inp.box2d.v_min, inp.box2d.u_max, inp.box2d.v_max),
-                Box2D(inp.box2d.u_min, 4.0, inp.box2d.u_max, inp.box2d.v_max),
-                Box2D(inp.box2d.u_min, inp.box2d.v_min, IMAGE[0] - 10.0, inp.box2d.v_max),
-                Box2D(inp.box2d.u_min, inp.box2d.v_min, inp.box2d.u_max, IMAGE[1] - 3.0),
-            ):
-                gated = SolveInput(
-                    clamped, inp.dims, inp.global_yaw, inp.viewpoint, inp.cbf,
-                    inp.camera, IMAGE,
-                )
-                assert is_truncated(clamped, IMAGE)
-                report = solve_cascaded(gated)
-                expected = initial_location(inp.cbf, clamped.v_min, inp.dims.h, inp.camera)
-                ok = ok and not report.used_refinement and report.iterations == 0
-                ok = ok and np.array_equal(report.location, expected)
-                checked += 1
-    _report(3, ok, f"{checked} truncated inputs returned the closed form bit-identically")
+    _, rows = _decoded_scenes(range(2000, 2050))
+    # clamp each border in turn to within the 10 px threshold
+    clamped = []
+    for column, value in ((0, 5.0), (1, 4.0), (2, IMAGE[0] - 10.0), (3, IMAGE[1] - 3.0)):
+        part = DecodedRows(rows.data.copy())
+        part.box[:, column] = value
+        clamped.append(part)
+    gated = DecodedRows.concatenate(clamped)
+    result = lift_batch(gated, IMAGE)
+    expected = lift_batch(gated, IMAGE, CLOSED_FORM)
+    ok = (
+        set(result.status) == {"truncated_init_only"} and set(expected.status) == {"ok"}
+        and not result.used_refinement.any() and not result.iterations.any()
+        and np.array_equal(result.location, expected.location)
+    )
+    _report(3, ok, f"{len(result)} truncated inputs returned the closed form bit-identically")
 
 
 def test_criterion_4_viewpoint_table_matches_oracle():
@@ -143,7 +117,8 @@ def test_criterion_4_viewpoint_table_matches_oracle():
     matches = 0
     total = 0
     while total < 500:
-        dims = Dimensions(*(CAR_PRIOR.mean_dims.as_array() + rng.normal(0, 0.08, 3)))
+        mean = CAR_PRIOR.mean_dims
+        dims = Dimensions(*(np.array([mean.h, mean.w, mean.l]) + rng.normal(0, 0.08, 3)))
         loc = np.array([rng.uniform(-20, 20), rng.uniform(0.3, 2.5), rng.uniform(5, 60)])
         b = Box3D(loc, dims, rng.uniform(-math.pi, math.pi))
         if loc[2] - 0.5 * (dims.l + dims.w) <= 0.5:
@@ -356,11 +331,8 @@ def test_criterion_8_round_trips():
 def test_criterion_9_noise_monotonicity():
     medians = []
     for sigma in (0.0, 1.0, 2.0, 4.0):
-        errs = []
-        for seed in range(500):
-            for obj, _inp, report in _solve_generated(seed, box_noise_sigma=sigma):
-                errs.append(float(np.linalg.norm(report.location - obj.location)))
-        medians.append(float(np.median(errs)))
+        truth, rows = _decoded_scenes(range(500), box_noise_sigma=sigma)
+        medians.append(float(np.median(_errors(lift_batch(rows, IMAGE).location, truth))))
     ok = all(b >= a for a, b in zip(medians, medians[1:]))
     _report(
         9, ok,

@@ -11,7 +11,6 @@ from box3d.camera import (
     Box3D,
     CameraIntrinsics,
     Dimensions,
-    back_project,
     box_iou_2d,
     box_vertices,
     project_point,
@@ -20,6 +19,7 @@ from box3d.camera import (
     wrap_angle,
     yaw_rotation,
 )
+from box3d.solver import DecodedRows, SolverConfig, lift_batch
 
 K = CameraIntrinsics(700.0, 700.0, 600.0, 180.0)
 
@@ -42,26 +42,19 @@ def test_project_behind_camera_raises():
         project_point(K, (0, 0, 0.0))
 
 
-def test_back_project_principal_point():
-    assert np.allclose(back_project(K, (600, 180), 15.0), [0, 0, 15])
-
-
-def test_back_project_inverts_projection():
-    assert np.allclose(back_project(K, (670, 180), 10.0), [1, 0, 10])
-
-
-def test_back_project_zero_depth_raises():
-    with pytest.raises(BehindCameraError):
-        back_project(K, (600, 180), 0.0)
-
-
 @given(
     u=st.floats(min_value=-5000, max_value=5000),
     v=st.floats(min_value=-5000, max_value=5000),
     depth=st.floats(min_value=1e-3, max_value=1e4),
 )
 def test_project_back_project_round_trip(u, v, depth):
-    px = project_point(K, back_project(K, (u, v), depth))
+    # the closed-form lift back-projects the bottom-center pixel (u, v) at
+    # depth fv*h/(v - v_min); projecting its location gives the pixel back
+    h = 1.5
+    v_min = v - K.fv * h / depth
+    row = [u - 50.0, v_min, u + 50.0, v + 10.0, h, 1.64, 3.86, 0.0, 0.0, 0.0, u, v, K.fu, K.fv, K.cu, K.cv, 1.0]
+    result = lift_batch(DecodedRows(row), (1e4, 1e4), SolverConfig(refine=False))
+    px = project_point(K, result.location[0])
     assert abs(px[0] - u) < 1e-9
     assert abs(px[1] - v) < 1e-9
 

@@ -217,3 +217,77 @@ def test_depuration_config_override(pipeline_dirs, tmp_path):
         "depurate", "--in", str(results), "--calib", str(pipeline_dirs / "calib"),
         "--out", str(kept), "--config", str(cfg),
     ]) == 0
+
+
+def test_solve_skips_row_with_unknown_viewpoint_class(pipeline_dirs, tmp_path, capsys):
+    props = pipeline_dirs / "properties" / "000001.txt"
+    lines = props.read_text().splitlines()
+    cols = lines[2].split()
+    cols[3] = "16"  # viewpoint class of the second row
+    props.write_text("\n".join([*lines[:2], " ".join(cols), *lines[3:]]) + "\n")
+    n_rows = len(lines) - 1
+
+    results = tmp_path / "results"
+    assert _solve(pipeline_dirs, results) == 0
+    err = capsys.readouterr().err
+    assert _skipped_rows(err) == [["frame", "000001", "row", "1"]]
+    assert "(degenerate_input)" in err
+    assert len(list(results.glob("*.txt"))) == 4
+    assert len(parse_labels((results / "000001.txt").read_text()).objects) == n_rows - 1
+
+
+def test_eval_non_finite_ground_truth_exits_with_frame_and_line(pipeline_dirs, tmp_path):
+    results = tmp_path / "results"
+    assert _solve(pipeline_dirs, results) == 0
+    path = pipeline_dirs / "gt" / "000002.txt"
+    n_line = len(path.read_text().splitlines()) + 1
+    with path.open("a") as f:
+        f.write("Car 0 0 0 1 2 3 4 1.5 1.6 3.9 0 nan 20 0.1\n")
+    with pytest.raises(SystemExit, match=rf"^frame 000002: line {n_line}: label row has a non-finite number$"):
+        main(["eval", "--results", str(results), "--gt", str(pipeline_dirs / "gt")])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("refine = ture\n", "config key 'refine': expected one of"),
+    ("bogus = 1\n", "unknown config key 'bogus'"),
+    ("max_iterations = 1.5\n", "config key 'max_iterations': invalid literal"),
+    ("refine false\n", "expected 'key = value'"),
+])
+def test_bad_config_file_exits_naming_it(pipeline_dirs, tmp_path, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    expected = rf"^config {re.escape(str(cfg))}: .*{re.escape(message)}"
+    with pytest.raises(SystemExit, match=expected):
+        _solve(pipeline_dirs, tmp_path / "results", "--config", str(cfg))
+    assert not (tmp_path / "results").exists()
+    with pytest.raises(SystemExit, match=rf"^config {re.escape(str(cfg))}: "):
+        main(["depurate", "--in", str(pipeline_dirs / "gt"), "--calib", str(pipeline_dirs / "calib"),
+              "--out", str(tmp_path / "kept"), "--config", str(cfg)])
+    with pytest.raises(SystemExit, match=rf"^config {re.escape(str(cfg))}: "):
+        main(["synth", "--out", str(tmp_path / "synth"), "--frames", "1", "--spec", str(cfg)])
+
+
+@pytest.mark.parametrize("size", ["1242", "0x375", "1242x-5", "infx375", "1242xnan", "axb", "1x2x3"])
+def test_solve_rejects_bad_image_size(pipeline_dirs, tmp_path, capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        _solve(pipeline_dirs, tmp_path / "results", "--image-size", size)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --image-size" in err and "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_solve_counts_boxes_past_the_image(pipeline_dirs, tmp_path, capsys):
+    assert _solve(pipeline_dirs, tmp_path / "full") == 0
+    assert "reach past" not in capsys.readouterr().err  # synth clips boxes to the image
+
+    boxes = np.array([
+        [float(v) for v in line.split()[1:5]]
+        for path in sorted((pipeline_dirs / "detections").glob("*.txt"))
+        for line in path.read_text().splitlines()
+    ])
+    outside = int(((boxes[:, 2] > 600) | (boxes[:, 3] > 200)).sum())
+    assert 0 < outside < len(boxes)
+    assert _solve(pipeline_dirs, tmp_path / "small", "--image-size", "600x200") == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "reach past" in line]
+    assert lines == [f"box3d solve: {outside} of {len(boxes)} detection boxes reach past the 600x200 image"]

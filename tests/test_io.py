@@ -21,7 +21,7 @@ from box3d.kitti_io import (
     write_properties,
 )
 from box3d.properties import MultiBinOutput, RegressedProperties, default_bin_centers
-from box3d.solver import SolverConfig
+from box3d.solver import SolverConfig, decode_rows, lift_batch
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
 from box3d.viewpoints import extremal_vertices
 
@@ -202,6 +202,14 @@ def test_label_occlusion_overflow_is_value_error():
         parse_labels(good.replace(" 0 0 ", " 0 nan ", 1))
 
 
+def test_label_non_finite_number_names_line():
+    good = "Car 0 0 0 1 2 3 4 1.5 1.6 3.9 0 1.6 20 0.1\n"
+    parse_labels(good)
+    for bad in ("nan", "inf", "-1e400"):
+        with pytest.raises(ValueError, match=r"^line 2: label row has a non-finite number"):
+            parse_labels(good + good.replace(" 1.6 20 ", f" {bad} 20 ", 1))
+
+
 def test_detection_error_names_line():
     with pytest.raises(ValueError, match=r"^line 2: detection row has 4 columns"):
         parse_detections("Car 1 2 3 4 0.5\nCar 1 2 3\n")
@@ -211,8 +219,10 @@ def test_detection_error_names_line():
 
 def test_property_error_line_counts_header():
     lines = write_properties(_property_fixture()).splitlines()
-    with pytest.raises(ValueError, match=r"^line 4: viewpoint class out of range"):
-        parse_properties("\n".join([lines[0], lines[1], "", lines[2].replace(" 3 ", " 16 ", 1)]))
+    with pytest.raises(ValueError, match=r"^line 4: invalid literal for int"):
+        parse_properties("\n".join([lines[0], lines[1], "", lines[2].replace(" 3 ", " 1.5 ", 1)]))
+    with pytest.raises(ValueError, match=r"^line 2: int too large to convert to float"):
+        parse_properties("\n".join([lines[0], lines[2].replace(" 3 ", f" {'9' * 400} ", 1)]))
     with pytest.raises(ValueError, match=r"^line 2: property row has 1 columns"):
         parse_properties(lines[0] + "\nfoo\n")
     with pytest.raises(ValueError, match=r"^line 2: property file must start"):
@@ -332,8 +342,31 @@ def test_coerce_solver_config():
 
 
 def test_coerce_unknown_key_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'bogus'"):
         coerce_fields(SolverConfig(), {"bogus": "1"})
+
+
+@pytest.mark.parametrize("spellings, value", [
+    (("1", "true", "yes", "on", "True", "YES", "On"), True),
+    (("0", "false", "no", "off", "FALSE", "No", "oFF"), False),
+])
+def test_coerce_boolean_spellings(spellings, value):
+    for raw in spellings:
+        assert coerce_fields(SolverConfig(refine=not value), {"refine": raw}).refine is value
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("refine", "ture"), ("refine", ""), ("refine", "2"),
+    ("max_iterations", "1.5"), ("step_tol", "small"),
+])
+def test_coerce_bad_value_names_key(key, raw):
+    with pytest.raises(ValueError, match=rf"^config key '{key}': "):
+        coerce_fields(SolverConfig(), {key: raw})
+
+
+def test_parse_keyvalue_line_without_equals_raises():
+    with pytest.raises(ValueError, match="expected 'key = value'"):
+        parse_keyvalue("refine false\n")
 
 
 def test_coerce_scene_spec_flags_and_ranges():
@@ -379,17 +412,19 @@ def test_generated_box_is_hull_of_projected_vertices():
 
 
 def test_border_straddling_object_flagged_truncated():
-    from box3d.solver import is_truncated
-
     spec = SyntheticSceneSpec(
         n_objects_min=1, n_objects_max=1, seed=3,
-        lateral_min=-16.0, lateral_max=-13.0, depth_min=14.0, depth_max=18.0,
+        lateral_min=-14.0, lateral_max=-11.0, depth_min=14.0, depth_max=18.0,
         allow_truncated=True, allow_boundary_poses=True,
     )
-    gt, dets, _ = generate_scene(spec)
+    gt, dets, props = generate_scene(spec)
     box = gt.objects[0].box2d
-    assert box.u_min == 0.0  # clamped at the left border
-    assert is_truncated(box, (spec.image_width, spec.image_height))
+    assert box.u_min == 0.0 < box.u_max  # clamped at the left border, partly in view
+    rows = decode_rows(dets, props.properties, gt.camera)
+    result = lift_batch(rows, (spec.image_width, spec.image_height))
+    assert list(result.status) == ["truncated_init_only"]
+    closed_form = lift_batch(rows, (spec.image_width, spec.image_height), SolverConfig(refine=False))
+    assert np.array_equal(result.location, closed_form.location)
 
 
 def test_scene_spec_validation():

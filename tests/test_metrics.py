@@ -11,9 +11,10 @@ from box3d.metrics import (
     MatchedDetection,
     RECALL_POINTS_11,
     RECALL_POINTS_40,
+    _clipped_area,
     aos_and_os,
     average_precision,
-    bev_intersection_area,
+    bev_corners,
     dimension_error,
     iou_3d,
     match_frame,
@@ -137,7 +138,9 @@ def test_iou_rigid_motion_invariance(shift, tx, tz):
 
 
 def test_bev_intersection_disjoint_is_zero():
-    assert bev_intersection_area(_box(), _box(x=5.0)) == 0.0
+    a, b = _box(), _box(x=5.0)
+    assert _clipped_area(bev_corners(a).tolist(), bev_corners(b).tolist()) == 0.0
+    assert iou_3d(a, b) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, project_point, ray_angle, wrap_angle
+from box3d.camera import (
+    Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions, project_point, ray_angle, wrap_angle,
+)
 from box3d.properties import (
     CAR_PRIOR,
     ClassPrior,
     MultiBinOutput,
+    RegressedProperties,
     alpha_from_local,
     cbf_anchor,
     decode_cbf,
-    decode_dimensions,
     decode_local_angle,
     default_bin_centers,
+    dimension_values,
     encode_cbf,
     encode_local_angle,
     global_from_local,
-    local_from_alpha,
     local_from_global,
 )
+from box3d.solver import decode_rows, lift_batch
 
 TWO_BIN = default_bin_centers(2)
 
@@ -101,21 +104,26 @@ def test_local_global_round_trip(theta, theta_ray):
 
 @given(alpha=angles)
 def test_alpha_transform_involution(alpha):
-    assert abs(wrap_angle(alpha_from_local(local_from_alpha(alpha)) - alpha)) < 1e-12
+    # the observation angle and the local yaw map to each other by the same
+    # transform, so applying it twice is the identity
+    assert abs(wrap_angle(alpha_from_local(alpha_from_local(alpha)) - alpha)) < 1e-12
 
 
 def test_decode_dimensions_car_prior():
-    d = decode_dimensions((0.0, 0.0, 0.0), CAR_PRIOR)
-    assert (d.h, d.w, d.l) == (1.52, 1.64, 3.86)
+    assert dimension_values((0.0, 0.0, 0.0), CAR_PRIOR) == (1.52, 1.64, 3.86)
 
 
 def test_decode_dimensions_additive():
-    assert decode_dimensions((0.1, 0.0, 0.0), CAR_PRIOR).h == pytest.approx(1.62)
+    assert dimension_values((0.1, 0.0, 0.0), CAR_PRIOR)[0] == pytest.approx(1.62)
 
 
 def test_decode_dimensions_nonpositive_rejected():
-    with pytest.raises(ValueError):
-        decode_dimensions((-2.0, 0.0, 0.0), CAR_PRIOR)
+    # decoding leaves a non-positive dimension to the lift, which skips the row
+    k = CameraIntrinsics(700.0, 700.0, 600.0, 180.0)
+    prop = RegressedProperties((-2.0, 0.0, 0.0), encode_local_angle(0.3), 5, (0.0, -5.0))
+    rows = decode_rows([Detection2D(Box2D(500.0, 150.0, 700.0, 250.0))], [prop], k)
+    assert rows.dims[0, 0] == pytest.approx(-0.48)
+    assert lift_batch(rows, (1242.0, 375.0)).status[0] == "degenerate_input"
 
 
 @given(
@@ -124,10 +132,11 @@ def test_decode_dimensions_nonpositive_rejected():
 )
 def test_decode_dimensions_exactly_additive(r1, r2):
     prior = CAR_PRIOR
-    a = decode_dimensions(r1, prior).as_array()
-    b = decode_dimensions(r2, prior).as_array()
-    combined = decode_dimensions(tuple(x + y for x, y in zip(r1, r2)), prior).as_array()
-    assert np.allclose(a + b - prior.mean_dims.as_array(), combined, atol=1e-12)
+    a = np.array(dimension_values(r1, prior))
+    b = np.array(dimension_values(r2, prior))
+    combined = np.array(dimension_values(tuple(x + y for x, y in zip(r1, r2)), prior))
+    mean = np.array([prior.mean_dims.h, prior.mean_dims.w, prior.mean_dims.l])
+    assert np.allclose(a + b - mean, combined, atol=1e-12)
 
 
 BOX = Box2D(100.0, 50.0, 200.0, 150.0)

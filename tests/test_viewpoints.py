@@ -44,7 +44,7 @@ def _random_clean_poses(seed, n, angle_margin_deg=2.0):
     rng = np.random.default_rng(seed)
     poses = []
     while len(poses) < n:
-        dims = Dimensions(*(CAR.as_array() + rng.normal(0, 0.08, 3)))
+        dims = Dimensions(*(np.array([CAR.h, CAR.w, CAR.l]) + rng.normal(0, 0.08, 3)))
         loc = np.array([rng.uniform(-20, 20), rng.uniform(0.3, 2.5), rng.uniform(5, 60)])
         b = Box3D(loc, dims, rng.uniform(-math.pi, math.pi))
         if loc[2] - 0.5 * (dims.l + dims.w) <= 0.5:  # keep every corner in front
