@@ -191,6 +191,8 @@ def cmd_eval(args):
             # closest-ground-truth matching is per frame
             dim_err_sum += dimension_error(det_boxes, gt_boxes) * len(det_boxes)
             dim_err_count += len(det_boxes)
+            if not math.isfinite(dim_err_sum):
+                raise SystemExit(f"frame {frame}: the dimension error overflows a float")
 
     ap = average_precision(matches, n_gt, recall_points)
     aos, os_score = aos_and_os(matches, n_gt, recall_points)

@@ -7,6 +7,7 @@ a detection; the other three are soft and co-determine removal, at least
 two must fail.  Removing a 2D detection abandons its paired 3D box.
 """
 
+import math
 from dataclasses import dataclass
 
 from .camera import CameraIntrinsics, Dimensions, box_iou_2d
@@ -16,8 +17,6 @@ RULE_DIMS = "dims"
 RULE_VERTICAL = "vertical"
 RULE_HEIGHT_DEPTH = "height_depth"
 RULE_ADJACENT_DEPTH = "adjacent_depth"
-
-ALL_RULES = (RULE_DIMS, RULE_VERTICAL, RULE_HEIGHT_DEPTH, RULE_ADJACENT_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,15 @@ class DepurationConfig:
     depth_gap_max: float = 10.0  # meters
 
     def __post_init__(self):
-        if min(self.dim_tolerance, self.vertical_slack, self.height_monotonic_eps,
-               self.adjacency_iou_min, self.depth_gap_max) < 0:
-            raise ValueError("tolerances must be non-negative")
+        # NaN fails `>= 0`: a NaN threshold would switch its rule off
+        for name in ("dim_tolerance", "vertical_slack", "height_monotonic_eps", "adjacency_iou_min",
+                     "depth_gap_max"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be a non-negative number, got {getattr(self, name)!r}")
+        if not self.vertical_centers or not all(map(math.isfinite, self.vertical_centers)):
+            raise ValueError("vertical_centers must be one or more finite numbers")
         if list(self.vertical_centers) != sorted(self.vertical_centers):
-            raise ValueError("vertical centers must be sorted ascending")
+            raise ValueError("vertical_centers must be sorted ascending")
 
 
 DEFAULT_DEPURATION_CONFIG = DepurationConfig()
@@ -45,109 +48,76 @@ DEFAULT_DEPURATION_CONFIG = DepurationConfig()
 
 @dataclass(frozen=True)
 class Verdict:
-    kept: bool
     violated_rules: frozenset
-    hard_violation: bool
 
+    @property
+    def hard_violation(self) -> bool:
+        return RULE_VERTICAL in self.violated_rules
 
-def check_dimensions(d: Dimensions, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG) -> bool:
-    """Each of h, w, l within mean*(1 +- tolerance), boundaries inclusive."""
-    lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
-    for value, mean in ((d.h, cfg.mean_dims.h), (d.w, cfg.mean_dims.w), (d.l, cfg.mean_dims.l)):
-        if not mean * lo <= value <= mean * hi:
-            return False
-    return True
-
-
-def check_vertical(y: float, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG) -> bool:
-    """Bottom-center Y within the cluster-center band plus slack."""
-    return (
-        min(cfg.vertical_centers) - cfg.vertical_slack
-        <= y
-        <= max(cfg.vertical_centers) + cfg.vertical_slack
-    )
-
-
-def check_height_depth(scene, camera: CameraIntrinsics,
-                       cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
-    """Projected heights must shrink with depth among same-height objects.
-
-    For a violating pair (deeper object with projected height >= the
-    nearer's, heights within eps) the object whose own projected height
-    disagrees more with its solved depth, by |dv*Z - fv*h|, takes the blame.
-    Returns one pass/fail flag per object.
-    """
-    n = len(scene)
-    passed = [True] * n
-    residual = [
-        abs(box2d.height * box3d.location[2] - camera.fv * box3d.dims.h)
-        for box2d, box3d in scene
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            b2i, b3i = scene[i]
-            b2j, b3j = scene[j]
-            if abs(b3i.dims.h - b3j.dims.h) > cfg.height_monotonic_eps:
-                continue
-            if b3i.location[2] > b3j.location[2]:
-                far, near = i, j
-            elif b3j.location[2] > b3i.location[2]:
-                far, near = j, i
-            else:
-                continue
-            if scene[far][0].height >= scene[near][0].height:
-                blame = far if residual[far] >= residual[near] else near
-                passed[blame] = False
-    return passed
-
-
-def check_adjacent_depth(scene, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
-    """An object overlapped on both sides whose depth is far from every
-    adjacent neighbor on each side is implausible."""
-    n = len(scene)
-    passed = [True] * n
-    for i in range(n):
-        b2i, b3i = scene[i]
-        left_gaps, right_gaps = [], []
-        for j in range(n):
-            if j == i:
-                continue
-            b2j, b3j = scene[j]
-            if box_iou_2d(b2i, b2j) <= cfg.adjacency_iou_min:
-                continue
-            gap = abs(b3i.location[2] - b3j.location[2])
-            if b2j.center_u < b2i.center_u:
-                left_gaps.append(gap)
-            elif b2j.center_u > b2i.center_u:
-                right_gaps.append(gap)
-        if left_gaps and right_gaps:
-            if min(left_gaps) > cfg.depth_gap_max and min(right_gaps) > cfg.depth_gap_max:
-                passed[i] = False
-    return passed
+    @property
+    def kept(self) -> bool:
+        return not self.hard_violation and len(self.violated_rules) < 2
 
 
 def depurate(scene, camera: CameraIntrinsics,
              cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
-    """Verdicts for a scene of (Box2D, Box3D) pairs.
+    """Verdicts for a scene of (Box2D, Box3D) pairs, by rule:
 
-    Removal iff the vertical rule fails (hard), or at least two of the
-    three soft rules fail.
+    dims            h, w and l each within mean*(1 +- tolerance), inclusive;
+    vertical        bottom-center Y within [min(centers) - slack, max(centers) + slack];
+    height_depth    of two objects with heights within eps, the deeper one must
+                    have the smaller projected height; a violating pair blames
+                    the one whose projected height disagrees more with its
+                    solved depth, by |dv*Z - fv*h|;
+    adjacent_depth  2D-overlapped (IoU above the minimum) on both sides, and
+                    more than depth_gap_max in depth from every such neighbor.
     """
-    hd = check_height_depth(scene, camera, cfg)
-    ad = check_adjacent_depth(scene, cfg)
+    n = len(scene)
+    residual = [abs(b2.height * b3.location[2] - camera.fv * b3.dims.h) for b2, b3 in scene]
+    blamed = set()
+    left_gaps = [[] for _ in range(n)]
+    right_gaps = [[] for _ in range(n)]
+    for i in range(n):
+        b2i, b3i = scene[i]
+        zi = b3i.location[2]
+        for j in range(i + 1, n):
+            b2j, b3j = scene[j]
+            zj = b3j.location[2]
+            if box_iou_2d(b2i, b2j) > cfg.adjacency_iou_min:
+                gap = abs(zi - zj)
+                if b2j.center_u < b2i.center_u:
+                    left_gaps[i].append(gap)
+                    right_gaps[j].append(gap)
+                elif b2j.center_u > b2i.center_u:
+                    right_gaps[i].append(gap)
+                    left_gaps[j].append(gap)
+            if abs(b3i.dims.h - b3j.dims.h) > cfg.height_monotonic_eps:
+                continue
+            if zi > zj:
+                far, near = i, j
+            elif zj > zi:
+                far, near = j, i
+            else:
+                continue
+            if scene[far][0].height >= scene[near][0].height:
+                blamed.add(far if residual[far] >= residual[near] else near)
+
+    lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
+    dim_bands = [(m * lo, m * hi) for m in (cfg.mean_dims.h, cfg.mean_dims.w, cfg.mean_dims.l)]
+    y_lo = min(cfg.vertical_centers) - cfg.vertical_slack
+    y_hi = max(cfg.vertical_centers) + cfg.vertical_slack
     verdicts = []
-    for i, (box2d, box3d) in enumerate(scene):
+    for i, (_, box3d) in enumerate(scene):
+        d = box3d.dims
         violated = set()
-        if not check_dimensions(box3d.dims, cfg):
+        if not all(low <= v <= high for (low, high), v in zip(dim_bands, (d.h, d.w, d.l))):
             violated.add(RULE_DIMS)
-        if not check_vertical(box3d.location[1], cfg):
+        if not y_lo <= box3d.location[1] <= y_hi:
             violated.add(RULE_VERTICAL)
-        if not hd[i]:
+        if i in blamed:
             violated.add(RULE_HEIGHT_DEPTH)
-        if not ad[i]:
+        left, right = left_gaps[i], right_gaps[i]
+        if left and right and min(left) > cfg.depth_gap_max and min(right) > cfg.depth_gap_max:
             violated.add(RULE_ADJACENT_DEPTH)
-        hard = RULE_VERTICAL in violated
-        soft_count = len(violated - {RULE_VERTICAL})
-        kept = not hard and soft_count < 2
-        verdicts.append(Verdict(kept, frozenset(violated), hard))
+        verdicts.append(Verdict(frozenset(violated)))
     return verdicts

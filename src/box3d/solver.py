@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, ray_angle
+from .camera import CameraIntrinsics, Dimensions, ray_angle, vertex_offsets
 from .properties import (
     CAR_PRIOR,
     alpha_from_local,
@@ -40,6 +40,13 @@ class SolverConfig:
     damping: float = 1e-9           # Tikhonov lambda added on singular normal eqs
     max_halvings: int = 10
     truncation_margin_px: float = 10.0
+
+    def __post_init__(self):
+        # NaN fails `>= 0`: a NaN margin would switch the truncation gate off
+        for name in ("max_iterations", "step_tol", "residual_change_tol", "damping", "max_halvings",
+                     "truncation_margin_px"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be a non-negative number, got {getattr(self, name)!r}")
 
 
 DEFAULT_SOLVER_CONFIG = SolverConfig()
@@ -161,11 +168,9 @@ def _truncated(box, image_size, margin):
 
 
 # Object-frame offset of each viewpoint class's selected corners as factors of
-# (l, h, w), from the vertex index bit pattern (see camera.vertex_offsets).
-_SELECTED = np.array([selected_vertex_indices(v) for v in range(N_VIEWPOINTS)])  # (16, 4)
-_HALF_SIGN_L = np.where(_SELECTED & 4, -0.5, 0.5)
-_LEVEL_H = np.where(_SELECTED & 2, -1.0, 0.0)
-_HALF_SIGN_W = np.where(_SELECTED & 1, -0.5, 0.5)
+# (l, h, w): the corners of the unit box, (16, 4, 3).
+_SELECTED = np.array([selected_vertex_indices(v) for v in range(N_VIEWPOINTS)])
+_UNIT_OFFSETS = vertex_offsets(Dimensions(1.0, 1.0, 1.0))[_SELECTED]
 _VIEWPOINT_IDS = np.arange(N_VIEWPOINTS)
 
 
@@ -173,9 +178,7 @@ def _prepared(rows: DecodedRows):
     """Camera-frame offsets of each row's four selected corners, (n, 4, 3),
     and the 2D edges they must touch, [u_min, u_max, v_min, v_max] (n, 4)."""
     dims, vp = rows.dims, rows.viewpoint.astype(np.intp)
-    ox = _HALF_SIGN_L[vp] * dims[:, 2:3]
-    oy = _LEVEL_H[vp] * dims[:, 0:1]
-    oz = _HALF_SIGN_W[vp] * dims[:, 1:2]
+    ox, oy, oz = np.moveaxis(_UNIT_OFFSETS[vp] * dims[:, None, [2, 0, 1]], 2, 0)
     yaw = rows.yaw[:, None]
     c, s = np.cos(yaw), np.sin(yaw)  # rotation about the (downward) y axis
     rotated = np.stack([ox * c + oz * s, oy, oz * c - ox * s], axis=2)

@@ -1,9 +1,13 @@
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from box3d.cli import main
 from box3d.kitti_io import parse_labels
@@ -109,6 +113,23 @@ def test_solve_skips_non_finite_property_row(pipeline_dirs, tmp_path, capsys):
     text = (results / "000001.txt").read_text()
     assert "nan" not in text
     assert len(parse_labels(text).objects) == n_rows - 1
+
+
+@pytest.mark.parametrize("token", ["nan", "1e400", "-inf"])
+def test_solve_skips_non_finite_detection_row(pipeline_dirs, tmp_path, capsys, token):
+    dets = pipeline_dirs / "detections" / "000003.txt"
+    lines = dets.read_text().splitlines()
+    cols = lines[0].split()
+    cols[3] = token  # u_max of the first row
+    dets.write_text("\n".join([" ".join(cols), *lines[1:]]) + "\n")
+
+    results = tmp_path / "results"
+    assert _solve(pipeline_dirs, results) == 0
+    err = capsys.readouterr().err
+    assert _skipped_rows(err) == [["frame", "000003", "row", "0"]]
+    assert "(non_finite)" in err
+    text = (results / "000003.txt").read_text()
+    assert len(parse_labels(text).objects) == len(lines) - 1
 
 
 def test_solve_malformed_file_exits_with_frame_and_line(pipeline_dirs, tmp_path):
@@ -247,11 +268,24 @@ def test_eval_non_finite_ground_truth_exits_with_frame_and_line(pipeline_dirs, t
         main(["eval", "--results", str(results), "--gt", str(pipeline_dirs / "gt")])
 
 
+def test_eval_exits_when_the_dimension_error_overflows(pipeline_dirs, tmp_path):
+    results = tmp_path / "results"
+    assert _solve(pipeline_dirs, results) == 0
+    path = pipeline_dirs / "gt" / "000002.txt"
+    cols = path.read_text().splitlines()[0].split()
+    cols[8] = "1e300"  # the height of the first ground truth
+    path.write_text(" ".join(cols) + "\n")
+    with pytest.raises(SystemExit, match=r"^frame 000002: the dimension error overflows a float$"):
+        main(["eval", "--results", str(results), "--gt", str(pipeline_dirs / "gt")])
+
+
 @pytest.mark.parametrize("text, message", [
     ("refine = ture\n", "config key 'refine': expected one of"),
     ("bogus = 1\n", "unknown config key 'bogus'"),
     ("max_iterations = 1.5\n", "config key 'max_iterations': invalid literal"),
     ("refine false\n", "expected 'key = value'"),
+    ("truncation_margin_px = nan\n", "truncation_margin_px must be a non-negative number, got nan"),
+    ("max_iterations = -3\n", "max_iterations must be a non-negative number, got -3"),
 ])
 def test_bad_config_file_exits_naming_it(pipeline_dirs, tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -265,6 +299,20 @@ def test_bad_config_file_exits_naming_it(pipeline_dirs, tmp_path, text, message)
               "--out", str(tmp_path / "kept"), "--config", str(cfg)])
     with pytest.raises(SystemExit, match=rf"^config {re.escape(str(cfg))}: "):
         main(["synth", "--out", str(tmp_path / "synth"), "--frames", "1", "--spec", str(cfg)])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertical_slack = nan\n", "vertical_slack must be a non-negative number, got nan"),
+    ("vertical_centers =\n", "vertical_centers must be one or more finite numbers"),
+    ("vertical_centers = 1.2, inf\n", "vertical_centers must be one or more finite numbers"),
+])
+def test_bad_depuration_config_exits_naming_it(pipeline_dirs, tmp_path, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit, match=rf"^config {re.escape(str(cfg))}: {re.escape(message)}$"):
+        main(["depurate", "--in", str(pipeline_dirs / "gt"), "--calib", str(pipeline_dirs / "calib"),
+              "--out", str(tmp_path / "kept"), "--config", str(cfg)])
+    assert not (tmp_path / "kept").exists()
 
 
 @pytest.mark.parametrize("size", ["1242", "0x375", "1242x-5", "infx375", "1242xnan", "axb", "1x2x3"])
@@ -291,3 +339,73 @@ def test_solve_counts_boxes_past_the_image(pipeline_dirs, tmp_path, capsys):
     assert _solve(pipeline_dirs, tmp_path / "small", "--image-size", "600x200") == 0
     lines = [line for line in capsys.readouterr().err.splitlines() if "reach past" in line]
     assert lines == [f"box3d solve: {outside} of {len(boxes)} detection boxes reach past the 600x200 image"]
+
+
+# ---------------------------------------------------------------------------
+# one token of one input file replaced: a clean exit or one named line
+
+
+_SOLVER_CFG = "max_iterations = 100\nstep_tol = 1e-6\ndamping = 1e-9\ntruncation_margin_px = 10\n"
+_DEPURATION_CFG = ("dim_tolerance = 0.5\nvertical_centers = 1.28842871, 1.72911, 2.2184\n"
+                   "vertical_slack = 0.75\ndepth_gap_max = 10\n")
+_replacement = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e300", "-1e300", "1e-300",
+                     "0", "-0", "-1", "15", "16", "1.5", "", "x", "#", "=", ",", "Car", "DontCare"]),
+    st.floats().map(repr),
+    st.text(max_size=3),
+)
+
+
+@pytest.fixture(scope="module")
+def synth_inputs(tmp_path_factory):
+    """Each input file of a 3-frame synth run and two config files, by relative path."""
+    out = tmp_path_factory.mktemp("synth")
+    assert main(["synth", "--out", str(out), "--frames", "3", "--seed", "5"]) == 0
+    files = {str(p.relative_to(out)): p.read_text() for p in sorted(out.rglob("*.txt"))}
+    return {**files, "solver.cfg": _SOLVER_CFG, "depuration.cfg": _DEPURATION_CFG}
+
+
+def _exit_line(argv):
+    """None on exit 0, else the one-line message the command exited with."""
+    try:
+        assert main(argv) == 0
+        return None
+    except SystemExit as exc:
+        message = str(exc.code)
+        assert re.fullmatch(r"(frame \d{6}|config \S+): [^\n]+", message), message
+        return message
+
+
+def _assert_finite_numbers(directory):
+    for path in directory.glob("*.txt"):
+        if path.name == "depuration_report.txt":
+            continue
+        for line in path.read_text().splitlines():
+            # the class name is the first column; the rest are numbers
+            assert all(math.isfinite(float(v)) for v in line.split()[1:]), (path, line)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_survives_one_replaced_token(synth_inputs, data):
+    name = data.draw(st.sampled_from(sorted(synth_inputs)))
+    tokens = re.split(r"(\s+)", synth_inputs[name])
+    words = [i for i, t in enumerate(tokens) if t and not t.isspace()]
+    tokens[data.draw(st.sampled_from(words))] = data.draw(_replacement)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for rel, text in synth_inputs.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text("".join(tokens) if rel == name else text)
+        results, kept, table = root / "results", root / "kept", root / "table.json"
+        if _exit_line(["solve", "--calib", str(root / "calib"), "--detections", str(root / "detections"),
+                       "--properties", str(root / "properties"), "--out", str(results),
+                       "--config", str(root / "solver.cfg")]) is not None:
+            return
+        _assert_finite_numbers(results)
+        if _exit_line(["depurate", "--in", str(results), "--calib", str(root / "calib"),
+                       "--out", str(kept), "--config", str(root / "depuration.cfg")]) is None:
+            _assert_finite_numbers(kept)
+        if _exit_line(["eval", "--results", str(results), "--gt", str(root / "gt"),
+                       "--json", str(table)]) is None:
+            json.loads(table.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in the table"))

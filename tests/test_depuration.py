@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, project_point
+from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, box_iou_2d
 from box3d.depuration import (
     DEFAULT_DEPURATION_CONFIG as CFG,
     DepurationConfig,
@@ -13,10 +13,6 @@ from box3d.depuration import (
     RULE_DIMS,
     RULE_HEIGHT_DEPTH,
     RULE_VERTICAL,
-    check_adjacent_depth,
-    check_dimensions,
-    check_height_depth,
-    check_vertical,
     depurate,
 )
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
@@ -37,23 +33,145 @@ def _synthetic_scene(seed, n=4):
     return [(o.box2d, o.box3d()) for o in gt.objects]
 
 
+def _fails(rule, scene):
+    return [rule in v.violated_rules for v in depurate(scene, K, CFG)]
+
+
+# ---------------------------------------------------------------------------
+# reference: one function per rule, each pair rule with its own pair loop
+
+
+def _depurate_loop(scene, camera, cfg):
+    """(kept, violated rules, hard violation) per object."""
+    n = len(scene)
+
+    def dims_ok(d):
+        lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
+        for value, mean in ((d.h, cfg.mean_dims.h), (d.w, cfg.mean_dims.w), (d.l, cfg.mean_dims.l)):
+            if not mean * lo <= value <= mean * hi:
+                return False
+        return True
+
+    def vertical_ok(y):
+        return (min(cfg.vertical_centers) - cfg.vertical_slack <= y
+                <= max(cfg.vertical_centers) + cfg.vertical_slack)
+
+    height_depth_ok = [True] * n
+    residual = [abs(b2.height * b3.location[2] - camera.fv * b3.dims.h) for b2, b3 in scene]
+    for i in range(n):
+        for j in range(i + 1, n):
+            b3i, b3j = scene[i][1], scene[j][1]
+            if abs(b3i.dims.h - b3j.dims.h) > cfg.height_monotonic_eps:
+                continue
+            if b3i.location[2] > b3j.location[2]:
+                far, near = i, j
+            elif b3j.location[2] > b3i.location[2]:
+                far, near = j, i
+            else:
+                continue
+            if scene[far][0].height >= scene[near][0].height:
+                height_depth_ok[far if residual[far] >= residual[near] else near] = False
+
+    adjacent_ok = [True] * n
+    for i in range(n):
+        b2i, b3i = scene[i]
+        left_gaps, right_gaps = [], []
+        for j in range(n):
+            if j == i:
+                continue
+            b2j, b3j = scene[j]
+            if box_iou_2d(b2i, b2j) <= cfg.adjacency_iou_min:
+                continue
+            gap = abs(b3i.location[2] - b3j.location[2])
+            if b2j.center_u < b2i.center_u:
+                left_gaps.append(gap)
+            elif b2j.center_u > b2i.center_u:
+                right_gaps.append(gap)
+        if left_gaps and right_gaps:
+            if min(left_gaps) > cfg.depth_gap_max and min(right_gaps) > cfg.depth_gap_max:
+                adjacent_ok[i] = False
+
+    out = []
+    for i, (_, box3d) in enumerate(scene):
+        violated = set()
+        if not dims_ok(box3d.dims):
+            violated.add(RULE_DIMS)
+        if not vertical_ok(box3d.location[1]):
+            violated.add(RULE_VERTICAL)
+        if not height_depth_ok[i]:
+            violated.add(RULE_HEIGHT_DEPTH)
+        if not adjacent_ok[i]:
+            violated.add(RULE_ADJACENT_DEPTH)
+        hard = RULE_VERTICAL in violated
+        out.append((not hard and len(violated - {RULE_VERTICAL}) < 2, frozenset(violated), hard))
+    return out
+
+
+def _as_tuples(verdicts):
+    return [(v.kept, v.violated_rules, v.hard_violation) for v in verdicts]
+
+
+def _crowded_scene(rng):
+    """A frame of 2-30 objects whose depths, heights, bottom-face Ys and 2D
+    centres often tie, with exact copies, edge-touching 2D boxes and
+    objects on the vertical band's edges."""
+    scene = []
+    for _ in range(int(rng.integers(2, 31))):
+        if scene and rng.random() < 0.1:
+            scene.append(scene[int(rng.integers(len(scene)))])
+            continue
+        z = float(rng.choice([12.0, 20.0, 40.0])) if rng.random() < 0.5 else float(rng.uniform(5.0, 60.0))
+        h = float(rng.choice([1.52, 1.6, 1.82])) if rng.random() < 0.5 else float(rng.uniform(0.6, 2.5))
+        y = float(rng.choice([1.65, 0.53842871, 2.9684, -1.0])) if rng.random() < 0.4 else float(rng.uniform(0.0, 3.5))
+        dims = Dimensions(h, float(rng.uniform(0.7, 2.5)), float(rng.uniform(1.8, 6.0)))
+        cu = float(rng.choice([500.0, 600.0, 700.0])) if rng.random() < 0.5 else float(rng.uniform(300.0, 900.0))
+        half_w = float(rng.choice([50.0, 100.0])) if rng.random() < 0.5 else float(rng.uniform(5.0, 200.0))
+        v_max = float(rng.uniform(180.0, 370.0))
+        height_px = float(rng.choice([40.0, 80.0])) if rng.random() < 0.5 else float(rng.uniform(5.0, 250.0))
+        box2d = Box2D(cu - half_w, v_max - height_px, cu + half_w, v_max)
+        scene.append((box2d, Box3D(np.array([float(rng.uniform(-15.0, 15.0)), y, z]), dims, 0.0)))
+    return scene
+
+
+def test_depurate_equals_the_per_rule_loops_on_crowded_scenes():
+    rng = np.random.default_rng(6)
+    cfgs = [CFG, DepurationConfig(adjacency_iou_min=0.2, depth_gap_max=3.0, height_monotonic_eps=0.0)]
+    for k in range(300):
+        scene = _crowded_scene(rng)
+        cfg = cfgs[k % 2]
+        assert _as_tuples(depurate(scene, K, cfg)) == _depurate_loop(scene, K, cfg)
+    for seed in range(20):
+        scene = _synthetic_scene(seed, n=6)
+        assert _as_tuples(depurate(scene, K, CFG)) == _depurate_loop(scene, K, CFG)
+
+
+def test_empty_scene_has_no_verdicts():
+    assert depurate([], K, CFG) == []
+
+
 # ---------------------------------------------------------------------------
 # rule 1: dimensions
 
 
+def _alone(dims=CAR, y=1.65):
+    return [_ground_object(0.0, 20.0, dims=dims, y=y)]
+
+
 def test_mean_dims_pass():
-    assert check_dimensions(CAR, CFG)
+    assert _fails(RULE_DIMS, _alone(CAR)) == [False]
 
 
 def test_extreme_dims_fail():
-    assert not check_dimensions(Dimensions(5.0, 5.0, 20.0), CFG)
+    assert _fails(RULE_DIMS, _alone(Dimensions(5.0, 5.0, 20.0))) == [True]
 
 
 def test_dims_boundary_inclusive_then_exclusive():
-    assert check_dimensions(Dimensions(1.52 * 1.5, 1.64, 3.86), CFG)
-    assert not check_dimensions(Dimensions(1.52 * 1.5 + 1e-9, 1.64, 3.86), CFG)
-    assert check_dimensions(Dimensions(1.52 * 0.5, 1.64, 3.86), CFG)
-    assert not check_dimensions(Dimensions(1.52 * 0.5 - 1e-9, 1.64, 3.86), CFG)
+    assert _fails(RULE_DIMS, _alone(Dimensions(1.52 * 1.5, 1.64, 3.86))) == [False]
+    assert _fails(RULE_DIMS, _alone(Dimensions(1.52 * 1.5 + 1e-9, 1.64, 3.86))) == [True]
+    assert _fails(RULE_DIMS, _alone(Dimensions(1.52 * 0.5, 1.64, 3.86))) == [False]
+    assert _fails(RULE_DIMS, _alone(Dimensions(1.52 * 0.5 - 1e-9, 1.64, 3.86))) == [True]
+    assert _fails(RULE_DIMS, _alone(Dimensions(1.52, 1.64 * 1.5 + 1e-9, 3.86))) == [True]
+    assert _fails(RULE_DIMS, _alone(Dimensions(1.52, 1.64, 3.86 * 0.5 - 1e-9))) == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +179,19 @@ def test_dims_boundary_inclusive_then_exclusive():
 
 
 def test_camera_height_level_passes():
-    assert check_vertical(1.65, CFG)
+    assert _fails(RULE_VERTICAL, _alone(y=1.65)) == [False]
 
 
 def test_sky_box_fails():
-    assert not check_vertical(-3.0, CFG)
+    assert _fails(RULE_VERTICAL, _alone(y=-3.0)) == [True]
 
 
 def test_vertical_boundary():
     # [min(centers) - slack, max(centers) + slack] = [0.53842871, 2.9684]
-    assert check_vertical(2.968, CFG)
-    assert not check_vertical(2.969, CFG)
-    assert check_vertical(0.539, CFG)
-    assert not check_vertical(0.538, CFG)
+    assert _fails(RULE_VERTICAL, _alone(y=2.968)) == [False]
+    assert _fails(RULE_VERTICAL, _alone(y=2.969)) == [True]
+    assert _fails(RULE_VERTICAL, _alone(y=0.539)) == [False]
+    assert _fails(RULE_VERTICAL, _alone(y=0.538)) == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +200,7 @@ def test_vertical_boundary():
 
 def test_pinhole_consistent_pair_passes():
     scene = [_ground_object(0.0, 10.0), _ground_object(3.0, 40.0)]
-    assert check_height_depth(scene, K, CFG) == [True, True]
+    assert _fails(RULE_HEIGHT_DEPTH, scene) == [False, False]
 
 
 def test_far_object_with_larger_projected_height_blamed():
@@ -90,18 +208,28 @@ def test_far_object_with_larger_projected_height_blamed():
     far_box2d, far_box3d = _ground_object(3.0, 40.0)
     # corrupt the far detection's 2D box to be taller than the near one
     corrupted = Box2D(far_box2d.u_min, far_box2d.v_min - 200.0, far_box2d.u_max, far_box2d.v_max)
-    flags = check_height_depth([near, (corrupted, far_box3d)], K, CFG)
-    assert flags == [True, False]
+    assert _fails(RULE_HEIGHT_DEPTH, [near, (corrupted, far_box3d)]) == [False, True]
 
 
 def test_single_object_passes_vacuously():
-    assert check_height_depth([_ground_object(0.0, 15.0)], K, CFG) == [True]
+    assert _fails(RULE_HEIGHT_DEPTH, [_ground_object(0.0, 15.0)]) == [False]
+
+
+def test_equal_residuals_blame_the_far_object():
+    # fv = 1: both residuals |2*Z - 18| are exactly 2
+    camera = CameraIntrinsics(1.0, 1.0, 0.0, 0.0)
+    tall = Dimensions(18.0, 1.64, 3.86)
+    near = (Box2D(0.0, 0.0, 1.0, 2.0), Box3D(np.array([0.0, 1.65, 8.0]), tall, 0.0))
+    far = (Box2D(5.0, 0.0, 6.0, 2.0), Box3D(np.array([0.0, 1.65, 10.0]), tall, 0.0))
+    for scene in ([near, far], [far, near]):
+        blamed = [RULE_HEIGHT_DEPTH in v.violated_rules for v in depurate(scene, camera, CFG)]
+        assert blamed == [v is far for v in scene]
 
 
 def test_different_heights_not_compared():
     tall = _ground_object(0.0, 40.0, dims=Dimensions(3.0, 1.64, 3.86))
     short = _ground_object(3.0, 10.0)
-    assert check_height_depth([tall, short], K, CFG) == [True, True]
+    assert _fails(RULE_HEIGHT_DEPTH, [tall, short]) == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +238,23 @@ def test_different_heights_not_compared():
 
 def test_no_overlap_passes():
     scene = [_ground_object(-8.0, 20.0), _ground_object(8.0, 20.0)]
-    assert check_adjacent_depth(scene, CFG) == [True, True]
+    assert _fails(RULE_ADJACENT_DEPTH, scene) == [False, False]
 
 
 def test_far_object_between_two_near_neighbors_fails():
     left = _ground_object(-2.2, 12.0)
     right = _ground_object(2.2, 12.0)
     middle = _ground_object(0.0, 40.0)  # overlaps both in 2D, 28 m away
-    scene = [left, middle, right]
-    assert check_adjacent_depth(scene, CFG) == [True, False, True]
+    assert _fails(RULE_ADJACENT_DEPTH, [left, middle, right]) == [False, True, False]
+    # the same scene in another order: each pair is visited once, from either end
+    assert _fails(RULE_ADJACENT_DEPTH, [middle, right, left]) == [True, False, False]
 
 
 def test_one_sided_overlap_passes_regardless_of_gap():
     left = _ground_object(-3.4, 12.0)
     obj = _ground_object(0.0, 40.0)
     # ensure they overlap and nothing sits to the right of obj
-    assert check_adjacent_depth([left, obj], CFG) == [True, True]
+    assert _fails(RULE_ADJACENT_DEPTH, [left, obj]) == [False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +361,14 @@ def test_verdicts_permute_with_the_scene(objects, data):
         scene.append((Box2D(b.u_min, b.v_min + shift, b.u_max, b.v_max), box3d))
     perm = data.draw(st.permutations(range(len(scene))))
     base = depurate(scene, K, CFG)
+    assert _as_tuples(base) == _depurate_loop(scene, K, CFG)
     assert depurate([scene[i] for i in perm], K, CFG) == [base[i] for i in perm]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DepurationConfig(dim_tolerance=-0.1)
-    with pytest.raises(ValueError):
-        DepurationConfig(vertical_centers=(2.0, 1.0))
+    nan_thresholds = ({name: math.nan} for name in (
+        "dim_tolerance", "vertical_slack", "height_monotonic_eps", "adjacency_iou_min", "depth_gap_max"))
+    for bad in ({"dim_tolerance": -0.1}, {"vertical_centers": (2.0, 1.0)}, {"vertical_centers": ()},
+                {"vertical_centers": (1.0, math.inf)}, {"vertical_centers": (math.nan,)}, *nan_thresholds):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
+            DepurationConfig(**bad)

@@ -20,6 +20,7 @@ from box3d.kitti_io import (
     write_labels,
     write_properties,
 )
+from box3d.depuration import DepurationConfig
 from box3d.properties import MultiBinOutput, RegressedProperties, default_bin_centers
 from box3d.solver import SolverConfig, decode_rows, lift_batch
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
@@ -362,6 +363,20 @@ def test_coerce_boolean_spellings(spellings, value):
 def test_coerce_bad_value_names_key(key, raw):
     with pytest.raises(ValueError, match=rf"^config key '{key}': "):
         coerce_fields(SolverConfig(), {key: raw})
+
+
+@pytest.mark.parametrize("config, key, raw", [
+    *((SolverConfig(), key, raw) for key, raw in (
+        ("truncation_margin_px", "nan"), ("truncation_margin_px", "-1"), ("step_tol", "nan"),
+        ("residual_change_tol", "-1e-9"), ("damping", "nan"), ("max_iterations", "-3"),
+        ("max_halvings", "-1"))),
+    *((DepurationConfig(), key, raw) for key, raw in (
+        ("vertical_slack", "nan"), ("depth_gap_max", "nan"), ("dim_tolerance", "-0.5"),
+        ("vertical_centers", ""), ("vertical_centers", "1, inf"), ("vertical_centers", "2, 1"))),
+])
+def test_coerce_out_of_range_value_names_key(config, key, raw):
+    with pytest.raises(ValueError, match=rf"^{key} must be"):
+        coerce_fields(config, {key: raw})
 
 
 def test_parse_keyvalue_line_without_equals_raises():
