@@ -6,7 +6,7 @@ reports closed-form vs refined location error quantiles per level.
 """
 
 import argparse
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -21,8 +21,8 @@ def solve_level(sigma, n_scenes, seed0):
             n_objects_min=1, n_objects_max=1, seed=seed0 + seed, box_noise_sigma=sigma
         )
         gt, dets, props = generate_scene(spec)
-        parts.append(decode_rows(dets, props.properties, gt.camera))
-        truth.extend(obj.location for obj in gt.objects)
+        parts.append(decode_rows(dets, props, astuple(gt.camera)))
+        truth.extend(gt.objects.location)
     rows, truth = DecodedRows.concatenate(parts), np.array(truth)
     init = lift_batch(rows, DEFAULT_IMAGE_SIZE, replace(DEFAULT_SOLVER_CONFIG, refine=False))
     refined = lift_batch(rows, DEFAULT_IMAGE_SIZE)

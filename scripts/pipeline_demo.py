@@ -11,19 +11,20 @@ import argparse
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 from box3d.cli import main as box3d_main
-from box3d.kitti_io import parse_properties, write_properties
-from box3d.properties import RegressedProperties, encode_local_angle
+from box3d.kitti_io import PropertyTable, parse_properties, write_properties
+from box3d.properties import encode_local_angle
 
 
 def inject_false_detection(det_path: Path, prop_path: Path):
     with det_path.open("a") as f:
         f.write("Car 520.0 60.0 640.0 130.0 0.95\n")
-    record = parse_properties(prop_path.read_text())
-    record.properties.append(
-        RegressedProperties((0.0, 0.0, 0.0), encode_local_angle(0.4), 5, (0.0, 0.0))
-    )
-    prop_path.write_text(write_properties(record))
+    table = parse_properties(prop_path.read_text())
+    # mean dimensions, viewpoint class 5, the bottom-face center on the box anchor
+    row = [0.0, 0.0, 0.0, 5, 0.0, 0.0, *encode_local_angle(0.4, table.n_bins)]
+    prop_path.write_text(write_properties(PropertyTable(np.vstack([table.data, row]))))
 
 
 def main():

@@ -15,12 +15,11 @@ from .camera import (
     yaw_rotation,
 )
 from .depuration import DepurationConfig, Verdict, depurate
+from .kitti_io import DetectionTable, LabelTable, PropertyTable
 from .metrics import aos_and_os, average_precision, dimension_error, iou_3d, match_frame, orientation_similarity
 from .properties import (
     CAR_PRIOR,
     ClassPrior,
-    MultiBinOutput,
-    RegressedProperties,
     decode_cbf,
     decode_local_angle,
     encode_local_angle,

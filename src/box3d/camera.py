@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +56,7 @@ class Dimensions:
             raise ValueError(f"dimensions must be positive, got {(self.h, self.w, self.l)}")
 
 
-@dataclass(frozen=True)
-class Box2D:
+class Box2D(NamedTuple):
     """Image-plane box [u_min, v_min, u_max, v_max]."""
 
     u_min: float
@@ -77,15 +77,16 @@ class Box2D:
         return 0.5 * (self.u_min + self.u_max)
 
 
-def box_iou_2d(a: Box2D, b: Box2D) -> float:
-    """Intersection over union of two image boxes; positive exactly when
-    they overlap by a positive extent on both axes."""
-    iw = min(a.u_max, b.u_max) - max(a.u_min, b.u_min)
-    ih = min(a.v_max, b.v_max) - max(a.v_min, b.v_min)
+def box_iou_2d(a, b) -> float:
+    """Intersection over union of two image boxes given as (u_min, v_min,
+    u_max, v_max) sequences; positive exactly when they overlap by a positive
+    extent on both axes."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
     if iw <= 0 or ih <= 0:
         return 0.0
     inter = iw * ih
-    union = a.width * a.height + b.width * b.height - inter
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
     return inter / union if union > 0 else 0.0
 
 

@@ -11,12 +11,14 @@ Subcommands:
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
-from pathlib import Path
+
+import numpy as np
 
 from . import kitti_io, solver
-from .camera import Box2D, Dimensions
+from .camera import wrap_angle
 from .depuration import DEFAULT_DEPURATION_CONFIG, depurate
 from .metrics import (
     RECALL_POINTS_11,
@@ -27,7 +29,7 @@ from .metrics import (
     match_frame,
     passes_difficulty,
 )
-from .solver import DEFAULT_SOLVER_CONFIG, DecodedRows, decode_rows
+from .solver import DEFAULT_SOLVER_CONFIG, decode_rows
 from .synthetic import SyntheticSceneSpec, generate_scene
 from .viewpoints import format_viewpoint_table
 
@@ -36,17 +38,34 @@ from .viewpoints import format_viewpoint_table
 DEPURATION_REPORT = "depuration_report.txt"
 
 
-def _frames_in(directory: Path):
-    return sorted(p.stem for p in directory.glob("*.txt") if p.name != DEPURATION_REPORT)
+def _frames_in(directory):
+    """The frames of a directory's .txt files; none when it cannot be listed."""
+    try:
+        names = os.listdir(directory)
+    except OSError:
+        return []
+    return sorted(n[:-4] for n in names if n.endswith(".txt") and n != DEPURATION_REPORT)
 
 
 def _read(directory, frame, kind):
-    """The text of a frame's file; a missing one ends the run naming it."""
-    path = Path(directory) / f"{frame}.txt"
+    """The text of a frame's file; a missing one, or one that is not UTF-8,
+    ends the run naming it."""
+    path = os.path.join(directory, frame + ".txt")
     try:
-        return path.read_text()
+        with open(path, "rb") as f:
+            raw = f.read()
     except FileNotFoundError:
         raise SystemExit(f"frame {frame}: missing {kind} file {path}") from None
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise SystemExit(f"frame {frame}: line {line}: {kind} file is not UTF-8 ({exc.reason})") from None
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
 
 
 def _image_size(text):
@@ -66,37 +85,43 @@ def _load_config(path, base):
     if path is None:
         return base
     try:
-        return kitti_io.coerce_fields(base, kitti_io.parse_keyvalue(Path(path).read_text()))
+        with open(path) as f:
+            return kitti_io.coerce_fields(base, kitti_io.parse_keyvalue(f.read()))
     except (OSError, ValueError) as exc:
         raise SystemExit(f"config {path}: {exc}") from None
 
 
 def cmd_solve(args):
-    out_dir = Path(args.out)
     config = _load_config(args.config, DEFAULT_SOLVER_CONFIG)
     if args.no_refine:
         config = replace(config, refine=False)
-    frames = _frames_in(Path(args.detections))
-    # every frame is parsed and decoded into flat columns first, so that one
-    # lift covers the whole run; no per-detection objects are kept meanwhile
-    parts, classes = [], []
+    frames = _frames_in(args.detections)
+    # every frame is parsed first, so that one decode and one lift cover the
+    # whole run and a bad file leaves nothing written
+    detections, properties, cameras = [], [], []
     for frame in frames:
         calib_text = _read(args.calib, frame, "calibration")
         detection_text = _read(args.detections, frame, "detection")
         property_text = _read(args.properties, frame, "properties")
         try:
             camera = kitti_io.parse_calib(calib_text)
-            detections = kitti_io.parse_detections(detection_text)
-            record = kitti_io.parse_properties(property_text, frame)
-            parts.append(decode_rows(detections, record.properties, camera))
+            dets = kitti_io.parse_detections(detection_text)
+            props = kitti_io.parse_properties(property_text)
+            if len(dets) != len(props):
+                raise ValueError(f"{len(dets)} detections but {len(props)} property rows")
+            if properties and props.n_bins != properties[0].n_bins:
+                raise ValueError(f"{props.n_bins} orientation bins, frame {frames[0]} has {properties[0].n_bins}")
         except ValueError as exc:
             raise SystemExit(f"frame {frame}: {exc}")
-        classes.append([d.cls for d in detections])
-    out_dir.mkdir(parents=True, exist_ok=True)
+        detections.append(dets)
+        properties.append(props)
+        cameras.append(np.broadcast_to((camera.fu, camera.fv, camera.cu, camera.cv), (len(dets), 4)))
+    os.makedirs(args.out, exist_ok=True)
     if not frames:
-        print(f"solved 0 frames -> {out_dir}")
+        print(f"solved 0 frames -> {args.out}")
         return
-    rows = DecodedRows.concatenate(parts)
+    detections = kitti_io.DetectionTable.concatenate(detections)
+    rows = decode_rows(detections, kitti_io.PropertyTable.concatenate(properties), np.concatenate(cameras))
     width, height = args.image_size
     box = rows.box
     outside = int(((box[:, :2] < 0).any(axis=1) | (box[:, 2] > width) | (box[:, 3] > height)).sum())
@@ -104,52 +129,46 @@ def cmd_solve(args):
         print(f"box3d solve: {outside} of {len(rows)} detection boxes reach past the "
               f"{width:g}x{height:g} image", file=sys.stderr)
     result = solver.lift_batch(rows, args.image_size, config)
+    zeros = np.zeros(len(rows))  # truncated, occluded
+    labels = kitti_io.LabelTable(
+        np.column_stack([zeros, zeros, rows.alpha, rows.box, rows.dims, result.location, rows.yaw, rows.score]),
+        detections.cls,
+    )
     lifted, end = result.lifted, 0
-    for frame, cls in zip(frames, classes):
-        start, end = end, end + len(cls)
-        labels = []
-        for j, i in enumerate(range(start, end)):
-            if not lifted[i]:
-                print(f"box3d solve: frame {frame} row {j}: skipped ({result.status[i]})", file=sys.stderr)
-                continue
-            labels.append(kitti_io.ObjectLabel(
-                cls=cls[j], truncated=0.0, occluded=0, alpha=float(rows.alpha[i]),
-                box2d=Box2D(*rows.box[i].tolist()), dims=Dimensions(*rows.dims[i].tolist()),
-                location=result.location[i], yaw=float(rows.yaw[i]), score=float(rows.score[i]),
-            ))
-        (out_dir / f"{frame}.txt").write_text(kitti_io.write_labels(labels))
-    print(f"solved {len(frames)} frames -> {out_dir}")
+    for frame, n in zip(frames, (len(c) for c in cameras)):
+        start, end = end, end + n
+        for j in np.flatnonzero(~lifted[start:end]).tolist():
+            print(f"box3d solve: frame {frame} row {j}: skipped ({result.status[start + j]})", file=sys.stderr)
+        _write(os.path.join(args.out, frame + ".txt"), kitti_io.write_labels(labels[start:end][lifted[start:end]]))
+    print(f"solved {len(frames)} frames -> {args.out}")
 
 
 def cmd_depurate(args):
     cfg = _load_config(args.config, DEFAULT_DEPURATION_CONFIG)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_lines = []
-    n_removed = 0
-    for frame in _frames_in(Path(args.in_dir)):
+    # every frame is parsed first, so that a bad file leaves nothing written
+    scenes = []
+    for frame in _frames_in(args.in_dir):
         calib_text = _read(args.calib, frame, "calibration")
         try:
             camera = kitti_io.parse_calib(calib_text)
-            record = kitti_io.parse_labels(_read(args.in_dir, frame, "result"), frame)
+            scenes.append((frame, camera, kitti_io.parse_labels(_read(args.in_dir, frame, "result"))))
         except ValueError as exc:
             raise SystemExit(f"frame {frame}: {exc}")
-        scene = [(o.box2d, o.box3d()) for o in record.objects]
-        verdicts = depurate(scene, camera, cfg)
-        kept = [o for o, v in zip(record.objects, verdicts) if v.kept]
-        (out_dir / f"{frame}.txt").write_text(kitti_io.write_labels(kept))
-        for i, v in enumerate(verdicts):
-            if not v.kept:
-                n_removed += 1
-                rules = ",".join(sorted(v.violated_rules))
-                report_lines.append(
-                    f"{frame} object {i} ({record.objects[i].cls}): removed, "
-                    f"{'hard rule' if v.hard_violation else 'co-determination'} [{rules}]"
-                )
-    (out_dir / DEPURATION_REPORT).write_text(
-        "\n".join(report_lines) + ("\n" if report_lines else "")
-    )
-    print(f"removed {n_removed} detections; report -> {out_dir / DEPURATION_REPORT}")
+    os.makedirs(args.out, exist_ok=True)
+    report_lines = []
+    for frame, camera, table in scenes:
+        verdicts = depurate(table, camera, cfg)
+        kept = np.array([v.kept for v in verdicts], dtype=bool)
+        _write(os.path.join(args.out, frame + ".txt"), kitti_io.write_labels(table[kept]))
+        for i in np.flatnonzero(~kept).tolist():
+            v = verdicts[i]
+            report_lines.append(
+                f"{frame} object {i} ({table.cls[i]}): removed, "
+                f"{'hard rule' if v.hard_violation else 'co-determination'} [{','.join(sorted(v.violated_rules))}]"
+            )
+    report = os.path.join(args.out, DEPURATION_REPORT)
+    _write(report, "\n".join(report_lines) + ("\n" if report_lines else ""))
+    print(f"removed {len(report_lines)} detections; report -> {report}")
 
 
 def cmd_eval(args):
@@ -158,39 +177,29 @@ def cmd_eval(args):
     n_gt = 0
     dim_err_sum = 0.0
     dim_err_count = 0
-    gt_frames = _frames_in(Path(args.gt))
-    for frame in sorted(set(_frames_in(Path(args.results))) - set(gt_frames)):
-        text = (Path(args.results) / f"{frame}.txt").read_text()
+    gt_frames, result_frames = _frames_in(args.gt), set(_frames_in(args.results))
+    for frame in sorted(result_frames - set(gt_frames)):
+        text = _read(args.results, frame, "result")
         n_det = sum(1 for line in text.splitlines() if line.strip())
         print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)",
               file=sys.stderr)
     for frame in gt_frames:
-        result_path = Path(args.results) / f"{frame}.txt"
         try:
-            gt_record = kitti_io.parse_labels(_read(args.gt, frame, "ground-truth"), frame)
-            dets = (
-                kitti_io.parse_labels(result_path.read_text(), frame).objects
-                if result_path.exists()
-                else []
-            )
+            gt = kitti_io.parse_labels(_read(args.gt, frame, "ground-truth"))
+            dets = kitti_io.parse_labels(_read(args.results, frame, "result") if frame in result_frames else "")
         except ValueError as exc:
             raise SystemExit(f"frame {frame}: {exc}")
-        gt_boxes = [
-            o.box3d() for o in gt_record.objects
-            if not o.is_dontcare
-            and passes_difficulty(o.box2d.height, o.occluded, o.truncated, args.difficulty)
-        ]
-        det_boxes = [o.box3d() for o in dets]
-        matches.extend(match_frame(
-            [(b, o.score if o.score is not None else 1.0) for b, o in zip(det_boxes, dets)],
-            gt_boxes,
-            args.iou,
-        ))
-        n_gt += len(gt_boxes)
-        if gt_boxes and det_boxes:
+        with np.errstate(all="ignore"):
+            height = gt.box[:, 3] - gt.box[:, 1]
+        gt = gt[(gt.cls != "DontCare") & passes_difficulty(height, gt.occluded, gt.truncated, args.difficulty)]
+        for labels in (gt, dets):
+            labels.yaw[:] = wrap_angle(labels.yaw)  # into [-pi, pi), as Box3D does
+        matches.extend(match_frame(dets, gt, args.iou))
+        n_gt += len(gt)
+        if len(gt) and len(dets):
             # closest-ground-truth matching is per frame
-            dim_err_sum += dimension_error(det_boxes, gt_boxes) * len(det_boxes)
-            dim_err_count += len(det_boxes)
+            dim_err_sum += dimension_error(dets, gt) * len(dets)
+            dim_err_count += len(dets)
             if not math.isfinite(dim_err_sum):
                 raise SystemExit(f"frame {frame}: the dimension error overflows a float")
 
@@ -210,24 +219,23 @@ def cmd_eval(args):
         shown = f"{value:.4f}" if isinstance(value, float) else str(value)
         print(f"{key:<{width}}  {shown}")
     if args.json:
-        Path(args.json).write_text(json.dumps(table, indent=2) + "\n")
+        _write(args.json, json.dumps(table, indent=2) + "\n")
 
 
 def cmd_synth(args):
     spec = _load_config(args.spec, SyntheticSceneSpec())
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    out = Path(args.out)
     for sub in ("calib", "detections", "properties", "gt"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.join(args.out, sub), exist_ok=True)
     for i in range(args.frames):
         frame = f"{i:06d}"
         gt, detections, props = generate_scene(replace(spec, seed=spec.seed + i), frame)
-        (out / "calib" / f"{frame}.txt").write_text(kitti_io.write_calib(gt.camera))
-        (out / "gt" / f"{frame}.txt").write_text(kitti_io.write_labels(gt.objects))
-        (out / "detections" / f"{frame}.txt").write_text(kitti_io.write_detections(detections))
-        (out / "properties" / f"{frame}.txt").write_text(kitti_io.write_properties(props))
-    print(f"wrote {args.frames} frames under {out}")
+        for sub, text in (("calib", kitti_io.write_calib(gt.camera)), ("gt", kitti_io.write_labels(gt.objects)),
+                          ("detections", kitti_io.write_detections(detections)),
+                          ("properties", kitti_io.write_properties(props))):
+            _write(os.path.join(args.out, sub, frame + ".txt"), text)
+    print(f"wrote {args.frames} frames under {args.out}")
 
 
 def cmd_viewpoint_table(args):

@@ -59,9 +59,10 @@ class Verdict:
         return not self.hard_violation and len(self.violated_rules) < 2
 
 
-def depurate(scene, camera: CameraIntrinsics,
+def depurate(table, camera: CameraIntrinsics,
              cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
-    """Verdicts for a scene of (Box2D, Box3D) pairs, by rule:
+    """Verdicts for the rows of a LabelTable (2D box, dimensions and
+    location), by rule:
 
     dims            h, w and l each within mean*(1 +- tolerance), inclusive;
     vertical        bottom-center Y within [min(centers) - slack, max(centers) + slack];
@@ -72,26 +73,28 @@ def depurate(scene, camera: CameraIntrinsics,
     adjacent_depth  2D-overlapped (IoU above the minimum) on both sides, and
                     more than depth_gap_max in depth from every such neighbor.
     """
-    n = len(scene)
-    residual = [abs(b2.height * b3.location[2] - camera.fv * b3.dims.h) for b2, b3 in scene]
+    boxes, dims, location = table.box.tolist(), table.dims.tolist(), table.location.tolist()
+    n = len(boxes)
+    height = [v_max - v_min for _, v_min, _, v_max in boxes]
+    center_u = [0.5 * (u_min + u_max) for u_min, _, u_max, _ in boxes]
+    z = [p[2] for p in location]
+    residual = [abs(height[i] * z[i] - camera.fv * dims[i][0]) for i in range(n)]
     blamed = set()
     left_gaps = [[] for _ in range(n)]
     right_gaps = [[] for _ in range(n)]
     for i in range(n):
-        b2i, b3i = scene[i]
-        zi = b3i.location[2]
+        box_i, zi, hi, ui = boxes[i], z[i], dims[i][0], center_u[i]
         for j in range(i + 1, n):
-            b2j, b3j = scene[j]
-            zj = b3j.location[2]
-            if box_iou_2d(b2i, b2j) > cfg.adjacency_iou_min:
+            zj = z[j]
+            if box_iou_2d(box_i, boxes[j]) > cfg.adjacency_iou_min:
                 gap = abs(zi - zj)
-                if b2j.center_u < b2i.center_u:
+                if center_u[j] < ui:
                     left_gaps[i].append(gap)
                     right_gaps[j].append(gap)
-                elif b2j.center_u > b2i.center_u:
+                elif center_u[j] > ui:
                     right_gaps[i].append(gap)
                     left_gaps[j].append(gap)
-            if abs(b3i.dims.h - b3j.dims.h) > cfg.height_monotonic_eps:
+            if abs(hi - dims[j][0]) > cfg.height_monotonic_eps:
                 continue
             if zi > zj:
                 far, near = i, j
@@ -99,7 +102,7 @@ def depurate(scene, camera: CameraIntrinsics,
                 far, near = j, i
             else:
                 continue
-            if scene[far][0].height >= scene[near][0].height:
+            if height[far] >= height[near]:
                 blamed.add(far if residual[far] >= residual[near] else near)
 
     lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
@@ -107,12 +110,11 @@ def depurate(scene, camera: CameraIntrinsics,
     y_lo = min(cfg.vertical_centers) - cfg.vertical_slack
     y_hi = max(cfg.vertical_centers) + cfg.vertical_slack
     verdicts = []
-    for i, (_, box3d) in enumerate(scene):
-        d = box3d.dims
+    for i in range(n):
         violated = set()
-        if not all(low <= v <= high for (low, high), v in zip(dim_bands, (d.h, d.w, d.l))):
+        if not all(low <= v <= high for (low, high), v in zip(dim_bands, dims[i])):
             violated.add(RULE_DIMS)
-        if not y_lo <= box3d.location[1] <= y_hi:
+        if not y_lo <= location[i][1] <= y_hi:
             violated.add(RULE_VERTICAL)
         if i in blamed:
             violated.add(RULE_HEIGHT_DEPTH)

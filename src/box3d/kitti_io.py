@@ -1,14 +1,17 @@
 """KITTI-style calibration / label / detection files, the regressed-property
 sidecar format, and plain key-value config files.
 
-Label rows follow the 15/16-column KITTI layout (score column optional):
+Each row file parses into one table: a float array with a row per object and
+the rows' class names (see Table).  Label rows follow the 15/16-column KITTI
+layout (score column optional):
 
     type truncated occluded alpha  u_min v_min u_max v_max  h w l  x y z  ry [score]
 
 Dimensions are stored h w l and the location is the bottom-face center in
 camera coordinates, matching the package's Box3D convention directly.  The
 observation angle alpha is stored verbatim; conversion to this package's
-local yaw lives in the properties module.
+local yaw lives in the properties module.  DontCare rows keep their -1
+placeholders.
 """
 
 import math
@@ -16,43 +19,93 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .camera import Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions
-from .properties import MultiBinOutput, RegressedProperties, default_bin_centers
+from .camera import Box2D, CameraIntrinsics, Detection2D, Dimensions
 
 
-@dataclass
-class ObjectLabel:
-    cls: str
-    truncated: float
-    occluded: int
-    alpha: float
-    box2d: Box2D
-    dims: Dimensions
-    location: np.ndarray
-    yaw: float
-    score: float | None = None
+def _column_group(cols, doc):
+    return property(lambda self: self.data[:, cols], doc=doc)
 
-    def box3d(self) -> Box3D:
-        return Box3D(self.location, self.dims, self.yaw)
+
+class Table:
+    """Rows held as one float array, ``data``, whose column groups the
+    subclasses name (views: writing to one writes to the rows), and the rows'
+    class names, ``cls``: an object array, or None where the file has none.
+
+    ``len`` is the row count; indexing with a slice, a mask or an index array
+    selects rows.
+    """
+
+    __slots__ = ("data", "cls")
+    WIDTH = None  # columns; None where the file's header sets them
+
+    def __init__(self, data, cls=None):
+        data = np.asarray(data, dtype=float)
+        self.data = data if self.WIDTH is None else data.reshape(-1, self.WIDTH)
+        self.cls = None if cls is None else np.asarray(cls, dtype=object)
+
+    @classmethod
+    def concatenate(cls, parts):
+        names = None if parts[0].cls is None else np.concatenate([p.cls for p in parts])
+        return cls(np.concatenate([p.data for p in parts]), names)
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, idx):
+        return type(self)(self.data[idx], None if self.cls is None else self.cls[idx])
+
+
+class LabelTable(Table):
+    """Label rows: the 15 numbers of the KITTI layout, a missing score as NaN."""
+
+    __slots__ = ()
+    WIDTH = 15
+
+    truncated = _column_group(0, "(N,) truncated fraction")
+    occluded = _column_group(1, "(N,) occlusion level, a whole number")
+    alpha = _column_group(2, "(N,) KITTI observation angle")
+    box = _column_group(slice(3, 7), "(N, 4) u_min, v_min, u_max, v_max")
+    dims = _column_group(slice(7, 10), "(N, 3) h, w, l meters")
+    location = _column_group(slice(10, 13), "(N, 3) bottom-face center")
+    yaw = _column_group(13, "(N,) global yaw")
+    score = _column_group(14, "(N,) detection score; NaN where the row has none")
+
+
+class DetectionTable(Table):
+    """2D detection rows."""
+
+    __slots__ = ()
+    WIDTH = 5
+
+    box = _column_group(slice(0, 4), "(N, 4) u_min, v_min, u_max, v_max")
+    score = _column_group(4, "(N,) detection score")
+
+    def __iter__(self):
+        """One Detection2D per row."""
+        for name, row in zip(self.cls, self.data.tolist()):
+            yield Detection2D(Box2D(*row[:4]), row[4], name)
+
+
+class PropertyTable(Table):
+    """Regressed-property rows, columns in the sidecar's order; no class names."""
+
+    __slots__ = ()
+
+    dim_residual = _column_group(slice(0, 3), "(N, 3) dh, dw, dl meters, added to the class mean")
+    viewpoint = _column_group(3, "(N,) viewpoint class id")
+    cbf_offset = _column_group(slice(4, 6), "(N, 2) du, dv pixels from the 2D-box anchor")
+    bins = _column_group(slice(6, None), "(N, 3B) conf, sin, cos of each orientation bin in turn")
 
     @property
-    def is_dontcare(self) -> bool:
-        return self.cls == "DontCare"
+    def n_bins(self):
+        return (self.data.shape[1] - 6) // 3
 
 
 @dataclass
 class FrameRecord:
     frame_id: str
-    objects: list
+    objects: LabelTable
     camera: CameraIntrinsics | None = None
-
-
-@dataclass
-class PropertyRecord:
-    """Per-frame regressed properties, index-aligned to the detections."""
-
-    frame_id: str
-    properties: list
 
 
 def parse_calib(text: str) -> CameraIntrinsics:
@@ -75,93 +128,69 @@ def write_calib(k: CameraIntrinsics) -> str:
     return "P2: " + " ".join(f"{v:.12e}" for v in p) + "\n"
 
 
-def _parse_label_line(parts):
+def _rows(lines, values):
+    """Class names (first tokens) and values(tokens) of the non-blank lines
+    among numbered (n, line) pairs; a row that values rejects raises
+    ValueError("line N: ...")."""
+    names, rows = [], []
+    for n, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            rows.append(values(parts))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {n}: {exc}") from exc
+        names.append(parts[0])
+    return names, rows
+
+
+def _label_values(parts):
     if len(parts) not in (15, 16):
         raise ValueError(f"label row has {len(parts)} columns, expected 15 or 16")
     vals = [float(x) for x in parts[1:]]
     if not all(map(math.isfinite, vals)):
         raise ValueError("label row has a non-finite number")
-    # DontCare rows carry -1 placeholders that Dimensions would reject
-    dims = (
-        Dimensions(vals[7], vals[8], vals[9])
-        if min(vals[7], vals[8], vals[9]) > 0
-        else Dimensions(1e-9, 1e-9, 1e-9)
-    )
-    return ObjectLabel(
-        cls=parts[0],
-        truncated=vals[0],
-        occluded=int(vals[1]),
-        alpha=vals[2],
-        box2d=Box2D(vals[3], vals[4], vals[5], vals[6]),
-        dims=dims,
-        location=np.array(vals[10:13]),
-        yaw=vals[13],
-        score=vals[14] if len(parts) == 16 else None,
-    )
+    vals[1] = float(int(vals[1]))  # the occlusion level
+    if len(vals) == 14:
+        vals.append(math.nan)
+    return vals
 
 
-def parse_labels(text: str, frame_id: str = "") -> FrameRecord:
+def parse_labels(text: str) -> LabelTable:
     """Label rows; a bad row raises ValueError("line N: ...")."""
-    objects = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if parts:
-            try:
-                objects.append(_parse_label_line(parts))
-            except (ValueError, OverflowError) as exc:  # int(inf) overflows
-                raise ValueError(f"line {n}: {exc}") from exc
-    return FrameRecord(frame_id, objects)
+    names, rows = _rows(enumerate(text.splitlines(), start=1), _label_values)
+    return LabelTable(rows, names)
 
 
-def write_labels(objects) -> str:
+_LABEL_FORMAT = "{} {:.6f} {} " + " ".join(["{:.6f}"] * 12)
+
+
+def write_labels(table: LabelTable) -> str:
     lines = []
-    for o in objects:
-        cols = [
-            o.cls,
-            f"{o.truncated:.6f}",
-            str(int(o.occluded)),
-            f"{o.alpha:.6f}",
-            f"{o.box2d.u_min:.6f}",
-            f"{o.box2d.v_min:.6f}",
-            f"{o.box2d.u_max:.6f}",
-            f"{o.box2d.v_max:.6f}",
-            f"{o.dims.h:.6f}",
-            f"{o.dims.w:.6f}",
-            f"{o.dims.l:.6f}",
-            f"{o.location[0]:.6f}",
-            f"{o.location[1]:.6f}",
-            f"{o.location[2]:.6f}",
-            f"{o.yaw:.6f}",
-        ]
-        if o.score is not None:
-            cols.append(f"{o.score:.6f}")
-        lines.append(" ".join(cols))
+    for name, row in zip(table.cls, table.data.tolist()):
+        line = _LABEL_FORMAT.format(name, row[0], int(row[1]), *row[2:14])
+        lines.append(line if math.isnan(row[14]) else f"{line} {row[14]:.6f}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_detections(text: str):
+def _detection_values(parts):
+    if len(parts) != 6:
+        raise ValueError(f"detection row has {len(parts)} columns, expected 6")
+    return [float(x) for x in parts[1:]]
+
+
+def parse_detections(text: str) -> DetectionTable:
     """2D detection rows: class u_min v_min u_max v_max score.  A bad row
     raises ValueError("line N: ...")."""
-    out = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            if len(parts) != 6:
-                raise ValueError(f"detection row has {len(parts)} columns, expected 6")
-            vals = [float(x) for x in parts[1:]]
-            out.append(Detection2D(Box2D(vals[0], vals[1], vals[2], vals[3]), vals[4], parts[0]))
-        except ValueError as exc:
-            raise ValueError(f"line {n}: {exc}") from exc
-    return out
+    names, rows = _rows(enumerate(text.splitlines(), start=1), _detection_values)
+    return DetectionTable(rows, names)
 
 
-def write_detections(detections) -> str:
+def write_detections(table: DetectionTable) -> str:
     lines = [
-        f"{d.cls} {d.box.u_min:.6f} {d.box.v_min:.6f} {d.box.u_max:.6f} "
-        f"{d.box.v_max:.6f} {d.score:.6f}"
-        for d in detections
+        f"{name} {u0:.6f} {v0:.6f} {u1:.6f} {v1:.6f} {score:.6f}"
+        for name, (u0, v0, u1, v1, score) in zip(table.cls, table.data.tolist())
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -177,58 +206,38 @@ def _property_columns(n_bins: int):
     return cols
 
 
-def write_properties(record: PropertyRecord) -> str:
-    if record.properties:
-        n_bins = len(record.properties[0].multibin.bin_centers)
-    else:
-        n_bins = 2
-    lines = ["# " + " ".join(_property_columns(n_bins))]
-    for p in record.properties:
-        m = p.multibin
-        row = [*p.dim_residual, p.viewpoint_class, *p.cbf_offset]
-        for i in range(n_bins):
-            row += [m.confidences[i], m.sin_residuals[i], m.cos_residuals[i]]
-        lines.append(" ".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row))
+def write_properties(table: PropertyTable) -> str:
+    lines = ["# " + " ".join(_property_columns(table.n_bins))]
+    for row in table.data.tolist():
+        cols = [f"{v:.9g}" for v in row]
+        cols[3] = str(int(row[3]))  # the viewpoint class
+        lines.append(" ".join(cols))
     return "\n".join(lines) + "\n"
 
 
-def parse_properties(text: str, frame_id: str = "") -> PropertyRecord:
-    """Property rows after the column header.  A bad row or header raises
-    ValueError("line N: ..."), N counting the header."""
+def _property_values(parts, width):
+    if len(parts) != width:
+        raise ValueError(f"property row has {len(parts)} columns, expected {width}")
+    vals = [float(x) for x in parts]
+    # an integer class; OverflowError for one no float holds
+    vals[3] = float(int(parts[3]))
+    return vals
+
+
+def parse_properties(text: str) -> PropertyTable:
+    """Property rows after the column header, which names at least one bin.
+    A bad row or header raises ValueError("line N: ..."), N counting the
+    header."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     n, header = lines[0] if lines else (1, "")
     if not header.lstrip().startswith("#"):
         raise ValueError(f"line {n}: property file must start with a '# <columns>' header")
     cols = header.lstrip("# ").split()
-    n_bins = sum(1 for c in cols if c.startswith("conf"))
-    expected = _property_columns(n_bins)
+    expected = _property_columns(max(1, sum(1 for c in cols if c.startswith("conf"))))
     if cols != expected:
         raise ValueError(f"line {n}: unexpected property columns {cols}, expected {expected}")
-    centers = default_bin_centers(n_bins)
-    props = []
-    for n, line in lines[1:]:
-        try:
-            props.append(_parse_property_row(line.split(), cols, n_bins, centers))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"line {n}: {exc}") from exc
-    return PropertyRecord(frame_id, props)
-
-
-def _parse_property_row(vals, cols, n_bins, centers) -> RegressedProperties:
-    if len(vals) != len(cols):
-        raise ValueError(f"property row has {len(vals)} columns, expected {len(cols)}")
-    row = dict(zip(cols, vals))
-    conf = tuple(float(row[f"conf{i}"]) for i in range(n_bins))
-    sins = tuple(float(row[f"sin{i}"]) for i in range(n_bins))
-    coss = tuple(float(row[f"cos{i}"]) for i in range(n_bins))
-    viewpoint = int(row["viewpoint"])
-    float(viewpoint)  # OverflowError for a class no float holds; decode_rows stores a float
-    return RegressedProperties(
-        dim_residual=(float(row["dh"]), float(row["dw"]), float(row["dl"])),
-        multibin=MultiBinOutput(conf, sins, coss, centers),
-        viewpoint_class=viewpoint,
-        cbf_offset=(float(row["du"]), float(row["dv"])),
-    )
+    _, rows = _rows(lines[1:], lambda parts: _property_values(parts, len(cols)))
+    return PropertyTable(np.array(rows, dtype=float).reshape(-1, len(cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,13 @@ RECALL_POINTS_40 = tuple(np.linspace(1.0 / 40.0, 1.0, 40))
 # rotated 3D IoU
 
 
-def bev_corners(b: Box3D) -> np.ndarray:
-    """Ground-plane (x, z) corners of a box, counterclockwise, shape (4, 2)."""
-    c, s = math.cos(b.yaw), math.sin(b.yaw)
-    hl, hw = 0.5 * b.dims.l, 0.5 * b.dims.w
-    corners = []
-    for ox, oz in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
-        corners.append(
-            (b.location[0] + ox * c + oz * s, b.location[2] - ox * s + oz * c)
-        )
-    return np.array(corners)
+def bev_corners(box) -> list:
+    """Ground-plane (x, z) corners, counterclockwise, of a box given as
+    (x, y, z, h, w, l, yaw)."""
+    x, _, z, _, w, l, yaw = box
+    c, s = math.cos(yaw), math.sin(yaw)
+    hl, hw = 0.5 * l, 0.5 * w
+    return [(x + ox * c + oz * s, z - ox * s + oz * c) for ox, oz in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
 
 
 def _clip_polygon(subject, cx1, cz1, cx2, cz2):
@@ -79,25 +76,29 @@ def _clipped_area(subject, clip) -> float:
     return _polygon_area(subject)
 
 
-def _iou(a: Box3D, b: Box3D, corners_a, corners_b) -> float:
+def _iou(a, b, corners_a, corners_b) -> float:
+    """IoU of two (x, y, z, h, w, l, yaw) boxes and their BEV corners."""
     # y points down: a box spans [y - h, y]
-    overlap_y = min(a.location[1], b.location[1]) - max(
-        a.location[1] - a.dims.h, b.location[1] - b.dims.h
-    )
+    overlap_y = min(a[1], b[1]) - max(a[1] - a[3], b[1] - b[3])
     if overlap_y <= 0:
         return 0.0
     inter = _clipped_area(corners_a, corners_b) * overlap_y
     if inter <= 0:
         return 0.0
-    vol_a = a.dims.h * a.dims.w * a.dims.l
-    vol_b = b.dims.h * b.dims.w * b.dims.l
+    vol_a = a[3] * a[4] * a[5]
+    vol_b = b[3] * b[4] * b[5]
     return inter / (vol_a + vol_b - inter)
+
+
+def _box_row(b: Box3D):
+    return (*b.location.tolist(), b.dims.h, b.dims.w, b.dims.l, b.yaw)
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume IoU of two yaw-rotated boxes: BEV polygon intersection times
     vertical overlap, over the union volume."""
-    return _iou(a, b, bev_corners(a).tolist(), bev_corners(b).tolist())
+    a, b = _box_row(a), _box_row(b)
+    return _iou(a, b, bev_corners(a), bev_corners(b))
 
 
 # Added to each ground-plane bounding-circle radius (metres), so that a culled
@@ -105,29 +106,24 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 CULL_PAD = 1e-6
 
 
-def _box_arrays(boxes):
-    """(N, 3) locations and (N, 3) h, w, l of a list of boxes."""
-    loc = np.array([b.location for b in boxes], dtype=float).reshape(-1, 3)
-    hwl = np.array([(b.dims.h, b.dims.w, b.dims.l) for b in boxes], dtype=float).reshape(-1, 3)
-    return loc, hwl
-
-
 def may_intersect(boxes_a, boxes_b) -> np.ndarray:
-    """(A, B) mask of the pairs whose volumes may intersect: a positive
-    vertical overlap, computed as iou_3d does, and overlapping ground-plane
-    bounding circles of radius hypot(l, w) / 2 + CULL_PAD.  iou_3d is exactly
-    0.0 for every pair outside the mask; a non-finite coordinate never
+    """(A, B) mask of the pairs of two tables' rows (location, dims) whose
+    volumes may intersect: positive dimensions, a positive vertical overlap,
+    computed as iou_3d does, and overlapping ground-plane bounding circles of
+    radius hypot(l, w) / 2 + CULL_PAD.  iou_3d is exactly 0.0 for every pair
+    of positive-sized boxes outside the mask; a non-finite number never
     excludes a pair."""
-    loc_a, hwl_a = _box_arrays(boxes_a)
-    loc_b, hwl_b = _box_arrays(boxes_b)
-    ya, yb = loc_a[:, 1, None], loc_b[None, :, 1]
-    overlap_y = np.minimum(ya, yb) - np.maximum(ya - hwl_a[:, 0, None], yb - hwl_b[None, :, 0])
-    reach = (0.5 * np.hypot(hwl_a[:, 2], hwl_a[:, 1]) + CULL_PAD)[:, None] + (
-        0.5 * np.hypot(hwl_b[:, 2], hwl_b[:, 1]) + CULL_PAD
-    )[None, :]
-    dx = loc_a[:, 0, None] - loc_b[None, :, 0]
-    dz = loc_a[:, 2, None] - loc_b[None, :, 2]
-    return ~((overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
+    loc_a, hwl_a, loc_b, hwl_b = boxes_a.location, boxes_a.dims, boxes_b.location, boxes_b.dims
+    with np.errstate(all="ignore"):
+        ya, yb = loc_a[:, 1, None], loc_b[None, :, 1]
+        overlap_y = np.minimum(ya, yb) - np.maximum(ya - hwl_a[:, 0, None], yb - hwl_b[None, :, 0])
+        reach = (0.5 * np.hypot(hwl_a[:, 2], hwl_a[:, 1]) + CULL_PAD)[:, None] + (
+            0.5 * np.hypot(hwl_b[:, 2], hwl_b[:, 1]) + CULL_PAD
+        )[None, :]
+        dx = loc_a[:, 0, None] - loc_b[None, :, 0]
+        dz = loc_a[:, 2, None] - loc_b[None, :, 2]
+        flat = (hwl_a <= 0).any(axis=1)[:, None] | (hwl_b <= 0).any(axis=1)[None, :]
+        return ~(flat | (overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
 
 
 def orientation_similarity(theta_det: float, theta_gt: float) -> float:
@@ -149,40 +145,45 @@ class MatchedDetection:
     iou3d: float
 
 
-def match_frame(detections, ground_truths, iou_threshold: float):
-    """Greedy match of one frame.
+def _boxes(table):
+    """A table's rows as (x, y, z, h, w, l, yaw) lists."""
+    return np.column_stack([table.location, table.dims, table.yaw]).tolist()
 
-    detections: iterable of (Box3D, score); ground_truths: iterable of Box3D.
+
+def match_frame(detections, ground_truths, iou_threshold: float):
+    """Greedy match of one frame's detections against its ground truths, two
+    LabelTables (location, dims, yaw; a detection without a score counts
+    1.0).
+
     In descending score (ties keep their input order), each detection takes
     the first unused ground truth of largest positive 3D IoU, and is a true
     positive if that IoU clears the threshold.  Returns a list of
     MatchedDetection (every detection appears, matched or not) to be pooled
     across frames.
     """
-    boxes = [box for box, _ in detections]
+    det, gt = _boxes(detections), _boxes(ground_truths)
+    scores = np.where(np.isnan(detections.score), 1.0, detections.score).tolist()
     # column 0 stands for "no ground truth": argmax lands there when no unused
     # ground truth has a positive IoU.  Column j + 1 is ground truth j.
-    iou = np.zeros((len(boxes), len(ground_truths) + 1))
-    rows, cols = (idx.tolist() for idx in np.nonzero(may_intersect(boxes, ground_truths)))
-    corners_d = {i: bev_corners(boxes[i]).tolist() for i in set(rows)}
-    corners_g = {j: bev_corners(ground_truths[j]).tolist() for j in set(cols)}
+    iou = np.zeros((len(det), len(gt) + 1))
+    rows, cols = (idx.tolist() for idx in np.nonzero(may_intersect(detections, ground_truths)))
+    corners_d = {i: bev_corners(det[i]) for i in set(rows)}
+    corners_g = {j: bev_corners(gt[j]) for j in set(cols)}
     for i, j in zip(rows, cols):
-        value = _iou(boxes[i], ground_truths[j], corners_d[i], corners_g[j])
+        value = _iou(det[i], gt[j], corners_d[i], corners_g[j])
         if value > 0:  # a NaN IoU never matches
             iou[i, j + 1] = value
-    order = sorted(range(len(detections)), key=lambda i: -detections[i][1])
     out = []
-    for i in order:
-        box, score = detections[i]
+    for i in sorted(range(len(det)), key=lambda i: -scores[i]):
         j = int(iou[i].argmax())
         best_iou = float(iou[i, j])
         if j > 0 and best_iou >= iou_threshold:
             iou[:, j] = 0.0  # each ground truth is consumed once
             out.append(MatchedDetection(
-                score, True, orientation_similarity(box.yaw, ground_truths[j - 1].yaw), best_iou
+                scores[i], True, orientation_similarity(det[i][6], gt[j - 1][6]), best_iou
             ))
         else:
-            out.append(MatchedDetection(score, False, 0.0, best_iou))
+            out.append(MatchedDetection(scores[i], False, 0.0, best_iou))
     return out
 
 
@@ -231,19 +232,18 @@ def aos_and_os(matches, n_gt: int, recall_points=RECALL_POINTS_11):
 
 
 def dimension_error(detections, ground_truths) -> float:
-    """Mean Euclidean (w, h, l) error of each detection against the ground
-    truth closest by 3D center distance (ties go to the first)."""
-    if not ground_truths:
+    """Mean Euclidean (h, w, l) error of each detection against the ground
+    truth closest by 3D center distance (ties go to the first); two tables
+    with location and dims."""
+    if not len(ground_truths):
         raise ValueError("no ground truth to match against")
-    if not detections:
+    if not len(detections):
         return 0.0
-    # one row per box: x, y, z, w, h, l
-    det = np.array([[*d.location.tolist(), d.dims.w, d.dims.h, d.dims.l] for d in detections])
-    gt = np.array([[*g.location.tolist(), g.dims.w, g.dims.h, g.dims.l] for g in ground_truths])
-    diff = det[:, None, :3] - gt[None, :, :3]
-    closest = (diff * diff).sum(axis=2).argmin(axis=1)  # D x G squared center distances
-    err = det[:, 3:] - gt[closest, 3:]
-    return float(np.sqrt((err * err).sum(axis=1)).sum()) / len(detections)
+    with np.errstate(all="ignore"):
+        diff = detections.location[:, None, :] - ground_truths.location[None, :, :]
+        closest = (diff * diff).sum(axis=2).argmin(axis=1)  # D x G squared center distances
+        err = detections.dims - ground_truths.dims[closest]
+        return float(np.sqrt((err * err).sum(axis=1)).sum()) / len(detections)
 
 
 # KITTI-style difficulty gates on (2D box height px, occlusion, truncation)
@@ -254,8 +254,9 @@ DIFFICULTY_THRESHOLDS = {
 }
 
 
-def passes_difficulty(box_height_px: float, occluded: int, truncated: float, level: str) -> bool:
+def passes_difficulty(box_height_px, occluded, truncated, level: str):
+    """Whether each object passes the level's gates; arrays or numbers."""
     if level == "all":
-        return True
+        return np.full(np.shape(box_height_px), True)
     min_h, max_occ, max_trunc = DIFFICULTY_THRESHOLDS[level]
-    return box_height_px >= min_h and occluded <= max_occ and truncated <= max_trunc
+    return (box_height_px >= min_h) & (occluded <= max_occ) & (truncated <= max_trunc)

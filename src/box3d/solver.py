@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Dimensions, ray_angle, vertex_offsets
+from .camera import Dimensions, vertex_offsets
+from .kitti_io import DetectionTable, PropertyTable, Table, _column_group
 from .properties import (
     CAR_PRIOR,
     alpha_from_local,
@@ -62,11 +63,7 @@ STATUSES = ("ok", "truncated_init_only", "refine_failed", "degenerate_input", "n
 _OK, _TRUNCATED, _REFINE_FAILED, _DEGENERATE, _NON_FINITE = range(len(STATUSES))
 
 
-def _column_group(cols, doc):
-    return property(lambda self: self.data[:, cols], doc=doc)
-
-
-class DecodedRows:
+class DecodedRows(Table):
     """Decoded detections, the input of lift_batch: one row each, held as a
     single (N, 17) float array whose column groups the properties below name
     (views: writing to one writes to the rows).
@@ -75,21 +72,8 @@ class DecodedRows:
     writing result rows.  Indexing with a slice or an index array selects rows.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ()
     WIDTH = 17
-
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=float).reshape(-1, self.WIDTH)
-
-    @classmethod
-    def concatenate(cls, parts):
-        return cls(np.concatenate([p.data for p in parts]))
-
-    def __len__(self):
-        return len(self.data)
-
-    def __getitem__(self, idx):
-        return DecodedRows(self.data[idx])
 
     box = _column_group(slice(0, 4), "(N, 4) u_min, v_min, u_max, v_max")
     dims = _column_group(slice(4, 7), "(N, 3) h, w, l meters")
@@ -101,26 +85,32 @@ class DecodedRows:
     score = _column_group(16, "(N,) detection score")
 
 
-def decode_rows(detections, properties, camera: CameraIntrinsics) -> DecodedRows:
-    """Decode one frame's car detections and index-aligned regressed properties.
+def decode_rows(detections: DetectionTable, properties: PropertyTable, cameras) -> DecodedRows:
+    """Decode car detections and their index-aligned regressed properties,
+    seen by the cameras of the rows: their fu, fv, cu, cv, (N, 4) or one
+    (4,) for every row (``dataclasses.astuple`` of a CameraIntrinsics).
 
     Nothing is validated: a malformed row decodes to whatever its numbers
     give, and lift_batch reports it.
     """
     if len(detections) != len(properties):
         raise ValueError(f"{len(detections)} detections but {len(properties)} property rows")
-    intrinsics = (camera.fu, camera.fv, camera.cu, camera.cv)
-    data = []
-    for det, prop in zip(detections, properties):
-        b = det.box
-        cbf = decode_cbf(prop.cbf_offset, b)
-        theta_l = decode_local_angle(prop.multibin)
-        data.append((
-            b.u_min, b.v_min, b.u_max, b.v_max, *dimension_values(prop.dim_residual, CAR_PRIOR),
-            global_from_local(theta_l, ray_angle(camera, cbf[0])), alpha_from_local(theta_l),
-            prop.viewpoint_class, *cbf, *intrinsics, det.score,
-        ))
-    return DecodedRows(data)
+    rows = DecodedRows(np.empty((len(detections), DecodedRows.WIDTH)))
+    with np.errstate(all="ignore"):
+        rows.camera[:] = cameras
+        fu, cu = rows.camera[:, 0], rows.camera[:, 2]
+        cbf = decode_cbf(properties.cbf_offset, detections.box)
+        theta_l = decode_local_angle(properties.bins)
+        # ray_angle, row by row with each row's camera
+        theta_ray = np.array([math.atan2(f, du) for f, du in zip(fu.tolist(), (cbf[:, 0] - cu).tolist())])
+        rows.box[:] = detections.box
+        rows.dims[:] = dimension_values(properties.dim_residual, CAR_PRIOR)
+        rows.yaw[:] = global_from_local(theta_l, theta_ray)
+        rows.alpha[:] = alpha_from_local(theta_l)
+        rows.viewpoint[:] = properties.viewpoint
+        rows.cbf[:] = cbf
+        rows.score[:] = detections.score
+    return rows
 
 
 @dataclass

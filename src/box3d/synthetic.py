@@ -13,19 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import (
-    Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions, box_iou_2d, box_vertices, project_point,
-)
-from .kitti_io import FrameRecord, ObjectLabel, PropertyRecord
-from .properties import (
-    CAR_PRIOR,
-    RegressedProperties,
-    alpha_from_local,
-    default_bin_centers,
-    encode_cbf,
-    encode_local_angle,
-    local_from_global,
-)
+from .camera import Box2D, Box3D, CameraIntrinsics, Dimensions, box_iou_2d, box_vertices, project_point
+from .kitti_io import DetectionTable, FrameRecord, LabelTable, PropertyTable
+from .properties import CAR_PRIOR, alpha_from_local, encode_cbf, encode_local_angle, local_from_global
 from .viewpoints import away_from_viewpoint_boundaries, classify_viewpoint
 
 # KITTI-like default camera
@@ -144,17 +134,17 @@ def _acceptable(b: Box3D, spec: SyntheticSceneSpec, placed) -> bool:
 
 
 def generate_scene(spec: SyntheticSceneSpec, frame_id: str = "000000"):
-    """One synthetic frame: (ground-truth FrameRecord, detections, properties).
+    """One synthetic frame: (ground-truth FrameRecord, DetectionTable,
+    PropertyTable).
 
     The ground-truth labels carry the exact (clipped) 2D boxes; the returned
-    detections and property record carry the configured noise.
+    detections and properties carry the configured noise.
     """
     rng = np.random.default_rng(spec.seed)
     k = spec.camera
-    centers = default_bin_centers(spec.n_bins)
 
     n = int(rng.integers(spec.n_objects_min, spec.n_objects_max + 1))
-    gt_objects, detections, props = [], [], []
+    gt_rows, detections, props = [], [], []
     placed = []
     for _ in range(n):
         for _attempt in range(10_000):
@@ -171,13 +161,9 @@ def generate_scene(spec: SyntheticSceneSpec, frame_id: str = "000000"):
         theta_l = local_from_global(b.yaw, theta_ray)
         viewpoint = classify_viewpoint(b, k)
 
-        gt_objects.append(
-            ObjectLabel(
-                cls=CAR_PRIOR.name, truncated=0.0, occluded=0,
-                alpha=alpha_from_local(theta_l), box2d=box, dims=b.dims,
-                location=b.location.copy(), yaw=b.yaw,
-            )
-        )
+        # untruncated, unoccluded, no score
+        gt_rows.append([0.0, 0.0, alpha_from_local(theta_l), *box, b.dims.h, b.dims.w, b.dims.l,
+                        *b.location, b.yaw, math.nan])
 
         noisy_box = box
         if spec.box_noise_sigma > 0:
@@ -194,19 +180,14 @@ def generate_scene(spec: SyntheticSceneSpec, frame_id: str = "000000"):
         if spec.angle_noise_sigma > 0:
             noisy_theta_l = theta_l + rng.normal(0.0, spec.angle_noise_sigma)
 
-        detections.append(Detection2D(noisy_box, float(rng.uniform(0.5, 1.0)), CAR_PRIOR.name))
+        detections.append([*noisy_box, float(rng.uniform(0.5, 1.0))])
         prior = CAR_PRIOR.mean_dims
-        props.append(
-            RegressedProperties(
-                dim_residual=(b.dims.h - prior.h, b.dims.w - prior.w, b.dims.l - prior.l),
-                multibin=encode_local_angle(noisy_theta_l, centers),
-                viewpoint_class=viewpoint,
-                cbf_offset=encode_cbf(noisy_cbf, noisy_box),
-            )
-        )
+        props.append([b.dims.h - prior.h, b.dims.w - prior.w, b.dims.l - prior.l, viewpoint,
+                      *encode_cbf(noisy_cbf, noisy_box), *encode_local_angle(noisy_theta_l, spec.n_bins)])
 
+    names = [CAR_PRIOR.name] * n
     return (
-        FrameRecord(frame_id, gt_objects, camera=k),
-        detections,
-        PropertyRecord(frame_id, props),
+        FrameRecord(frame_id, LabelTable(gt_rows, names), camera=k),
+        DetectionTable(detections, names),
+        PropertyTable(props),
     )

@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they go.
 
 import math
 import time
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from box3d.camera import Box3D, CameraIntrinsics, Dimensions, box_vertices, wrap_angle
 from box3d.depuration import DEFAULT_DEPURATION_CONFIG, RULE_DIMS, depurate
 from box3d.kitti_io import (
+    LabelTable,
     parse_calib,
     parse_detections,
     parse_labels,
@@ -26,7 +28,6 @@ from box3d.metrics import MatchedDetection, aos_and_os, average_precision, dimen
 from box3d.properties import (
     CAR_PRIOR,
     decode_local_angle,
-    default_bin_centers,
     encode_local_angle,
     global_from_local,
     local_from_global,
@@ -56,8 +57,8 @@ def _decoded_scenes(seeds, **spec_kwargs):
     for seed in seeds:
         spec = SyntheticSceneSpec(n_objects_min=1, n_objects_max=1, seed=seed, **spec_kwargs)
         gt, dets, props = generate_scene(spec)
-        truth.extend(obj.location for obj in gt.objects)
-        parts.append(decode_rows(dets, props.properties, gt.camera))
+        truth.extend(gt.objects.location)
+        parts.append(decode_rows(dets, props, astuple(gt.camera)))
     return np.array(truth), DecodedRows.concatenate(parts)
 
 
@@ -231,8 +232,9 @@ def test_criterion_6_metric_oracles():
         s, _ = aos_and_os(fixture, n_gt)
         ok = ok and s <= a + 1e-12
 
-    det = [Box3D(np.array([0.0, 0.0, 10.0]), Dimensions(1.4, 1.3, 1.0), 0.0)]
-    gt = [Box3D(np.array([0.0, 0.0, 10.0]), Dimensions(1.0, 1.0, 1.0), 0.0)]
+    # no 2D box; h w l; bottom-face center; yaw; no score
+    det = LabelTable([0.0] * 7 + [1.4, 1.3, 1.0, 0.0, 0.0, 10.0, 0.0, math.nan], ["Car"])
+    gt = LabelTable([0.0] * 7 + [1.0, 1.0, 1.0, 0.0, 0.0, 10.0, 0.0, math.nan], ["Car"])
     e_d = dimension_error(det, gt)
     ok = ok and abs(e_d - 0.5) < 1e-12
     _report(
@@ -240,6 +242,13 @@ def test_criterion_6_metric_oracles():
         f"AP {ap:.6f} (=42/55), AOS {aos:.6f} (=53/165), OS check, "
         f"AOS<=AP on 100 random fixtures, E_d {e_d} (=0.5)",
     )
+
+
+def _with_box(table, box3d, k):
+    """The label rows plus one more: box3d and its 2D box seen by camera k."""
+    row = [0.0, 0.0, 0.0, *exact_box2d(box3d, k), box3d.dims.h, box3d.dims.w, box3d.dims.l,
+           *box3d.location, box3d.yaw, math.nan]
+    return LabelTable.concatenate([table, LabelTable(row, ["Car"])])
 
 
 def test_criterion_7_depuration():
@@ -251,9 +260,8 @@ def test_criterion_7_depuration():
         gt, _, _ = generate_scene(
             SyntheticSceneSpec(n_objects_min=2, n_objects_max=4, seed=seed, dims_sigma=0.05)
         )
-        scene = [(o.box2d, o.box3d()) for o in gt.objects]
         sky = Box3D(np.array([float(seed % 7) - 3.0, -3.0, 25.0]), CAR_PRIOR.mean_dims, 0.3)
-        scene.append((exact_box2d(sky, k), sky))
+        scene = _with_box(gt.objects, sky, k)
         verdicts = depurate(scene, k)
         if not verdicts[-1].kept and verdicts[-1].hard_violation:
             removed += 1
@@ -267,14 +275,12 @@ def test_criterion_7_depuration():
             SyntheticSceneSpec(n_objects_min=2, n_objects_max=4, seed=seed + 300,
                                dims_sigma=0.05, overlap_free=True)
         )
-        scene = [(o.box2d, o.box3d()) for o in gt.objects]
-        false_removals += sum(not v.kept for v in depurate(scene, k))
+        false_removals += sum(not v.kept for v in depurate(gt.objects, k))
 
     # a single soft violation is kept (co-determination)
     gt, _, _ = generate_scene(SyntheticSceneSpec(n_objects_min=2, n_objects_max=2, seed=1))
-    scene = [(o.box2d, o.box3d()) for o in gt.objects]
     odd = Box3D(np.array([6.0, 1.65, 30.0]), Dimensions(0.4, 0.4, 1.2), 0.2)
-    scene.append((exact_box2d(odd, k), odd))
+    scene = _with_box(gt.objects, odd, k)
     verdicts = depurate(scene, k)
     single_soft_kept = verdicts[-1].kept and verdicts[-1].violated_rules == frozenset({RULE_DIMS})
 
@@ -291,10 +297,9 @@ def test_criterion_8_round_trips():
     # discrete-bin angle encode/decode, every bin count
     worst_angle = 0.0
     for n_bins in (1, 2, 4, 8):
-        centers = default_bin_centers(n_bins)
-        for theta in rng.uniform(-math.pi, math.pi, 250):
-            decoded = decode_local_angle(encode_local_angle(theta, centers))
-            worst_angle = max(worst_angle, abs(wrap_angle(decoded - theta)))
+        thetas = rng.uniform(-math.pi, math.pi, 250)
+        decoded = decode_local_angle([encode_local_angle(theta, n_bins) for theta in thetas])
+        worst_angle = max(worst_angle, float(np.abs(wrap_angle(decoded - thetas)).max()))
 
     # local <-> global identity
     worst_global = 0.0
@@ -314,7 +319,7 @@ def test_criterion_8_round_trips():
     det_text = write_detections(dets)
     props_text = write_properties(props)
     files_ok = (
-        write_labels(parse_labels(labels_text).objects) == labels_text
+        write_labels(parse_labels(labels_text)) == labels_text
         and write_calib(parse_calib(calib_text)) == calib_text
         and write_detections(parse_detections(det_text)) == det_text
         and write_properties(parse_properties(props_text)) == props_text

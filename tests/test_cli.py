@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 
 from box3d.cli import main
 from box3d.kitti_io import parse_labels
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -57,8 +62,8 @@ def test_solve_no_refine_uses_closed_form_only(pipeline_dirs, tmp_path):
             "--out", str(out), *flag,
         ]) == 0
     frame = sorted(refined.glob("*.txt"))[0].name
-    a = parse_labels((refined / frame).read_text()).objects
-    b = parse_labels((closed / frame).read_text()).objects
+    a = parse_labels((refined / frame).read_text())
+    b = parse_labels((closed / frame).read_text())
     # same objects, but the locations differ in general (closed form is the
     # approximation stage)
     assert len(a) == len(b)
@@ -95,7 +100,7 @@ def test_solve_skips_malformed_truncated_detections(tmp_path, capsys):
     skipped = {(frame, int(row)) for _, frame, _, row in _skipped_rows(capsys.readouterr().err)}
     assert skipped == malformed
     assert len(list(results.glob("*.txt"))) == 20
-    written = sum(len(parse_labels(p.read_text()).objects) for p in results.glob("*.txt"))
+    written = sum(len(parse_labels(p.read_text())) for p in results.glob("*.txt"))
     assert written == n_rows - len(malformed)
 
 
@@ -112,7 +117,7 @@ def test_solve_skips_non_finite_property_row(pipeline_dirs, tmp_path, capsys):
     assert _skipped_rows(capsys.readouterr().err) == [["frame", "000001", "row", "0"]]
     text = (results / "000001.txt").read_text()
     assert "nan" not in text
-    assert len(parse_labels(text).objects) == n_rows - 1
+    assert len(parse_labels(text)) == n_rows - 1
 
 
 @pytest.mark.parametrize("token", ["nan", "1e400", "-inf"])
@@ -129,7 +134,7 @@ def test_solve_skips_non_finite_detection_row(pipeline_dirs, tmp_path, capsys, t
     assert _skipped_rows(err) == [["frame", "000003", "row", "0"]]
     assert "(non_finite)" in err
     text = (results / "000003.txt").read_text()
-    assert len(parse_labels(text).objects) == len(lines) - 1
+    assert len(parse_labels(text)) == len(lines) - 1
 
 
 def test_solve_malformed_file_exits_with_frame_and_line(pipeline_dirs, tmp_path):
@@ -156,6 +161,19 @@ def test_depurate_and_eval_malformed_result_exit_with_frame_and_line(pipeline_di
         main(["eval", "--results", str(results), "--gt", str(pipeline_dirs / "gt")])
 
 
+def test_depurate_malformed_result_exits_before_writing(tmp_path):
+    data, results, kept = tmp_path / "data", tmp_path / "results", tmp_path / "kept"
+    assert main(["synth", "--out", str(data), "--frames", "3", "--seed", "11"]) == 0
+    assert _solve(data, results) == 0
+    path = results / "000002.txt"
+    n_line = len(path.read_text().splitlines()) + 1
+    with path.open("a") as f:
+        f.write("Car 1 2\n")
+    with pytest.raises(SystemExit, match=rf"^frame 000002: line {n_line}: label row has 3 columns"):
+        main(["depurate", "--in", str(results), "--calib", str(data / "calib"), "--out", str(kept)])
+    assert not kept.exists()
+
+
 def test_solve_missing_properties_file_exits_before_writing(tmp_path):
     data = tmp_path / "data"
     assert main(["synth", "--out", str(data), "--frames", "3", "--seed", "11"]) == 0
@@ -172,7 +190,7 @@ def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path
     assert _solve(pipeline_dirs, results) == 0
     assert main(["depurate", "--in", str(results), "--calib", str(pipeline_dirs / "calib"),
                  "--out", str(kept)]) == 0
-    n_det = len(parse_labels((kept / "000001.txt").read_text()).objects)
+    n_det = len(parse_labels((kept / "000001.txt").read_text()))
     (pipeline_dirs / "gt" / "000001.txt").unlink()
     capsys.readouterr()
     json_path = tmp_path / "metrics.json"
@@ -183,7 +201,7 @@ def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path
         f"box3d eval: frame 000001: not scored ({n_det} detections, no ground-truth file)"
     ]
     assert json.loads(json_path.read_text())["n_det"] == sum(
-        len(parse_labels((kept / f"{i:06d}.txt").read_text()).objects) for i in (0, 2, 3)
+        len(parse_labels((kept / f"{i:06d}.txt").read_text())) for i in (0, 2, 3)
     )
 
 
@@ -210,8 +228,8 @@ def test_depurate_cli(pipeline_dirs, tmp_path):
         "--out", str(kept),
     ]) == 0
     assert (kept / "depuration_report.txt").exists()
-    n_in = sum(len(parse_labels(p.read_text()).objects) for p in results.glob("*.txt"))
-    n_out = sum(len(parse_labels(p.read_text()).objects) for p in kept.glob("*.txt"))
+    n_in = sum(len(parse_labels(p.read_text())) for p in results.glob("*.txt"))
+    n_out = sum(len(parse_labels(p.read_text())) for p in kept.glob("*.txt"))
     assert n_out == n_in  # exact scenes lose nothing
 
 
@@ -254,7 +272,7 @@ def test_solve_skips_row_with_unknown_viewpoint_class(pipeline_dirs, tmp_path, c
     assert _skipped_rows(err) == [["frame", "000001", "row", "1"]]
     assert "(degenerate_input)" in err
     assert len(list(results.glob("*.txt"))) == 4
-    assert len(parse_labels((results / "000001.txt").read_text()).objects) == n_rows - 1
+    assert len(parse_labels((results / "000001.txt").read_text())) == n_rows - 1
 
 
 def test_eval_non_finite_ground_truth_exits_with_frame_and_line(pipeline_dirs, tmp_path):
@@ -277,6 +295,27 @@ def test_eval_exits_when_the_dimension_error_overflows(pipeline_dirs, tmp_path):
     path.write_text(" ".join(cols) + "\n")
     with pytest.raises(SystemExit, match=r"^frame 000002: the dimension error overflows a float$"):
         main(["eval", "--results", str(results), "--gt", str(pipeline_dirs / "gt")])
+
+
+def test_eval_overflowing_dimension_error_prints_no_numpy_warning(pipeline_dirs, tmp_path):
+    results = tmp_path / "results"
+    assert _solve(pipeline_dirs, results) == 0
+    # h = 1e200 on the ground truth closest to the frame's first detection
+    path = pipeline_dirs / "gt" / "000002.txt"
+    gt = parse_labels(path.read_text())
+    first = parse_labels((results / "000002.txt").read_text()).location[0]
+    closest = int(np.linalg.norm(gt.location - first, axis=1).argmin())
+    lines = path.read_text().splitlines()
+    cols = lines[closest].split()
+    cols[8] = "1e200"
+    lines[closest] = " ".join(cols)
+    path.write_text("\n".join(lines) + "\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "box3d.cli", "eval", "--results", str(results), "--gt", str(pipeline_dirs / "gt")],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120,
+    )
+    assert "Warning" not in out.stderr
+    assert (out.returncode, out.stderr) == (1, "frame 000002: the dimension error overflows a float\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -342,7 +381,7 @@ def test_solve_counts_boxes_past_the_image(pipeline_dirs, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# one token of one input file replaced: a clean exit or one named line
+# one token or one byte of one file replaced: a clean exit or one named line
 
 
 _SOLVER_CFG = "max_iterations = 100\nstep_tol = 1e-6\ndamping = 1e-9\ntruncation_margin_px = 10\n"
@@ -354,6 +393,10 @@ _replacement = st.one_of(
     st.floats().map(repr),
     st.text(max_size=3),
 )
+_byte = st.one_of(st.sampled_from(b" \n\t0123456789.-+eExn#=,"), st.integers(0, 255))
+
+# the mutated file: an input, a config file, or a result file of `box3d solve`
+RESULTS = "results"
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +406,18 @@ def synth_inputs(tmp_path_factory):
     assert main(["synth", "--out", str(out), "--frames", "3", "--seed", "5"]) == 0
     files = {str(p.relative_to(out)): p.read_text() for p in sorted(out.rglob("*.txt"))}
     return {**files, "solver.cfg": _SOLVER_CFG, "depuration.cfg": _DEPURATION_CFG}
+
+
+def _mutated(text, data):
+    """text with one of its tokens, or one of its bytes, replaced."""
+    if data.draw(st.booleans()):
+        raw = bytearray(text.encode())
+        raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(_byte)
+        return bytes(raw)
+    tokens = re.split(r"(\s+)", text)
+    words = [i for i, t in enumerate(tokens) if t and not t.isspace()]
+    tokens[data.draw(st.sampled_from(words))] = data.draw(_replacement)
+    return "".join(tokens).encode()
 
 
 def _exit_line(argv):
@@ -385,24 +440,25 @@ def _assert_finite_numbers(directory):
             assert all(math.isfinite(float(v)) for v in line.split()[1:]), (path, line)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(data=st.data())
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_survives_one_replaced_token(synth_inputs, data):
-    name = data.draw(st.sampled_from(sorted(synth_inputs)))
-    tokens = re.split(r"(\s+)", synth_inputs[name])
-    words = [i for i, t in enumerate(tokens) if t and not t.isspace()]
-    tokens[data.draw(st.sampled_from(words))] = data.draw(_replacement)
+    name = data.draw(st.sampled_from([*sorted(synth_inputs), RESULTS]))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for rel, text in synth_inputs.items():
             (root / rel).parent.mkdir(parents=True, exist_ok=True)
-            (root / rel).write_text("".join(tokens) if rel == name else text)
+            (root / rel).write_bytes(_mutated(text, data) if rel == name else text.encode())
         results, kept, table = root / "results", root / "kept", root / "table.json"
         if _exit_line(["solve", "--calib", str(root / "calib"), "--detections", str(root / "detections"),
                        "--properties", str(root / "properties"), "--out", str(results),
                        "--config", str(root / "solver.cfg")]) is not None:
             return
         _assert_finite_numbers(results)
+        if name == RESULTS:
+            path = results / data.draw(st.sampled_from(sorted(p.name for p in results.glob("*.txt"))))
+            path.write_bytes(_mutated(path.read_text(), data))
         if _exit_line(["depurate", "--in", str(results), "--calib", str(root / "calib"),
                        "--out", str(kept), "--config", str(root / "depuration.cfg")]) is None:
             _assert_finite_numbers(kept)

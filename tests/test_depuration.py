@@ -15,6 +15,7 @@ from box3d.depuration import (
     RULE_VERTICAL,
     depurate,
 )
+from box3d.kitti_io import LabelTable
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
 
 K = CameraIntrinsics(721.5377, 721.5377, 609.5593, 172.854)
@@ -26,15 +27,29 @@ def _ground_object(x, z, yaw=0.2, dims=CAR, y=1.65):
     return (exact_box2d(b, K), b)
 
 
+def _table(scene):
+    """The label rows of a scene of (Box2D, Box3D) pairs."""
+    return LabelTable(
+        [[0.0, 0.0, 0.0, *b2, b3.dims.h, b3.dims.w, b3.dims.l, *b3.location, b3.yaw, math.nan] for b2, b3 in scene],
+        ["Car"] * len(scene),
+    )
+
+
+def _pairs(table):
+    """(Box2D, Box3D) of each label row."""
+    return [(Box2D(*box), Box3D(location, Dimensions(*dims), yaw))
+            for box, dims, location, yaw in zip(table.box.tolist(), table.dims.tolist(), table.location, table.yaw)]
+
+
 def _synthetic_scene(seed, n=4):
     gt, _, _ = generate_scene(
         SyntheticSceneSpec(n_objects_min=n, n_objects_max=n, seed=seed, dims_sigma=0.05)
     )
-    return [(o.box2d, o.box3d()) for o in gt.objects]
+    return _pairs(gt.objects)
 
 
 def _fails(rule, scene):
-    return [rule in v.violated_rules for v in depurate(scene, K, CFG)]
+    return [rule in v.violated_rules for v in depurate(_table(scene), K, CFG)]
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +154,14 @@ def test_depurate_equals_the_per_rule_loops_on_crowded_scenes():
     for k in range(300):
         scene = _crowded_scene(rng)
         cfg = cfgs[k % 2]
-        assert _as_tuples(depurate(scene, K, cfg)) == _depurate_loop(scene, K, cfg)
+        assert _as_tuples(depurate(_table(scene), K, cfg)) == _depurate_loop(scene, K, cfg)
     for seed in range(20):
         scene = _synthetic_scene(seed, n=6)
-        assert _as_tuples(depurate(scene, K, CFG)) == _depurate_loop(scene, K, CFG)
+        assert _as_tuples(depurate(_table(scene), K, CFG)) == _depurate_loop(scene, K, CFG)
 
 
 def test_empty_scene_has_no_verdicts():
-    assert depurate([], K, CFG) == []
+    assert depurate(_table([]), K, CFG) == []
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +237,7 @@ def test_equal_residuals_blame_the_far_object():
     near = (Box2D(0.0, 0.0, 1.0, 2.0), Box3D(np.array([0.0, 1.65, 8.0]), tall, 0.0))
     far = (Box2D(5.0, 0.0, 6.0, 2.0), Box3D(np.array([0.0, 1.65, 10.0]), tall, 0.0))
     for scene in ([near, far], [far, near]):
-        blamed = [RULE_HEIGHT_DEPTH in v.violated_rules for v in depurate(scene, camera, CFG)]
+        blamed = [RULE_HEIGHT_DEPTH in v.violated_rules for v in depurate(_table(scene), camera, CFG)]
         assert blamed == [v is far for v in scene]
 
 
@@ -266,7 +281,7 @@ def test_clean_synthetic_scene_all_kept():
     # yaw, or genuinely isolated-depth overlaps) but never lose an object
     for seed in range(20):
         scene = _synthetic_scene(seed)
-        verdicts = depurate(scene, K, CFG)
+        verdicts = depurate(_table(scene), K, CFG)
         assert all(v.kept for v in verdicts)
         assert all(not v.hard_violation for v in verdicts)
 
@@ -275,7 +290,7 @@ def test_sky_box_removed_on_hard_rule_alone():
     scene = _synthetic_scene(1)
     sky = Box3D(np.array([0.0, -3.0, 25.0]), CAR, 0.3)
     scene.append((exact_box2d(sky, K), sky))
-    verdicts = depurate(scene, K, CFG)
+    verdicts = depurate(_table(scene), K, CFG)
     assert not verdicts[-1].kept
     assert verdicts[-1].hard_violation
     assert RULE_VERTICAL in verdicts[-1].violated_rules
@@ -286,7 +301,7 @@ def test_single_soft_violation_kept():
     scene = _synthetic_scene(2)
     weird_dims = Box3D(np.array([5.0, 1.65, 30.0]), Dimensions(0.5, 0.5, 1.0), 0.1)
     scene.append((exact_box2d(weird_dims, K), weird_dims))
-    verdicts = depurate(scene, K, CFG)
+    verdicts = depurate(_table(scene), K, CFG)
     assert verdicts[-1].violated_rules == frozenset({RULE_DIMS})
     assert verdicts[-1].kept
 
@@ -297,7 +312,7 @@ def test_two_soft_violations_removed():
     right = _ground_object(2.2, 12.0)
     bad = Box3D(np.array([0.0, 1.65, 40.0]), Dimensions(0.5, 0.5, 1.0), 0.0)
     scene = [left, (exact_box2d(bad, K), bad), right]
-    verdicts = depurate(scene, K, CFG)
+    verdicts = depurate(_table(scene), K, CFG)
     assert not verdicts[1].kept
     assert not verdicts[1].hard_violation
     assert {RULE_DIMS, RULE_ADJACENT_DEPTH} <= verdicts[1].violated_rules
@@ -308,7 +323,7 @@ def test_verdict_invariant_removed_implies_rules():
     scene = _synthetic_scene(3)
     sky = Box3D(np.array([2.0, -4.0, 30.0]), CAR, 0.0)
     scene.append((exact_box2d(sky, K), sky))
-    for v in depurate(scene, K, CFG):
+    for v in depurate(_table(scene), K, CFG):
         if not v.kept:
             assert v.violated_rules
 
@@ -319,8 +334,8 @@ def test_idempotence_on_clean_and_injected_scenes():
         if seed % 3 == 0:
             sky = Box3D(np.array([1.0, -3.0, 20.0]), CAR, 0.5)
             scene.append((exact_box2d(sky, K), sky))
-        kept = [pair for pair, v in zip(scene, depurate(scene, K, CFG)) if v.kept]
-        second = depurate(kept, K, CFG)
+        kept = [pair for pair, v in zip(scene, depurate(_table(scene), K, CFG)) if v.kept]
+        second = depurate(_table(kept), K, CFG)
         assert all(v.kept for v in second)
 
 
@@ -329,11 +344,11 @@ def test_scene_order_invariance():
     scene = _synthetic_scene(4, n=5)
     sky = Box3D(np.array([1.0, -3.0, 20.0]), CAR, 0.5)
     scene.append((exact_box2d(sky, K), sky))
-    base = depurate(scene, K, CFG)
+    base = depurate(_table(scene), K, CFG)
     for _ in range(5):
         perm = rng.permutation(len(scene))
         shuffled = [scene[i] for i in perm]
-        verdicts = depurate(shuffled, K, CFG)
+        verdicts = depurate(_table(shuffled), K, CFG)
         for new_pos, old_pos in enumerate(perm):
             assert verdicts[new_pos] == base[old_pos]
 
@@ -360,9 +375,9 @@ def test_verdicts_permute_with_the_scene(objects, data):
         b = exact_box2d(box3d, K)
         scene.append((Box2D(b.u_min, b.v_min + shift, b.u_max, b.v_max), box3d))
     perm = data.draw(st.permutations(range(len(scene))))
-    base = depurate(scene, K, CFG)
+    base = depurate(_table(scene), K, CFG)
     assert _as_tuples(base) == _depurate_loop(scene, K, CFG)
-    assert depurate([scene[i] for i in perm], K, CFG) == [base[i] for i in perm]
+    assert depurate(_table([scene[i] for i in perm]), K, CFG) == [base[i] for i in perm]
 
 
 def test_config_validation():

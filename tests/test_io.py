@@ -1,14 +1,16 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box3d.camera import Box2D, CameraIntrinsics, Detection2D, Dimensions
+from box3d.camera import Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions
 from box3d.kitti_io import (
-    ObjectLabel,
-    PropertyRecord,
+    DetectionTable,
+    LabelTable,
+    PropertyTable,
     coerce_fields,
     parse_calib,
     parse_detections,
@@ -21,7 +23,6 @@ from box3d.kitti_io import (
     write_properties,
 )
 from box3d.depuration import DepurationConfig
-from box3d.properties import MultiBinOutput, RegressedProperties, default_bin_centers
 from box3d.solver import SolverConfig, decode_rows, lift_batch
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
 from box3d.viewpoints import extremal_vertices
@@ -75,32 +76,22 @@ def test_calib_round_trip():
 
 
 def _labels_fixture():
-    return [
-        ObjectLabel(
-            "Car", 0.0, 0, -1.234567, Box2D(100.5, 120.25, 300.75, 250.0),
-            Dimensions(1.52, 1.64, 3.86), np.array([2.5, 1.65, 22.125]), 0.654321, None,
-        ),
-        ObjectLabel(
-            "Pedestrian", 0.1, 1, 0.5, Box2D(400.0, 150.0, 430.0, 230.0),
-            Dimensions(1.8, 0.6, 0.8), np.array([-4.0, 1.6, 15.0]), -2.0, 0.91,
-        ),
-    ]
+    # truncated occluded alpha  box  h w l  x y z  yaw  score (NaN: none)
+    return LabelTable([
+        [0.0, 0, -1.234567, 100.5, 120.25, 300.75, 250.0, 1.52, 1.64, 3.86, 2.5, 1.65, 22.125,
+         0.654321, math.nan],
+        [0.1, 1, 0.5, 400.0, 150.0, 430.0, 230.0, 1.8, 0.6, 0.8, -4.0, 1.6, 15.0, -2.0, 0.91],
+    ], ["Car", "Pedestrian"])
 
 
 def test_label_round_trip_numeric_identity():
     objs = _labels_fixture()
     text = write_labels(objs)
-    back = parse_labels(text).objects
+    back = parse_labels(text)
     assert len(back) == 2
-    for a, b in zip(objs, back):
-        assert a.cls == b.cls
-        assert b.alpha == pytest.approx(a.alpha, abs=1e-6)
-        assert b.yaw == pytest.approx(a.yaw, abs=1e-6)
-        assert np.allclose(b.location, a.location, atol=1e-6)
-        assert (b.dims.h, b.dims.w, b.dims.l) == pytest.approx(
-            (a.dims.h, a.dims.w, a.dims.l), abs=1e-6
-        )
-        assert (a.score is None) == (b.score is None)
+    assert list(back.cls) == list(objs.cls)
+    assert np.allclose(back.data, objs.data, atol=1e-6, equal_nan=True)
+    assert np.array_equal(np.isnan(back.score), np.isnan(objs.score))
     # a second trip is byte-identical
     assert write_labels(back) == text
 
@@ -108,15 +99,20 @@ def test_label_round_trip_numeric_identity():
 def test_dontcare_row_parsed_and_flagged():
     text = "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10\n"
     record = parse_labels(text)
-    assert len(record.objects) == 1
-    assert record.objects[0].is_dontcare
+    assert len(record) == 1
+    assert list(record.cls) == ["DontCare"]
+    assert record.dims.tolist() == [[-1.0, -1.0, -1.0]]  # the placeholders stay as written
+    assert write_labels(record) == (
+        "DontCare -1.000000 -1 -10.000000 503.890000 169.710000 590.610000 190.130000 -1.000000 "
+        "-1.000000 -1.000000 -1000.000000 -1000.000000 -1000.000000 -10.000000\n"
+    )
 
 
 def test_score_column_optional():
     with_score = "Car 0 0 0.5 10 10 50 50 1.5 1.6 3.9 1 1.6 20 0.3 0.87\n"
     without = "Car 0 0 0.5 10 10 50 50 1.5 1.6 3.9 1 1.6 20 0.3\n"
-    assert parse_labels(with_score).objects[0].score == pytest.approx(0.87)
-    assert parse_labels(without).objects[0].score is None
+    assert parse_labels(with_score).score[0] == pytest.approx(0.87)
+    assert math.isnan(parse_labels(without).score[0])
 
 
 def test_wrong_column_count_raises():
@@ -129,13 +125,11 @@ def test_wrong_column_count_raises():
 
 
 def test_detections_round_trip():
-    dets = [
-        Detection2D(Box2D(10.0, 20.0, 110.0, 90.0), 0.75, "Car"),
-        Detection2D(Box2D(300.0, 100.0, 420.0, 200.0), 0.5, "Cyclist"),
-    ]
+    dets = DetectionTable([[10.0, 20.0, 110.0, 90.0, 0.75], [300.0, 100.0, 420.0, 200.0, 0.5]],
+                          ["Car", "Cyclist"])
     text = write_detections(dets)
     back = parse_detections(text)
-    assert back == [
+    assert list(back) == [
         Detection2D(Box2D(10.0, 20.0, 110.0, 90.0), 0.75, "Car"),
         Detection2D(Box2D(300.0, 100.0, 420.0, 200.0), 0.5, "Cyclist"),
     ]
@@ -151,39 +145,22 @@ def test_detection_wrong_columns_raise():
 
 
 def _property_fixture():
-    centers = default_bin_centers(2)
-    return PropertyRecord(
-        "000001",
-        [
-            RegressedProperties(
-                (0.05, -0.02, 0.3),
-                MultiBinOutput((1.0, 0.0), (0.25, 0.0), (0.9682458, 1.0), centers),
-                viewpoint_class=9,
-                cbf_offset=(1.5, -0.75),
-            ),
-            RegressedProperties(
-                (0.0, 0.0, 0.0),
-                MultiBinOutput((0.2, 0.8), (0.0, -0.5), (1.0, 0.8660254), centers),
-                viewpoint_class=3,
-                cbf_offset=(0.0, 0.0),
-            ),
-        ],
-    )
+    # dh dw dl viewpoint du dv, then conf sin cos of each of two bins
+    return PropertyTable([
+        [0.05, -0.02, 0.3, 9, 1.5, -0.75, 1.0, 0.25, 0.9682458, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 3, 0.0, 0.0, 0.2, 0.0, 1.0, 0.8, -0.5, 0.8660254],
+    ])
 
 
 def test_properties_round_trip():
     record = _property_fixture()
     text = write_properties(record)
-    back = parse_properties(text, record.frame_id)
-    assert back.frame_id == record.frame_id
-    assert len(back.properties) == 2
-    for a, b in zip(record.properties, back.properties):
-        assert b.viewpoint_class == a.viewpoint_class
-        assert b.dim_residual == pytest.approx(a.dim_residual)
-        assert b.cbf_offset == pytest.approx(a.cbf_offset)
-        assert b.multibin.confidences == pytest.approx(a.multibin.confidences)
-        assert b.multibin.sin_residuals == pytest.approx(a.multibin.sin_residuals)
-        assert b.multibin.cos_residuals == pytest.approx(a.multibin.cos_residuals)
+    back = parse_properties(text)
+    assert len(back) == 2 and back.n_bins == 2
+    assert back.viewpoint.tolist() == record.viewpoint.tolist()
+    assert np.allclose(back.dim_residual, record.dim_residual)
+    assert np.allclose(back.cbf_offset, record.cbf_offset)
+    assert np.allclose(back.bins, record.bins)
 
 
 def test_properties_header_required():
@@ -243,13 +220,12 @@ def _at_written_precision(x):
 @given(st.lists(st.tuples(_names, st.lists(_coords, min_size=5, max_size=5)), max_size=5))
 @settings(max_examples=100)
 def test_detections_round_trip_at_written_precision(rows):
-    dets = [Detection2D(Box2D(*v[:4]), v[4], name) for name, v in rows]
+    dets = DetectionTable([v for _, v in rows], [name for name, _ in rows])
     text = write_detections(dets)
     back = parse_detections(text)
     for a, b in zip(dets, back, strict=True):
         assert b.cls == a.cls
-        written = [*vars(a.box).values(), a.score]
-        assert [*vars(b.box).values(), b.score] == [_at_written_precision(x) for x in written]
+        assert [*b.box, b.score] == [_at_written_precision(x) for x in (*a.box, a.score)]
     assert write_detections(back) == text
 
 
@@ -265,20 +241,21 @@ def test_detections_round_trip_at_written_precision(rows):
 )
 @settings(max_examples=100)
 def test_labels_round_trip_at_written_precision(rows):
-    objs = [
-        ObjectLabel(name, v[0], occluded, v[1], Box2D(*v[2:6]), Dimensions(*dims),
-                    np.array(v[6:9]), v[9], v[0] if scored else None)
-        for name, occluded, scored, v, dims in rows
-    ]
+    objs = LabelTable(
+        [[v[0], occluded, v[1], *v[2:6], *dims, *v[6:9], v[9], v[0] if scored else math.nan]
+         for _, occluded, scored, v, dims in rows],
+        [name for name, *_ in rows],
+    )
     text = write_labels(objs)
-    back = parse_labels(text).objects
-    for a, b in zip(objs, back, strict=True):
-        assert (b.cls, b.occluded, b.score is None) == (a.cls, a.occluded, a.score is None)
-        written = [a.truncated, a.alpha, *vars(a.box2d).values(), *vars(a.dims).values(),
-                   *a.location, a.yaw]
-        parsed = [b.truncated, b.alpha, *vars(b.box2d).values(), *vars(b.dims).values(),
-                  *b.location, b.yaw]
-        assert parsed == [_at_written_precision(x) for x in written]
+    back = parse_labels(text)
+    assert list(back.cls) == list(objs.cls)
+    assert back.occluded.tolist() == objs.occluded.tolist()
+    assert np.array_equal(np.isnan(back.score), np.isnan(objs.score))
+    # every number but the occlusion level and the score
+    columns = [0, *range(2, 14)]
+    assert back.data[:, columns].tolist() == [
+        [_at_written_precision(x) for x in row] for row in objs.data[:, columns].tolist()
+    ]
     assert write_labels(back) == text
 
 
@@ -322,7 +299,7 @@ def test_parsers_accept_or_name_line_of_mutated_row(data):
 @given(st.text(max_size=80))
 @settings(max_examples=200)
 def test_parsers_accept_or_name_line_of_arbitrary_text(text):
-    header = write_properties(PropertyRecord("", [])).splitlines()[0]
+    header = write_properties(PropertyTable(np.empty((0, 12)))).splitlines()[0]
     for parse in (parse_labels, parse_detections, lambda t: parse_properties(header + "\n" + t)):
         _parse_or_line_error(parse, text)
 
@@ -412,18 +389,21 @@ def test_generated_box_is_hull_of_projected_vertices():
     gt, _, _ = generate_scene(SyntheticSceneSpec(n_objects_min=3, n_objects_max=3, seed=5))
     from box3d.camera import box_vertices, project_point
 
-    for obj in gt.objects:
-        uv = np.stack([project_point(gt.camera, p) for p in box_vertices(obj.box3d())])
-        assert obj.box2d.u_min == pytest.approx(uv[:, 0].min())
-        assert obj.box2d.u_max == pytest.approx(uv[:, 0].max())
-        assert obj.box2d.v_min == pytest.approx(uv[:, 1].min())
-        assert obj.box2d.v_max == pytest.approx(uv[:, 1].max())
+    objs = gt.objects
+    for box2d, dims, location, yaw in zip(objs.box.tolist(), objs.dims.tolist(), objs.location, objs.yaw):
+        box3d = Box3D(location, Dimensions(*dims), yaw)
+        u_min, v_min, u_max, v_max = box2d
+        uv = np.stack([project_point(gt.camera, p) for p in box_vertices(box3d)])
+        assert u_min == pytest.approx(uv[:, 0].min())
+        assert u_max == pytest.approx(uv[:, 0].max())
+        assert v_min == pytest.approx(uv[:, 1].min())
+        assert v_max == pytest.approx(uv[:, 1].max())
         # and the extremes are attained by the viewpoint-selected corners
-        left, right, top, bottom = extremal_vertices(obj.box3d(), gt.camera)
-        assert uv[left, 0] == obj.box2d.u_min
-        assert uv[right, 0] == obj.box2d.u_max
-        assert uv[top, 1] == obj.box2d.v_min
-        assert uv[bottom, 1] == obj.box2d.v_max
+        left, right, top, bottom = extremal_vertices(box3d, gt.camera)
+        assert uv[left, 0] == u_min
+        assert uv[right, 0] == u_max
+        assert uv[top, 1] == v_min
+        assert uv[bottom, 1] == v_max
 
 
 def test_border_straddling_object_flagged_truncated():
@@ -433,9 +413,9 @@ def test_border_straddling_object_flagged_truncated():
         allow_truncated=True, allow_boundary_poses=True,
     )
     gt, dets, props = generate_scene(spec)
-    box = gt.objects[0].box2d
-    assert box.u_min == 0.0 < box.u_max  # clamped at the left border, partly in view
-    rows = decode_rows(dets, props.properties, gt.camera)
+    u_min, _, u_max, _ = gt.objects.box[0]
+    assert u_min == 0.0 < u_max  # clamped at the left border, partly in view
+    rows = decode_rows(dets, props, astuple(gt.camera))
     result = lift_batch(rows, (spec.image_width, spec.image_height))
     assert list(result.status) == ["truncated_init_only"]
     closed_form = lift_batch(rows, (spec.image_width, spec.image_height), SolverConfig(refine=False))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from box3d.camera import Box3D, Dimensions
+from box3d.kitti_io import LabelTable
 from box3d.metrics import (
     MatchedDetection,
     RECALL_POINTS_11,
@@ -26,6 +27,21 @@ from box3d.metrics import (
 
 def _box(x=0.0, y=0.0, z=0.0, h=1.0, w=1.0, l=1.0, yaw=0.0):
     return Box3D(np.array([x, y, z]), Dimensions(h, w, l), yaw)
+
+
+def _table(boxes, scores=None):
+    """Label rows of 3D boxes, with no 2D box, and with the given scores."""
+    scores = [math.nan] * len(boxes) if scores is None else scores
+    return LabelTable(
+        [[0.0] * 7 + [b.dims.h, b.dims.w, b.dims.l, *b.location, b.yaw, s] for b, s in zip(boxes, scores)],
+        ["Car"] * len(boxes),
+    )
+
+
+def _match(detections, ground_truths, iou_threshold):
+    """match_frame on (Box3D, score) pairs and Box3Ds."""
+    return match_frame(_table([b for b, _ in detections], [s for _, s in detections]), _table(ground_truths),
+                       iou_threshold)
 
 
 def _mc_iou(a, b, n=1_000_000, seed=0):
@@ -139,7 +155,8 @@ def test_iou_rigid_motion_invariance(shift, tx, tz):
 
 def test_bev_intersection_disjoint_is_zero():
     a, b = _box(), _box(x=5.0)
-    assert _clipped_area(bev_corners(a).tolist(), bev_corners(b).tolist()) == 0.0
+    corners_a, corners_b = (bev_corners((*c.location, c.dims.h, c.dims.w, c.dims.l, c.yaw)) for c in (a, b))
+    assert _clipped_area(corners_a, corners_b) == 0.0
     assert iou_3d(a, b) == 0.0
 
 
@@ -246,7 +263,7 @@ def test_match_frame_greedy_consumes_each_gt_once():
         (_box(z=10.0), 0.8),  # duplicate: its gt is already consumed
         (_box(z=30.0), 0.7),
     ]
-    matches = match_frame(dets, gt, iou_threshold=0.7)
+    matches = _match(dets, gt, iou_threshold=0.7)
     flags = sorted(((m.score, m.is_tp) for m in matches), reverse=True)
     assert flags == [(0.9, True), (0.8, False), (0.7, True)]
 
@@ -339,9 +356,11 @@ def test_match_frame_matches_loop_reference(iou_threshold):
     rng = np.random.default_rng(5)
     for _ in range(150):
         dets, gts = _crowded_frame(rng)
-        assert match_frame(dets, gts, iou_threshold) == _match_frame_loop(dets, gts, iou_threshold)
-    assert match_frame([], [_box()], iou_threshold) == []
-    assert match_frame([(_box(), 0.5)], [], iou_threshold) == [MatchedDetection(0.5, False, 0.0, 0.0)]
+        assert _match(dets, gts, iou_threshold) == _match_frame_loop(dets, gts, iou_threshold)
+    assert _match([], [_box()], iou_threshold) == []
+    assert _match([(_box(), 0.5)], [], iou_threshold) == [MatchedDetection(0.5, False, 0.0, 0.0)]
+    # a detection without a score counts 1.0
+    assert match_frame(_table([_box()]), _table([]), iou_threshold) == [MatchedDetection(1.0, False, 0.0, 0.0)]
 
 
 @given(
@@ -370,9 +389,20 @@ def test_culled_pairs_have_zero_iou(dims_a, dims_b, yaw_a, yaw_b, direction, gap
     dist = max(reach + gap, 0.0)
     b = _box(origin[0] + dist * math.cos(direction), origin[1] + dy,
              origin[2] + dist * math.sin(direction), *dims_b, yaw_b)
-    if not may_intersect([a], [b])[0, 0]:
+    if not may_intersect(_table([a]), _table([b]))[0, 0]:
         assert iou_3d(a, b) == 0.0
-    assert may_intersect([a], [b])[0, 0] == may_intersect([b], [a])[0, 0]
+    assert may_intersect(_table([a]), _table([b]))[0, 0] == may_intersect(_table([b]), _table([a]))[0, 0]
+
+
+def test_box_with_a_non_positive_dimension_never_intersects():
+    # a DontCare row keeps its -1 placeholders; no such box overlaps another
+    det = _table([_box(z=10.0)], [0.9])
+    for k in range(3):
+        for value in (0.0, -1.0):
+            gt = _table([_box(z=10.0)])
+            gt.dims[0, k] = value
+            assert not may_intersect(det, gt)[0, 0] and not may_intersect(gt, det)[0, 0]
+            assert match_frame(det, gt, 0.5) == [MatchedDetection(0.9, False, 0.0, 0.0)]
 
 
 def test_match_frame_equal_iou_takes_first_ground_truth():
@@ -381,7 +411,7 @@ def test_match_frame_equal_iou_takes_first_ground_truth():
     gts = [_box(x=-0.5, h=1.5, w=2.0, l=4.0), _box(x=0.5, h=1.5, w=2.0, l=4.0)]
     dets = [(_box(h=1.5, w=2.0, l=4.0), 0.9), (_box(x=-0.5, h=1.5, w=2.0, l=4.0), 0.8)]
     assert iou_3d(dets[0][0], gts[0]) == iou_3d(dets[0][0], gts[1]) == 10.5 / 13.5
-    assert match_frame(dets, gts, 0.7) == [
+    assert _match(dets, gts, 0.7) == [
         MatchedDetection(0.9, True, 1.0, 10.5 / 13.5),
         MatchedDetection(0.8, False, 0.0, 0.6),
     ]
@@ -449,19 +479,19 @@ def test_recall_grid_variants():
 def test_dimension_error_exact_dims():
     gts = [_box(z=10.0), _box(z=30.0)]
     dets = [_box(z=10.2), _box(z=29.5)]
-    assert dimension_error(dets, gts) == 0.0
+    assert dimension_error(_table(dets), _table(gts)) == 0.0
 
 
 def test_dimension_error_3_4_5():
     gt = [_box(z=10.0)]
     det = [Box3D(np.array([0.0, 0.0, 10.5]), Dimensions(1.0 + 0.4, 1.0 + 0.3, 1.0), 0.0)]
-    assert dimension_error(det, gt) == pytest.approx(0.5)
+    assert dimension_error(_table(det), _table(gt)) == pytest.approx(0.5)
 
 
 def test_dimension_error_matches_closest_gt():
     gts = [_box(z=10.0, h=2.0), _box(z=40.0, h=1.0)]
     det = [_box(z=38.0, h=1.0)]  # closest gt is the far one: zero error
-    assert dimension_error(det, gts) == pytest.approx(0.0)
+    assert dimension_error(_table(det), _table(gts)) == pytest.approx(0.0)
 
 
 def _dimension_error_loop(detections, ground_truths):
@@ -490,12 +520,12 @@ def test_dimension_error_matches_loop_reference():
             twin = gts[0]
             gts.append(Box3D(twin.location.copy(), Dimensions(9.0, 9.0, 9.0), twin.yaw))
         dets = boxes(int(rng.integers(1, 8))) + [_box(*gts[0].location)]
-        assert dimension_error(dets, gts) == pytest.approx(_dimension_error_loop(dets, gts), rel=1e-12)
+        assert dimension_error(_table(dets), _table(gts)) == pytest.approx(_dimension_error_loop(dets, gts), rel=1e-12)
 
 
 def test_dimension_error_empty_gt_raises():
     with pytest.raises(ValueError):
-        dimension_error([_box()], [])
+        dimension_error(_table([_box()]), _table([]))
 
 
 # ---------------------------------------------------------------------------

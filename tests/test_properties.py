@@ -1,23 +1,20 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from box3d.camera import (
-    Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions, project_point, ray_angle, wrap_angle,
-)
+from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, project_point, ray_angle, wrap_angle
+from box3d.kitti_io import DetectionTable, PropertyTable
 from box3d.properties import (
     CAR_PRIOR,
     ClassPrior,
-    MultiBinOutput,
-    RegressedProperties,
     alpha_from_local,
     cbf_anchor,
     decode_cbf,
     decode_local_angle,
-    default_bin_centers,
     dimension_values,
     encode_cbf,
     encode_local_angle,
@@ -26,66 +23,68 @@ from box3d.properties import (
 )
 from box3d.solver import decode_rows, lift_batch
 
-TWO_BIN = default_bin_centers(2)
-
 angles = st.floats(min_value=-math.pi, max_value=math.pi - 1e-12)
 
 
-def _mb(conf, sin, cos, centers=TWO_BIN):
-    return MultiBinOutput(tuple(conf), tuple(sin), tuple(cos), tuple(centers))
+def _bins(conf, sin, cos):
+    """One row of bin columns: conf, sin, cos of each bin in turn."""
+    return [[v for triple in zip(conf, sin, cos) for v in triple]]
+
+
+def _decode_one(bins):
+    return float(decode_local_angle(bins)[0])
 
 
 def test_decode_zero_residual():
-    assert decode_local_angle(_mb((0.9, 0.1), (0.0, 0.0), (1.0, 1.0))) == pytest.approx(0.0)
+    assert _decode_one(_bins((0.9, 0.1), (0.0, 0.0), (1.0, 1.0))) == pytest.approx(0.0)
 
 
 def test_decode_second_bin_quarter_residual():
     # center pi + atan2(1, 0) = 3pi/2 -> wraps to -pi/2
-    m = _mb((0.1, 0.9), (0.0, 1.0), (1.0, 0.0))
-    assert decode_local_angle(m) == pytest.approx(-math.pi / 2)
+    m = _bins((0.1, 0.9), (0.0, 1.0), (1.0, 0.0))
+    assert _decode_one(m) == pytest.approx(-math.pi / 2)
 
 
 def test_decode_confidence_tie_takes_lowest_index():
-    m = _mb((0.5, 0.5), (0.0, 1.0), (1.0, 0.0))
-    assert decode_local_angle(m) == pytest.approx(0.0)
+    m = _bins((0.5, 0.5), (0.0, 1.0), (1.0, 0.0))
+    assert _decode_one(m) == pytest.approx(0.0)
 
 
 def test_decode_scale_invariant_residual():
     # unnormalized (sin, cos) pairs decode identically
-    a = _mb((1.0, 0.0), (0.3, 0.0), (0.4, 1.0))
-    b = _mb((1.0, 0.0), (0.6, 0.0), (0.8, 1.0))
-    assert decode_local_angle(a) == decode_local_angle(b)
+    a = _bins((1.0, 0.0), (0.3, 0.0), (0.4, 1.0))
+    b = _bins((1.0, 0.0), (0.6, 0.0), (0.8, 1.0))
+    assert _decode_one(a) == _decode_one(b)
 
 
 def test_decode_empty_bins_rejected():
     with pytest.raises(ValueError):
-        MultiBinOutput((), (), (), ())
+        decode_local_angle(np.empty((1, 0)))
 
 
 def test_encode_zero_angle():
-    m = encode_local_angle(0.0, TWO_BIN)
-    assert m.confidences == (1.0, 0.0)
-    assert m.sin_residuals[0] == pytest.approx(0.0)
-    assert m.cos_residuals[0] == pytest.approx(1.0)
+    m = encode_local_angle(0.0, 2)
+    assert m[0::3] == [1.0, 0.0]
+    assert m[1] == pytest.approx(0.0)
+    assert m[2] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n_bins", [1, 2, 4, 8])
 @given(theta=angles)
 def test_encode_decode_round_trip(theta, n_bins):
-    centers = default_bin_centers(n_bins)
-    decoded = decode_local_angle(encode_local_angle(theta, centers))
+    decoded = _decode_one([encode_local_angle(theta, n_bins)])
     assert abs(wrap_angle(decoded - theta)) < 1e-12
 
 
 def test_round_trip_quarter():
-    assert decode_local_angle(encode_local_angle(math.pi / 4)) == pytest.approx(math.pi / 4)
+    assert _decode_one([encode_local_angle(math.pi / 4)]) == pytest.approx(math.pi / 4)
 
 
 def test_round_trip_bulk_uniform():
     rng = np.random.default_rng(0)
-    for theta in rng.uniform(-math.pi, math.pi, 1000):
-        decoded = decode_local_angle(encode_local_angle(theta))
-        assert abs(wrap_angle(decoded - theta)) < 1e-12
+    thetas = rng.uniform(-math.pi, math.pi, 1000)
+    decoded = decode_local_angle([encode_local_angle(theta) for theta in thetas])
+    assert np.abs(wrap_angle(decoded - thetas)).max() < 1e-12
 
 
 def test_global_from_local_cancellation():
@@ -110,7 +109,7 @@ def test_alpha_transform_involution(alpha):
 
 
 def test_decode_dimensions_car_prior():
-    assert dimension_values((0.0, 0.0, 0.0), CAR_PRIOR) == (1.52, 1.64, 3.86)
+    assert dimension_values((0.0, 0.0, 0.0), CAR_PRIOR).tolist() == [1.52, 1.64, 3.86]
 
 
 def test_decode_dimensions_additive():
@@ -120,8 +119,8 @@ def test_decode_dimensions_additive():
 def test_decode_dimensions_nonpositive_rejected():
     # decoding leaves a non-positive dimension to the lift, which skips the row
     k = CameraIntrinsics(700.0, 700.0, 600.0, 180.0)
-    prop = RegressedProperties((-2.0, 0.0, 0.0), encode_local_angle(0.3), 5, (0.0, -5.0))
-    rows = decode_rows([Detection2D(Box2D(500.0, 150.0, 700.0, 250.0))], [prop], k)
+    prop = PropertyTable([[-2.0, 0.0, 0.0, 5, 0.0, -5.0, *encode_local_angle(0.3)]])
+    rows = decode_rows(DetectionTable([500.0, 150.0, 700.0, 250.0, 1.0], ["Car"]), prop, astuple(k))
     assert rows.dims[0, 0] == pytest.approx(-0.48)
     assert lift_batch(rows, (1242.0, 375.0)).status[0] == "degenerate_input"
 
@@ -143,11 +142,11 @@ BOX = Box2D(100.0, 50.0, 200.0, 150.0)
 
 
 def test_decode_cbf_anchor():
-    assert decode_cbf((0.0, 0.0), BOX) == (150.0, 150.0)
+    assert decode_cbf((0.0, 0.0), BOX).tolist() == [150.0, 150.0]
 
 
 def test_decode_cbf_additive():
-    assert decode_cbf((3.0, -2.0), BOX) == (153.0, 148.0)
+    assert decode_cbf((3.0, -2.0), BOX).tolist() == [153.0, 148.0]
 
 
 @given(
@@ -177,4 +176,40 @@ def test_cbf_round_trip_against_projection():
 
 
 def test_cbf_anchor_is_bottom_center():
-    assert cbf_anchor(BOX) == (150.0, 150.0)
+    assert cbf_anchor(BOX).tolist() == [150.0, 150.0]
+
+
+
+def _decode_rows_loop(detections, properties, camera):
+    """Reference: the per-row decode that decode_rows replaced, one
+    CameraIntrinsics for every row."""
+    out = []
+    for box, score, prop in zip(detections.box.tolist(), detections.score.tolist(), properties.data.tolist()):
+        dh, dw, dl, viewpoint, du, dv, *bins = prop
+        conf, sins, coss = bins[0::3], bins[1::3], bins[2::3]
+        best = max(range(len(conf)), key=lambda i: (conf[i], -i))
+        centers = [2.0 * math.pi * i / len(conf) for i in range(len(conf))]
+        theta_l = wrap_angle(centers[best] + math.atan2(sins[best], coss[best]))
+        cbf = (0.5 * (box[0] + box[2]) + du, box[3] + dv)
+        m = CAR_PRIOR.mean_dims
+        out.append([*box, m.h + dh, m.w + dw, m.l + dl, global_from_local(theta_l, ray_angle(camera, cbf[0])),
+                    alpha_from_local(theta_l), viewpoint, *cbf, *astuple(camera), score])
+    return np.array(out).reshape(-1, 17)
+
+
+@pytest.mark.parametrize("n_bins", [1, 2, 4])
+def test_decode_rows_equals_the_per_row_decode(n_bins):
+    # random rows with tied and NaN confidences, non-finite and huge numbers
+    rng = np.random.default_rng(n_bins)
+    k = CameraIntrinsics(721.5377, 720.1, 609.5593, 172.854)
+    n = 300
+    detections = DetectionTable(np.column_stack([rng.uniform(0.0, 1242.0, (n, 4)), rng.uniform(size=n)]),
+                                ["Car"] * n)
+    props = rng.normal(0.0, 1.0, (n, 6 + 3 * n_bins))
+    props[:, 3] = rng.integers(0, 16, n)
+    props[:, 6::3] = rng.integers(0, 3, (n, n_bins))  # ties
+    props[::7, 6 + 3 * rng.integers(0, n_bins)] = math.nan
+    props[::11, 4] = rng.choice([math.inf, -math.inf, 1e308])
+    properties = PropertyTable(props)
+    decoded = decode_rows(detections, properties, astuple(k))
+    assert np.array_equal(decoded.data, _decode_rows_loop(detections, properties, k), equal_nan=True)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -49,10 +50,12 @@ def _scene_rows(seeds, **spec_kwargs):
         gt, dets, props = generate_scene(
             SyntheticSceneSpec(n_objects_min=1, n_objects_max=1, seed=seed, **spec_kwargs)
         )
-        obj = gt.objects[0]
-        cbf = tuple(project_point(gt.camera, obj.location))
-        truth.append(obj.location)
-        parts.append(_row(dets[0].box, obj.dims, obj.yaw, props.properties[0].viewpoint_class, cbf, gt.camera))
+        obj = gt.objects
+        location = obj.location[0]
+        cbf = tuple(project_point(gt.camera, location))
+        truth.append(location)
+        parts.append(_row(Box2D(*dets.box[0]), Dimensions(*obj.dims[0]), obj.yaw[0], props.viewpoint[0], cbf,
+                          gt.camera))
     return np.array(truth), DecodedRows.concatenate(parts)
 
 
@@ -394,7 +397,7 @@ def _decoded_run(seeds, **spec_kwargs):
     parts = []
     for seed in seeds:
         gt, dets, props = generate_scene(SyntheticSceneSpec(seed=seed, **spec_kwargs))
-        parts.append(decode_rows(dets, props.properties, gt.camera))
+        parts.append(decode_rows(dets, props, astuple(gt.camera)))
     return DecodedRows.concatenate(parts)
 
 
