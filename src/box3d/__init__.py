@@ -16,7 +16,15 @@ from .camera import (
 )
 from .depuration import DepurationConfig, Verdict, depurate
 from .kitti_io import DetectionTable, LabelTable, PropertyTable
-from .metrics import aos_and_os, average_precision, dimension_error, iou_3d, match_frame, orientation_similarity
+from .metrics import (
+    aos_and_os,
+    average_precision,
+    dimension_error,
+    iou_3d,
+    match_frame,
+    orientation_similarity,
+    pair_ious,
+)
 from .properties import (
     CAR_PRIOR,
     ClassPrior,

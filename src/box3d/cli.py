@@ -27,6 +27,7 @@ from .metrics import (
     average_precision,
     dimension_error,
     match_frame,
+    pair_ious,
     passes_difficulty,
 )
 from .solver import DEFAULT_SOLVER_CONFIG, decode_rows
@@ -39,11 +40,12 @@ DEPURATION_REPORT = "depuration_report.txt"
 
 
 def _frames_in(directory):
-    """The frames of a directory's .txt files; none when it cannot be listed."""
+    """The frames of a directory's .txt files; a directory that cannot be
+    listed ends the run naming it."""
     try:
         names = os.listdir(directory)
-    except OSError:
-        return []
+    except OSError as exc:
+        raise SystemExit(f"cannot list directory {directory}: {exc.strerror or exc}") from None
     return sorted(n[:-4] for n in names if n.endswith(".txt") and n != DEPURATION_REPORT)
 
 
@@ -171,37 +173,54 @@ def cmd_depurate(args):
     print(f"removed {len(report_lines)} detections; report -> {report}")
 
 
+def _parse_run(args, gt_frames, result_frames):
+    """The ground truths and the results of the ground-truth frames, each
+    joined into one table (a frame without a result file has no results),
+    with the frames' row offsets."""
+    gts, dets = [kitti_io.LabelTable([], [])], [kitti_io.LabelTable([], [])]
+    for frame in gt_frames:
+        try:
+            gts.append(kitti_io.parse_labels(_read(args.gt, frame, "ground-truth")))
+            dets.append(kitti_io.parse_labels(_read(args.results, frame, "result") if frame in result_frames else ""))
+        except ValueError as exc:
+            raise SystemExit(f"frame {frame}: {exc}")
+    return [(kitti_io.LabelTable.concatenate(t), np.cumsum([len(x) for x in t])) for t in (gts, dets)]
+
+
 def cmd_eval(args):
     recall_points = RECALL_POINTS_11 if args.recall_points == 11 else RECALL_POINTS_40
-    matches = []
-    n_gt = 0
-    dim_err_sum = 0.0
-    dim_err_count = 0
     gt_frames, result_frames = _frames_in(args.gt), set(_frames_in(args.results))
     for frame in sorted(result_frames - set(gt_frames)):
         text = _read(args.results, frame, "result")
         n_det = sum(1 for line in text.splitlines() if line.strip())
         print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)",
               file=sys.stderr)
-    for frame in gt_frames:
-        try:
-            gt = kitti_io.parse_labels(_read(args.gt, frame, "ground-truth"))
-            dets = kitti_io.parse_labels(_read(args.results, frame, "result") if frame in result_frames else "")
-        except ValueError as exc:
-            raise SystemExit(f"frame {frame}: {exc}")
-        with np.errstate(all="ignore"):
-            height = gt.box[:, 3] - gt.box[:, 1]
-        gt = gt[(gt.cls != "DontCare") & passes_difficulty(height, gt.occluded, gt.truncated, args.difficulty)]
-        for labels in (gt, dets):
-            labels.yaw[:] = wrap_angle(labels.yaw)  # into [-pi, pi), as Box3D does
-        matches.extend(match_frame(dets, gt, args.iou))
-        n_gt += len(gt)
-        if len(gt) and len(dets):
+    # every frame is parsed first, so that one IoU pass covers the whole run
+    (gt, gt_offsets), (det, det_offsets) = _parse_run(args, gt_frames, result_frames)
+    with np.errstate(all="ignore"):
+        height = gt.box[:, 3] - gt.box[:, 1]
+    scored = (gt.cls != "DontCare") & passes_difficulty(height, gt.occluded, gt.truncated, args.difficulty)
+    gt, gt_offsets = gt[scored], np.append(0, np.cumsum(scored))[gt_offsets]
+    for labels in (gt, det):
+        labels.yaw[:] = wrap_angle(labels.yaw)  # into [-pi, pi), as Box3D does
+    det_rows, gt_rows, ious = pair_ious(det, det_offsets, gt, gt_offsets)
+    cuts = np.searchsorted(det_rows, det_offsets).tolist()
+    d_at, g_at = det_offsets.tolist(), gt_offsets.tolist()
+    matches = []
+    dim_err_sum = 0.0
+    dim_err_count = 0
+    for f, frame in enumerate(gt_frames):
+        frame_det, frame_gt = det[d_at[f]:d_at[f + 1]], gt[g_at[f]:g_at[f + 1]]
+        pairs = slice(cuts[f], cuts[f + 1])
+        matches.extend(match_frame(frame_det, frame_gt, args.iou,
+                                   (det_rows[pairs] - d_at[f], gt_rows[pairs] - g_at[f], ious[pairs])))
+        if len(frame_gt) and len(frame_det):
             # closest-ground-truth matching is per frame
-            dim_err_sum += dimension_error(dets, gt) * len(dets)
-            dim_err_count += len(dets)
+            dim_err_sum += dimension_error(frame_det, frame_gt) * len(frame_det)
+            dim_err_count += len(frame_det)
             if not math.isfinite(dim_err_sum):
                 raise SystemExit(f"frame {frame}: the dimension error overflows a float")
+    n_gt = len(gt)
 
     ap = average_precision(matches, n_gt, recall_points)
     aos, os_score = aos_and_os(matches, n_gt, recall_points)

@@ -4,8 +4,9 @@ AP follows the interpolated protocol at a configurable recall grid
 (11 points {0.0, 0.1, ..., 1.0} by default, 40-point variant available).
 Matching is greedy in descending score, each ground truth consumable once,
 a detection is a true positive when its best 3D IoU clears the threshold.
-A frame's IoU matrix clips only the pairs whose vertical extents and
-ground-plane bounding circles overlap; every other pair scores exactly 0.
+pair_ious scores a whole run's frames in blocks of array code.  It clips
+only the pairs whose vertical extents and ground-plane bounding circles
+overlap; every other pair scores exactly 0.
 """
 
 import math
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Box3D
+from .kitti_io import LabelTable
 
 RECALL_POINTS_11 = tuple(np.linspace(0.0, 1.0, 11))
 RECALL_POINTS_40 = tuple(np.linspace(1.0 / 40.0, 1.0, 40))
@@ -22,83 +24,100 @@ RECALL_POINTS_40 = tuple(np.linspace(1.0 / 40.0, 1.0, 40))
 # ---------------------------------------------------------------------------
 # rotated 3D IoU
 
-
-def bev_corners(box) -> list:
-    """Ground-plane (x, z) corners, counterclockwise, of a box given as
-    (x, y, z, h, w, l, yaw)."""
-    x, _, z, _, w, l, yaw = box
-    c, s = math.cos(yaw), math.sin(yaw)
-    hl, hw = 0.5 * l, 0.5 * w
-    return [(x + ox * c + oz * s, z - ox * s + oz * c) for ox, oz in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+# Pairs per block of pair_ious: enough that numpy's per-call overhead is
+# spread thin, few enough that a block's arrays stay within a few MB.
+PAIR_BUDGET = 4096
 
 
-def _clip_polygon(subject, cx1, cz1, cx2, cz2):
-    # keep the half plane to the left of the directed edge (cx1,cz1)->(cx2,cz2)
-    ex, ez = cx2 - cx1, cz2 - cz1
+def bev_corners(boxes) -> np.ndarray:
+    """(N, 4, 2) ground-plane (x, z) corners, counterclockwise, of a table's
+    rows (location, dims, yaw)."""
+    x, z = boxes.location[:, 0, None], boxes.location[:, 2, None]
+    hl, hw = 0.5 * boxes.dims[:, 2], 0.5 * boxes.dims[:, 1]
+    yaw = boxes.yaw.tolist()  # math's cos and sin, whose last bits numpy need not share
+    c = np.array([math.cos(v) for v in yaw])[:, None]
+    s = np.array([math.sin(v) for v in yaw])[:, None]
+    ox, oz = np.stack([hl, -hl, -hl, hl], axis=1), np.stack([hw, hw, -hw, -hw], axis=1)
+    return np.stack([x + ox * c + oz * s, z - ox * s + oz * c], axis=2)
 
-    def side(p):
-        return ex * (p[1] - cz1) - ez * (p[0] - cx1)
 
-    out = []
-    n = len(subject)
-    for i in range(n):
-        cur, nxt = subject[i], subject[(i + 1) % n]
-        sc, sn = side(cur), side(nxt)
-        if sc >= 0:
-            out.append(cur)
-        if (sc > 0 and sn < 0) or (sc < 0 and sn > 0):
-            t = sc / (sc - sn)
-            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+def _next(values, n):
+    """Each row's values one slot on, the n-th used slot wrapping to the first."""
+    out = np.concatenate([values[:, 1:], values[:, :1]], axis=1)
+    out[np.arange(len(n)), n - 1] = values[:, 0]
     return out
 
 
-def _polygon_area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
-    area = 0.0
-    n = len(poly)
-    for i in range(n):
-        x0, z0 = poly[i]
-        x1, z1 = poly[(i + 1) % n]
-        area += x0 * z1 - x1 * z0
-    return 0.5 * abs(area)
+def _clip(xs, zs, n, x1, z1, x2, z2):
+    """One Sutherland-Hodgman step on P polygons, the first n of each row of
+    the (P, W) coordinates: keep the half plane to the left of each row's
+    directed edge (x1, z1) -> (x2, z2).  Each vertex in turn is kept if on or
+    inside the line, then followed by the crossing point if the edge to the
+    next vertex crosses the line strictly.  Returns the clipped polygons the
+    same way."""
+    side = (x2 - x1)[:, None] * (zs - z1[:, None]) - (z2 - z1)[:, None] * (xs - x1[:, None])
+    side_n = _next(side, n)
+    used = np.arange(xs.shape[1]) < n[:, None]
+    keep = used & (side >= 0)
+    cross = used & (((side > 0) & (side_n < 0)) | ((side < 0) & (side_n > 0)))
+    emitted = keep.astype(int) + cross
+    at = np.cumsum(emitted, axis=1) - emitted  # where each slot's first point goes
+    clipped = emitted.sum(axis=1)
+    # a quad clipped four times keeps at most 8 vertices; the width follows
+    # the largest count all the same, should rounding ever emit more
+    out_x, out_z = (np.zeros((len(n), max(int(clipped.max(initial=0)), 1))) for _ in range(2))
+    r, i = np.nonzero(keep)
+    out_x[r, at[r, i]], out_z[r, at[r, i]] = xs[r, i], zs[r, i]
+    r, i = np.nonzero(cross)
+    j = np.where(i + 1 < n[r], i + 1, 0)
+    t = side[r, i] / (side[r, i] - side_n[r, i])
+    x, z, to = xs[r, i], zs[r, i], at[r, i] + keep[r, i]
+    out_x[r, to], out_z[r, to] = x + t * (xs[r, j] - x), z + t * (zs[r, j] - z)
+    return out_x, out_z, clipped
 
 
-def _clipped_area(subject, clip) -> float:
-    """Area of the intersection of two convex quads, given as (x, z) corner
-    lists: the subject clipped by the half plane of each clip edge in turn."""
-    for i in range(4):
-        if len(subject) < 3:
-            return 0.0
-        x1, z1 = clip[i]
-        x2, z2 = clip[(i + 1) % 4]
-        subject = _clip_polygon(subject, x1, z1, x2, z2)
-    return _polygon_area(subject)
+def _clipped_areas(subject, clip) -> np.ndarray:
+    """(P,) areas of the intersections of P pairs of convex quads, two
+    (P, 4, 2) corner arrays: each subject clipped by the half plane of each
+    of its clip quad's edges in turn, then its shoelace terms summed in
+    vertex order.  A polygon left with fewer than 3 vertices has area 0."""
+    xs, zs, n = subject[:, :, 0], subject[:, :, 1], np.full(len(subject), 4)
+    with np.errstate(all="ignore"):
+        for i in range(4):
+            j = (i + 1) % 4
+            xs, zs, n = _clip(xs, zs, n, clip[:, i, 0], clip[:, i, 1], clip[:, j, 0], clip[:, j, 1])
+            n[n < 3] = 0
+        terms = np.where(np.arange(xs.shape[1]) < n[:, None], xs * _next(zs, n) - _next(xs, n) * zs, 0.0)
+        return 0.5 * np.abs(np.cumsum(terms, axis=1)[:, -1])  # cumsum adds in order, as a loop does
 
 
-def _iou(a, b, corners_a, corners_b) -> float:
-    """IoU of two (x, y, z, h, w, l, yaw) boxes and their BEV corners."""
-    # y points down: a box spans [y - h, y]
-    overlap_y = min(a[1], b[1]) - max(a[1] - a[3], b[1] - b[3])
-    if overlap_y <= 0:
-        return 0.0
-    inter = _clipped_area(corners_a, corners_b) * overlap_y
-    if inter <= 0:
-        return 0.0
-    vol_a = a[3] * a[4] * a[5]
-    vol_b = b[3] * b[4] * b[5]
-    return inter / (vol_a + vol_b - inter)
+def _ious(loc_a, dims_a, loc_b, dims_b, corners_a, corners_b) -> np.ndarray:
+    """(P,) IoUs of P pairs of boxes, given as (P, 3) locations and (h, w, l)
+    dimensions and (P, 4, 2) BEV corners of each side: BEV intersection times
+    vertical overlap, over the union volume.  NaN where a NaN reaches the
+    result."""
+    with np.errstate(all="ignore"):
+        # y points down: a box spans [y - h, y].  The min and max keep the
+        # first of two numbers unless the second compares past it, so a NaN
+        # in b's y drops out as it would in Python's min and max.
+        ya, yb = loc_a[:, 1], loc_b[:, 1]
+        top_a, top_b = ya - dims_a[:, 0], yb - dims_b[:, 0]
+        overlap_y = np.where(yb < ya, yb, ya) - np.where(top_b > top_a, top_b, top_a)
+        inter = _clipped_areas(corners_a, corners_b) * overlap_y
+        vol_a = dims_a[:, 0] * dims_a[:, 1] * dims_a[:, 2]
+        vol_b = dims_b[:, 0] * dims_b[:, 1] * dims_b[:, 2]
+        return np.where((overlap_y <= 0) | (inter <= 0), 0.0, inter / (vol_a + vol_b - inter))
 
 
-def _box_row(b: Box3D):
-    return (*b.location.tolist(), b.dims.h, b.dims.w, b.dims.l, b.yaw)
+def _box_table(b: Box3D):
+    return LabelTable([0.0] * 7 + [b.dims.h, b.dims.w, b.dims.l, *b.location.tolist(), b.yaw, math.nan])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume IoU of two yaw-rotated boxes: BEV polygon intersection times
     vertical overlap, over the union volume."""
-    a, b = _box_row(a), _box_row(b)
-    return _iou(a, b, bev_corners(a), bev_corners(b))
+    a, b = _box_table(a), _box_table(b)
+    return float(_ious(a.location, a.dims, b.location, b.dims, bev_corners(a), bev_corners(b))[0])
 
 
 # Added to each ground-plane bounding-circle radius (metres), so that a culled
@@ -106,24 +125,71 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 CULL_PAD = 1e-6
 
 
-def may_intersect(boxes_a, boxes_b) -> np.ndarray:
-    """(A, B) mask of the pairs of two tables' rows (location, dims) whose
-    volumes may intersect: positive dimensions, a positive vertical overlap,
-    computed as iou_3d does, and overlapping ground-plane bounding circles of
-    radius hypot(l, w) / 2 + CULL_PAD.  iou_3d is exactly 0.0 for every pair
-    of positive-sized boxes outside the mask; a non-finite number never
-    excludes a pair."""
-    loc_a, hwl_a, loc_b, hwl_b = boxes_a.location, boxes_a.dims, boxes_b.location, boxes_b.dims
+def may_intersect(loc_a, dims_a, loc_b, dims_b) -> np.ndarray:
+    """(P,) mask of the pairs of boxes, given as (P, 3) locations and (h, w, l)
+    dimensions of each side, whose volumes may intersect: positive
+    dimensions, a positive vertical overlap, and overlapping ground-plane
+    bounding circles of radius hypot(l, w) / 2 + CULL_PAD.  The IoU is
+    exactly 0.0 for every pair of positive-sized boxes outside the mask; a
+    non-finite number never excludes a pair."""
     with np.errstate(all="ignore"):
-        ya, yb = loc_a[:, 1, None], loc_b[None, :, 1]
-        overlap_y = np.minimum(ya, yb) - np.maximum(ya - hwl_a[:, 0, None], yb - hwl_b[None, :, 0])
-        reach = (0.5 * np.hypot(hwl_a[:, 2], hwl_a[:, 1]) + CULL_PAD)[:, None] + (
-            0.5 * np.hypot(hwl_b[:, 2], hwl_b[:, 1]) + CULL_PAD
-        )[None, :]
-        dx = loc_a[:, 0, None] - loc_b[None, :, 0]
-        dz = loc_a[:, 2, None] - loc_b[None, :, 2]
-        flat = (hwl_a <= 0).any(axis=1)[:, None] | (hwl_b <= 0).any(axis=1)[None, :]
+        ya, yb = loc_a[:, 1], loc_b[:, 1]
+        overlap_y = np.minimum(ya, yb) - np.maximum(ya - dims_a[:, 0], yb - dims_b[:, 0])
+        reach = (0.5 * np.hypot(dims_a[:, 2], dims_a[:, 1]) + CULL_PAD) + (
+            0.5 * np.hypot(dims_b[:, 2], dims_b[:, 1]) + CULL_PAD
+        )
+        dx = loc_a[:, 0] - loc_b[:, 0]
+        dz = loc_a[:, 2] - loc_b[:, 2]
+        flat = (dims_a <= 0).any(axis=1) | (dims_b <= 0).any(axis=1)
         return ~(flat | (overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
+
+
+def _blocks(n_pairs):
+    """[first, last) ranges of consecutive frames, given each frame's pair
+    count, of at most PAIR_BUDGET pairs; a larger frame is a block alone."""
+    first, size = 0, 0
+    for f, n in enumerate(n_pairs):
+        if size and size + n > PAIR_BUDGET:
+            yield first, f
+            first, size = f, 0
+        size += n
+    yield first, len(n_pairs)
+
+
+def _frame_pairs(det_offsets, gt_offsets):
+    """Detection and ground-truth rows of every pair within a frame, over
+    frames given by their (F + 1,) row offsets: frame by frame, detection
+    by detection, ground truths ascending."""
+    n_gt = np.diff(gt_offsets)
+    counts = np.diff(det_offsets) * n_gt
+    frame = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # the pair within its frame
+    return det_offsets[frame] + k // n_gt[frame], gt_offsets[frame] + k % n_gt[frame]
+
+
+def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
+    """Every positive 3D IoU between a detection and a ground truth of the
+    same frame, over a run of frames.
+
+    detections and ground_truths are LabelTables holding the frames one
+    after the other: frame f is rows det_offsets[f]:det_offsets[f + 1] of
+    one and gt_offsets[f]:gt_offsets[f + 1] of the other.  Returns the
+    (det row, gt row, IoU) triples as three arrays, in detection order, then
+    ground-truth order.  Pairs are scored in blocks of whole frames; a pair
+    outside may_intersect is not clipped.  A NaN IoU is left out.
+    """
+    det_offsets, gt_offsets = np.asarray(det_offsets), np.asarray(gt_offsets)
+    corners_d, corners_g = bev_corners(detections), bev_corners(ground_truths)
+    parts = []
+    for first, last in _blocks((np.diff(det_offsets) * np.diff(gt_offsets)).tolist()):
+        d, g = _frame_pairs(det_offsets[first:last + 1], gt_offsets[first:last + 1])
+        boxes = detections.location[d], detections.dims[d], ground_truths.location[g], ground_truths.dims[g]
+        keep = may_intersect(*boxes)
+        d, g, boxes = d[keep], g[keep], [column[keep] for column in boxes]
+        iou = _ious(*boxes, corners_d[d], corners_g[g])
+        positive = iou > 0
+        parts.append((d[positive], g[positive], iou[positive]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def orientation_similarity(theta_det: float, theta_gt: float) -> float:
@@ -145,43 +211,35 @@ class MatchedDetection:
     iou3d: float
 
 
-def _boxes(table):
-    """A table's rows as (x, y, z, h, w, l, yaw) lists."""
-    return np.column_stack([table.location, table.dims, table.yaw]).tolist()
-
-
-def match_frame(detections, ground_truths, iou_threshold: float):
+def match_frame(detections, ground_truths, iou_threshold: float, ious=None):
     """Greedy match of one frame's detections against its ground truths, two
     LabelTables (location, dims, yaw; a detection without a score counts
     1.0).
 
+    ious holds the frame's positive IoUs as pair_ious returns them, rows
+    counted from the frame's first; pair_ious computes them when it is None.
     In descending score (ties keep their input order), each detection takes
     the first unused ground truth of largest positive 3D IoU, and is a true
     positive if that IoU clears the threshold.  Returns a list of
     MatchedDetection (every detection appears, matched or not) to be pooled
     across frames.
     """
-    det, gt = _boxes(detections), _boxes(ground_truths)
+    if ious is None:
+        ious = pair_ious(detections, [0, len(detections)], ground_truths, [0, len(ground_truths)])
+    rows, cols, values = ious
     scores = np.where(np.isnan(detections.score), 1.0, detections.score).tolist()
+    yaw_d, yaw_g = detections.yaw.tolist(), ground_truths.yaw.tolist()
     # column 0 stands for "no ground truth": argmax lands there when no unused
     # ground truth has a positive IoU.  Column j + 1 is ground truth j.
-    iou = np.zeros((len(det), len(gt) + 1))
-    rows, cols = (idx.tolist() for idx in np.nonzero(may_intersect(detections, ground_truths)))
-    corners_d = {i: bev_corners(det[i]) for i in set(rows)}
-    corners_g = {j: bev_corners(gt[j]) for j in set(cols)}
-    for i, j in zip(rows, cols):
-        value = _iou(det[i], gt[j], corners_d[i], corners_g[j])
-        if value > 0:  # a NaN IoU never matches
-            iou[i, j + 1] = value
+    iou = np.zeros((len(detections), len(ground_truths) + 1))
+    iou[rows, cols + 1] = values
     out = []
-    for i in sorted(range(len(det)), key=lambda i: -scores[i]):
+    for i in sorted(range(len(scores)), key=lambda i: -scores[i]):
         j = int(iou[i].argmax())
         best_iou = float(iou[i, j])
         if j > 0 and best_iou >= iou_threshold:
             iou[:, j] = 0.0  # each ground truth is consumed once
-            out.append(MatchedDetection(
-                scores[i], True, orientation_similarity(det[i][6], gt[j - 1][6]), best_iou
-            ))
+            out.append(MatchedDetection(scores[i], True, orientation_similarity(yaw_d[i], yaw_g[j - 1]), best_iou))
         else:
             out.append(MatchedDetection(scores[i], False, 0.0, best_iou))
     return out

@@ -205,6 +205,47 @@ def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path
     )
 
 
+def _unlistable(tmp_path):
+    return re.escape(f"cannot list directory {tmp_path / 'no_such_dir'}: No such file or directory") + "$"
+
+
+def test_solve_unlistable_detections_exit_naming_them(pipeline_dirs, tmp_path, capsys):
+    missing, results = tmp_path / "no_such_dir", tmp_path / "results"
+    with pytest.raises(SystemExit, match="^" + _unlistable(tmp_path)):
+        main(["solve", "--calib", str(pipeline_dirs / "calib"), "--detections", str(missing),
+              "--properties", str(pipeline_dirs / "properties"), "--out", str(results)])
+    assert not results.exists()
+    # an existing empty directory is a run of 0 frames
+    missing.mkdir()
+    capsys.readouterr()
+    assert main(["solve", "--calib", str(pipeline_dirs / "calib"), "--detections", str(missing),
+                 "--properties", str(pipeline_dirs / "properties"), "--out", str(results)]) == 0
+    assert capsys.readouterr().out == f"solved 0 frames -> {results}\n"
+
+
+def test_depurate_unlistable_input_exits_naming_it(pipeline_dirs, tmp_path, capsys):
+    missing, kept = tmp_path / "no_such_dir", tmp_path / "kept"
+    with pytest.raises(SystemExit, match="^" + _unlistable(tmp_path)):
+        main(["depurate", "--in", str(missing), "--calib", str(pipeline_dirs / "calib"), "--out", str(kept)])
+    assert not kept.exists()
+    missing.mkdir()
+    assert main(["depurate", "--in", str(missing), "--calib", str(pipeline_dirs / "calib"),
+                 "--out", str(kept)]) == 0
+    assert (kept / "depuration_report.txt").read_text() == ""
+
+
+def test_eval_unlistable_results_or_ground_truth_exit_naming_them(pipeline_dirs, tmp_path):
+    missing, json_path = tmp_path / "no_such_dir", tmp_path / "metrics.json"
+    for results, gt in ((missing, pipeline_dirs / "gt"), (pipeline_dirs / "gt", missing)):
+        with pytest.raises(SystemExit, match="^" + _unlistable(tmp_path)):
+            main(["eval", "--results", str(results), "--gt", str(gt), "--json", str(json_path)])
+        assert not json_path.exists()
+    missing.mkdir()
+    assert main(["eval", "--results", str(missing), "--gt", str(missing), "--json", str(json_path)]) == 0
+    assert json.loads(json_path.read_text()) == {"AP3D@0.7": 0.0, "AOS": 0.0, "OS": 0.0, "E_d": None,
+                                                  "n_gt": 0, "n_det": 0}
+
+
 def test_solve_refine_field_matches_no_refine_flag(pipeline_dirs, tmp_path):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("refine = false\n")

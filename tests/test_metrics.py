@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box3d import metrics
 from box3d.camera import Box3D, Dimensions
 from box3d.kitti_io import LabelTable
 from box3d.metrics import (
     MatchedDetection,
     RECALL_POINTS_11,
     RECALL_POINTS_40,
-    _clipped_area,
+    _clipped_areas,
     aos_and_os,
     average_precision,
     bev_corners,
@@ -21,6 +22,7 @@ from box3d.metrics import (
     match_frame,
     may_intersect,
     orientation_similarity,
+    pair_ious,
     passes_difficulty,
 )
 
@@ -42,6 +44,85 @@ def _match(detections, ground_truths, iou_threshold):
     """match_frame on (Box3D, score) pairs and Box3Ds."""
     return match_frame(_table([b for b, _ in detections], [s for _, s in detections]), _table(ground_truths),
                        iou_threshold)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: the per-pair clipping the batched kernel replaced
+
+
+def _quad(x, z, w, l, yaw):
+    """Ground-plane (x, z) corners, counterclockwise, of a box's footprint."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    hl, hw = 0.5 * l, 0.5 * w
+    return [(x + ox * c + oz * s, z - ox * s + oz * c) for ox, oz in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+
+
+def _bev_corners_ref(box):
+    return _quad(box.location[0], box.location[2], box.dims.w, box.dims.l, box.yaw)
+
+
+def _clip_polygon(subject, cx1, cz1, cx2, cz2):
+    # keep the half plane to the left of the directed edge (cx1,cz1)->(cx2,cz2)
+    ex, ez = cx2 - cx1, cz2 - cz1
+
+    def side(p):
+        return ex * (p[1] - cz1) - ez * (p[0] - cx1)
+
+    out = []
+    n = len(subject)
+    for i in range(n):
+        cur, nxt = subject[i], subject[(i + 1) % n]
+        sc, sn = side(cur), side(nxt)
+        if sc >= 0:
+            out.append(cur)
+        if (sc > 0 and sn < 0) or (sc < 0 and sn > 0):
+            t = sc / (sc - sn)
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    return out
+
+
+def _polygon_area(poly) -> float:
+    if len(poly) < 3:
+        return 0.0
+    area = 0.0
+    n = len(poly)
+    for i in range(n):
+        x0, z0 = poly[i]
+        x1, z1 = poly[(i + 1) % n]
+        area += x0 * z1 - x1 * z0
+    return 0.5 * abs(area)
+
+
+def _clipped_area(subject, clip) -> float:
+    """Area of the intersection of two convex quads, given as (x, z) corner
+    lists: the subject clipped by the half plane of each clip edge in turn."""
+    for i in range(4):
+        if len(subject) < 3:
+            return 0.0
+        x1, z1 = clip[i]
+        x2, z2 = clip[(i + 1) % 4]
+        subject = _clip_polygon(subject, x1, z1, x2, z2)
+    return _polygon_area(subject)
+
+
+def _iou_ref(a, b) -> float:
+    """IoU of two Box3Ds, one pair at a time with Python floats."""
+    a_y, b_y = a.location[1], b.location[1]
+    # y points down: a box spans [y - h, y]
+    overlap_y = min(a_y, b_y) - max(a_y - a.dims.h, b_y - b.dims.h)
+    if overlap_y <= 0:
+        return 0.0
+    inter = _clipped_area(_bev_corners_ref(a), _bev_corners_ref(b)) * overlap_y
+    if inter <= 0:
+        return 0.0
+    vol_a = a.dims.h * a.dims.w * a.dims.l
+    vol_b = b.dims.h * b.dims.w * b.dims.l
+    return inter / (vol_a + vol_b - inter)
+
+
+def _same(x, y) -> bool:
+    """Equal to the bit (the sign of a zero too); NaN is the same as NaN."""
+    return (math.isnan(x) and math.isnan(y)) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
 
 
 def _mc_iou(a, b, n=1_000_000, seed=0):
@@ -155,9 +236,66 @@ def test_iou_rigid_motion_invariance(shift, tx, tz):
 
 def test_bev_intersection_disjoint_is_zero():
     a, b = _box(), _box(x=5.0)
-    corners_a, corners_b = (bev_corners((*c.location, c.dims.h, c.dims.w, c.dims.l, c.yaw)) for c in (a, b))
-    assert _clipped_area(corners_a, corners_b) == 0.0
+    assert _clipped_area(_bev_corners_ref(a), _bev_corners_ref(b)) == 0.0
+    assert _clipped_areas(bev_corners(_table([a])), bev_corners(_table([b]))).tolist() == [0.0]
     assert iou_3d(a, b) == 0.0
+
+
+def test_bev_corners_equal_scalar_reference():
+    rng = np.random.default_rng(4)
+    boxes = [_box(*rng.uniform(-40.0, 40.0, 3), *rng.uniform(0.0, 6.0, 3), rng.uniform(-4.0, 4.0))
+             for _ in range(2000)]
+    boxes += [_box(yaw=k * math.pi / 4) for k in range(-4, 4)]
+    assert bev_corners(_table(boxes)).tolist() == [[list(c) for c in _bev_corners_ref(b)] for b in boxes]
+
+
+def _assert_clips_like_reference(pairs):
+    subject = np.array([a for a, _ in pairs], dtype=float).reshape(-1, 4, 2)
+    clip = np.array([b for _, b in pairs], dtype=float).reshape(-1, 4, 2)
+    for (a, b), area in zip(pairs, _clipped_areas(subject, clip).tolist()):
+        assert _same(area, _clipped_area(a, b)), (a, b)
+
+
+@given(
+    a=st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 80.0), st.floats(0.0, 3.0), st.floats(0.0, 6.0),
+                st.floats(-math.pi, math.pi)),
+    kind=st.sampled_from(["near", "identical", "edge", "corner", "quarter_turn", "flat", "non_finite"]),
+    jitter=st.one_of(st.tuples(*[st.floats(-1e-9, 1e-9)] * 5), st.tuples(*[st.floats(-1.0, 1.0)] * 5),
+                     st.just((0.0,) * 5)),
+    bad=st.tuples(st.integers(0, 3), st.integers(0, 1), st.sampled_from([math.nan, math.inf, -math.inf])),
+)
+@settings(max_examples=400)
+def test_batched_clip_equals_scalar_reference(a, kind, jitter, bad):
+    x, z, w, l, yaw = a
+    c, s = math.cos(yaw), math.sin(yaw)
+    if kind == "edge":  # the next box along a's length, sharing an edge
+        b = (x + l * c, z - l * s, w, l, yaw)
+    elif kind == "corner":  # the next box along a's diagonal, sharing a corner
+        b = (x + l * c + w * s, z - l * s + w * c, w, l, yaw)
+    elif kind == "quarter_turn":
+        b = (x, z, w, l, yaw + math.pi / 2)
+    elif kind == "flat":  # a zero-area quad, or a width matching a's length
+        b = (x, z, 0.0, l, yaw) if jitter[0] >= 0 else (x, z, l, w, yaw + math.pi / 2)
+    else:
+        b = a
+    if kind == "near":
+        b = tuple(v + d for v, d in zip(b, jitter))
+    quad_a, quad_b = _quad(*a), _quad(*b)
+    if kind == "non_finite":
+        corner, axis, value = bad
+        quad_b = [tuple(v if (i, k) != (corner, axis) else value for k, v in enumerate(p))
+                  for i, p in enumerate(quad_b)]
+    _assert_clips_like_reference([(quad_a, quad_b), (quad_b, quad_a)])
+
+
+def test_batched_clip_equals_scalar_reference_on_random_near_duplicates():
+    rng = np.random.default_rng(9)
+    params = np.column_stack([rng.uniform(-30.0, 30.0, 20_000), rng.uniform(0.0, 60.0, 20_000),
+                              rng.uniform(0.5, 2.5, 20_000), rng.uniform(2.0, 5.0, 20_000),
+                              rng.uniform(-math.pi, math.pi, 20_000)])
+    scale = rng.choice([0.0, 1e-12, 1e-6, 0.3], size=(20_000, 1))
+    near = params + scale * rng.normal(size=params.shape)
+    _assert_clips_like_reference([(_quad(*p), _quad(*q)) for p, q in zip(params.tolist(), near.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +417,7 @@ def _match_frame_loop(detections, ground_truths, iou_threshold):
         for j, gt in enumerate(ground_truths):
             if used[j]:
                 continue
-            iou = iou_3d(box, gt)
+            iou = _iou_ref(box, gt)
             if iou > best_iou:
                 best_iou, best_j = iou, j
         if best_j >= 0 and best_iou >= iou_threshold:
@@ -363,6 +501,74 @@ def test_match_frame_matches_loop_reference(iou_threshold):
     assert match_frame(_table([_box()]), _table([]), iou_threshold) == [MatchedDetection(1.0, False, 0.0, 0.0)]
 
 
+def _big_frame(rng, n_gt=64, n_det=70):
+    """More pairs than the default block budget: a grid of ground truths and
+    noisy copies of them."""
+    gts = [_car(rng, -14.0 + 3.5 * (k % 8), 5.0 + 6.0 * (k // 8)) for k in range(n_gt)]
+    dets = [_moved(gts[k % n_gt], *rng.normal(0.0, 0.3, 3), gts[k % n_gt].yaw + rng.normal(0.0, 0.1))
+            for k in range(n_det)]
+    return [(d, float(s)) for d, s in zip(dets, rng.integers(0, 3, n_det) / 2.0)], gts
+
+
+def _random_run(seed):
+    """Frames of a run: crowded ones, empty ones, two ground truths at one
+    IoU from a detection, NaN scores, and one frame over the block budget."""
+    rng = np.random.default_rng(seed)
+    frames = [_crowded_frame(rng) for _ in range(24)]
+    frames += [([], []), ([], [_box(z=10.0)]), ([(_box(z=10.0), 0.5)], []), _big_frame(rng)]
+    frames.append(([(_box(h=1.5, w=2.0, l=4.0), 0.9), (_box(x=-0.5, h=1.5, w=2.0, l=4.0), 0.8)],
+                   [_box(x=-0.5, h=1.5, w=2.0, l=4.0), _box(x=0.5, h=1.5, w=2.0, l=4.0)]))
+    for f in rng.choice(len(frames), 6, replace=False).tolist():
+        frames[f] = ([(d, math.nan if rng.uniform() < 0.5 else s) for d, s in frames[f][0]], frames[f][1])
+    return [frames[f] for f in rng.permutation(len(frames))]
+
+
+def _joined(frames):
+    """The run's detection and ground-truth tables and their row offsets."""
+    dets = [d for ds, _ in frames for d in ds]
+    det_offsets = np.cumsum([0] + [len(ds) for ds, _ in frames])
+    gt_offsets = np.cumsum([0] + [len(gs) for _, gs in frames])
+    return (_table([b for b, _ in dets], [s for _, s in dets]), det_offsets,
+            _table([g for _, gs in frames for g in gs]), gt_offsets)
+
+
+@pytest.mark.parametrize("budget", [1, 500, metrics.PAIR_BUDGET])
+def test_pair_ious_equal_scalar_reference(monkeypatch, budget):
+    monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
+    frames = _random_run(12)
+    assert max(len(ds) * len(gs) for ds, gs in frames) > metrics.PAIR_BUDGET or budget == 1
+    dets, det_offsets, gts, gt_offsets = _joined(frames)
+    d, g, iou = pair_ious(dets, det_offsets, gts, gt_offsets)
+    want = [
+        (det_offsets[f] + i, gt_offsets[f] + j, value)
+        for f, (ds, gs) in enumerate(frames) for i, (box, _) in enumerate(ds) for j, gt in enumerate(gs)
+        for value in [_iou_ref(box, gt)] if value > 0
+    ]
+    assert list(zip(d.tolist(), g.tolist(), iou.tolist())) == want
+
+
+@pytest.mark.parametrize("budget", [1, 500, metrics.PAIR_BUDGET])
+@pytest.mark.parametrize("iou_threshold", [0.5, 0.7])
+def test_run_pass_matches_per_frame_loop(monkeypatch, budget, iou_threshold):
+    monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
+    frames = _random_run(13)
+    dets, det_offsets, gts, gt_offsets = _joined(frames)
+    d, g, iou = pair_ious(dets, det_offsets, gts, gt_offsets)
+    cuts = np.searchsorted(d, det_offsets)
+    for f, (ds, gs) in enumerate(frames):
+        pairs = slice(cuts[f], cuts[f + 1])
+        got = match_frame(dets[det_offsets[f]:det_offsets[f + 1]], gts[gt_offsets[f]:gt_offsets[f + 1]],
+                          iou_threshold, (d[pairs] - det_offsets[f], g[pairs] - gt_offsets[f], iou[pairs]))
+        # a detection without a score counts 1.0
+        scored = [(box, 1.0 if math.isnan(s) else s) for box, s in ds]
+        assert got == _match_frame_loop(scored, gs, iou_threshold)
+
+
+def _may_intersect(a, b):
+    """may_intersect on the one rows of two tables."""
+    return bool(may_intersect(a.location, a.dims, b.location, b.dims)[0])
+
+
 @given(
     dims_a=st.tuples(*[st.floats(0.1, 6.0)] * 3),
     dims_b=st.tuples(*[st.floats(0.1, 6.0)] * 3),
@@ -389,9 +595,12 @@ def test_culled_pairs_have_zero_iou(dims_a, dims_b, yaw_a, yaw_b, direction, gap
     dist = max(reach + gap, 0.0)
     b = _box(origin[0] + dist * math.cos(direction), origin[1] + dy,
              origin[2] + dist * math.sin(direction), *dims_b, yaw_b)
-    if not may_intersect(_table([a]), _table([b]))[0, 0]:
-        assert iou_3d(a, b) == 0.0
-    assert may_intersect(_table([a]), _table([b]))[0, 0] == may_intersect(_table([b]), _table([a]))[0, 0]
+    culled = not _may_intersect(_table([a]), _table([b]))
+    assert culled == (not _may_intersect(_table([b]), _table([a])))
+    if culled:
+        assert _iou_ref(a, b) == _iou_ref(b, a) == iou_3d(a, b) == iou_3d(b, a) == 0.0
+        for first, second in ((a, b), (b, a)):
+            assert all(len(v) == 0 for v in pair_ious(_table([first]), [0, 1], _table([second]), [0, 1]))
 
 
 def test_box_with_a_non_positive_dimension_never_intersects():
@@ -401,7 +610,7 @@ def test_box_with_a_non_positive_dimension_never_intersects():
         for value in (0.0, -1.0):
             gt = _table([_box(z=10.0)])
             gt.dims[0, k] = value
-            assert not may_intersect(det, gt)[0, 0] and not may_intersect(gt, det)[0, 0]
+            assert not _may_intersect(det, gt) and not _may_intersect(gt, det)
             assert match_frame(det, gt, 0.5) == [MatchedDetection(0.9, False, 0.0, 0.0)]
 
 
