@@ -50,14 +50,22 @@ def _frames_in(directory):
 
 
 def _read(directory, frame, kind):
-    """The text of a frame's file; a missing one, or one that is not UTF-8,
-    ends the run naming it."""
+    """The text of a frame's file; a missing or unreadable one, or one that
+    is not UTF-8, ends the run naming it."""
     path = os.path.join(directory, frame + ".txt")
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except FileNotFoundError:
         raise SystemExit(f"frame {frame}: missing {kind} file {path}") from None
+    except OSError as exc:
+        raise SystemExit(f"frame {frame}: cannot read {kind} file {path}: {exc.strerror or exc}") from None
+    raw = b"".join(chunks)
     try:
         return raw.decode()
     except UnicodeDecodeError as exc:
@@ -65,9 +73,41 @@ def _read(directory, frame, kind):
         raise SystemExit(f"frame {frame}: line {line}: {kind} file is not UTF-8 ({exc.reason})") from None
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+def _write(path, data):
+    """Bytes to a file, created or truncated; a path that cannot be written
+    ends the run naming it."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # os.write may take fewer bytes than given
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _make_dir(path):
+    """A directory that cannot be made ends the run naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"cannot create directory {path}: {exc.strerror or exc}") from None
+
+
+def _write_frames(out, frames, labels, offsets, written):
+    """The `written` rows among rows offsets[f] to offsets[f + 1] of a run's
+    labels to out/<frame f>.txt, from one write_labels call over the run."""
+    offsets = np.append(0, np.cumsum(written))[offsets]
+    text = kitti_io.write_labels(labels[written]).encode()
+    # every row ends in its only line break: the byte offset of each row's
+    # start, then the end of the text
+    starts = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1)
+    cuts = starts[offsets].tolist()
+    view = memoryview(text)
+    for f, frame in enumerate(frames):
+        _write(os.path.join(out, frame + ".txt"), view[cuts[f]:cuts[f + 1]])
 
 
 def _image_size(text):
@@ -117,13 +157,16 @@ def cmd_solve(args):
             raise SystemExit(f"frame {frame}: {exc}")
         detections.append(dets)
         properties.append(props)
-        cameras.append(np.broadcast_to((camera.fu, camera.fv, camera.cu, camera.cv), (len(dets), 4)))
-    os.makedirs(args.out, exist_ok=True)
+        cameras.append((camera.fu, camera.fv, camera.cu, camera.cv))
+    _make_dir(args.out)
     if not frames:
         print(f"solved 0 frames -> {args.out}")
         return
+    counts = [len(d) for d in detections]
+    offsets = np.cumsum([0, *counts])
     detections = kitti_io.DetectionTable.concatenate(detections)
-    rows = decode_rows(detections, kitti_io.PropertyTable.concatenate(properties), np.concatenate(cameras))
+    rows = decode_rows(detections, kitti_io.PropertyTable.concatenate(properties),
+                       np.repeat(cameras, counts, axis=0))
     width, height = args.image_size
     box = rows.box
     outside = int(((box[:, :2] < 0).any(axis=1) | (box[:, 2] > width) | (box[:, 3] > height)).sum())
@@ -131,45 +174,45 @@ def cmd_solve(args):
         print(f"box3d solve: {outside} of {len(rows)} detection boxes reach past the "
               f"{width:g}x{height:g} image", file=sys.stderr)
     result = solver.lift_batch(rows, args.image_size, config)
+    lifted = result.lifted
+    skipped = np.flatnonzero(~lifted)
+    frame_of = np.searchsorted(offsets, skipped, side="right") - 1
+    for i, f, j in zip(skipped.tolist(), frame_of.tolist(), (skipped - offsets[frame_of]).tolist()):
+        print(f"box3d solve: frame {frames[f]} row {j}: skipped ({result.status[i]})", file=sys.stderr)
     zeros = np.zeros(len(rows))  # truncated, occluded
     labels = kitti_io.LabelTable(
         np.column_stack([zeros, zeros, rows.alpha, rows.box, rows.dims, result.location, rows.yaw, rows.score]),
         detections.cls,
     )
-    lifted, end = result.lifted, 0
-    for frame, n in zip(frames, (len(c) for c in cameras)):
-        start, end = end, end + n
-        for j in np.flatnonzero(~lifted[start:end]).tolist():
-            print(f"box3d solve: frame {frame} row {j}: skipped ({result.status[start + j]})", file=sys.stderr)
-        _write(os.path.join(args.out, frame + ".txt"), kitti_io.write_labels(labels[start:end][lifted[start:end]]))
+    _write_frames(args.out, frames, labels, offsets, lifted)
     print(f"solved {len(frames)} frames -> {args.out}")
 
 
 def cmd_depurate(args):
     cfg = _load_config(args.config, DEFAULT_DEPURATION_CONFIG)
     # every frame is parsed first, so that a bad file leaves nothing written
-    scenes = []
-    for frame in _frames_in(args.in_dir):
+    frames, cameras, tables = _frames_in(args.in_dir), [], []
+    for frame in frames:
         calib_text = _read(args.calib, frame, "calibration")
         try:
-            camera = kitti_io.parse_calib(calib_text)
-            scenes.append((frame, camera, kitti_io.parse_labels(_read(args.in_dir, frame, "result"))))
+            cameras.append(kitti_io.parse_calib(calib_text))
+            tables.append(kitti_io.parse_labels(_read(args.in_dir, frame, "result")))
         except ValueError as exc:
             raise SystemExit(f"frame {frame}: {exc}")
-    os.makedirs(args.out, exist_ok=True)
-    report_lines = []
-    for frame, camera, table in scenes:
-        verdicts = depurate(table, camera, cfg)
-        kept = np.array([v.kept for v in verdicts], dtype=bool)
-        _write(os.path.join(args.out, frame + ".txt"), kitti_io.write_labels(table[kept]))
-        for i in np.flatnonzero(~kept).tolist():
-            v = verdicts[i]
-            report_lines.append(
-                f"{frame} object {i} ({table.cls[i]}): removed, "
-                f"{'hard rule' if v.hard_violation else 'co-determination'} [{','.join(sorted(v.violated_rules))}]"
-            )
+    _make_dir(args.out)
+    kept, report_lines = [], []
+    for frame, camera, table in zip(frames, cameras, tables):
+        for i, v in enumerate(depurate(table, camera, cfg)):
+            kept.append(v.kept)
+            if not v.kept:
+                report_lines.append(
+                    f"{frame} object {i} ({table.cls[i]}): removed, "
+                    f"{'hard rule' if v.hard_violation else 'co-determination'} [{','.join(sorted(v.violated_rules))}]"
+                )
+    _write_frames(args.out, frames, kitti_io.LabelTable.concatenate([kitti_io.LabelTable([], []), *tables]),
+                  np.cumsum([0, *map(len, tables)]), np.array(kept, dtype=bool))
     report = os.path.join(args.out, DEPURATION_REPORT)
-    _write(report, "\n".join(report_lines) + ("\n" if report_lines else ""))
+    _write(report, ("\n".join(report_lines) + ("\n" if report_lines else "")).encode())
     print(f"removed {len(report_lines)} detections; report -> {report}")
 
 
@@ -233,12 +276,12 @@ def cmd_eval(args):
         "n_gt": n_gt,
         "n_det": len(matches),
     }
+    if args.json:
+        _write(args.json, (json.dumps(table, indent=2) + "\n").encode())
     width = max(len(k) for k in table)
     for key, value in table.items():
         shown = f"{value:.4f}" if isinstance(value, float) else str(value)
         print(f"{key:<{width}}  {shown}")
-    if args.json:
-        _write(args.json, json.dumps(table, indent=2) + "\n")
 
 
 def cmd_synth(args):
@@ -246,14 +289,14 @@ def cmd_synth(args):
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     for sub in ("calib", "detections", "properties", "gt"):
-        os.makedirs(os.path.join(args.out, sub), exist_ok=True)
+        _make_dir(os.path.join(args.out, sub))
     for i in range(args.frames):
         frame = f"{i:06d}"
         gt, detections, props = generate_scene(replace(spec, seed=spec.seed + i), frame)
         for sub, text in (("calib", kitti_io.write_calib(gt.camera)), ("gt", kitti_io.write_labels(gt.objects)),
                           ("detections", kitti_io.write_detections(detections)),
                           ("properties", kitti_io.write_properties(props))):
-            _write(os.path.join(args.out, sub, frame + ".txt"), text)
+            _write(os.path.join(args.out, sub, frame + ".txt"), text.encode())
     print(f"wrote {args.frames} frames under {args.out}")
 
 

@@ -118,8 +118,8 @@ def parse_calib(text: str) -> CameraIntrinsics:
         values = line.split(":", 1)[1].split()
         if len(values) != 12:
             raise ValueError(f"P2 line has {len(values)} numbers, expected 12")
-        p = np.array([float(v) for v in values]).reshape(3, 4)
-        return CameraIntrinsics(fu=p[0, 0], fv=p[1, 1], cu=p[0, 2], cv=p[1, 2])
+        p = [float(v) for v in values]  # row-major 3x4
+        return CameraIntrinsics(fu=p[0], fv=p[5], cu=p[2], cv=p[6])
     raise ValueError("no P2 line in calibration file")
 
 
@@ -168,7 +168,9 @@ _LABEL_FORMAT = "{} {:.6f} {} " + " ".join(["{:.6f}"] * 12)
 
 def write_labels(table: LabelTable) -> str:
     lines = []
-    for name, row in zip(table.cls, table.data.tolist()):
+    # a row at a time: the floats of a whole run would take several times
+    # the array's memory
+    for name, row in zip(table.cls, map(np.ndarray.tolist, table.data)):
         line = _LABEL_FORMAT.format(name, row[0], int(row[1]), *row[2:14])
         lines.append(line if math.isnan(row[14]) else f"{line} {row[14]:.6f}")
     return "\n".join(lines) + ("\n" if lines else "")

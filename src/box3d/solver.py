@@ -54,7 +54,7 @@ DEFAULT_SOLVER_CONFIG = SolverConfig()
 
 # Rows per vectorised pass of lift_batch: bounds the pass's temporaries
 # (a few kB per row) whatever the size of the run.
-LIFT_BLOCK_ROWS = 256
+LIFT_BLOCK_ROWS = 1024
 
 # Per-row outcome of lift_batch.  The first three carry a finite location:
 # refined, closed form behind the truncation gate, closed form after a failed

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from box3d.cli import main
-from box3d.kitti_io import parse_labels
+from box3d.cli import _write, main
+from box3d.depuration import DEFAULT_DEPURATION_CONFIG, depurate
+from box3d.kitti_io import parse_calib, parse_labels, write_labels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -244,6 +245,118 @@ def test_eval_unlistable_results_or_ground_truth_exit_naming_them(pipeline_dirs,
     assert main(["eval", "--results", str(missing), "--gt", str(missing), "--json", str(json_path)]) == 0
     assert json.loads(json_path.read_text()) == {"AP3D@0.7": 0.0, "AOS": 0.0, "OS": 0.0, "E_d": None,
                                                   "n_gt": 0, "n_det": 0}
+
+
+def _path_fault(data, tmp_path, fault):
+    """The argv of a run with one path that cannot be read or written, and
+    the one stderr line it must exit with."""
+    results, kept = tmp_path / "results", tmp_path / "kept"
+    solve = ["solve", "--calib", str(data / "calib"), "--detections", str(data / "detections"),
+             "--properties", str(data / "properties"), "--out", str(results)]
+    depurate = ["depurate", "--in", str(results), "--calib", str(data / "calib"), "--out", str(kept)]
+    evaluate = ["eval", "--results", str(results), "--gt", str(data / "gt")]
+    if fault != "calibration file is a directory":
+        assert main(solve) == 0
+    if fault == "calibration file is a directory":
+        path = data / "calib" / "000001.txt"
+        path.unlink()
+        path.mkdir()
+        return solve, f"frame 000001: cannot read calibration file {path}: Is a directory"
+    if fault == "ground-truth file is a directory":
+        path = data / "gt" / "000009.txt"
+        path.mkdir()
+        return evaluate, f"frame 000009: cannot read ground-truth file {path}: Is a directory"
+    if fault == "solve --out is a file":
+        results.rename(tmp_path / "moved")
+        results.write_text("")
+        return solve, f"cannot create directory {results}: File exists"
+    if fault == "depurate --out is a file":
+        kept.write_text("")
+        return depurate, f"cannot create directory {kept}: File exists"
+    if fault == "result frame is a directory":
+        path = results / "000002.txt"
+        path.unlink()
+        path.mkdir()
+        return solve, f"cannot write {path}: Is a directory"
+    path = tmp_path / "no_such_dir" / "table.json"
+    return [*evaluate, "--json", str(path)], f"cannot write {path}: No such file or directory"
+
+
+@pytest.mark.parametrize("fault", ["calibration file is a directory", "ground-truth file is a directory",
+                                   "solve --out is a file", "depurate --out is a file",
+                                   "result frame is a directory", "eval --json in a missing directory"])
+def test_path_fault_exits_with_one_line_naming_the_path(pipeline_dirs, tmp_path, fault):
+    argv, line = _path_fault(pipeline_dirs, tmp_path, fault)
+    out = subprocess.run([sys.executable, "-m", "box3d.cli", *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in out.stderr
+    assert (out.returncode, out.stderr.splitlines()) == (1, [line])
+    if argv[0] == "eval":
+        assert out.stdout == ""  # the table is printed only once it is written
+
+
+def test_write_finishes_after_partial_writes(tmp_path, monkeypatch):
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))  # 7 bytes a call at most
+    path = tmp_path / "000000.txt"
+    path.write_text("stale " * 100)
+    _write(str(path), b"0123456789" * 5)
+    assert path.read_bytes() == b"0123456789" * 5
+
+
+def _one_frame_copy(data, frame, root):
+    """A run directory holding only `frame`'s calibration, detection and property files."""
+    for sub in ("calib", "detections", "properties"):
+        (root / sub).mkdir(parents=True)
+        (root / sub / f"{frame}.txt").write_bytes((data / sub / f"{frame}.txt").read_bytes())
+    return root
+
+
+def test_run_level_writer_equals_per_frame_writes(tmp_path, capsys):
+    data, results, kept = tmp_path / "data", tmp_path / "results", tmp_path / "kept"
+    assert main(["synth", "--out", str(data), "--frames", "5", "--seed", "11"]) == 0
+    # 000001 has no detections, every row of 000003 is skipped, and 000002
+    # gains a detection above the horizon that depuration removes
+    (data / "detections" / "000001.txt").write_text("")
+    props = data / "properties" / "000001.txt"
+    props.write_text(props.read_text().splitlines()[0] + "\n")
+    props = data / "properties" / "000003.txt"
+    header, *rows = props.read_text().splitlines()
+    props.write_text("\n".join([header, *(" ".join([*r.split()[:5], "nan", *r.split()[6:]]) for r in rows)]) + "\n")
+    with (data / "detections" / "000002.txt").open("a") as f:
+        f.write("Car 520.0 60.0 640.0 130.0 0.95\n")
+    with (data / "properties" / "000002.txt").open("a") as f:
+        f.write("0 0 0 5 0 0 1 0.389418342 0.921060994 0 0 1\n")
+    frames = [f"{i:06d}" for i in range(5)]
+    # stale files, longer than anything written over them
+    for directory in (results, kept):
+        directory.mkdir()
+        for frame in frames:
+            (directory / f"{frame}.txt").write_text("stale " * 2000)
+    capsys.readouterr()
+
+    assert _solve(data, results) == 0
+    err = capsys.readouterr().err
+    assert [r for r in _skipped_rows(err) if r[1] == "000003"] == [
+        ["frame", "000003", "row", str(j)] for j in range(len(rows))]
+    # solved alone, a frame is formatted in one write_labels call of its own
+    alone_err = []
+    for frame in frames:
+        alone = _one_frame_copy(data, frame, tmp_path / "alone" / frame)
+        assert _solve(alone, alone / "results") == 0
+        alone_err.extend(line for line in capsys.readouterr().err.splitlines() if "skipped" in line)
+        assert (results / f"{frame}.txt").read_bytes() == (alone / "results" / f"{frame}.txt").read_bytes()
+    assert [line for line in err.splitlines() if "skipped" in line] == alone_err
+    assert (results / "000001.txt").read_bytes() == (results / "000003.txt").read_bytes() == b""
+
+    assert main(["depurate", "--in", str(results), "--calib", str(data / "calib"), "--out", str(kept)]) == 0
+    for frame in frames:
+        table = parse_labels((results / f"{frame}.txt").read_text())
+        verdicts = depurate(table, parse_calib((data / "calib" / f"{frame}.txt").read_text()),
+                            DEFAULT_DEPURATION_CONFIG)
+        expected = write_labels(table[np.array([v.kept for v in verdicts], dtype=bool)])
+        assert (kept / f"{frame}.txt").read_text() == expected
+    assert (kept / "depuration_report.txt").read_text().startswith("000002 object ")
 
 
 def test_solve_refine_field_matches_no_refine_flag(pipeline_dirs, tmp_path):

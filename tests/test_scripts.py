@@ -27,3 +27,10 @@ def test_pipeline_demo_prints_sections(tmp_path):
     for heading in ("== metrics before depuration ==", "== metrics after depuration ==",
                     "== removal report =="):
         assert heading in stdout
+
+
+def test_same_outputs_finds_no_difference_between_a_tree_and_itself():
+    stdout = _run("same_outputs.py", str(ROOT / "src"), "--frames", "2", "--seeds", "0",
+                  "--workloads", "crowded_eval")
+    assert stdout.splitlines()[-1] == ("0 differences in 23 files and 9 commands (0 exited non-zero) "
+                                       "over 1 workload-seed cases")
