@@ -21,7 +21,7 @@ from box3d.properties import encode_local_angle
 def inject_false_detection(det_path: Path, prop_path: Path):
     with det_path.open("a") as f:
         f.write("Car 520.0 60.0 640.0 130.0 0.95\n")
-    table = parse_properties(prop_path.read_text())
+    table = parse_properties([prop_path.read_text()]).objects
     # mean dimensions, viewpoint class 5, the bottom-face center on the box anchor
     row = [0.0, 0.0, 0.0, 5, 0.0, 0.0, *encode_local_angle(0.4, table.n_bins)]
     prop_path.write_text(write_properties(PropertyTable(np.vstack([table.data, row]))))

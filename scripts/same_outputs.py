@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that another source tree of box3d gives byte-identical outputs.
 
-    python3 scripts/same_outputs.py BASE_SRC [--seeds 0 7] [--frames N] [--workloads W ...]
+    python3 scripts/same_outputs.py BASE_SRC [--seeds 0 7] [--frames N] [--workloads W ...] [--faults N]
 
 BASE_SRC is the ``src`` directory of the other tree, for example a clone of
 the parent commit.  For each workload mix of the benchmark (``WORKLOADS`` of
@@ -17,12 +17,24 @@ the parent commit.  For each workload mix of the benchmark (``WORKLOADS`` of
 Every command runs in a fresh interpreter with that tree on PYTHONPATH, from
 a working directory of its own and with relative paths, so that its output
 names the same paths for both trees.  Every written file and every command's
-stdout, stderr and exit code are compared.  The exit code is 0 when all are
-identical and 1 otherwise, after one line per difference.
+stdout, stderr and exit code are compared.
+
+With ``--faults N``, each case then takes N seeded single faults, one at a
+time, in a file of its inputs or of the results of its ``solve``: a replaced
+token, a replaced byte, an added column or a deleted file.  Under each tree
+and for each fault, ``solve`` runs on the inputs, and ``depurate`` and
+``eval`` on those results, in process, and their stdout, stderr and exit
+codes are compared.  Each tree sees the same faulted bytes.
+
+The exit code is 0 when all are identical and 1 otherwise, after one line per
+difference.
 """
 
 import argparse
+import json
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,6 +54,113 @@ import box3d.cli
 import run
 run.write_inputs(box3d, run.WORKLOADS[sys.argv[1]], int(sys.argv[2]), int(sys.argv[3]), Path(sys.argv[4]))
 """
+
+
+# runs `box3d` commands in process under the tree being checked, once per
+# fault: argv: FAULTS_JSON OUTCOMES_JSON, from a case's directory
+FAULT_RUNNER = """
+import contextlib, io, json, os, sys, traceback
+from box3d.cli import main
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            if code is not None and not isinstance(code, int):
+                print(code, file=sys.stderr)  # as the interpreter prints it
+                code = 1
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return [code or 0, out.getvalue(), err.getvalue()]
+
+
+with open(sys.argv[1]) as f:
+    task = json.load(f)
+outcomes = []
+for path, faulted in task["faults"]:
+    with open(path, "rb") as f:
+        original = f.read()
+    try:
+        if faulted is None:
+            os.remove(path)
+        else:
+            with open(path, "wb") as f:
+                f.write(faulted.encode("latin-1"))
+        outcomes.append([run(argv) for argv in task["commands"]])
+    finally:
+        with open(path, "wb") as f:
+            f.write(original)
+with open(sys.argv[2], "w") as f:
+    json.dump(outcomes, f)
+"""
+
+# tokens a replaced-token fault puts in
+FAULT_TOKENS = ["nan", "inf", "-inf", "1e400", "x", "-1", "0", "16", "1.5", "#", "0x1", "1_0", "", "\u0663"]
+
+
+def fault_commands(name):
+    """The argv of the commands that each fault of a workload's case runs."""
+    wl = WORKLOADS[name]
+    return [
+        ["solve", "--calib", "inputs/calib", "--detections", "inputs/detections", "--properties",
+         "inputs/properties", "--out", "faulted/results", *([] if wl.refine else ["--no-refine"])],
+        ["depurate", "--in", "results", "--calib", "inputs/calib", "--out", "faulted/kept"],
+        ["eval", "--results", "results", "--gt", "inputs/gt", "--iou", str(wl.iou),
+         "--recall-points", str(wl.recall_points), "--json", "faulted/table.json"],
+    ]
+
+
+def make_faults(case, label, n):
+    """n (description, relative path, faulted text as latin-1 or None for a
+    deleted file) of a case directory's input and result files, seeded by
+    the case's label."""
+    files = sorted(str(p.relative_to(case)) for sub in ("inputs/calib", "inputs/detections", "inputs/properties",
+                                                        "inputs/gt", "results") for p in (case / sub).glob("*.txt"))
+    faults = []
+    for i in range(n):
+        rng = random.Random(f"{label} {i}")
+        path = rng.choice(files)
+        raw = (case / path).read_bytes()
+        kind = rng.choice(["token", "byte", "column", "delete"]) if raw.strip() else "delete"
+        if kind == "token":
+            tokens = re.split(r"(\s+)", raw.decode())
+            tokens[rng.choice([j for j, t in enumerate(tokens) if t and not t.isspace()])] = rng.choice(FAULT_TOKENS)
+            raw = "".join(tokens).encode()
+        elif kind == "byte":
+            at = rng.randrange(len(raw))
+            raw = raw[:at] + bytes([rng.randrange(256)]) + raw[at + 1:]
+        elif kind == "column":
+            lines = raw.decode().splitlines(keepends=True)
+            j = rng.choice([j for j, line in enumerate(lines) if line.strip()])
+            body = lines[j].rstrip("\r\n")
+            lines[j] = body + " 0.5" + lines[j][len(body):]
+            raw = "".join(lines).encode()
+        faults.append((f"#{i}: {kind} in {path}", path, None if kind == "delete" else raw.decode("latin-1")))
+    return faults
+
+
+def run_faults(src, work, cases, faults):
+    """Each fault command's (exit code, stdout, stderr), keyed by case, fault
+    and command."""
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    outcomes = {}
+    for name, seed, _ in cases:
+        case = work / f"{name}-{seed}"
+        task = case / "faults.json"
+        task.write_text(json.dumps({"faults": [(path, text) for _, path, text in faults[name, seed]],
+                                    "commands": fault_commands(name)}))
+        subprocess.run([sys.executable, "-c", FAULT_RUNNER, "faults.json", "outcomes.json"], cwd=case, env=env,
+                       check=True, timeout=3600)
+        results = json.loads((case / "outcomes.json").read_text())
+        for (description, _, _), ran in zip(faults[name, seed], results, strict=True):
+            for argv, outcome in zip(fault_commands(name), ran):
+                outcomes[(name, seed, description, argv[0])] = tuple(outcome)
+    return outcomes
 
 
 def commands(name, seed, frames):
@@ -97,20 +216,31 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
     ap.add_argument("--frames", type=int, default=None, help="override every workload's frame count")
     ap.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS), default=sorted(WORKLOADS))
+    ap.add_argument("--faults", type=int, default=0, help="seeded single faults to run per workload-seed case")
     args = ap.parse_args(argv)
 
     cases = [(name, seed, args.frames or WORKLOADS[name].frames) for name in args.workloads for seed in args.seeds]
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         base_out, base_files = run_tree(args.base_src, Path(tmp) / "base", cases)
         new_out, new_files = run_tree(ROOT / "src", Path(tmp) / "new", cases)
+        if args.faults:
+            faults = {(name, seed): make_faults(Path(tmp) / "base" / f"{name}-{seed}", f"{name}-{seed}", args.faults)
+                      for name, seed, _ in cases}
+            base_faults = run_faults(args.base_src, Path(tmp) / "base", cases, faults)
+            new_faults = run_faults(ROOT / "src", Path(tmp) / "new", cases, faults)
     diffs = [f"command {line}" for line in differences(base_out, new_out)]
     diffs += [f"file {line}" for line in differences(base_files, new_files)]
-    for line in diffs:
+    fault_diffs = [f"fault {line}" for line in differences(base_faults, new_faults)] if args.faults else []
+    for line in diffs + fault_diffs:
         print(line)
+    if args.faults:
+        print(f"{len(fault_diffs)} differences in {len(new_faults)} fault commands "
+              f"({sum(code != 0 for code, _, _ in new_faults.values())} exited non-zero) "
+              f"over {args.faults} faults in each of {len(cases)} workload-seed cases")
     failed = sum(code != 0 for code, _, _ in new_out.values())
     print(f"{len(diffs)} differences in {len(new_files)} files and {len(new_out)} commands "
           f"({failed} exited non-zero) over {len(cases)} workload-seed cases")
-    return 1 if diffs else 0
+    return 1 if diffs or fault_diffs else 0
 
 
 if __name__ == "__main__":

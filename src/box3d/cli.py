@@ -38,6 +38,13 @@ from .viewpoints import format_viewpoint_table
 # written among the kept frames; frame listings skip it
 DEPURATION_REPORT = "depuration_report.txt"
 
+# text of the frames that one parse or write call covers: enough frames to
+# spread a call's fixed cost, few enough that the tokens and formatted lines
+# of a large run are never held at once.  A larger frame is a block alone.
+BLOCK_BYTES = 1 << 16
+# a written label row is about 100 to 130 bytes
+WRITE_BLOCK_ROWS = BLOCK_BYTES // 128
+
 
 def _frames_in(directory):
     """The frames of a directory's .txt files; a directory that cannot be
@@ -73,6 +80,60 @@ def _read(directory, frame, kind):
         raise SystemExit(f"frame {frame}: line {line}: {kind} file is not UTF-8 ({exc.reason})") from None
 
 
+def _read_blocks(frames, readers):
+    """(frames, texts) blocks of whole frames of at most BLOCK_BYTES of text,
+    in order: texts holds, per reader, the list of its read(frame) texts.  A
+    read that ends the run is held in place of its text (see _texts)."""
+    block, texts, size = [], [[] for _ in readers], 0
+    for frame in frames:
+        got, n = [], 0
+        for read in readers:
+            try:
+                text = read(frame)
+                n += len(text)
+            except SystemExit as fault:
+                text = fault
+            got.append(text)
+        if block and size + n > BLOCK_BYTES:
+            yield block, texts
+            block, texts, size = [], [[] for _ in readers], 0
+        block.append(frame)
+        for kind, text in zip(texts, got):
+            kind.append(text)
+        size += n
+    if block:
+        yield block, texts
+
+
+def _texts(texts):
+    """A reader's texts of a block, once no read of them failed; else the
+    first failed read ends the run."""
+    for text in texts:
+        if not isinstance(text, str):
+            raise text
+    return texts
+
+
+def _parse_blocks(frames, readers, parse):
+    """parse(*texts) of each block of whole frames (see _read_blocks), in
+    order.  parse takes its steps in the order one frame takes them, and
+    passes each reader's texts through _texts before it first uses them.  A
+    block with a fault is parsed again a frame at a time, so that the run ends
+    on its first fault in frame order; a ValueError ends it as "frame F: ..."."""
+    parsed = []
+    for block, texts in _read_blocks(frames, readers):
+        try:
+            parsed.append(parse(*texts))
+        except (ValueError, SystemExit):
+            for frame, *one in zip(block, *texts):
+                try:
+                    parse(*([text] for text in one))
+                except ValueError as exc:
+                    raise SystemExit(f"frame {frame}: {exc}") from None
+            raise
+    return parsed
+
+
 def _write(path, data):
     """Bytes to a file, created or truncated; a path that cannot be written
     ends the run naming it."""
@@ -98,16 +159,20 @@ def _make_dir(path):
 
 def _write_frames(out, frames, labels, offsets, written):
     """The `written` rows among rows offsets[f] to offsets[f + 1] of a run's
-    labels to out/<frame f>.txt, from one write_labels call over the run."""
-    offsets = np.append(0, np.cumsum(written))[offsets]
-    text = kitti_io.write_labels(labels[written]).encode()
-    # every row ends in its only line break: the byte offset of each row's
-    # start, then the end of the text
-    starts = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1)
-    cuts = starts[offsets].tolist()
-    view = memoryview(text)
-    for f, frame in enumerate(frames):
-        _write(os.path.join(out, frame + ".txt"), view[cuts[f]:cuts[f + 1]])
+    labels to out/<frame f>.txt, from one write_labels call per block of whole
+    frames of about WRITE_BLOCK_ROWS written rows."""
+    kept = np.append(0, np.cumsum(written))[offsets]  # offsets among the written rows
+    starts = np.flatnonzero(np.diff(kept[:-1] // WRITE_BLOCK_ROWS, prepend=-1)).tolist()
+    for a, b in zip(starts, [*starts[1:], len(frames)]):
+        rows = slice(offsets[a], offsets[b])
+        text = kitti_io.write_labels(labels[rows][written[rows]]).encode()
+        # every row ends in its only line break: the byte offset of each
+        # row's start, then the end of the text
+        ends = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1)
+        cuts = ends[kept[a:b + 1] - kept[a]].tolist()
+        view = memoryview(text)
+        for f, frame in enumerate(frames[a:b]):
+            _write(os.path.join(out, frame + ".txt"), view[cuts[f]:cuts[f + 1]])
 
 
 def _image_size(text):
@@ -138,35 +203,35 @@ def cmd_solve(args):
     if args.no_refine:
         config = replace(config, refine=False)
     frames = _frames_in(args.detections)
+    bins = None  # the orientation bin count of the run's first frame
+
+    def parse(calib, detections, properties):
+        nonlocal bins
+        calib, detections, properties = _texts(calib), _texts(detections), _texts(properties)
+        cameras = [(k.fu, k.fv, k.cu, k.cv) for k in map(kitti_io.parse_calib, calib)]
+        detections, properties = kitti_io.parse_detections(detections), kitti_io.parse_properties(properties)
+        n_det, n_prop = np.diff(detections.offsets), np.diff(properties.offsets)
+        bad = np.flatnonzero(n_det != n_prop)
+        if len(bad):
+            raise ValueError(f"{n_det[bad[0]]} detections but {n_prop[bad[0]]} property rows")
+        bins = bins or properties.objects.n_bins
+        if properties.objects.n_bins != bins:
+            raise ValueError(f"{properties.objects.n_bins} orientation bins, frame {frames[0]} has {bins}")
+        return cameras, detections, properties
+
     # every frame is parsed first, so that one decode and one lift cover the
     # whole run and a bad file leaves nothing written
-    detections, properties, cameras = [], [], []
-    for frame in frames:
-        calib_text = _read(args.calib, frame, "calibration")
-        detection_text = _read(args.detections, frame, "detection")
-        property_text = _read(args.properties, frame, "properties")
-        try:
-            camera = kitti_io.parse_calib(calib_text)
-            dets = kitti_io.parse_detections(detection_text)
-            props = kitti_io.parse_properties(property_text)
-            if len(dets) != len(props):
-                raise ValueError(f"{len(dets)} detections but {len(props)} property rows")
-            if properties and props.n_bins != properties[0].n_bins:
-                raise ValueError(f"{props.n_bins} orientation bins, frame {frames[0]} has {properties[0].n_bins}")
-        except ValueError as exc:
-            raise SystemExit(f"frame {frame}: {exc}")
-        detections.append(dets)
-        properties.append(props)
-        cameras.append((camera.fu, camera.fv, camera.cu, camera.cv))
+    blocks = _parse_blocks(frames, [lambda f: _read(args.calib, f, "calibration"),
+                                    lambda f: _read(args.detections, f, "detection"),
+                                    lambda f: _read(args.properties, f, "properties")], parse)
     _make_dir(args.out)
     if not frames:
         print(f"solved 0 frames -> {args.out}")
         return
-    counts = [len(d) for d in detections]
-    offsets = np.cumsum([0, *counts])
-    detections = kitti_io.DetectionTable.concatenate(detections)
-    rows = decode_rows(detections, kitti_io.PropertyTable.concatenate(properties),
-                       np.repeat(cameras, counts, axis=0))
+    cameras, detections, properties = zip(*blocks)
+    detections, offsets = kitti_io.join(detections)
+    rows = decode_rows(detections, kitti_io.join(properties).objects,
+                       np.repeat([c for block in cameras for c in block], np.diff(offsets), axis=0))
     width, height = args.image_size
     box = rows.box
     outside = int(((box[:, :2] < 0).any(axis=1) | (box[:, 2] > width) | (box[:, 3] > height)).sum())
@@ -190,18 +255,21 @@ def cmd_solve(args):
 
 def cmd_depurate(args):
     cfg = _load_config(args.config, DEFAULT_DEPURATION_CONFIG)
+    frames = _frames_in(args.in_dir)
+
+    def parse(calib, results):
+        return [kitti_io.parse_calib(text) for text in _texts(calib)], kitti_io.parse_labels(_texts(results))
+
     # every frame is parsed first, so that a bad file leaves nothing written
-    frames, cameras, tables = _frames_in(args.in_dir), [], []
-    for frame in frames:
-        calib_text = _read(args.calib, frame, "calibration")
-        try:
-            cameras.append(kitti_io.parse_calib(calib_text))
-            tables.append(kitti_io.parse_labels(_read(args.in_dir, frame, "result")))
-        except ValueError as exc:
-            raise SystemExit(f"frame {frame}: {exc}")
+    blocks = _parse_blocks(frames, [lambda f: _read(args.calib, f, "calibration"),
+                                    lambda f: _read(args.in_dir, f, "result")], parse) or [parse([], [])]
+    cameras = [c for block, _ in blocks for c in block]
+    labels, offsets = kitti_io.join([parsed for _, parsed in blocks])
     _make_dir(args.out)
     kept, report_lines = [], []
-    for frame, camera, table in zip(frames, cameras, tables):
+    at = offsets.tolist()
+    for f, (frame, camera) in enumerate(zip(frames, cameras)):
+        table = labels[at[f]:at[f + 1]]
         for i, v in enumerate(depurate(table, camera, cfg)):
             kept.append(v.kept)
             if not v.kept:
@@ -209,8 +277,7 @@ def cmd_depurate(args):
                     f"{frame} object {i} ({table.cls[i]}): removed, "
                     f"{'hard rule' if v.hard_violation else 'co-determination'} [{','.join(sorted(v.violated_rules))}]"
                 )
-    _write_frames(args.out, frames, kitti_io.LabelTable.concatenate([kitti_io.LabelTable([], []), *tables]),
-                  np.cumsum([0, *map(len, tables)]), np.array(kept, dtype=bool))
+    _write_frames(args.out, frames, labels, offsets, np.array(kept, dtype=bool))
     report = os.path.join(args.out, DEPURATION_REPORT)
     _write(report, ("\n".join(report_lines) + ("\n" if report_lines else "")).encode())
     print(f"removed {len(report_lines)} detections; report -> {report}")
@@ -220,14 +287,15 @@ def _parse_run(args, gt_frames, result_frames):
     """The ground truths and the results of the ground-truth frames, each
     joined into one table (a frame without a result file has no results),
     with the frames' row offsets."""
-    gts, dets = [kitti_io.LabelTable([], [])], [kitti_io.LabelTable([], [])]
-    for frame in gt_frames:
-        try:
-            gts.append(kitti_io.parse_labels(_read(args.gt, frame, "ground-truth")))
-            dets.append(kitti_io.parse_labels(_read(args.results, frame, "result") if frame in result_frames else ""))
-        except ValueError as exc:
-            raise SystemExit(f"frame {frame}: {exc}")
-    return [(kitti_io.LabelTable.concatenate(t), np.cumsum([len(x) for x in t])) for t in (gts, dets)]
+
+    def parse(gts, results):
+        return kitti_io.parse_labels(_texts(gts)), kitti_io.parse_labels(_texts(results))
+
+    blocks = _parse_blocks(gt_frames, [
+        lambda f: _read(args.gt, f, "ground-truth"),
+        lambda f: _read(args.results, f, "result") if f in result_frames else "",
+    ], parse) or [parse([], [])]
+    return [kitti_io.join(kind) for kind in zip(*blocks)]
 
 
 def cmd_eval(args):

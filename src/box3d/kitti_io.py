@@ -1,9 +1,13 @@
 """KITTI-style calibration / label / detection files, the regressed-property
 sidecar format, and plain key-value config files.
 
-Each row file parses into one table: a float array with a row per object and
-the rows' class names (see Table).  Label rows follow the 15/16-column KITTI
-layout (score column optional):
+Row files of one kind parse a block at a time: the texts of a block of frames
+become one table (a float array with a row per object and the rows' class
+names, see Table) and the frames' row offsets (see Parsed), in one pass that
+splits lines and tokens and converts every number of the block with Python's
+float().  A block with a bad row is checked again row by row, frame by frame,
+and the first bad row raises ParseError naming its frame and line.  Label rows
+follow the 15/16-column KITTI layout (score column optional):
 
     type truncated occluded alpha  u_min v_min u_max v_max  h w l  x y z  ry [score]
 
@@ -16,6 +20,8 @@ placeholders.
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,6 +107,31 @@ class PropertyTable(Table):
         return (self.data.shape[1] - 6) // 3
 
 
+class Parsed(NamedTuple):
+    """The rows of a block of frames as one table, ``objects``, and the
+    frames' ``(F + 1,)`` row offsets: frame f's rows are
+    ``objects[offsets[f]:offsets[f + 1]]``."""
+
+    objects: Table
+    offsets: np.ndarray
+
+
+class ParseError(ValueError):
+    """The first bad row or header of a block of frames; ``frame`` is the
+    index of its text in the block, and the message reads "line N: ..."
+    where a line is at fault."""
+
+    def __init__(self, frame, message):
+        super().__init__(message)
+        self.frame = frame
+
+
+def join(parts) -> Parsed:
+    """One Parsed of the Parsed records of consecutive blocks, at least one."""
+    objects = type(parts[0].objects).concatenate([p.objects for p in parts])
+    return Parsed(objects, np.append(0, np.cumsum(np.concatenate([np.diff(p.offsets) for p in parts]))))
+
+
 @dataclass
 class FrameRecord:
     frame_id: str
@@ -128,21 +159,45 @@ def write_calib(k: CameraIntrinsics) -> str:
     return "P2: " + " ".join(f"{v:.12e}" for v in p) + "\n"
 
 
-def _rows(lines, values):
-    """Class names (first tokens) and values(tokens) of the non-blank lines
-    among numbered (n, line) pairs; a row that values rejects raises
-    ValueError("line N: ...")."""
-    names, rows = [], []
+def _split(texts):
+    """The token lists of the texts' non-blank lines and the texts' row
+    offsets."""
+    rows, ends = [], [0]
+    for text in texts:
+        rows += filter(None, map(str.split, text.splitlines()))
+        ends.append(len(rows))
+    return rows, np.array(ends)
+
+
+def _named_rows(rows, widths):
+    """Class names (first tokens), the numbers after them in one flat array,
+    and each row's count of numbers, which must be one of `widths`.  Takes the
+    names off `rows`; ValueError for a row of another width or a token that
+    float() rejects."""
+    names = [r.pop(0) for r in rows]
+    counts = np.fromiter(map(len, rows), int, len(rows))
+    if not set(counts.tolist()) <= set(widths):
+        raise ValueError("row width")
+    return names, np.fromiter(map(float, chain.from_iterable(rows)), float, counts.sum()), counts
+
+
+def _check_rows(frame, lines, values):
+    """values(tokens) of each non-blank line among numbered (n, line) pairs;
+    the first row that values rejects raises ParseError(frame, "line N: ...")."""
     for n, line in lines:
         parts = line.split()
         if not parts:
             continue
         try:
-            rows.append(values(parts))
+            values(parts)
         except (ValueError, OverflowError) as exc:
-            raise ValueError(f"line {n}: {exc}") from exc
-        names.append(parts[0])
-    return names, rows
+            raise ParseError(frame, f"line {n}: {exc}") from exc
+
+
+def _check_texts(texts, values):
+    """_check_rows over each text's lines in turn."""
+    for frame, text in enumerate(texts):
+        _check_rows(frame, enumerate(text.splitlines(), start=1), values)
 
 
 def _label_values(parts):
@@ -157,10 +212,21 @@ def _label_values(parts):
     return vals
 
 
-def parse_labels(text: str) -> LabelTable:
-    """Label rows; a bad row raises ValueError("line N: ...")."""
-    names, rows = _rows(enumerate(text.splitlines(), start=1), _label_values)
-    return LabelTable(rows, names)
+def parse_labels(texts) -> Parsed:
+    """The label rows of a block of frames' texts; a bad row raises
+    ParseError."""
+    rows, offsets = _split(texts)
+    try:
+        names, values, counts = _named_rows(rows, (14, 15))
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite")
+    except ValueError:
+        _check_texts(texts, _label_values)
+        raise
+    data = np.full((len(counts), 15), math.nan)  # a missing score stays NaN
+    data[np.arange(15) < counts[:, None]] = values
+    data[:, 1] = np.trunc(data[:, 1]) + 0.0  # the occlusion level, never -0.0
+    return Parsed(LabelTable(data, names), offsets)
 
 
 _LABEL_FORMAT = "{} {:.6f} {} " + " ".join(["{:.6f}"] * 12)
@@ -182,11 +248,16 @@ def _detection_values(parts):
     return [float(x) for x in parts[1:]]
 
 
-def parse_detections(text: str) -> DetectionTable:
-    """2D detection rows: class u_min v_min u_max v_max score.  A bad row
-    raises ValueError("line N: ...")."""
-    names, rows = _rows(enumerate(text.splitlines(), start=1), _detection_values)
-    return DetectionTable(rows, names)
+def parse_detections(texts) -> Parsed:
+    """The 2D detection rows of a block of frames' texts: class u_min v_min
+    u_max v_max score.  A bad row raises ParseError."""
+    rows, offsets = _split(texts)
+    try:
+        names, values, _ = _named_rows(rows, (5,))
+    except ValueError:
+        _check_texts(texts, _detection_values)
+        raise
+    return Parsed(DetectionTable(values, names), offsets)
 
 
 def write_detections(table: DetectionTable) -> str:
@@ -226,20 +297,66 @@ def _property_values(parts, width):
     return vals
 
 
-def parse_properties(text: str) -> PropertyTable:
-    """Property rows after the column header, which names at least one bin.
-    A bad row or header raises ValueError("line N: ..."), N counting the
+def _property_header(lines):
+    """The first non-blank line of a property text, its header, and its
+    number, from the text's numbered (n, line) pairs; (1, "") for none."""
+    return next(((n, line) for n, line in lines if line.strip()), (1, ""))
+
+
+def _property_width(header):
+    """The column count a property header line names; ValueError for a bad
     header."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    n, header = lines[0] if lines else (1, "")
     if not header.lstrip().startswith("#"):
-        raise ValueError(f"line {n}: property file must start with a '# <columns>' header")
+        raise ValueError("property file must start with a '# <columns>' header")
     cols = header.lstrip("# ").split()
     expected = _property_columns(max(1, sum(1 for c in cols if c.startswith("conf"))))
     if cols != expected:
-        raise ValueError(f"line {n}: unexpected property columns {cols}, expected {expected}")
-    _, rows = _rows(lines[1:], lambda parts: _property_values(parts, len(cols)))
-    return PropertyTable(np.array(rows, dtype=float).reshape(-1, len(cols)))
+        raise ValueError(f"unexpected property columns {cols}, expected {expected}")
+    return len(cols)
+
+
+def _check_properties(texts):
+    """Raise the first bad header or row of the texts, text by text, or the
+    first text whose bin count differs from the first text's."""
+    for frame, text in enumerate(texts):
+        lines = list(enumerate(text.splitlines(), start=1))
+        n, header = _property_header(lines)
+        try:
+            width = _property_width(header)
+        except ValueError as exc:
+            raise ParseError(frame, f"line {n}: {exc}") from exc
+        _check_rows(frame, lines[n:], lambda parts: _property_values(parts, width))
+        if frame == 0:
+            first = width
+        elif width != first:
+            raise ParseError(frame, f"{(width - 6) // 3} orientation bins, the block's first frame "
+                                    f"has {(first - 6) // 3}")
+
+
+def parse_properties(texts) -> Parsed:
+    """The property rows of a block of frames' texts, at least one, each
+    after its column header, which names at least one bin; all frames name
+    the same bins.  A bad row or header raises ParseError, its line number
+    counting the header."""
+    rows, ends, widths = [], [0], {}  # widths: the column count of each distinct header
+    try:
+        for text in texts:
+            lines = text.splitlines()
+            n, header = _property_header(enumerate(lines, start=1))
+            if header not in widths:
+                widths[header] = _property_width(header)
+            rows += filter(None, map(str.split, lines[n:]))
+            ends.append(len(rows))
+        (width,) = set(widths.values())
+        if not set(map(len, rows)) <= {width}:
+            raise ValueError("row width")
+        data = np.fromiter(map(float, chain.from_iterable(rows)), float, width * len(rows))
+        data = data.reshape(-1, width)
+        data[:, 3] = [float(int(r[3])) for r in rows]  # the viewpoint class, an integer
+    except (ValueError, OverflowError):
+        _check_properties(texts)
+        raise
+    return Parsed(PropertyTable(data), np.array(ends))
 
 
 # ---------------------------------------------------------------------------

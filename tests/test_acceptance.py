@@ -319,10 +319,10 @@ def test_criterion_8_round_trips():
     det_text = write_detections(dets)
     props_text = write_properties(props)
     files_ok = (
-        write_labels(parse_labels(labels_text)) == labels_text
+        write_labels(parse_labels([labels_text]).objects) == labels_text
         and write_calib(parse_calib(calib_text)) == calib_text
-        and write_detections(parse_detections(det_text)) == det_text
-        and write_properties(parse_properties(props_text)) == props_text
+        and write_detections(parse_detections([det_text]).objects) == det_text
+        and write_properties(parse_properties([props_text]).objects) == props_text
     )
 
     ok = worst_angle <= 1e-12 and worst_global <= 1e-12 and files_ok

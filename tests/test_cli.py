@@ -12,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from box3d import cli
 from box3d.cli import _write, main
 from box3d.depuration import DEFAULT_DEPURATION_CONFIG, depurate
-from box3d.kitti_io import parse_calib, parse_labels, write_labels
+from box3d.kitti_io import PropertyTable, parse_calib, parse_labels, parse_properties, write_labels, write_properties
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -63,8 +64,8 @@ def test_solve_no_refine_uses_closed_form_only(pipeline_dirs, tmp_path):
             "--out", str(out), *flag,
         ]) == 0
     frame = sorted(refined.glob("*.txt"))[0].name
-    a = parse_labels((refined / frame).read_text())
-    b = parse_labels((closed / frame).read_text())
+    a = parse_labels([(refined / frame).read_text()]).objects
+    b = parse_labels([(closed / frame).read_text()]).objects
     # same objects, but the locations differ in general (closed form is the
     # approximation stage)
     assert len(a) == len(b)
@@ -101,7 +102,7 @@ def test_solve_skips_malformed_truncated_detections(tmp_path, capsys):
     skipped = {(frame, int(row)) for _, frame, _, row in _skipped_rows(capsys.readouterr().err)}
     assert skipped == malformed
     assert len(list(results.glob("*.txt"))) == 20
-    written = sum(len(parse_labels(p.read_text())) for p in results.glob("*.txt"))
+    written = sum(len(parse_labels([p.read_text()]).objects) for p in results.glob("*.txt"))
     assert written == n_rows - len(malformed)
 
 
@@ -118,7 +119,7 @@ def test_solve_skips_non_finite_property_row(pipeline_dirs, tmp_path, capsys):
     assert _skipped_rows(capsys.readouterr().err) == [["frame", "000001", "row", "0"]]
     text = (results / "000001.txt").read_text()
     assert "nan" not in text
-    assert len(parse_labels(text)) == n_rows - 1
+    assert len(parse_labels([text]).objects) == n_rows - 1
 
 
 @pytest.mark.parametrize("token", ["nan", "1e400", "-inf"])
@@ -135,7 +136,7 @@ def test_solve_skips_non_finite_detection_row(pipeline_dirs, tmp_path, capsys, t
     assert _skipped_rows(err) == [["frame", "000003", "row", "0"]]
     assert "(non_finite)" in err
     text = (results / "000003.txt").read_text()
-    assert len(parse_labels(text)) == len(lines) - 1
+    assert len(parse_labels([text]).objects) == len(lines) - 1
 
 
 def test_solve_malformed_file_exits_with_frame_and_line(pipeline_dirs, tmp_path):
@@ -186,12 +187,87 @@ def test_solve_missing_properties_file_exits_before_writing(tmp_path):
     assert not results.exists()
 
 
+def _first_fault_case(data, tmp_path, case):
+    """The argv of a run with two faults, and the message of the one that
+    comes first in frame order, and within a frame in the order of the
+    command's reads and parses."""
+    results = tmp_path / "results"
+    assert _solve(data, results) == 0
+    depurate_argv = ["depurate", "--in", str(results), "--calib", str(data / "calib"), "--out", str(tmp_path / "kept")]
+    eval_argv = ["eval", "--results", str(results), "--gt", str(data / "gt")]
+
+    def malformed(path):
+        n_line = len(path.read_text().splitlines()) + 1
+        with path.open("a") as f:
+            f.write("Car 1 2\n")
+        return n_line
+
+    if case == "solve: a bad row, then a missing file":
+        path = data / "detections" / "000001.txt"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([*lines[:-1], lines[-1] + " 0.5"]) + "\n")
+        (data / "properties" / "000003.txt").unlink()
+        return _solve_argv(data, tmp_path / "again"), \
+            f"frame 000001: line {len(lines)}: detection row has 7 columns, expected 6"
+    if case == "solve: a bad row, then a missing file of the same frame":
+        malformed(data / "detections" / "000002.txt")
+        missing = data / "properties" / "000002.txt"
+        missing.unlink()
+        return _solve_argv(data, tmp_path / "again"), f"frame 000002: missing properties file {missing}"
+    if case == "solve: a frame with other bins, then a missing file":
+        path = data / "properties" / "000002.txt"
+        table = parse_properties([path.read_text()]).objects
+        path.write_text(write_properties(PropertyTable(np.hstack([table.data, np.zeros((len(table), 3))]))))
+        (data / "detections" / "000003.txt").unlink()
+        return _solve_argv(data, tmp_path / "again"), \
+            f"frame 000002: {table.n_bins + 1} orientation bins, frame 000000 has {table.n_bins}"
+    if case == "depurate: a bad row, then a file that is not UTF-8":
+        n_line = malformed(results / "000001.txt")
+        (data / "calib" / "000002.txt").write_bytes(b"P2: \xff\n")
+        return depurate_argv, f"frame 000001: line {n_line}: label row has 3 columns, expected 15 or 16"
+    if case == "depurate: a bad calibration, then a result of the same frame that is not UTF-8":
+        (data / "calib" / "000002.txt").write_text("P2: 1 2 3\n")
+        (results / "000002.txt").write_bytes(b"Car \xff\n")
+        return depurate_argv, "frame 000002: P2 line has 3 numbers, expected 12"
+    if case == "eval: a bad ground truth, then a result that is not UTF-8":
+        n_line = malformed(data / "gt" / "000001.txt")
+        (results / "000003.txt").write_bytes(b"Car \xff\n")
+        return eval_argv, f"frame 000001: line {n_line}: label row has 3 columns, expected 15 or 16"
+    n_line = malformed(data / "gt" / "000002.txt")  # eval: the same, in one frame
+    (results / "000002.txt").write_bytes(b"Car \xff\n")
+    return eval_argv, f"frame 000002: line {n_line}: label row has 3 columns, expected 15 or 16"
+
+
+def _solve_argv(data, out):
+    return ["solve", "--calib", str(data / "calib"), "--detections", str(data / "detections"),
+            "--properties", str(data / "properties"), "--out", str(out)]
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+@pytest.mark.parametrize("case", [
+    "solve: a bad row, then a missing file", "solve: a bad row, then a missing file of the same frame",
+    "solve: a frame with other bins, then a missing file",
+    "depurate: a bad row, then a file that is not UTF-8",
+    "depurate: a bad calibration, then a result of the same frame that is not UTF-8",
+    "eval: a bad ground truth, then a result that is not UTF-8",
+    "eval: a bad ground truth, then a result that is not UTF-8, in one frame",
+])
+def test_run_with_two_faults_names_the_first(pipeline_dirs, tmp_path, monkeypatch, case, budget):
+    """Whether the frames are parsed one block at a time or all in one, the
+    run ends on its first fault in frame order."""
+    argv, message = _first_fault_case(pipeline_dirs, tmp_path, case)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", budget)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == message
+
+
 def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path, capsys):
     results, kept = tmp_path / "results", tmp_path / "kept"
     assert _solve(pipeline_dirs, results) == 0
     assert main(["depurate", "--in", str(results), "--calib", str(pipeline_dirs / "calib"),
                  "--out", str(kept)]) == 0
-    n_det = len(parse_labels((kept / "000001.txt").read_text()))
+    n_det = len(parse_labels([(kept / "000001.txt").read_text()]).objects)
     (pipeline_dirs / "gt" / "000001.txt").unlink()
     capsys.readouterr()
     json_path = tmp_path / "metrics.json"
@@ -202,7 +278,7 @@ def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path
         f"box3d eval: frame 000001: not scored ({n_det} detections, no ground-truth file)"
     ]
     assert json.loads(json_path.read_text())["n_det"] == sum(
-        len(parse_labels((kept / f"{i:06d}.txt").read_text())) for i in (0, 2, 3)
+        len(parse_labels([(kept / f"{i:06d}.txt").read_text()]).objects) for i in (0, 2, 3)
     )
 
 
@@ -351,7 +427,7 @@ def test_run_level_writer_equals_per_frame_writes(tmp_path, capsys):
 
     assert main(["depurate", "--in", str(results), "--calib", str(data / "calib"), "--out", str(kept)]) == 0
     for frame in frames:
-        table = parse_labels((results / f"{frame}.txt").read_text())
+        table = parse_labels([(results / f"{frame}.txt").read_text()]).objects
         verdicts = depurate(table, parse_calib((data / "calib" / f"{frame}.txt").read_text()),
                             DEFAULT_DEPURATION_CONFIG)
         expected = write_labels(table[np.array([v.kept for v in verdicts], dtype=bool)])
@@ -382,8 +458,8 @@ def test_depurate_cli(pipeline_dirs, tmp_path):
         "--out", str(kept),
     ]) == 0
     assert (kept / "depuration_report.txt").exists()
-    n_in = sum(len(parse_labels(p.read_text())) for p in results.glob("*.txt"))
-    n_out = sum(len(parse_labels(p.read_text())) for p in kept.glob("*.txt"))
+    n_in = sum(len(parse_labels([p.read_text()]).objects) for p in results.glob("*.txt"))
+    n_out = sum(len(parse_labels([p.read_text()]).objects) for p in kept.glob("*.txt"))
     assert n_out == n_in  # exact scenes lose nothing
 
 
@@ -426,7 +502,7 @@ def test_solve_skips_row_with_unknown_viewpoint_class(pipeline_dirs, tmp_path, c
     assert _skipped_rows(err) == [["frame", "000001", "row", "1"]]
     assert "(degenerate_input)" in err
     assert len(list(results.glob("*.txt"))) == 4
-    assert len(parse_labels((results / "000001.txt").read_text())) == n_rows - 1
+    assert len(parse_labels([(results / "000001.txt").read_text()]).objects) == n_rows - 1
 
 
 def test_eval_non_finite_ground_truth_exits_with_frame_and_line(pipeline_dirs, tmp_path):
@@ -456,8 +532,8 @@ def test_eval_overflowing_dimension_error_prints_no_numpy_warning(pipeline_dirs,
     assert _solve(pipeline_dirs, results) == 0
     # h = 1e200 on the ground truth closest to the frame's first detection
     path = pipeline_dirs / "gt" / "000002.txt"
-    gt = parse_labels(path.read_text())
-    first = parse_labels((results / "000002.txt").read_text()).location[0]
+    gt = parse_labels([path.read_text()]).objects
+    first = parse_labels([(results / "000002.txt").read_text()]).objects.location[0]
     closest = int(np.linalg.norm(gt.location - first, axis=1).argmin())
     lines = path.read_text().splitlines()
     cols = lines[closest].split()

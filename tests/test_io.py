@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -6,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box3d import cli
 from box3d.camera import Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions
 from box3d.kitti_io import (
     DetectionTable,
     LabelTable,
+    ParseError,
     PropertyTable,
+    _detection_values,
+    _label_values,
+    _property_columns,
+    _property_values,
     coerce_fields,
+    join,
     parse_calib,
     parse_detections,
     parse_keyvalue,
@@ -87,7 +95,7 @@ def _labels_fixture():
 def test_label_round_trip_numeric_identity():
     objs = _labels_fixture()
     text = write_labels(objs)
-    back = parse_labels(text)
+    back = parse_labels([text]).objects
     assert len(back) == 2
     assert list(back.cls) == list(objs.cls)
     assert np.allclose(back.data, objs.data, atol=1e-6, equal_nan=True)
@@ -98,7 +106,7 @@ def test_label_round_trip_numeric_identity():
 
 def test_dontcare_row_parsed_and_flagged():
     text = "DontCare -1 -1 -10 503.89 169.71 590.61 190.13 -1 -1 -1 -1000 -1000 -1000 -10\n"
-    record = parse_labels(text)
+    record = parse_labels([text]).objects
     assert len(record) == 1
     assert list(record.cls) == ["DontCare"]
     assert record.dims.tolist() == [[-1.0, -1.0, -1.0]]  # the placeholders stay as written
@@ -111,13 +119,13 @@ def test_dontcare_row_parsed_and_flagged():
 def test_score_column_optional():
     with_score = "Car 0 0 0.5 10 10 50 50 1.5 1.6 3.9 1 1.6 20 0.3 0.87\n"
     without = "Car 0 0 0.5 10 10 50 50 1.5 1.6 3.9 1 1.6 20 0.3\n"
-    assert parse_labels(with_score).score[0] == pytest.approx(0.87)
-    assert math.isnan(parse_labels(without).score[0])
+    assert parse_labels([with_score]).objects.score[0] == pytest.approx(0.87)
+    assert math.isnan(parse_labels([without]).objects.score[0])
 
 
 def test_wrong_column_count_raises():
     with pytest.raises(ValueError):
-        parse_labels("Car 1 2 3\n")
+        parse_labels(["Car 1 2 3\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +136,7 @@ def test_detections_round_trip():
     dets = DetectionTable([[10.0, 20.0, 110.0, 90.0, 0.75], [300.0, 100.0, 420.0, 200.0, 0.5]],
                           ["Car", "Cyclist"])
     text = write_detections(dets)
-    back = parse_detections(text)
+    back = parse_detections([text]).objects
     assert list(back) == [
         Detection2D(Box2D(10.0, 20.0, 110.0, 90.0), 0.75, "Car"),
         Detection2D(Box2D(300.0, 100.0, 420.0, 200.0), 0.5, "Cyclist"),
@@ -137,7 +145,7 @@ def test_detections_round_trip():
 
 def test_detection_wrong_columns_raise():
     with pytest.raises(ValueError):
-        parse_detections("Car 1 2 3\n")
+        parse_detections(["Car 1 2 3\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +163,7 @@ def _property_fixture():
 def test_properties_round_trip():
     record = _property_fixture()
     text = write_properties(record)
-    back = parse_properties(text)
+    back = parse_properties([text]).objects
     assert len(back) == 2 and back.n_bins == 2
     assert back.viewpoint.tolist() == record.viewpoint.tolist()
     assert np.allclose(back.dim_residual, record.dim_residual)
@@ -165,7 +173,7 @@ def test_properties_round_trip():
 
 def test_properties_header_required():
     with pytest.raises(ValueError):
-        parse_properties("1 2 3\n")
+        parse_properties(["1 2 3\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -175,38 +183,38 @@ def test_properties_header_required():
 def test_label_occlusion_overflow_is_value_error():
     good = "Car 0 0 0.5 10 10 50 50 1.5 1.6 3.9 1 1.6 20 0.3\n"
     with pytest.raises(ValueError, match=r"^line 3: "):
-        parse_labels(good + "\n" + good.replace(" 0 0 ", " 0 1e400 ", 1))
+        parse_labels([good + "\n" + good.replace(" 0 0 ", " 0 1e400 ", 1)])
     with pytest.raises(ValueError, match=r"^line 1: "):
-        parse_labels(good.replace(" 0 0 ", " 0 nan ", 1))
+        parse_labels([good.replace(" 0 0 ", " 0 nan ", 1)])
 
 
 def test_label_non_finite_number_names_line():
     good = "Car 0 0 0 1 2 3 4 1.5 1.6 3.9 0 1.6 20 0.1\n"
-    parse_labels(good)
+    parse_labels([good])
     for bad in ("nan", "inf", "-1e400"):
         with pytest.raises(ValueError, match=r"^line 2: label row has a non-finite number"):
-            parse_labels(good + good.replace(" 1.6 20 ", f" {bad} 20 ", 1))
+            parse_labels([good + good.replace(" 1.6 20 ", f" {bad} 20 ", 1)])
 
 
 def test_detection_error_names_line():
     with pytest.raises(ValueError, match=r"^line 2: detection row has 4 columns"):
-        parse_detections("Car 1 2 3 4 0.5\nCar 1 2 3\n")
+        parse_detections(["Car 1 2 3 4 0.5\nCar 1 2 3\n"])
     with pytest.raises(ValueError, match=r"^line 1: could not convert"):
-        parse_detections("Car 1 2 x 4 0.5\n")
+        parse_detections(["Car 1 2 x 4 0.5\n"])
 
 
 def test_property_error_line_counts_header():
     lines = write_properties(_property_fixture()).splitlines()
     with pytest.raises(ValueError, match=r"^line 4: invalid literal for int"):
-        parse_properties("\n".join([lines[0], lines[1], "", lines[2].replace(" 3 ", " 1.5 ", 1)]))
+        parse_properties(["\n".join([lines[0], lines[1], "", lines[2].replace(" 3 ", " 1.5 ", 1)])])
     with pytest.raises(ValueError, match=r"^line 2: int too large to convert to float"):
-        parse_properties("\n".join([lines[0], lines[2].replace(" 3 ", f" {'9' * 400} ", 1)]))
+        parse_properties(["\n".join([lines[0], lines[2].replace(" 3 ", f" {'9' * 400} ", 1)])])
     with pytest.raises(ValueError, match=r"^line 2: property row has 1 columns"):
-        parse_properties(lines[0] + "\nfoo\n")
+        parse_properties([lines[0] + "\nfoo\n"])
     with pytest.raises(ValueError, match=r"^line 2: property file must start"):
-        parse_properties("\n1 2 3\n")
+        parse_properties(["\n1 2 3\n"])
     with pytest.raises(ValueError, match=r"^line 1: unexpected property columns"):
-        parse_properties("# dh dw\n")
+        parse_properties(["# dh dw\n"])
 
 
 _coords = st.floats(min_value=-1e4, max_value=1e4, allow_nan=False)
@@ -222,7 +230,7 @@ def _at_written_precision(x):
 def test_detections_round_trip_at_written_precision(rows):
     dets = DetectionTable([v for _, v in rows], [name for name, _ in rows])
     text = write_detections(dets)
-    back = parse_detections(text)
+    back = parse_detections([text]).objects
     for a, b in zip(dets, back, strict=True):
         assert b.cls == a.cls
         assert [*b.box, b.score] == [_at_written_precision(x) for x in (*a.box, a.score)]
@@ -247,7 +255,7 @@ def test_labels_round_trip_at_written_precision(rows):
         [name for name, *_ in rows],
     )
     text = write_labels(objs)
-    back = parse_labels(text)
+    back = parse_labels([text]).objects
     assert list(back.cls) == list(objs.cls)
     assert back.occluded.tolist() == objs.occluded.tolist()
     assert np.array_equal(np.isnan(back.score), np.isnan(objs.score))
@@ -261,7 +269,7 @@ def test_labels_round_trip_at_written_precision(rows):
 
 def _parse_or_line_error(parse, text, prefix="line "):
     try:
-        parse(text)
+        parse([text])
     except ValueError as exc:
         assert str(exc).startswith(prefix), str(exc)
 
@@ -300,8 +308,164 @@ def test_parsers_accept_or_name_line_of_mutated_row(data):
 @settings(max_examples=200)
 def test_parsers_accept_or_name_line_of_arbitrary_text(text):
     header = write_properties(PropertyTable(np.empty((0, 12)))).splitlines()[0]
-    for parse in (parse_labels, parse_detections, lambda t: parse_properties(header + "\n" + t)):
+    for parse in (parse_labels, parse_detections, lambda t: parse_properties([header + "\n" + t[0]])):
         _parse_or_line_error(parse, text)
+
+
+# ---------------------------------------------------------------------------
+# the block parse against the per-file parse it replaced
+
+
+def _file_rows(lines, values):
+    """Reference: class names and values(tokens) of the non-blank lines among
+    numbered (n, line) pairs; a bad row raises ValueError("line N: ...")."""
+    names, rows = [], []
+    for n, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            rows.append(values(parts))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"line {n}: {exc}") from exc
+        names.append(parts[0])
+    return names, rows
+
+
+def _labels_file(text):
+    """Reference: one label file parsed a row at a time."""
+    names, rows = _file_rows(enumerate(text.splitlines(), start=1), _label_values)
+    return LabelTable(rows, names)
+
+
+def _detections_file(text):
+    """Reference: one detection file parsed a row at a time."""
+    names, rows = _file_rows(enumerate(text.splitlines(), start=1), _detection_values)
+    return DetectionTable(rows, names)
+
+
+def _properties_file(text):
+    """Reference: one property file parsed a row at a time, after its header."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    n, header = lines[0] if lines else (1, "")
+    if not header.lstrip().startswith("#"):
+        raise ValueError(f"line {n}: property file must start with a '# <columns>' header")
+    cols = header.lstrip("# ").split()
+    expected = _property_columns(max(1, sum(1 for c in cols if c.startswith("conf"))))
+    if cols != expected:
+        raise ValueError(f"line {n}: unexpected property columns {cols}, expected {expected}")
+    _, rows = _file_rows(lines[1:], lambda parts: _property_values(parts, len(cols)))
+    return PropertyTable(np.array(rows, dtype=float).reshape(-1, len(cols)))
+
+
+_KINDS = {
+    "labels": (parse_labels, _labels_file),
+    "detections": (parse_detections, _detections_file),
+    "properties": (parse_properties, _properties_file),
+}
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-5, 20).map(str),
+    st.sampled_from(["-0.0", "-0.5", "1e5", "+3", "1_0", "0.000001"]),
+)
+_blank = st.sampled_from(["", " ", "\t", "  \t "])
+_separator = st.sampled_from(["\n", "\r\n", "\r", "\x0c"])
+
+
+@st.composite
+def _frame_text(draw, kind, n_bins):
+    """One frame's text: valid rows of `kind` among blank lines, with mixed
+    line breaks and an optional final one."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        if kind == "properties":
+            values = draw(st.lists(_number, min_size=6 + 3 * n_bins, max_size=6 + 3 * n_bins))
+            values[3] = str(draw(st.integers(0, 15)))
+            rows.append(" ".join(values))
+        else:
+            width = draw(st.sampled_from([14, 15])) if kind == "labels" else 5
+            rows.append(" ".join([draw(_names), *draw(st.lists(_number, min_size=width, max_size=width))]))
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(_blank, max_size=2)) + [row]
+    if kind == "properties":
+        lines = [*draw(st.lists(_blank, max_size=1)), "# " + " ".join(_property_columns(n_bins)), *lines]
+    text = "".join(line + draw(_separator) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n\x0c")
+
+
+def _tokens_replaced(text, data):
+    """text with one of its tokens replaced, if it has one."""
+    tokens = re.split(r"(\s+)", text)
+    words = [i for i, t in enumerate(tokens) if t and not t.isspace()]
+    if words:
+        tokens[data.draw(st.sampled_from(words))] = data.draw(_token)
+    return "".join(tokens)
+
+
+def _reference(kind, texts):
+    """The per-file parse of a run: (tables, None), or (None, (frame, message))
+    for the first frame that fails, in frame order."""
+    tables = []
+    for f, text in enumerate(texts):
+        try:
+            tables.append(_KINDS[kind][1](text))
+        except ValueError as exc:
+            return None, (f, str(exc))
+    return tables, None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_parse_equals_per_file_parse(data):
+    """A run of several frames parsed in blocks, at a block budget of one byte
+    and of more than the run, gives the per-file parse's rows and offsets, or
+    the per-file parse's first error naming the same frame and line."""
+    kind = data.draw(st.sampled_from(sorted(_KINDS)))
+    n_bins = data.draw(st.integers(1, 3))
+    texts = data.draw(st.lists(_frame_text(kind, n_bins), min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        f = data.draw(st.integers(0, len(texts) - 1))
+        texts[f] = _tokens_replaced(texts[f], data)
+    tables, fault = _reference(kind, texts)
+    parse = _KINDS[kind][0]
+
+    if fault:
+        with pytest.raises(ParseError) as info:
+            parse(texts)
+        assert (info.value.frame, str(info.value)) == fault
+    else:
+        block = parse(texts)
+        expected = type(tables[0]).concatenate(tables)
+        assert block.objects.data.tobytes() == expected.data.tobytes()  # -0.0 and NaN included
+        assert block.objects.data.shape == expected.data.shape
+        assert (block.objects.cls is None) == (expected.cls is None)
+        if expected.cls is not None:
+            assert block.objects.cls.tolist() == expected.cls.tolist()
+        assert block.offsets.tolist() == np.cumsum([0, *map(len, tables)]).tolist()
+
+    frames = [f"{i:06d}" for i in range(len(texts))]
+    for budget in (1, sum(map(len, texts)) + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BLOCK_BYTES", budget)
+            reader = dict(zip(frames, texts)).__getitem__
+            if fault:
+                with pytest.raises(SystemExit) as info:
+                    cli._parse_blocks(frames, [reader], lambda t: parse(cli._texts(t)))
+                assert info.value.code == f"frame {frames[fault[0]]}: {fault[1]}"
+            else:
+                run = join(cli._parse_blocks(frames, [reader], lambda t: parse(cli._texts(t))))
+                assert run.objects.data.tobytes() == block.objects.data.tobytes()
+                assert run.offsets.tolist() == block.offsets.tolist()
+                if block.objects.cls is not None:
+                    assert run.objects.cls.tolist() == block.objects.cls.tolist()
+
+
+def test_block_parse_names_the_frame_whose_bins_differ():
+    texts = [write_properties(PropertyTable(np.zeros((1, 6 + 3 * b)))) for b in (2, 2, 1)]
+    with pytest.raises(ParseError, match="^1 orientation bins, the block's first frame has 2$") as info:
+        parse_properties(texts)
+    assert info.value.frame == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/ run end to end at a small size."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,13 @@ def test_same_outputs_finds_no_difference_between_a_tree_and_itself():
                   "--workloads", "crowded_eval")
     assert stdout.splitlines()[-1] == ("0 differences in 23 files and 9 commands (0 exited non-zero) "
                                        "over 1 workload-seed cases")
+
+
+def test_same_outputs_runs_seeded_faults_in_both_trees():
+    stdout = _run("same_outputs.py", str(ROOT / "src"), "--frames", "2", "--seeds", "0",
+                  "--workloads", "crowded_eval", "--faults", "4")
+    faults, total = stdout.splitlines()[-2:]
+    match = re.fullmatch(r"0 differences in 12 fault commands \((\d+) exited non-zero\) over 4 faults "
+                         r"in each of 1 workload-seed cases", faults)
+    assert match and int(match[1]) > 0, faults  # the faults reach the commands
+    assert total.startswith("0 differences in 23 files and 9 commands")
