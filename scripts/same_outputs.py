@@ -12,12 +12,14 @@ the parent commit.  For each workload mix of the benchmark (``WORKLOADS`` of
 - runs ``box3d solve`` with and without ``--no-refine``;
 - runs ``box3d depurate`` on both results;
 - runs ``box3d eval --json`` on both results and both sets of kept frames,
-  at the workload's IoU and recall grid.
+  at every combination of ``--iou``, ``--recall-points`` and
+  ``--difficulty`` (16 per output), in process in one fresh interpreter.
 
-Every command runs in a fresh interpreter with that tree on PYTHONPATH, from
-a working directory of its own and with relative paths, so that its output
-names the same paths for both trees.  Every written file and every command's
-stdout, stderr and exit code are compared.
+Every other command runs in a fresh interpreter of its own.  Each tree is on
+PYTHONPATH, and each case runs from a working directory of its own with
+relative paths, so that the output names the same paths for both trees.
+Every written file and every command's stdout, stderr and exit code are
+compared.
 
 With ``--faults N``, each case then takes N seeded single faults, one at a
 time, in a file of its inputs or of the results of its ``solve``: a replaced
@@ -56,9 +58,9 @@ run.write_inputs(box3d, run.WORKLOADS[sys.argv[1]], int(sys.argv[2]), int(sys.ar
 """
 
 
-# runs `box3d` commands in process under the tree being checked, once per
-# fault: argv: FAULTS_JSON OUTCOMES_JSON, from a case's directory
-FAULT_RUNNER = """
+# runs a `box3d` command in process under the tree being checked and returns
+# its [exit code, stdout, stderr]
+RUN = """
 import contextlib, io, json, os, sys, traceback
 from box3d.cli import main
 
@@ -77,8 +79,19 @@ def run(argv):
             traceback.print_exc()
             code = 1
     return [code or 0, out.getvalue(), err.getvalue()]
+"""
 
+# runs a list of commands in process: argv: COMMANDS_JSON OUTCOMES_JSON
+COMMAND_RUNNER = RUN + """
+with open(sys.argv[1]) as f:
+    commands = json.load(f)
+with open(sys.argv[2], "w") as f:
+    json.dump([run(argv) for argv in commands], f)
+"""
 
+# runs the commands once per fault: argv: FAULTS_JSON OUTCOMES_JSON, from a
+# case's directory
+FAULT_RUNNER = RUN + """
 with open(sys.argv[1]) as f:
     task = json.load(f)
 outcomes = []
@@ -164,7 +177,8 @@ def run_faults(src, work, cases, faults):
 
 
 def commands(name, seed, frames):
-    """(label, argv) of one workload and seed, in the order they run."""
+    """(label, argv) of one workload and seed, in the order they run, each in
+    an interpreter of its own."""
     wl = WORKLOADS[name]
     box3d = [sys.executable, "-m", "box3d.cli"]
     runs = [("inputs", [sys.executable, "-c", WRITE_INPUTS, name, str(seed), str(frames), "inputs"])]
@@ -175,10 +189,21 @@ def commands(name, seed, frames):
         kept = results.replace("results", "kept")
         runs.append((f"depurate {results}", box3d + ["depurate", "--in", results, "--calib", "inputs/calib",
                                                      "--out", kept]))
-        for scored in (results, kept):
-            runs.append((f"eval {scored}", box3d + ["eval", "--results", scored, "--gt", "inputs/gt",
-                                                    "--iou", str(wl.iou), "--recall-points", str(wl.recall_points),
-                                                    "--json", f"{scored}.json"]))
+    return runs
+
+
+def eval_grid():
+    """(label, argv) of `box3d eval --json` on each output of a case, at every
+    IoU threshold, recall grid and difficulty that eval takes."""
+    runs = []
+    for scored in ("results", "kept", "results_closed_form", "kept_closed_form"):
+        for iou in ("0.5", "0.7"):
+            for points in ("11", "40"):
+                for difficulty in ("all", "easy", "moderate", "hard"):
+                    flags = ["--iou", iou, "--recall-points", points, "--difficulty", difficulty]
+                    runs.append((f"eval {scored} {' '.join(flags)}",
+                                 ["eval", "--results", scored, "--gt", "inputs/gt", *flags,
+                                  "--json", f"{scored}-{iou}-{points}-{difficulty}.json"]))
     return runs
 
 
@@ -193,6 +218,12 @@ def run_tree(src, work, cases):
         for label, argv in commands(name, seed, frames):
             out = subprocess.run(argv, cwd=case, env=env, capture_output=True, timeout=600)
             outcomes[(name, seed, label)] = (out.returncode, out.stdout, out.stderr)
+        grid, ran = work / f"{name}-{seed}-grid.json", work / f"{name}-{seed}-grid-outcomes.json"
+        grid.write_text(json.dumps([argv for _, argv in eval_grid()]))
+        subprocess.run([sys.executable, "-c", COMMAND_RUNNER, str(grid), str(ran)], cwd=case, env=env,
+                       check=True, timeout=3600)
+        for (label, _), outcome in zip(eval_grid(), json.loads(ran.read_text()), strict=True):
+            outcomes[(name, seed, label)] = tuple(outcome)
         for path in sorted(case.rglob("*")):
             if path.is_file():
                 files[(name, seed, str(path.relative_to(case)))] = path.read_bytes()

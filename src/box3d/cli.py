@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import kitti_io, solver
-from .camera import wrap_angle
+from .camera import CameraIntrinsics, wrap_angle
 from .depuration import DEFAULT_DEPURATION_CONFIG, depurate
 from .metrics import (
     RECALL_POINTS_11,
@@ -208,7 +208,7 @@ def cmd_solve(args):
     def parse(calib, detections, properties):
         nonlocal bins
         calib, detections, properties = _texts(calib), _texts(detections), _texts(properties)
-        cameras = [(k.fu, k.fv, k.cu, k.cv) for k in map(kitti_io.parse_calib, calib)]
+        cameras = kitti_io.parse_calib(calib)
         detections, properties = kitti_io.parse_detections(detections), kitti_io.parse_properties(properties)
         n_det, n_prop = np.diff(detections.offsets), np.diff(properties.offsets)
         bad = np.flatnonzero(n_det != n_prop)
@@ -231,7 +231,7 @@ def cmd_solve(args):
     cameras, detections, properties = zip(*blocks)
     detections, offsets = kitti_io.join(detections)
     rows = decode_rows(detections, kitti_io.join(properties).objects,
-                       np.repeat([c for block in cameras for c in block], np.diff(offsets), axis=0))
+                       np.repeat(np.concatenate(cameras), np.diff(offsets), axis=0))
     width, height = args.image_size
     box = rows.box
     outside = int(((box[:, :2] < 0).any(axis=1) | (box[:, 2] > width) | (box[:, 3] > height)).sum())
@@ -258,19 +258,19 @@ def cmd_depurate(args):
     frames = _frames_in(args.in_dir)
 
     def parse(calib, results):
-        return [kitti_io.parse_calib(text) for text in _texts(calib)], kitti_io.parse_labels(_texts(results))
+        return kitti_io.parse_calib(_texts(calib)), kitti_io.parse_labels(_texts(results))
 
     # every frame is parsed first, so that a bad file leaves nothing written
     blocks = _parse_blocks(frames, [lambda f: _read(args.calib, f, "calibration"),
                                     lambda f: _read(args.in_dir, f, "result")], parse) or [parse([], [])]
-    cameras = [c for block, _ in blocks for c in block]
+    cameras = np.concatenate([block for block, _ in blocks]).tolist()
     labels, offsets = kitti_io.join([parsed for _, parsed in blocks])
     _make_dir(args.out)
     kept, report_lines = [], []
     at = offsets.tolist()
     for f, (frame, camera) in enumerate(zip(frames, cameras)):
         table = labels[at[f]:at[f + 1]]
-        for i, v in enumerate(depurate(table, camera, cfg)):
+        for i, v in enumerate(depurate(table, CameraIntrinsics(*camera), cfg)):
             kept.append(v.kept)
             if not v.kept:
                 report_lines.append(
@@ -315,34 +315,39 @@ def cmd_eval(args):
     for labels in (gt, det):
         labels.yaw[:] = wrap_angle(labels.yaw)  # into [-pi, pi), as Box3D does
     det_rows, gt_rows, ious = pair_ious(det, det_offsets, gt, gt_offsets)
-    cuts = np.searchsorted(det_rows, det_offsets).tolist()
-    d_at, g_at = det_offsets.tolist(), gt_offsets.tolist()
-    matches = []
-    dim_err_sum = 0.0
-    dim_err_count = 0
-    for f, frame in enumerate(gt_frames):
-        frame_det, frame_gt = det[d_at[f]:d_at[f + 1]], gt[g_at[f]:g_at[f + 1]]
+    cuts = np.searchsorted(det_rows, det_offsets)
+    # the pairs' rows counted from their frame's first
+    frame_of = np.repeat(np.arange(len(gt_frames)), np.diff(cuts))
+    det_rows, gt_rows = det_rows - det_offsets[frame_of], gt_rows - gt_offsets[frame_of]
+    cuts, d_at, g_at = cuts.tolist(), det_offsets.tolist(), gt_offsets.tolist()
+    matches = [(np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0))]
+    for f in range(len(gt_frames)):
         pairs = slice(cuts[f], cuts[f + 1])
-        matches.extend(match_frame(frame_det, frame_gt, args.iou,
-                                   (det_rows[pairs] - d_at[f], gt_rows[pairs] - g_at[f], ious[pairs])))
-        if len(frame_gt) and len(frame_det):
-            # closest-ground-truth matching is per frame
-            dim_err_sum += dimension_error(frame_det, frame_gt) * len(frame_det)
-            dim_err_count += len(frame_det)
-            if not math.isfinite(dim_err_sum):
-                raise SystemExit(f"frame {frame}: the dimension error overflows a float")
+        matches.append(match_frame(det[d_at[f]:d_at[f + 1]], gt[g_at[f]:g_at[f + 1]], args.iou,
+                                   (det_rows[pairs], gt_rows[pairs], ious[pairs])))
+    matches = [np.concatenate(column) for column in zip(*matches)]
+    # closest-ground-truth matching is per frame; the frames' means, weighted
+    # by their detections, are summed in frame order
+    n_scored = np.where(np.diff(gt_offsets) > 0, np.diff(det_offsets), 0)
+    scored_frames = np.flatnonzero(n_scored)
+    with np.errstate(all="ignore"):
+        dim_err_sums = np.cumsum(dimension_error(det, det_offsets, gt, gt_offsets)[scored_frames]
+                                 * n_scored[scored_frames])
+    overflow = np.flatnonzero(~np.isfinite(dim_err_sums))
+    if len(overflow):
+        raise SystemExit(f"frame {gt_frames[scored_frames[overflow[0]]]}: the dimension error overflows a float")
     n_gt = len(gt)
 
     ap = average_precision(matches, n_gt, recall_points)
     aos, os_score = aos_and_os(matches, n_gt, recall_points)
-    e_d = dim_err_sum / dim_err_count if dim_err_count else None
+    e_d = float(dim_err_sums[-1]) / int(n_scored.sum()) if len(scored_frames) else None
     table = {
         f"AP3D@{args.iou}": ap,
         "AOS": aos,
         "OS": os_score,
         "E_d": e_d,
         "n_gt": n_gt,
-        "n_det": len(matches),
+        "n_det": len(matches[0]),
     }
     if args.json:
         _write(args.json, (json.dumps(table, indent=2) + "\n").encode())

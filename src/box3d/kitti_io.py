@@ -139,9 +139,10 @@ class FrameRecord:
     camera: CameraIntrinsics | None = None
 
 
-def parse_calib(text: str) -> CameraIntrinsics:
-    """Intrinsics from the 12-number P2 projection-matrix line; the
-    translation column is ignored (single-camera use)."""
+def _check_calib(text):
+    """ValueError for a calibration text without a P2 line, or whose first P2
+    line does not hold 12 numbers, or whose intrinsics CameraIntrinsics
+    rejects."""
     for line in text.splitlines():
         line = line.strip()
         if not line.startswith("P2:"):
@@ -149,9 +150,41 @@ def parse_calib(text: str) -> CameraIntrinsics:
         values = line.split(":", 1)[1].split()
         if len(values) != 12:
             raise ValueError(f"P2 line has {len(values)} numbers, expected 12")
-        p = [float(v) for v in values]  # row-major 3x4
-        return CameraIntrinsics(fu=p[0], fv=p[5], cu=p[2], cv=p[6])
+        p = [float(v) for v in values]
+        CameraIntrinsics(fu=p[0], fv=p[5], cu=p[2], cv=p[6])
+        return
     raise ValueError("no P2 line in calibration file")
+
+
+def parse_calib(texts) -> np.ndarray:
+    """(F, 4) intrinsics fu, fv, cu, cv of a block of frames' calibration
+    texts, each from its first P2 line: the 12 numbers of a row-major 3x4
+    projection matrix, whose translation column is ignored (single-camera
+    use).  A bad text raises ParseError (see _check_calib)."""
+    p2 = []
+    try:
+        for text in texts:
+            for line in text.splitlines():
+                line = line.strip()
+                if line.startswith("P2:"):
+                    p2.append(line[3:].split())
+                    break
+            else:
+                raise ValueError("no P2 line")
+        if not set(map(len, p2)) <= {12}:
+            raise ValueError("P2 width")
+        p = np.fromiter(map(float, chain.from_iterable(p2)), float, 12 * len(p2)).reshape(-1, 12)
+        cameras = p[:, [0, 5, 2, 6]]
+        if not ((cameras[:, :2] > 0).all() and np.isfinite(cameras).all()):
+            raise ValueError("intrinsics")
+    except ValueError:
+        for frame, text in enumerate(texts):
+            try:
+                _check_calib(text)
+            except ValueError as exc:
+                raise ParseError(frame, str(exc)) from exc
+        raise
+    return cameras
 
 
 def write_calib(k: CameraIntrinsics) -> str:

@@ -3,14 +3,15 @@
 AP follows the interpolated protocol at a configurable recall grid
 (11 points {0.0, 0.1, ..., 1.0} by default, 40-point variant available).
 Matching is greedy in descending score, each ground truth consumable once,
-a detection is a true positive when its best 3D IoU clears the threshold.
+a detection is a true positive when its best 3D IoU clears the threshold; a
+frame's matches are four columns (score, true positive, orientation
+similarity, IoU).
 pair_ious scores a whole run's frames in blocks of array code.  It clips
 only the pairs whose vertical extents and ground-plane bounding circles
 overlap; every other pair scores exactly 0.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,16 +202,6 @@ def orientation_similarity(theta_det: float, theta_gt: float) -> float:
 # matching and ranked metrics
 
 
-@dataclass(frozen=True)
-class MatchedDetection:
-    """One scored detection after matching against a frame's ground truth."""
-
-    score: float
-    is_tp: bool
-    orientation_sim: float  # 0.0 for false positives
-    iou3d: float
-
-
 def match_frame(detections, ground_truths, iou_threshold: float, ious=None):
     """Greedy match of one frame's detections against its ground truths, two
     LabelTables (location, dims, yaw; a detection without a score counts
@@ -219,41 +210,42 @@ def match_frame(detections, ground_truths, iou_threshold: float, ious=None):
     ious holds the frame's positive IoUs as pair_ious returns them, rows
     counted from the frame's first; pair_ious computes them when it is None.
     In descending score (ties keep their input order), each detection takes
-    the first unused ground truth of largest positive 3D IoU, and is a true
-    positive if that IoU clears the threshold.  Returns a list of
-    MatchedDetection (every detection appears, matched or not) to be pooled
-    across frames.
+    the first unused ground truth of largest IoU, and is a true positive if
+    that IoU clears the threshold.  Returns four columns in detection order,
+    to be pooled across frames: the score, whether a true positive, the
+    orientation similarity (0.0 for a false positive) and the IoU taken (0.0
+    where no unused ground truth overlaps).
     """
     if ious is None:
         ious = pair_ious(detections, [0, len(detections)], ground_truths, [0, len(ground_truths)])
-    rows, cols, values = ious
-    scores = np.where(np.isnan(detections.score), 1.0, detections.score).tolist()
+    scores = [1.0 if math.isnan(s) else s for s in detections.score.tolist()]
+    n = len(scores)
+    is_tp, sims, taken = [False] * n, [0.0] * n, [0.0] * n
+    candidates = {}  # each overlapping detection's (gt, IoU), ground truths ascending
+    for i, j, iou in zip(*(column.tolist() for column in ious)):
+        candidates.setdefault(i, []).append((j, iou))
+    used = set()
     yaw_d, yaw_g = detections.yaw.tolist(), ground_truths.yaw.tolist()
-    # column 0 stands for "no ground truth": argmax lands there when no unused
-    # ground truth has a positive IoU.  Column j + 1 is ground truth j.
-    iou = np.zeros((len(detections), len(ground_truths) + 1))
-    iou[rows, cols + 1] = values
-    out = []
-    for i in sorted(range(len(scores)), key=lambda i: -scores[i]):
-        j = int(iou[i].argmax())
-        best_iou = float(iou[i, j])
-        if j > 0 and best_iou >= iou_threshold:
-            iou[:, j] = 0.0  # each ground truth is consumed once
-            out.append(MatchedDetection(scores[i], True, orientation_similarity(yaw_d[i], yaw_g[j - 1]), best_iou))
-        else:
-            out.append(MatchedDetection(scores[i], False, 0.0, best_iou))
-    return out
+    for i in sorted(candidates, key=lambda i: -scores[i]):  # stable: ties keep row order
+        best, k = 0.0, -1
+        for j, iou in candidates[i]:
+            if iou > best and j not in used:  # strict: the first of equal IoUs
+                best, k = iou, j
+        taken[i] = best
+        if k >= 0 and best >= iou_threshold:
+            used.add(k)  # each ground truth is consumed once
+            is_tp[i], sims[i] = True, orientation_similarity(yaw_d[i], yaw_g[k])
+    return np.array(scores, dtype=float), np.array(is_tp, dtype=bool), np.array(sims), np.array(taken)
 
 
 def _ranked(matches, n_gt):
     """Recall, precision and cumulative orientation similarity over rank,
     after each detection in descending score (ties keep their input order).
     Only true positives add their similarity."""
-    scores = np.array([m.score for m in matches], dtype=float)
-    order = np.argsort(-scores, kind="stable")
-    is_tp = np.array([m.is_tp for m in matches], dtype=bool)[order]
-    sims = np.array([m.orientation_sim for m in matches], dtype=float)[order]
-    rank = np.arange(1, len(matches) + 1)
+    score, is_tp, sims, _ = matches
+    order = np.argsort(-score, kind="stable")
+    is_tp, sims = is_tp[order], sims[order]
+    rank = np.arange(1, len(order) + 1)
     tp = np.cumsum(is_tp)
     return tp / n_gt, tp / rank, np.cumsum(np.where(is_tp, sims, 0.0)) / rank
 
@@ -267,9 +259,9 @@ def _interpolated(recalls, values, recall_points):
 
 
 def average_precision(matches, n_gt: int, recall_points=RECALL_POINTS_11) -> float:
-    """Interpolated AP: mean over the recall grid of the max precision at
-    recall >= r."""
-    if n_gt <= 0 or not matches:
+    """Interpolated AP of the four columns match_frame returns, pooled over
+    frames: mean over the recall grid of the max precision at recall >= r."""
+    if n_gt <= 0 or not len(matches[0]):
         return 0.0
     recalls, precisions, _ = _ranked(matches, n_gt)
     return _interpolated(recalls, precisions, recall_points)
@@ -279,9 +271,10 @@ def aos_and_os(matches, n_gt: int, recall_points=RECALL_POINTS_11):
     """Orientation-weighted AP and its ratio to plain AP.
 
     Each true positive contributes its orientation similarity instead of 1;
-    OS = AOS/AP isolates orientation quality (0 when AP is 0).
+    OS = AOS/AP isolates orientation quality (0 when AP is 0).  matches are
+    match_frame's four columns, pooled over frames.
     """
-    if n_gt <= 0 or not matches:
+    if n_gt <= 0 or not len(matches[0]):
         return 0.0, 0.0
     recalls, precisions, sims = _ranked(matches, n_gt)
     ap = _interpolated(recalls, precisions, recall_points)
@@ -289,19 +282,45 @@ def aos_and_os(matches, n_gt: int, recall_points=RECALL_POINTS_11):
     return aos, (aos / ap if ap > 0 else 0.0)
 
 
-def dimension_error(detections, ground_truths) -> float:
-    """Mean Euclidean (h, w, l) error of each detection against the ground
-    truth closest by 3D center distance (ties go to the first); two tables
-    with location and dims."""
-    if not len(ground_truths):
-        raise ValueError("no ground truth to match against")
-    if not len(detections):
-        return 0.0
+def dimension_error(detections, det_offsets, ground_truths, gt_offsets) -> np.ndarray:
+    """(F,) mean Euclidean (h, w, l) error of each frame's detections, each
+    against the ground truth of its frame closest by 3D center distance; a
+    tie or a NaN distance goes to the first, as argmin has it.  NaN for a
+    frame with no detection or no ground truth.
+
+    Tables and offsets as pair_ious takes them.  The run is scored in blocks
+    of whole frames; every sum adds its terms in the order, and with numpy's
+    pairwise summation, that one frame's own arrays would.
+    """
+    det_offsets, gt_offsets = np.asarray(det_offsets), np.asarray(gt_offsets)
+    n_gt = np.diff(gt_offsets)
+    n_det = np.where(n_gt > 0, np.diff(det_offsets), 0)  # the detections scored
+    sums = np.zeros(len(n_gt))
     with np.errstate(all="ignore"):
-        diff = detections.location[:, None, :] - ground_truths.location[None, :, :]
-        closest = (diff * diff).sum(axis=2).argmin(axis=1)  # D x G squared center distances
-        err = detections.dims - ground_truths.dims[closest]
-        return float(np.sqrt((err * err).sum(axis=1)).sum()) / len(detections)
+        for first, last in _blocks((n_det * n_gt).tolist()):
+            d, g = _frame_pairs(det_offsets[first:last + 1], gt_offsets[first:last + 1])
+            if not len(d):
+                continue
+            diff = detections.location[d] - ground_truths.location[g]
+            diff *= diff
+            dist = (diff[:, 0] + diff[:, 1]) + diff[:, 2]
+            # each detection's pairs are consecutive; its first pair at the
+            # smallest distance, or at the first NaN, names its ground truth
+            starts = np.flatnonzero(np.diff(d, prepend=-1))
+            nearest = np.repeat(np.minimum.reduceat(dist, starts), np.diff(np.append(starts, len(d))))
+            hit = (dist == nearest) | np.isnan(dist)
+            closest = g[np.minimum.reduceat(np.where(hit, np.arange(len(d)), len(d)), starts)]
+            err = detections.dims[d[starts]] - ground_truths.dims[closest]
+            err *= err
+            # reduceat starts each sum from its first term and .sum() from
+            # 0.0, so each frame's terms follow a 0.0 of their own
+            paired = first + np.flatnonzero(n_det[first:last])
+            counts = n_det[paired]
+            terms = np.zeros(len(err) + len(paired))
+            terms[np.arange(len(err)) + np.repeat(np.arange(1, len(paired) + 1), counts)] = np.sqrt(
+                (err[:, 0] + err[:, 1]) + err[:, 2])
+            sums[paired] = np.add.reduceat(terms, np.arange(len(paired)) + np.cumsum(counts) - counts)
+        return sums / n_det
 
 
 # KITTI-style difficulty gates on (2D box height px, occlusion, truncation)

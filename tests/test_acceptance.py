@@ -24,7 +24,7 @@ from box3d.kitti_io import (
     write_labels,
     write_properties,
 )
-from box3d.metrics import MatchedDetection, aos_and_os, average_precision, dimension_error, iou_3d
+from box3d.metrics import aos_and_os, average_precision, dimension_error, iou_3d
 from box3d.properties import (
     CAR_PRIOR,
     decode_local_angle,
@@ -202,14 +202,21 @@ def test_criterion_5_iou_vs_monte_carlo():
     )
 
 
+def _columns(rows):
+    """match_frame's four columns of (score, TP, orientation similarity, IoU)
+    rows."""
+    score, is_tp, sims, ious = zip(*rows)
+    return np.array(score), np.array(is_tp, dtype=bool), np.array(sims), np.array(ious)
+
+
 def test_criterion_6_metric_oracles():
-    matches = [
-        MatchedDetection(0.9, True, 0.0, 1.0),
-        MatchedDetection(0.8, False, 0.0, 0.0),
-        MatchedDetection(0.7, True, 1.0, 1.0),
-        MatchedDetection(0.6, False, 0.0, 0.1),
-        MatchedDetection(0.5, True, 0.5, 1.0),
-    ]
+    matches = _columns([
+        (0.9, True, 0.0, 1.0),
+        (0.8, False, 0.0, 0.0),
+        (0.7, True, 1.0, 1.0),
+        (0.6, False, 0.0, 0.1),
+        (0.5, True, 0.5, 1.0),
+    ])
     ap = average_precision(matches, 3)
     aos, os_score = aos_and_os(matches, 3)
     ap_expected = float(Fraction(42, 55))
@@ -223,10 +230,10 @@ def test_criterion_6_metric_oracles():
     rng = np.random.default_rng(606)
     for _ in range(100):
         n = int(rng.integers(1, 15))
-        fixture = [
-            MatchedDetection(float(rng.uniform()), bool(rng.uniform() < 0.6), float(rng.uniform()), 0.8)
+        fixture = _columns([
+            (float(rng.uniform()), bool(rng.uniform() < 0.6), float(rng.uniform()), 0.8)
             for _ in range(n)
-        ]
+        ])
         n_gt = int(rng.integers(1, 10))
         a = average_precision(fixture, n_gt)
         s, _ = aos_and_os(fixture, n_gt)
@@ -235,7 +242,7 @@ def test_criterion_6_metric_oracles():
     # no 2D box; h w l; bottom-face center; yaw; no score
     det = LabelTable([0.0] * 7 + [1.4, 1.3, 1.0, 0.0, 0.0, 10.0, 0.0, math.nan], ["Car"])
     gt = LabelTable([0.0] * 7 + [1.0, 1.0, 1.0, 0.0, 0.0, 10.0, 0.0, math.nan], ["Car"])
-    e_d = dimension_error(det, gt)
+    e_d = float(dimension_error(det, [0, 1], gt, [0, 1])[0])
     ok = ok and abs(e_d - 0.5) < 1e-12
     _report(
         6, ok,
@@ -320,7 +327,7 @@ def test_criterion_8_round_trips():
     props_text = write_properties(props)
     files_ok = (
         write_labels(parse_labels([labels_text]).objects) == labels_text
-        and write_calib(parse_calib(calib_text)) == calib_text
+        and write_calib(CameraIntrinsics(*parse_calib([calib_text])[0])) == calib_text
         and write_detections(parse_detections([det_text]).objects) == det_text
         and write_properties(parse_properties([props_text]).objects) == props_text
     )

@@ -50,7 +50,7 @@ REAL_CALIB = (
 
 
 def test_parse_real_calib_line():
-    k = parse_calib(REAL_CALIB)
+    k = CameraIntrinsics(*parse_calib([REAL_CALIB])[0])
     assert k.fu == pytest.approx(721.5377)
     assert k.fv == pytest.approx(721.5377)
     assert k.cu == pytest.approx(609.5593)
@@ -59,23 +59,23 @@ def test_parse_real_calib_line():
 
 def test_parse_identity_like_calib():
     text = "P2: 1 0 0 0 0 1 0 0 0 0 1 0\n"
-    k = parse_calib(text)
+    k = CameraIntrinsics(*parse_calib([text])[0])
     assert (k.fu, k.fv, k.cu, k.cv) == (1.0, 1.0, 0.0, 0.0)
 
 
 def test_parse_empty_calib_raises():
     with pytest.raises(ValueError):
-        parse_calib("")
+        parse_calib([""])
 
 
 def test_parse_wrong_count_raises():
     with pytest.raises(ValueError):
-        parse_calib("P2: 1 2 3\n")
+        parse_calib(["P2: 1 2 3\n"])
 
 
 def test_calib_round_trip():
     k = CameraIntrinsics(721.5377, 720.1, 609.5593, 172.854)
-    back = parse_calib(write_calib(k))
+    back = CameraIntrinsics(*parse_calib([write_calib(k)])[0])
     assert back == k
 
 
@@ -459,6 +459,71 @@ def test_block_parse_equals_per_file_parse(data):
                 assert run.offsets.tolist() == block.offsets.tolist()
                 if block.objects.cls is not None:
                     assert run.objects.cls.tolist() == block.objects.cls.tolist()
+
+
+def _calib_file(text):
+    """Reference: one calibration file parsed on its own, as fu, fv, cu, cv."""
+    for line in text.splitlines():
+        line = line.strip()
+        if not line.startswith("P2:"):
+            continue
+        values = line.split(":", 1)[1].split()
+        if len(values) != 12:
+            raise ValueError(f"P2 line has {len(values)} numbers, expected 12")
+        p = [float(v) for v in values]
+        return astuple(CameraIntrinsics(fu=p[0], fv=p[5], cu=p[2], cv=p[6]))
+    raise ValueError("no P2 line in calibration file")
+
+
+@st.composite
+def _calib_text(draw):
+    """One calibration file: a P2 line among other matrices and blank lines,
+    or none; numbers written at full precision or as short tokens."""
+    p2 = [draw(st.one_of(_number, st.floats(0.1, 2000.0).map(repr))) for _ in range(12)]
+    lines = [*draw(st.lists(st.sampled_from(["", "  ", "P0: 1 0 0 0 0 1 0 0 0 0 1 0", "R0_rect: 1 0 0"]),
+                            max_size=2)),
+             *([] if draw(st.integers(0, 9)) == 0 else [" P2: " + " ".join(p2)]),
+             *draw(st.lists(st.sampled_from(["P3: 1 2 3", "P2: 1 2", ""]), max_size=2))]
+    return "".join(line + draw(_separator) for line in lines)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_calib_parse_equals_per_file_parse(data):
+    """A block of calibration texts gives each file's own intrinsics, or the
+    first failing file's error naming the same frame, through kitti_io and
+    through cli._parse_blocks at a block budget of one byte and of more than
+    the run."""
+    texts = data.draw(st.lists(_calib_text(), min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        f = data.draw(st.integers(0, len(texts) - 1))
+        texts[f] = _tokens_replaced(texts[f], data)
+    cameras, fault = [], None
+    for f, text in enumerate(texts):
+        try:
+            cameras.append(_calib_file(text))
+        except ValueError as exc:
+            fault = (f, str(exc))
+            break
+
+    if fault:
+        with pytest.raises(ParseError) as info:
+            parse_calib(texts)
+        assert (info.value.frame, str(info.value)) == fault
+    else:
+        assert parse_calib(texts).tolist() == [list(c) for c in cameras]
+    frames = [f"{i:06d}" for i in range(len(texts))]
+    for budget in (1, sum(map(len, texts)) + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "BLOCK_BYTES", budget)
+            reader = dict(zip(frames, texts)).__getitem__
+            if fault:
+                with pytest.raises(SystemExit) as info:
+                    cli._parse_blocks(frames, [reader], lambda t: parse_calib(cli._texts(t)))
+                assert info.value.code == f"frame {frames[fault[0]]}: {fault[1]}"
+            else:
+                blocks = cli._parse_blocks(frames, [reader], lambda t: parse_calib(cli._texts(t)))
+                assert np.concatenate(blocks).tolist() == [list(c) for c in cameras]
 
 
 def test_block_parse_names_the_frame_whose_bins_differ():

@@ -10,7 +10,6 @@ from box3d import metrics
 from box3d.camera import Box3D, Dimensions
 from box3d.kitti_io import LabelTable
 from box3d.metrics import (
-    MatchedDetection,
     RECALL_POINTS_11,
     RECALL_POINTS_40,
     _clipped_areas,
@@ -40,10 +39,25 @@ def _table(boxes, scores=None):
     )
 
 
+def _columns(rows):
+    """The four match columns of (score, TP, orientation similarity, IoU)
+    rows."""
+    score, is_tp, sims, ious = zip(*rows) if rows else ((),) * 4
+    return np.array(score, dtype=float), np.array(is_tp, dtype=bool), np.array(sims, dtype=float), np.array(ious)
+
+
+def _rows(matches):
+    """match_frame's four columns as (score, TP, orientation similarity, IoU)
+    rows, in descending score with ties in row order: the order in which the
+    greedy visits them."""
+    order = np.argsort(-matches[0], kind="stable")
+    return list(zip(*(column[order].tolist() for column in matches)))
+
+
 def _match(detections, ground_truths, iou_threshold):
-    """match_frame on (Box3D, score) pairs and Box3Ds."""
-    return match_frame(_table([b for b, _ in detections], [s for _, s in detections]), _table(ground_truths),
-                       iou_threshold)
+    """match_frame on (Box3D, score) pairs and Box3Ds, as rows (see _rows)."""
+    return _rows(match_frame(_table([b for b, _ in detections], [s for _, s in detections]), _table(ground_truths),
+                             iou_threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +333,13 @@ def _fixture_matches():
     Hand PR table: recalls 1/3, 1/3, 2/3, 2/3, 1; precisions 1, 1/2, 2/3,
     1/2, 3/5.
     """
-    return [
-        MatchedDetection(0.9, True, 0.0, 1.0),
-        MatchedDetection(0.8, False, 0.0, 0.0),
-        MatchedDetection(0.7, True, 1.0, 1.0),
-        MatchedDetection(0.6, False, 0.0, 0.1),
-        MatchedDetection(0.5, True, 0.5, 1.0),
-    ]
+    return _columns([
+        (0.9, True, 0.0, 1.0),
+        (0.8, False, 0.0, 0.0),
+        (0.7, True, 1.0, 1.0),
+        (0.6, False, 0.0, 0.1),
+        (0.5, True, 0.5, 1.0),
+    ])
 
 
 def test_ap_hand_computed():
@@ -345,7 +359,7 @@ def test_aos_os_hand_computed():
 
 
 def test_all_correct_ap_one():
-    matches = [MatchedDetection(s, True, 1.0, 1.0) for s in (0.2, 0.9, 0.5)]
+    matches = _columns([(s, True, 1.0, 1.0) for s in (0.2, 0.9, 0.5)])
     assert average_precision(matches, 3) == pytest.approx(1.0)
     aos, os_score = aos_and_os(matches, 3)
     assert aos == pytest.approx(1.0)
@@ -353,12 +367,12 @@ def test_all_correct_ap_one():
 
 
 def test_no_detections_ap_zero():
-    assert average_precision([], 3) == 0.0
-    assert aos_and_os([], 3) == (0.0, 0.0)
+    assert average_precision(_columns([]), 3) == 0.0
+    assert aos_and_os(_columns([]), 3) == (0.0, 0.0)
 
 
 def test_orientations_flipped_pi_gives_zero_os():
-    matches = [MatchedDetection(s, True, 0.0, 1.0) for s in (0.9, 0.8)]
+    matches = _columns([(s, True, 0.0, 1.0) for s in (0.9, 0.8)])
     aos, os_score = aos_and_os(matches, 2)
     assert aos == 0.0
     assert os_score == 0.0
@@ -368,12 +382,10 @@ def test_aos_never_exceeds_ap_random():
     rng = np.random.default_rng(1)
     for _ in range(100):
         n = int(rng.integers(1, 12))
-        matches = [
-            MatchedDetection(
-                float(rng.uniform()), bool(rng.uniform() < 0.7), float(rng.uniform()), 0.8
-            )
+        matches = _columns([
+            (float(rng.uniform()), bool(rng.uniform() < 0.7), float(rng.uniform()), 0.8)
             for _ in range(n)
-        ]
+        ])
         n_gt = int(rng.integers(1, 8))
         ap = average_precision(matches, n_gt)
         aos, _ = aos_and_os(matches, n_gt)
@@ -383,13 +395,13 @@ def test_aos_never_exceeds_ap_random():
 def test_metrics_order_invariance():
     rng = np.random.default_rng(2)
     matches = [
-        MatchedDetection(float(s), bool(t), float(o), 0.9)
+        (float(s), bool(t), float(o), 0.9)
         for s, t, o in zip(rng.permutation(20) / 20.0, rng.uniform(size=20) < 0.6, rng.uniform(size=20))
     ]
-    base_ap = average_precision(matches, 9)
-    base_aos = aos_and_os(matches, 9)
+    base_ap = average_precision(_columns(matches), 9)
+    base_aos = aos_and_os(_columns(matches), 9)
     for _ in range(5):
-        shuffled = [matches[i] for i in rng.permutation(len(matches))]
+        shuffled = _columns([matches[i] for i in rng.permutation(len(matches))])
         assert average_precision(shuffled, 9) == pytest.approx(base_ap)
         assert aos_and_os(shuffled, 9) == pytest.approx(base_aos)
 
@@ -402,12 +414,13 @@ def test_match_frame_greedy_consumes_each_gt_once():
         (_box(z=30.0), 0.7),
     ]
     matches = _match(dets, gt, iou_threshold=0.7)
-    flags = sorted(((m.score, m.is_tp) for m in matches), reverse=True)
+    flags = sorted(((score, is_tp) for score, is_tp, _, _ in matches), reverse=True)
     assert flags == [(0.9, True), (0.8, False), (0.7, True)]
 
 
 def _match_frame_loop(detections, ground_truths, iou_threshold):
-    """Reference: the per-pair greedy loop match_frame replaced."""
+    """Reference: the per-pair greedy loop match_frame replaced; (score, TP,
+    orientation similarity, IoU) rows in the order it visits them."""
     order = sorted(range(len(detections)), key=lambda i: -detections[i][1])
     used = [False] * len(ground_truths)
     out = []
@@ -422,13 +435,9 @@ def _match_frame_loop(detections, ground_truths, iou_threshold):
                 best_iou, best_j = iou, j
         if best_j >= 0 and best_iou >= iou_threshold:
             used[best_j] = True
-            out.append(
-                MatchedDetection(
-                    score, True, orientation_similarity(box.yaw, ground_truths[best_j].yaw), best_iou
-                )
-            )
+            out.append((score, True, orientation_similarity(box.yaw, ground_truths[best_j].yaw), best_iou))
         else:
-            out.append(MatchedDetection(score, False, 0.0, best_iou))
+            out.append((score, False, 0.0, best_iou))
     return out
 
 
@@ -495,10 +504,13 @@ def test_match_frame_matches_loop_reference(iou_threshold):
     for _ in range(150):
         dets, gts = _crowded_frame(rng)
         assert _match(dets, gts, iou_threshold) == _match_frame_loop(dets, gts, iou_threshold)
+        # the columns come in detection order
+        scores = match_frame(_table([b for b, _ in dets], [s for _, s in dets]), _table(gts), iou_threshold)[0]
+        assert scores.tolist() == [s for _, s in dets]
     assert _match([], [_box()], iou_threshold) == []
-    assert _match([(_box(), 0.5)], [], iou_threshold) == [MatchedDetection(0.5, False, 0.0, 0.0)]
+    assert _match([(_box(), 0.5)], [], iou_threshold) == [(0.5, False, 0.0, 0.0)]
     # a detection without a score counts 1.0
-    assert match_frame(_table([_box()]), _table([]), iou_threshold) == [MatchedDetection(1.0, False, 0.0, 0.0)]
+    assert _rows(match_frame(_table([_box()]), _table([]), iou_threshold)) == [(1.0, False, 0.0, 0.0)]
 
 
 def _big_frame(rng, n_gt=64, n_det=70):
@@ -561,7 +573,7 @@ def test_run_pass_matches_per_frame_loop(monkeypatch, budget, iou_threshold):
                           iou_threshold, (d[pairs] - det_offsets[f], g[pairs] - gt_offsets[f], iou[pairs]))
         # a detection without a score counts 1.0
         scored = [(box, 1.0 if math.isnan(s) else s) for box, s in ds]
-        assert got == _match_frame_loop(scored, gs, iou_threshold)
+        assert _rows(got) == _match_frame_loop(scored, gs, iou_threshold)
 
 
 def _may_intersect(a, b):
@@ -611,7 +623,7 @@ def test_box_with_a_non_positive_dimension_never_intersects():
             gt = _table([_box(z=10.0)])
             gt.dims[0, k] = value
             assert not _may_intersect(det, gt) and not _may_intersect(gt, det)
-            assert match_frame(det, gt, 0.5) == [MatchedDetection(0.9, False, 0.0, 0.0)]
+            assert _rows(match_frame(det, gt, 0.5)) == [(0.9, False, 0.0, 0.0)]
 
 
 def test_match_frame_equal_iou_takes_first_ground_truth():
@@ -621,8 +633,8 @@ def test_match_frame_equal_iou_takes_first_ground_truth():
     dets = [(_box(h=1.5, w=2.0, l=4.0), 0.9), (_box(x=-0.5, h=1.5, w=2.0, l=4.0), 0.8)]
     assert iou_3d(dets[0][0], gts[0]) == iou_3d(dets[0][0], gts[1]) == 10.5 / 13.5
     assert _match(dets, gts, 0.7) == [
-        MatchedDetection(0.9, True, 1.0, 10.5 / 13.5),
-        MatchedDetection(0.8, False, 0.0, 0.6),
+        (0.9, True, 1.0, 10.5 / 13.5),
+        (0.8, False, 0.0, 0.6),
     ]
 
 
@@ -632,10 +644,10 @@ def _ap_aos_os_loop(matches, n_gt, recall_points):
         return 0.0, 0.0, 0.0
     recalls, precisions, sims = [], [], []
     tp, sim = 0, 0.0
-    for rank, m in enumerate(sorted(matches, key=lambda m: -m.score), start=1):
-        if m.is_tp:
+    for rank, (_, is_tp, orientation_sim, _) in enumerate(sorted(matches, key=lambda m: -m[0]), start=1):
+        if is_tp:
             tp += 1
-            sim += m.orientation_sim
+            sim += orientation_sim
         recalls.append(tp / n_gt)
         precisions.append(tp / rank)
         sims.append(sim / rank)
@@ -663,14 +675,14 @@ def test_ap_aos_os_match_loop_reference(recall_points):
         # similarity the metrics must ignore
         scores = rng.integers(0, 6, n) / 5.0 if trial % 2 else rng.uniform(size=n)
         matches = [
-            MatchedDetection(float(s), bool(t), float(o), 0.5)
+            (float(s), bool(t), float(o), 0.5)
             for s, t, o in zip(scores, rng.uniform(size=n) < 0.6, rng.uniform(size=n))
         ]
-        n_tp = sum(m.is_tp for m in matches)
+        n_tp = sum(is_tp for _, is_tp, _, _ in matches)
         # every fifth list has fewer ground truths than true positives
         n_gt = max(1, n_tp - 2 if trial % 5 == 0 else int(rng.integers(n_tp, n_tp + 6)))
-        ap = average_precision(matches, n_gt, recall_points)
-        aos, os_score = aos_and_os(matches, n_gt, recall_points)
+        ap = average_precision(_columns(matches), n_gt, recall_points)
+        aos, os_score = aos_and_os(_columns(matches), n_gt, recall_points)
         assert (ap, aos, os_score) == _ap_aos_os_loop(matches, n_gt, recall_points)
 
 
@@ -685,22 +697,28 @@ def test_recall_grid_variants():
 # dimension error
 
 
+def _dim_error(detections, ground_truths):
+    """dimension_error of one frame of Box3Ds."""
+    return float(dimension_error(_table(detections), [0, len(detections)],
+                                 _table(ground_truths), [0, len(ground_truths)])[0])
+
+
 def test_dimension_error_exact_dims():
     gts = [_box(z=10.0), _box(z=30.0)]
     dets = [_box(z=10.2), _box(z=29.5)]
-    assert dimension_error(_table(dets), _table(gts)) == 0.0
+    assert _dim_error(dets, gts) == 0.0
 
 
 def test_dimension_error_3_4_5():
     gt = [_box(z=10.0)]
     det = [Box3D(np.array([0.0, 0.0, 10.5]), Dimensions(1.0 + 0.4, 1.0 + 0.3, 1.0), 0.0)]
-    assert dimension_error(_table(det), _table(gt)) == pytest.approx(0.5)
+    assert _dim_error(det, gt) == pytest.approx(0.5)
 
 
 def test_dimension_error_matches_closest_gt():
     gts = [_box(z=10.0, h=2.0), _box(z=40.0, h=1.0)]
     det = [_box(z=38.0, h=1.0)]  # closest gt is the far one: zero error
-    assert dimension_error(_table(det), _table(gts)) == pytest.approx(0.0)
+    assert _dim_error(det, gts) == pytest.approx(0.0)
 
 
 def _dimension_error_loop(detections, ground_truths):
@@ -729,12 +747,96 @@ def test_dimension_error_matches_loop_reference():
             twin = gts[0]
             gts.append(Box3D(twin.location.copy(), Dimensions(9.0, 9.0, 9.0), twin.yaw))
         dets = boxes(int(rng.integers(1, 8))) + [_box(*gts[0].location)]
-        assert dimension_error(_table(dets), _table(gts)) == pytest.approx(_dimension_error_loop(dets, gts), rel=1e-12)
+        assert _dim_error(dets, gts) == pytest.approx(_dimension_error_loop(dets, gts), rel=1e-12)
 
 
-def test_dimension_error_empty_gt_raises():
-    with pytest.raises(ValueError):
-        dimension_error(_table([_box()]), _table([]))
+def test_dimension_error_of_a_frame_without_ground_truth_is_nan():
+    assert math.isnan(_dim_error([_box()], []))
+    assert math.isnan(_dim_error([], [_box()]))
+
+
+def _dimension_error_frame(detections, ground_truths) -> float:
+    """Reference: the per-frame dimension_error the run-level pass replaced,
+    on two LabelTables."""
+    if not len(ground_truths):
+        raise ValueError("no ground truth to match against")
+    if not len(detections):
+        return 0.0
+    with np.errstate(all="ignore"):
+        diff = detections.location[:, None, :] - ground_truths.location[None, :, :]
+        closest = (diff * diff).sum(axis=2).argmin(axis=1)  # D x G squared center distances
+        err = detections.dims - ground_truths.dims[closest]
+        return float(np.sqrt((err * err).sum(axis=1)).sum()) / len(detections)
+
+
+def _assert_dimension_errors_equal_per_frame_reference(frames):
+    """The run-level means of (detections, ground truths) frames of label
+    rows equal the per-frame reference bit for bit; NaN for a frame with no
+    detection or no ground truth."""
+    def table(rows):
+        return LabelTable([[0.0] * 7 + [h, w, l, x, y, z, 0.0, math.nan] for x, y, z, h, w, l in rows])
+
+    dets, gts = [table(ds) for ds, _ in frames], [table(gs) for _, gs in frames]
+    det_offsets = np.cumsum([0, *map(len, dets)])
+    gt_offsets = np.cumsum([0, *map(len, gts)])
+    means = dimension_error(LabelTable.concatenate([table([]), *dets]), det_offsets,
+                            LabelTable.concatenate([table([]), *gts]), gt_offsets)
+    assert means.shape == (len(frames),)
+    for got, d, g in zip(means.tolist(), dets, gts):
+        want = _dimension_error_frame(d, g) if len(d) and len(g) else math.nan
+        assert _same(got, want), (got, want)
+
+
+@st.composite
+def _dimension_error_run(draw):
+    """Frames of (x, y, z, h, w, l) detection and ground-truth rows:
+    detection counts on both sides of numpy's 8-term pairwise block, frames
+    without detections or without ground truth, dims of spread magnitudes,
+    and in some frames centres tied exactly, centres equidistant but for
+    rounding (one offset with its components permuted), a NaN centre, or a
+    dimension whose square overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for _ in range(draw(st.integers(0, 6))):
+        n_det, n_gt = draw(st.sampled_from([0, 1, 2, 3, 7, 8, 9, 12, 17])), draw(st.sampled_from([0, 1, 2, 4]))
+        dets, gts = (np.column_stack([rng.uniform(-50.0, 50.0, (n, 3)), 10.0 ** rng.uniform(-3.0, 3.0, (n, 3))])
+                     for n in (n_det, n_gt))
+        kind = draw(st.sampled_from(["plain", "tied", "permuted", "nan", "overflow"]))
+        if kind == "tied" and n_gt > 1:
+            gts[1, :3] = gts[0, :3]
+        elif kind == "permuted" and n_det and n_gt > 1:
+            offset = rng.uniform(-5.0, 5.0, 3)
+            gts[0, :3], gts[1, :3] = dets[0, :3] + offset, dets[0, :3] + offset[[2, 0, 1]]
+        elif kind == "nan" and n_det and n_gt:
+            rows = dets if rng.uniform() < 0.5 else gts
+            rows[rng.integers(len(rows)), rng.integers(3)] = math.nan
+        elif kind == "overflow" and n_det and n_gt:
+            rows = dets if rng.uniform() < 0.5 else gts
+            rows[rng.integers(len(rows)), 3 + rng.integers(3)] = draw(st.sampled_from([1e200, 1e300]))
+        frames.append((dets.tolist(), gts.tolist()))
+    return frames
+
+
+@given(frames=_dimension_error_run(), budget=st.sampled_from([1, 6, 40, metrics.PAIR_BUDGET]))
+@settings(max_examples=300, deadline=None)
+def test_run_dimension_error_equals_per_frame_reference(frames, budget):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "PAIR_BUDGET", budget)
+        _assert_dimension_errors_equal_per_frame_reference(frames)
+
+
+def test_run_dimension_error_equals_per_frame_reference_on_a_random_run():
+    # crowded frames of up to 35 detections, empty frames, and one frame over
+    # the block budget; some dims overflow when squared
+    rows = []
+    for ds, gs in _random_run(14):
+        rows.append(tuple([(*b.location.tolist(), b.dims.h, b.dims.w, b.dims.l) for b in boxes]
+                          for boxes in ([b for b, _ in ds], gs)))
+    rows[3] = (rows[3][0], [(*g[:3], 1e200, *g[4:]) for g in rows[3][1]])
+    rows[5] = ([(*d[:3], d[3], 1e300, d[5]) for d in rows[5][0]], rows[5][1])
+    assert max(len(ds) * len(gs) for ds, gs in rows) > metrics.PAIR_BUDGET
+    assert max(len(ds) for ds, gs in rows if gs) >= 8
+    _assert_dimension_errors_equal_per_frame_reference(rows)
 
 
 # ---------------------------------------------------------------------------
