@@ -10,7 +10,9 @@ the parent commit.  For each workload mix of the benchmark (``WORKLOADS`` of
 - writes the workload's inputs as the benchmark's set-up does: ``box3d
   synth`` plus the injected false detections;
 - runs ``box3d solve`` with and without ``--no-refine``;
-- runs ``box3d depurate`` on both results;
+- runs ``box3d depurate`` on both results, and once more on the refined
+  results with ``--config`` and a non-default config it writes into the case
+  (``DEPURATION_CONFIG``);
 - runs ``box3d eval --json`` on both results and both sets of kept frames,
   at every combination of ``--iou``, ``--recall-points`` and
   ``--difficulty`` (16 per output), in process in one fresh interpreter.
@@ -112,6 +114,11 @@ with open(sys.argv[2], "w") as f:
     json.dump(outcomes, f)
 """
 
+# depuration thresholds off the defaults, written as a case's `depuration.cfg`:
+# a narrower adjacency, a smaller depth gap and no height band reach rule
+# outcomes and report lines that the defaults never give on the benchmark mixes
+DEPURATION_CONFIG = "adjacency_iou_min = 0.2\ndepth_gap_max = 3\nheight_monotonic_eps = 0\n"
+
 # tokens a replaced-token fault puts in
 FAULT_TOKENS = ["nan", "inf", "-inf", "1e400", "x", "-1", "0", "16", "1.5", "#", "0x1", "1_0", "", "\u0663"]
 
@@ -189,6 +196,8 @@ def commands(name, seed, frames):
         kept = results.replace("results", "kept")
         runs.append((f"depurate {results}", box3d + ["depurate", "--in", results, "--calib", "inputs/calib",
                                                      "--out", kept]))
+    runs.append(("depurate results --config", box3d + ["depurate", "--in", "results", "--calib", "inputs/calib",
+                                                        "--out", "kept_config", "--config", "depuration.cfg"]))
     return runs
 
 
@@ -215,6 +224,7 @@ def run_tree(src, work, cases):
     for name, seed, frames in cases:
         case = work / f"{name}-{seed}"
         case.mkdir(parents=True)
+        (case / "depuration.cfg").write_text(DEPURATION_CONFIG)
         for label, argv in commands(name, seed, frames):
             out = subprocess.run(argv, cwd=case, env=env, capture_output=True, timeout=600)
             outcomes[(name, seed, label)] = (out.returncode, out.stdout, out.stderr)

@@ -81,12 +81,18 @@ def box_iou_2d(a, b) -> float:
     """Intersection over union of two image boxes given as (u_min, v_min,
     u_max, v_max) sequences; positive exactly when they overlap by a positive
     extent on both axes."""
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0 or ih <= 0:
+    # `y if y < x else x` is min(x, y) and `y if y > x else x` is max(x, y),
+    # NaN and -0.0 included, without the builtins' call cost
+    au0, av0, au1, av1 = a
+    bu0, bv0, bu1, bv1 = b
+    iw = (bu1 if bu1 < au1 else au1) - (bu0 if bu0 > au0 else au0)
+    if iw <= 0:
+        return 0.0
+    ih = (bv1 if bv1 < av1 else av1) - (bv0 if bv0 > av0 else av0)
+    if ih <= 0:
         return 0.0
     inter = iw * ih
-    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    union = (au1 - au0) * (av1 - av0) + (bu1 - bu0) * (bv1 - bv0) - inter
     return inter / union if union > 0 else 0.0
 
 

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import kitti_io, solver
-from .camera import CameraIntrinsics, wrap_angle
+from .camera import wrap_angle
 from .depuration import DEFAULT_DEPURATION_CONFIG, depurate
 from .metrics import (
     RECALL_POINTS_11,
@@ -263,14 +263,14 @@ def cmd_depurate(args):
     # every frame is parsed first, so that a bad file leaves nothing written
     blocks = _parse_blocks(frames, [lambda f: _read(args.calib, f, "calibration"),
                                     lambda f: _read(args.in_dir, f, "result")], parse) or [parse([], [])]
-    cameras = np.concatenate([block for block, _ in blocks]).tolist()
+    fvs = np.concatenate([block for block, _ in blocks])[:, 1].tolist()
     labels, offsets = kitti_io.join([parsed for _, parsed in blocks])
     _make_dir(args.out)
     kept, report_lines = [], []
     at = offsets.tolist()
-    for f, (frame, camera) in enumerate(zip(frames, cameras)):
+    for f, (frame, fv) in enumerate(zip(frames, fvs)):
         table = labels[at[f]:at[f + 1]]
-        for i, v in enumerate(depurate(table, CameraIntrinsics(*camera), cfg)):
+        for i, v in enumerate(depurate(table, fv, cfg)):
             kept.append(v.kept)
             if not v.kept:
                 report_lines.append(

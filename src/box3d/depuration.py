@@ -9,14 +9,16 @@ two must fail.  Removing a 2D detection abandons its paired 3D box.
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
-from .camera import CameraIntrinsics, Dimensions, box_iou_2d
+from .camera import Dimensions, box_iou_2d
 from .properties import CAR_PRIOR
 
 RULE_DIMS = "dims"
 RULE_VERTICAL = "vertical"
 RULE_HEIGHT_DEPTH = "height_depth"
 RULE_ADJACENT_DEPTH = "adjacent_depth"
+RULES = (RULE_DIMS, RULE_VERTICAL, RULE_HEIGHT_DEPTH, RULE_ADJACENT_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,12 @@ class Verdict:
         return not self.hard_violation and len(self.violated_rules) < 2
 
 
-def depurate(table, camera: CameraIntrinsics,
-             cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
+_CLEAN = Verdict(frozenset())
+
+
+def depurate(table, fv: float, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
     """Verdicts for the rows of a LabelTable (2D box, dimensions and
-    location), by rule:
+    location) seen with vertical focal length fv in pixels, by rule:
 
     dims            h, w and l each within mean*(1 +- tolerance), inclusive;
     vertical        bottom-center Y within [min(centers) - slack, max(centers) + slack];
@@ -72,54 +76,58 @@ def depurate(table, camera: CameraIntrinsics,
                     solved depth, by |dv*Z - fv*h|;
     adjacent_depth  2D-overlapped (IoU above the minimum) on both sides, and
                     more than depth_gap_max in depth from every such neighbor.
+
+    Every row that violates no rule gets the same clean Verdict.
     """
     boxes, dims, location = table.box.tolist(), table.dims.tolist(), table.location.tolist()
     n = len(boxes)
     height = [v_max - v_min for _, v_min, _, v_max in boxes]
     center_u = [0.5 * (u_min + u_max) for u_min, _, u_max, _ in boxes]
     z = [p[2] for p in location]
-    residual = [abs(height[i] * z[i] - camera.fv * dims[i][0]) for i in range(n)]
-    blamed = set()
-    left_gaps = [[] for _ in range(n)]
-    right_gaps = [[] for _ in range(n)]
+    h3 = [d[0] for d in dims]
+    residual = [abs(dv * zi - fv * h) for dv, zi, h in zip(height, z, h3)]
+    iou_min, eps = cfg.adjacency_iou_min, cfg.height_monotonic_eps
+    blamed = [False] * n
+    # the smallest depth gap to an adjacent neighbour on each side, taken in
+    # the order min() takes a list of them; -1 while there is none, as a gap
+    # is >= 0 or NaN, and -1 is never above the non-negative depth_gap_max
+    left_gap, right_gap = [-1.0] * n, [-1.0] * n
     for i in range(n):
-        box_i, zi, hi, ui = boxes[i], z[i], dims[i][0], center_u[i]
+        box_i, zi, hi, ui, dvi, ri = boxes[i], z[i], h3[i], center_u[i], height[i], residual[i]
+        left_i, right_i = left_gap[i], right_gap[i]
         for j in range(i + 1, n):
             zj = z[j]
-            if box_iou_2d(box_i, boxes[j]) > cfg.adjacency_iou_min:
+            if box_iou_2d(box_i, boxes[j]) > iou_min:
                 gap = abs(zi - zj)
-                if center_u[j] < ui:
-                    left_gaps[i].append(gap)
-                    right_gaps[j].append(gap)
-                elif center_u[j] > ui:
-                    right_gaps[i].append(gap)
-                    left_gaps[j].append(gap)
-            if abs(hi - dims[j][0]) > cfg.height_monotonic_eps:
+                uj = center_u[j]
+                if uj < ui:
+                    if gap < left_i or left_i < 0:
+                        left_i = gap
+                    if gap < right_gap[j] or right_gap[j] < 0:
+                        right_gap[j] = gap
+                elif uj > ui:
+                    if gap < right_i or right_i < 0:
+                        right_i = gap
+                    if gap < left_gap[j] or left_gap[j] < 0:
+                        left_gap[j] = gap
+            if abs(hi - h3[j]) > eps:
                 continue
             if zi > zj:
-                far, near = i, j
+                if dvi >= height[j]:
+                    blamed[i if ri >= residual[j] else j] = True
             elif zj > zi:
-                far, near = j, i
-            else:
-                continue
-            if height[far] >= height[near]:
-                blamed.add(far if residual[far] >= residual[near] else near)
+                if height[j] >= dvi:
+                    blamed[j if residual[j] >= ri else i] = True
+        left_gap[i], right_gap[i] = left_i, right_i
 
     lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
-    dim_bands = [(m * lo, m * hi) for m in (cfg.mean_dims.h, cfg.mean_dims.w, cfg.mean_dims.l)]
+    mean = cfg.mean_dims
+    h_lo, h_hi, w_lo, w_hi, l_lo, l_hi = mean.h * lo, mean.h * hi, mean.w * lo, mean.w * hi, mean.l * lo, mean.l * hi
     y_lo = min(cfg.vertical_centers) - cfg.vertical_slack
     y_hi = max(cfg.vertical_centers) + cfg.vertical_slack
     verdicts = []
-    for i in range(n):
-        violated = set()
-        if not all(low <= v <= high for (low, high), v in zip(dim_bands, dims[i])):
-            violated.add(RULE_DIMS)
-        if not y_lo <= location[i][1] <= y_hi:
-            violated.add(RULE_VERTICAL)
-        if i in blamed:
-            violated.add(RULE_HEIGHT_DEPTH)
-        left, right = left_gaps[i], right_gaps[i]
-        if left and right and min(left) > cfg.depth_gap_max and min(right) > cfg.depth_gap_max:
-            violated.add(RULE_ADJACENT_DEPTH)
-        verdicts.append(Verdict(frozenset(violated)))
+    for (h, w, l), (_, y, _), height_depth, left, right in zip(dims, location, blamed, left_gap, right_gap):
+        bad = (not (h_lo <= h <= h_hi and w_lo <= w <= w_hi and l_lo <= l <= l_hi), not y_lo <= y <= y_hi,
+               height_depth, left > cfg.depth_gap_max and right > cfg.depth_gap_max)
+        verdicts.append(Verdict(frozenset(compress(RULES, bad))) if any(bad) else _CLEAN)
     return verdicts

@@ -269,7 +269,7 @@ def test_criterion_7_depuration():
         )
         sky = Box3D(np.array([float(seed % 7) - 3.0, -3.0, 25.0]), CAR_PRIOR.mean_dims, 0.3)
         scene = _with_box(gt.objects, sky, k)
-        verdicts = depurate(scene, k)
+        verdicts = depurate(scene, k.fv)
         if not verdicts[-1].kept and verdicts[-1].hard_violation:
             removed += 1
         assert all(v.kept for v in verdicts[:-1])
@@ -282,13 +282,13 @@ def test_criterion_7_depuration():
             SyntheticSceneSpec(n_objects_min=2, n_objects_max=4, seed=seed + 300,
                                dims_sigma=0.05, overlap_free=True)
         )
-        false_removals += sum(not v.kept for v in depurate(gt.objects, k))
+        false_removals += sum(not v.kept for v in depurate(gt.objects, k.fv))
 
     # a single soft violation is kept (co-determination)
     gt, _, _ = generate_scene(SyntheticSceneSpec(n_objects_min=2, n_objects_max=2, seed=1))
     odd = Box3D(np.array([6.0, 1.65, 30.0]), Dimensions(0.4, 0.4, 1.2), 0.2)
     scene = _with_box(gt.objects, odd, k)
-    verdicts = depurate(scene, k)
+    verdicts = depurate(scene, k.fv)
     single_soft_kept = verdicts[-1].kept and verdicts[-1].violated_rules == frozenset({RULE_DIMS})
 
     ok = removed == n_injected and false_removals == 0 and single_soft_kept

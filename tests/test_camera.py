@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from box3d.camera import (
@@ -188,3 +189,45 @@ def test_box_iou_2d_positive_iff_old_overlap_predicate():
         assert (box_iou_2d(a, b) > 0) == _boxes_overlap(a, b)
         assert box_iou_2d(a, b) == box_iou_2d(b, a)
         assert 0.0 <= box_iou_2d(a, b) <= 1.0
+
+
+def _box_iou_2d_builtins(a, b) -> float:
+    """Reference: box_iou_2d as written with the min and max builtins."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = (a[2] - a[0]) * (a[3] - a[1]) + (b[2] - b[0]) * (b[3] - b[1]) - inter
+    return inter / union if union > 0 else 0.0
+
+
+# small and signed-zero coordinates coincide and touch; st.floats() adds NaN,
+# the infinities and any other float
+_coordinate = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, math.nan, math.inf, -math.inf]) | st.floats()
+
+
+@st.composite
+def _box_pairs(draw):
+    """Two boxes, the second taking each coordinate from the first's four
+    (equal, touching edges and corners, zero-width) or a fresh one; either
+    box may be inverted."""
+    a = [draw(_coordinate) for _ in range(4)]
+    b = [draw(st.sampled_from(a) | _coordinate) for _ in range(4)]
+    return Box2D(*a), Box2D(*b)
+
+
+@given(_box_pairs())
+@example((Box2D(0.0, 0.0, -0.0, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)))  # an overlap width of -0.0
+@example((Box2D(0.0, 0.0, 1.0, -0.0), Box2D(0.0, 0.0, 1.0, 1.0)))  # an overlap height of -0.0
+@example((Box2D(0.0, 0.0, 1e-200, 1e-200), Box2D(0.0, 0.0, 1e-200, 1e-200)))  # areas that underflow to 0
+@example((Box2D(0.0, 0.0, 2.0, 2.0), Box2D(2.0, 0.0, 4.0, 2.0)))  # touching edges
+@example((Box2D(0.0, 0.0, 2.0, 2.0), Box2D(2.0, 2.0, 4.0, 4.0)))  # touching corners
+@example((Box2D(2.0, 2.0, 0.0, 0.0), Box2D(0.0, 0.0, 2.0, 2.0)))  # inverted
+@example((Box2D(math.nan, 0.0, 1.0, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)))
+@example((Box2D(-math.inf, 0.0, math.inf, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)))
+@settings(max_examples=1000)
+def test_box_iou_2d_is_the_builtin_min_max_form_bit_for_bit(boxes):
+    # compared as bytes, so that NaN equals NaN and -0.0 differs from 0.0
+    for a, b in (boxes, boxes[::-1]):
+        assert struct.pack("<d", box_iou_2d(a, b)) == struct.pack("<d", _box_iou_2d_builtins(a, b)), (a, b)

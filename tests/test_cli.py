@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from box3d import cli
-from box3d.camera import CameraIntrinsics
 from box3d.cli import _write, main
 from box3d.depuration import DEFAULT_DEPURATION_CONFIG, depurate
 from box3d.kitti_io import PropertyTable, parse_calib, parse_labels, parse_properties, write_labels, write_properties
@@ -429,7 +428,7 @@ def test_run_level_writer_equals_per_frame_writes(tmp_path, capsys):
     assert main(["depurate", "--in", str(results), "--calib", str(data / "calib"), "--out", str(kept)]) == 0
     for frame in frames:
         table = parse_labels([(results / f"{frame}.txt").read_text()]).objects
-        verdicts = depurate(table, CameraIntrinsics(*parse_calib([(data / "calib" / f"{frame}.txt").read_text()])[0]),
+        verdicts = depurate(table, parse_calib([(data / "calib" / f"{frame}.txt").read_text()])[0, 1],
                             DEFAULT_DEPURATION_CONFIG)
         expected = write_labels(table[np.array([v.kept for v in verdicts], dtype=bool)])
         assert (kept / f"{frame}.txt").read_text() == expected

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, box_iou_2d
 from box3d.depuration import (
+    DEFAULT_DEPURATION_CONFIG,
     DEFAULT_DEPURATION_CONFIG as CFG,
     DepurationConfig,
     RULE_ADJACENT_DEPTH,
     RULE_DIMS,
     RULE_HEIGHT_DEPTH,
     RULE_VERTICAL,
+    Verdict,
     depurate,
 )
 from box3d.kitti_io import LabelTable
@@ -49,7 +51,7 @@ def _synthetic_scene(seed, n=4):
 
 
 def _fails(rule, scene):
-    return [rule in v.violated_rules for v in depurate(_table(scene), K, CFG)]
+    return [rule in v.violated_rules for v in depurate(_table(scene), K.fv, CFG)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +156,134 @@ def test_depurate_equals_the_per_rule_loops_on_crowded_scenes():
     for k in range(300):
         scene = _crowded_scene(rng)
         cfg = cfgs[k % 2]
-        assert _as_tuples(depurate(_table(scene), K, cfg)) == _depurate_loop(scene, K, cfg)
+        assert _as_tuples(depurate(_table(scene), K.fv, cfg)) == _depurate_loop(scene, K, cfg)
     for seed in range(20):
         scene = _synthetic_scene(seed, n=6)
-        assert _as_tuples(depurate(_table(scene), K, CFG)) == _depurate_loop(scene, K, CFG)
+        assert _as_tuples(depurate(_table(scene), K.fv, CFG)) == _depurate_loop(scene, K, CFG)
+
+
+# ---------------------------------------------------------------------------
+# reference: the depurate of one pair visit with a gap list per row and side,
+# before it kept running minimum gaps; verbatim but for its name and docstring
+
+
+def _depurate_parent(table, camera: CameraIntrinsics,
+                     cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
+    boxes, dims, location = table.box.tolist(), table.dims.tolist(), table.location.tolist()
+    n = len(boxes)
+    height = [v_max - v_min for _, v_min, _, v_max in boxes]
+    center_u = [0.5 * (u_min + u_max) for u_min, _, u_max, _ in boxes]
+    z = [p[2] for p in location]
+    residual = [abs(height[i] * z[i] - camera.fv * dims[i][0]) for i in range(n)]
+    blamed = set()
+    left_gaps = [[] for _ in range(n)]
+    right_gaps = [[] for _ in range(n)]
+    for i in range(n):
+        box_i, zi, hi, ui = boxes[i], z[i], dims[i][0], center_u[i]
+        for j in range(i + 1, n):
+            zj = z[j]
+            if box_iou_2d(box_i, boxes[j]) > cfg.adjacency_iou_min:
+                gap = abs(zi - zj)
+                if center_u[j] < ui:
+                    left_gaps[i].append(gap)
+                    right_gaps[j].append(gap)
+                elif center_u[j] > ui:
+                    right_gaps[i].append(gap)
+                    left_gaps[j].append(gap)
+            if abs(hi - dims[j][0]) > cfg.height_monotonic_eps:
+                continue
+            if zi > zj:
+                far, near = i, j
+            elif zj > zi:
+                far, near = j, i
+            else:
+                continue
+            if height[far] >= height[near]:
+                blamed.add(far if residual[far] >= residual[near] else near)
+
+    lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
+    dim_bands = [(m * lo, m * hi) for m in (cfg.mean_dims.h, cfg.mean_dims.w, cfg.mean_dims.l)]
+    y_lo = min(cfg.vertical_centers) - cfg.vertical_slack
+    y_hi = max(cfg.vertical_centers) + cfg.vertical_slack
+    verdicts = []
+    for i in range(n):
+        violated = set()
+        if not all(low <= v <= high for (low, high), v in zip(dim_bands, dims[i])):
+            violated.add(RULE_DIMS)
+        if not y_lo <= location[i][1] <= y_hi:
+            violated.add(RULE_VERTICAL)
+        if i in blamed:
+            violated.add(RULE_HEIGHT_DEPTH)
+        left, right = left_gaps[i], right_gaps[i]
+        if left and right and min(left) > cfg.depth_gap_max and min(right) > cfg.depth_gap_max:
+            violated.add(RULE_ADJACENT_DEPTH)
+        verdicts.append(Verdict(frozenset(violated)))
+    return verdicts
+
+
+# the default thresholds, then every combination of an adjacency IoU at 0,
+# inside (0, 1) and at 1, a depth gap at 0 and at 3 m, and a height band at
+# the default and at 0
+PROPERTY_CFGS = [CFG] + [DepurationConfig(adjacency_iou_min=iou, depth_gap_max=gap, height_monotonic_eps=eps)
+                       for iou in (0.0, 0.2, 1.0) for gap in (0.0, 3.0) for eps in (CFG.height_monotonic_eps, 0.0)]
+
+
+def _tied(pool, low, high):
+    """A value of the pool, so that rows tie, or any value in [low, high]."""
+    return st.sampled_from(pool) | st.floats(low, high)
+
+
+def _label(u0, v0, u1, v1, h, y, z, w=1.64, l=3.86):
+    return [0.0, 0.0, 0.0, u0, v0, u1, v1, h, w, l, 0.0, y, z, 0.0, 0.0]
+
+
+def _band_edges(mean):
+    """A dimension's default band edges, as depurate computes them."""
+    return [mean * (1.0 - CFG.dim_tolerance), mean * (1.0 + CFG.dim_tolerance)]
+
+
+# label rows of small pools, so that boxes coincide, touch, share a centre u
+# or have no area, heights are exactly the default band apart (0.3 and 0.6),
+# dimensions sit on their band edges and depths are exactly 3 m apart (10 and
+# 13); or one of a few rows that tie on purpose: two of the same 3D height
+# whose blame residuals tie at 2 when fv = 1, and two overlapping rows of
+# centre u 150 at different depths with a third overlapping both from the left
+_label_row = st.sampled_from([
+    _label(100.0, 100.0, 200.0, 102.0, 18.0, 1.65, 8.0),
+    _label(150.0, 100.0, 250.0, 102.0, 18.0, 1.65, 10.0),
+    _label(120.0, 90.0, 180.0, 190.0, 1.5, 1.65, 20.0),
+    _label(100.0, 100.0, 200.0, 200.0, 1.5, 1.65, 40.0),
+    _label(50.0, 100.0, 150.0, 200.0, 1.5, 1.65, 10.0),
+]) | st.builds(
+    lambda u0, du, v0, dv, h, y, z, w, l: _label(u0, v0, u0 + du, v0 + dv, h, y, z, w, l),
+    _tied([100.0, 150.0, 200.0], 0.0, 1000.0),
+    _tied([0.0, 50.0, 100.0], -20.0, 300.0),
+    _tied([100.0, 150.0], 0.0, 370.0),
+    _tied([0.0, 2.0, 50.0, 100.0], -20.0, 300.0),
+    _tied([0.3, 0.6, 1.2, 1.5, 18.0, *_band_edges(CFG.mean_dims.h)], 0.3, 2.5),
+    _tied([1.65, -1.0, 0.53842871, 2.9684], -2.0, 4.0),
+    _tied([8.0, 10.0, 13.0, 20.0, 40.0], 1.0, 80.0),
+    _tied([CFG.mean_dims.w, *_band_edges(CFG.mean_dims.w)], 0.5, 3.0),
+    _tied([CFG.mean_dims.l, *_band_edges(CFG.mean_dims.l)], 1.5, 6.0),
+)
+
+
+@given(
+    rows=st.lists(_label_row, min_size=1, max_size=40),
+    picks=st.lists(st.integers(0, 39), max_size=40),
+    fv=st.sampled_from([1.0, K.fv]),
+)
+@settings(max_examples=150, deadline=None)
+def test_depurate_equals_the_gap_list_depurate(rows, picks, fv):
+    # a frame of 0-40 of the drawn rows, picked with repeats: exact duplicates
+    table = LabelTable([rows[k % len(rows)] for k in picks], ["Car"] * len(picks))
+    camera = CameraIntrinsics(fv, fv, 609.5593, 172.854)
+    for cfg in PROPERTY_CFGS:
+        assert depurate(table, fv, cfg) == _depurate_parent(table, camera, cfg)
 
 
 def test_empty_scene_has_no_verdicts():
-    assert depurate(_table([]), K, CFG) == []
+    assert depurate(_table([]), K.fv, CFG) == []
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +359,7 @@ def test_equal_residuals_blame_the_far_object():
     near = (Box2D(0.0, 0.0, 1.0, 2.0), Box3D(np.array([0.0, 1.65, 8.0]), tall, 0.0))
     far = (Box2D(5.0, 0.0, 6.0, 2.0), Box3D(np.array([0.0, 1.65, 10.0]), tall, 0.0))
     for scene in ([near, far], [far, near]):
-        blamed = [RULE_HEIGHT_DEPTH in v.violated_rules for v in depurate(_table(scene), camera, CFG)]
+        blamed = [RULE_HEIGHT_DEPTH in v.violated_rules for v in depurate(_table(scene), camera.fv, CFG)]
         assert blamed == [v is far for v in scene]
 
 
@@ -281,7 +403,7 @@ def test_clean_synthetic_scene_all_kept():
     # yaw, or genuinely isolated-depth overlaps) but never lose an object
     for seed in range(20):
         scene = _synthetic_scene(seed)
-        verdicts = depurate(_table(scene), K, CFG)
+        verdicts = depurate(_table(scene), K.fv, CFG)
         assert all(v.kept for v in verdicts)
         assert all(not v.hard_violation for v in verdicts)
 
@@ -290,7 +412,7 @@ def test_sky_box_removed_on_hard_rule_alone():
     scene = _synthetic_scene(1)
     sky = Box3D(np.array([0.0, -3.0, 25.0]), CAR, 0.3)
     scene.append((exact_box2d(sky, K), sky))
-    verdicts = depurate(_table(scene), K, CFG)
+    verdicts = depurate(_table(scene), K.fv, CFG)
     assert not verdicts[-1].kept
     assert verdicts[-1].hard_violation
     assert RULE_VERTICAL in verdicts[-1].violated_rules
@@ -301,7 +423,7 @@ def test_single_soft_violation_kept():
     scene = _synthetic_scene(2)
     weird_dims = Box3D(np.array([5.0, 1.65, 30.0]), Dimensions(0.5, 0.5, 1.0), 0.1)
     scene.append((exact_box2d(weird_dims, K), weird_dims))
-    verdicts = depurate(_table(scene), K, CFG)
+    verdicts = depurate(_table(scene), K.fv, CFG)
     assert verdicts[-1].violated_rules == frozenset({RULE_DIMS})
     assert verdicts[-1].kept
 
@@ -312,7 +434,7 @@ def test_two_soft_violations_removed():
     right = _ground_object(2.2, 12.0)
     bad = Box3D(np.array([0.0, 1.65, 40.0]), Dimensions(0.5, 0.5, 1.0), 0.0)
     scene = [left, (exact_box2d(bad, K), bad), right]
-    verdicts = depurate(_table(scene), K, CFG)
+    verdicts = depurate(_table(scene), K.fv, CFG)
     assert not verdicts[1].kept
     assert not verdicts[1].hard_violation
     assert {RULE_DIMS, RULE_ADJACENT_DEPTH} <= verdicts[1].violated_rules
@@ -323,7 +445,7 @@ def test_verdict_invariant_removed_implies_rules():
     scene = _synthetic_scene(3)
     sky = Box3D(np.array([2.0, -4.0, 30.0]), CAR, 0.0)
     scene.append((exact_box2d(sky, K), sky))
-    for v in depurate(_table(scene), K, CFG):
+    for v in depurate(_table(scene), K.fv, CFG):
         if not v.kept:
             assert v.violated_rules
 
@@ -334,8 +456,8 @@ def test_idempotence_on_clean_and_injected_scenes():
         if seed % 3 == 0:
             sky = Box3D(np.array([1.0, -3.0, 20.0]), CAR, 0.5)
             scene.append((exact_box2d(sky, K), sky))
-        kept = [pair for pair, v in zip(scene, depurate(_table(scene), K, CFG)) if v.kept]
-        second = depurate(_table(kept), K, CFG)
+        kept = [pair for pair, v in zip(scene, depurate(_table(scene), K.fv, CFG)) if v.kept]
+        second = depurate(_table(kept), K.fv, CFG)
         assert all(v.kept for v in second)
 
 
@@ -344,11 +466,11 @@ def test_scene_order_invariance():
     scene = _synthetic_scene(4, n=5)
     sky = Box3D(np.array([1.0, -3.0, 20.0]), CAR, 0.5)
     scene.append((exact_box2d(sky, K), sky))
-    base = depurate(_table(scene), K, CFG)
+    base = depurate(_table(scene), K.fv, CFG)
     for _ in range(5):
         perm = rng.permutation(len(scene))
         shuffled = [scene[i] for i in perm]
-        verdicts = depurate(_table(shuffled), K, CFG)
+        verdicts = depurate(_table(shuffled), K.fv, CFG)
         for new_pos, old_pos in enumerate(perm):
             assert verdicts[new_pos] == base[old_pos]
 
@@ -375,9 +497,9 @@ def test_verdicts_permute_with_the_scene(objects, data):
         b = exact_box2d(box3d, K)
         scene.append((Box2D(b.u_min, b.v_min + shift, b.u_max, b.v_max), box3d))
     perm = data.draw(st.permutations(range(len(scene))))
-    base = depurate(_table(scene), K, CFG)
+    base = depurate(_table(scene), K.fv, CFG)
     assert _as_tuples(base) == _depurate_loop(scene, K, CFG)
-    assert depurate(_table([scene[i] for i in perm]), K, CFG) == [base[i] for i in perm]
+    assert depurate(_table([scene[i] for i in perm]), K.fv, CFG) == [base[i] for i in perm]
 
 
 def test_config_validation():
