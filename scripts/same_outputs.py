@@ -25,7 +25,8 @@ compared.
 
 With ``--faults N``, each case then takes N seeded single faults, one at a
 time, in a file of its inputs or of the results of its ``solve``: a replaced
-token, a replaced byte, an added column or a deleted file.  Under each tree
+token, a replaced byte, an added column, a deleted file, or, in a property
+file, one more orientation bin in its header and every row.  Under each tree
 and for each fault, ``solve`` runs on the inputs, and ``depurate`` and
 ``eval`` on those results, in process, and their stdout, stderr and exit
 codes are compared.  Each tree sees the same faulted bytes.
@@ -146,7 +147,8 @@ def make_faults(case, label, n):
         rng = random.Random(f"{label} {i}")
         path = rng.choice(files)
         raw = (case / path).read_bytes()
-        kind = rng.choice(["token", "byte", "column", "delete"]) if raw.strip() else "delete"
+        kinds = ["token", "byte", "column", "delete", *(["bins"] if path.startswith("inputs/properties") else [])]
+        kind = rng.choice(kinds) if raw.strip() else "delete"
         if kind == "token":
             tokens = re.split(r"(\s+)", raw.decode())
             tokens[rng.choice([j for j, t in enumerate(tokens) if t and not t.isspace()])] = rng.choice(FAULT_TOKENS)
@@ -160,6 +162,10 @@ def make_faults(case, label, n):
             body = lines[j].rstrip("\r\n")
             lines[j] = body + " 0.5" + lines[j][len(body):]
             raw = "".join(lines).encode()
+        elif kind == "bins":  # a bin count that differs from the other frames'
+            header, *rows = raw.decode().splitlines()
+            b = header.count("conf")
+            raw = "\n".join([f"{header} conf{b} sin{b} cos{b}", *(r + " 0 0 1" for r in rows)]).encode() + b"\n"
         faults.append((f"#{i}: {kind} in {path}", path, None if kind == "delete" else raw.decode("latin-1")))
     return faults
 

@@ -186,6 +186,13 @@ def _image_size(text):
     return (w, h)
 
 
+def _count(text):
+    """A whole number >= 0, for argparse."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def _load_config(path, base):
     """base with the overrides of a key-value file; a file that cannot be
     read or applied ends the run naming it."""
@@ -410,8 +417,8 @@ def build_parser():
     p = sub.add_parser("synth", help="generate synthetic frames")
     p.add_argument("--spec", default=None, help="key-value SyntheticSceneSpec overrides")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--frames", type=int, default=10)
+    p.add_argument("--seed", type=_count, default=None)
+    p.add_argument("--frames", type=_count, default=10)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("viewpoint-table", help="dump the 16-entry selection table")

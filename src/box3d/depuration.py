@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .camera import Dimensions, box_iou_2d
+from .kitti_io import check_fields
 from .properties import CAR_PRIOR
 
 RULE_DIMS = "dims"
@@ -34,11 +35,9 @@ class DepurationConfig:
     depth_gap_max: float = 10.0  # meters
 
     def __post_init__(self):
-        # NaN fails `>= 0`: a NaN threshold would switch its rule off
-        for name in ("dim_tolerance", "vertical_slack", "height_monotonic_eps", "adjacency_iou_min",
-                     "depth_gap_max"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be a non-negative number, got {getattr(self, name)!r}")
+        # a NaN threshold would switch its rule off
+        check_fields(self, ("dim_tolerance", "vertical_slack", "height_monotonic_eps", "adjacency_iou_min",
+                            "depth_gap_max"))
         if not self.vertical_centers or not all(map(math.isfinite, self.vertical_centers)):
             raise ValueError("vertical_centers must be one or more finite numbers")
         if list(self.vertical_centers) != sorted(self.vertical_centers):

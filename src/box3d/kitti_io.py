@@ -5,9 +5,12 @@ Row files of one kind parse a block at a time: the texts of a block of frames
 become one table (a float array with a row per object and the rows' class
 names, see Table) and the frames' row offsets (see Parsed), in one pass that
 splits lines and tokens and converts every number of the block with Python's
-float().  A block with a bad row is checked again row by row, frame by frame,
-and the first bad row raises ParseError naming its frame and line.  Label rows
-follow the 15/16-column KITTI layout (score column optional):
+float().  Each kind has one parser, and a block it rejects is parsed again
+by the same parser in pieces: each row of each text alone (a property row
+after its text's header; a calibration text whole), then each text after the
+block's first, so that the first fault in frame order raises ParseError
+naming its frame and line.  Label rows follow the 15/16-column KITTI layout
+(score column optional):
 
     type truncated occluded alpha  u_min v_min u_max v_max  h w l  x y z  ry [score]
 
@@ -139,52 +142,55 @@ class FrameRecord:
     camera: CameraIntrinsics | None = None
 
 
-def _check_calib(text):
-    """ValueError for a calibration text without a P2 line, or whose first P2
-    line does not hold 12 numbers, or whose intrinsics CameraIntrinsics
-    rejects."""
-    for line in text.splitlines():
-        line = line.strip()
-        if not line.startswith("P2:"):
-            continue
-        values = line.split(":", 1)[1].split()
-        if len(values) != 12:
-            raise ValueError(f"P2 line has {len(values)} numbers, expected 12")
-        p = [float(v) for v in values]
-        CameraIntrinsics(fu=p[0], fv=p[5], cu=p[2], cv=p[6])
-        return
-    raise ValueError("no P2 line in calibration file")
+def _parse(parse, texts, pieces):
+    """parse(texts), a kind's block parser.  Where the block fails, parse
+    runs again on each text's (n, block of one text) pieces(text) in turn,
+    then on the text after the block's first, and the first failure raises
+    ParseError naming the text, as "line n: ..." where n > 0."""
+    try:
+        return parse(texts)
+    except (ValueError, OverflowError):
+        for frame, text in enumerate(texts):
+            for n, piece in [*pieces(text), (0, [texts[0], text])]:
+                try:
+                    parse(piece)
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(frame, f"line {n}: {exc}" if n else str(exc)) from exc
+        raise
+
+
+def _rows(text):
+    """A text's numbered non-blank lines, each a block of one text."""
+    return [(n, [line]) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
+def _calib(texts):
+    p2 = []
+    for text in texts:
+        for line in text.splitlines():
+            line = line.strip()
+            if line.startswith("P2:"):
+                p2.append(line[3:].split())
+                break
+        else:
+            raise ValueError("no P2 line in calibration file")
+    if not set(map(len, p2)) <= {12}:
+        raise ValueError(f"P2 line has {next(len(p) for p in p2 if len(p) != 12)} numbers, expected 12")
+    p = np.fromiter(map(float, chain.from_iterable(p2)), float, 12 * len(p2)).reshape(-1, 12)
+    cameras = p[:, [0, 5, 2, 6]]
+    if not ((cameras[:, :2] > 0).all() and np.isfinite(cameras).all()):
+        for camera in cameras.tolist():  # the same tests: the first bad camera raises
+            CameraIntrinsics(*camera)
+    return cameras
 
 
 def parse_calib(texts) -> np.ndarray:
     """(F, 4) intrinsics fu, fv, cu, cv of a block of frames' calibration
     texts, each from its first P2 line: the 12 numbers of a row-major 3x4
     projection matrix, whose translation column is ignored (single-camera
-    use).  A bad text raises ParseError (see _check_calib)."""
-    p2 = []
-    try:
-        for text in texts:
-            for line in text.splitlines():
-                line = line.strip()
-                if line.startswith("P2:"):
-                    p2.append(line[3:].split())
-                    break
-            else:
-                raise ValueError("no P2 line")
-        if not set(map(len, p2)) <= {12}:
-            raise ValueError("P2 width")
-        p = np.fromiter(map(float, chain.from_iterable(p2)), float, 12 * len(p2)).reshape(-1, 12)
-        cameras = p[:, [0, 5, 2, 6]]
-        if not ((cameras[:, :2] > 0).all() and np.isfinite(cameras).all()):
-            raise ValueError("intrinsics")
-    except ValueError:
-        for frame, text in enumerate(texts):
-            try:
-                _check_calib(text)
-            except ValueError as exc:
-                raise ParseError(frame, str(exc)) from exc
-        raise
-    return cameras
+    use).  A text without a P2 line, with a P2 line of another length, or
+    whose intrinsics CameraIntrinsics rejects raises ParseError."""
+    return _parse(_calib, texts, lambda text: [(0, [text])])
 
 
 def write_calib(k: CameraIntrinsics) -> str:
@@ -202,7 +208,7 @@ def _split(texts):
     return rows, np.array(ends)
 
 
-def _named_rows(rows, widths):
+def _named_rows(rows, kind, widths):
     """Class names (first tokens), the numbers after them in one flat array,
     and each row's count of numbers, which must be one of `widths`.  Takes the
     names off `rows`; ValueError for a row of another width or a token that
@@ -210,56 +216,27 @@ def _named_rows(rows, widths):
     names = [r.pop(0) for r in rows]
     counts = np.fromiter(map(len, rows), int, len(rows))
     if not set(counts.tolist()) <= set(widths):
-        raise ValueError("row width")
+        bad = next(c for c in counts.tolist() if c not in widths)
+        expected = " or ".join(str(w + 1) for w in widths)
+        raise ValueError(f"{kind} row has {bad + 1} columns, expected {expected}")
     return names, np.fromiter(map(float, chain.from_iterable(rows)), float, counts.sum()), counts
 
 
-def _check_rows(frame, lines, values):
-    """values(tokens) of each non-blank line among numbered (n, line) pairs;
-    the first row that values rejects raises ParseError(frame, "line N: ...")."""
-    for n, line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            values(parts)
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(frame, f"line {n}: {exc}") from exc
-
-
-def _check_texts(texts, values):
-    """_check_rows over each text's lines in turn."""
-    for frame, text in enumerate(texts):
-        _check_rows(frame, enumerate(text.splitlines(), start=1), values)
-
-
-def _label_values(parts):
-    if len(parts) not in (15, 16):
-        raise ValueError(f"label row has {len(parts)} columns, expected 15 or 16")
-    vals = [float(x) for x in parts[1:]]
-    if not all(map(math.isfinite, vals)):
+def _labels(texts):
+    rows, offsets = _split(texts)
+    names, values, counts = _named_rows(rows, "label", (14, 15))
+    if not np.isfinite(values).all():
         raise ValueError("label row has a non-finite number")
-    vals[1] = float(int(vals[1]))  # the occlusion level
-    if len(vals) == 14:
-        vals.append(math.nan)
-    return vals
+    data = np.full((len(counts), 15), math.nan)  # a missing score stays NaN
+    data[np.arange(15) < counts[:, None]] = values
+    data[:, 1] = np.trunc(data[:, 1]) + 0.0  # the occlusion level, never -0.0
+    return Parsed(LabelTable(data, names), offsets)
 
 
 def parse_labels(texts) -> Parsed:
     """The label rows of a block of frames' texts; a bad row raises
     ParseError."""
-    rows, offsets = _split(texts)
-    try:
-        names, values, counts = _named_rows(rows, (14, 15))
-        if not np.isfinite(values).all():
-            raise ValueError("non-finite")
-    except ValueError:
-        _check_texts(texts, _label_values)
-        raise
-    data = np.full((len(counts), 15), math.nan)  # a missing score stays NaN
-    data[np.arange(15) < counts[:, None]] = values
-    data[:, 1] = np.trunc(data[:, 1]) + 0.0  # the occlusion level, never -0.0
-    return Parsed(LabelTable(data, names), offsets)
+    return _parse(_labels, texts, _rows)
 
 
 _LABEL_FORMAT = "{} {:.6f} {} " + " ".join(["{:.6f}"] * 12)
@@ -275,22 +252,16 @@ def write_labels(table: LabelTable) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _detection_values(parts):
-    if len(parts) != 6:
-        raise ValueError(f"detection row has {len(parts)} columns, expected 6")
-    return [float(x) for x in parts[1:]]
+def _detections(texts):
+    rows, offsets = _split(texts)
+    names, values, _ = _named_rows(rows, "detection", (5,))
+    return Parsed(DetectionTable(values, names), offsets)
 
 
 def parse_detections(texts) -> Parsed:
     """The 2D detection rows of a block of frames' texts: class u_min v_min
     u_max v_max score.  A bad row raises ParseError."""
-    rows, offsets = _split(texts)
-    try:
-        names, values, _ = _named_rows(rows, (5,))
-    except ValueError:
-        _check_texts(texts, _detection_values)
-        raise
-    return Parsed(DetectionTable(values, names), offsets)
+    return _parse(_detections, texts, _rows)
 
 
 def write_detections(table: DetectionTable) -> str:
@@ -321,21 +292,6 @@ def write_properties(table: PropertyTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _property_values(parts, width):
-    if len(parts) != width:
-        raise ValueError(f"property row has {len(parts)} columns, expected {width}")
-    vals = [float(x) for x in parts]
-    # an integer class; OverflowError for one no float holds
-    vals[3] = float(int(parts[3]))
-    return vals
-
-
-def _property_header(lines):
-    """The first non-blank line of a property text, its header, and its
-    number, from the text's numbered (n, line) pairs; (1, "") for none."""
-    return next(((n, line) for n, line in lines if line.strip()), (1, ""))
-
-
 def _property_width(header):
     """The column count a property header line names; ValueError for a bad
     header."""
@@ -348,22 +304,33 @@ def _property_width(header):
     return len(cols)
 
 
-def _check_properties(texts):
-    """Raise the first bad header or row of the texts, text by text, or the
-    first text whose bin count differs from the first text's."""
-    for frame, text in enumerate(texts):
-        lines = list(enumerate(text.splitlines(), start=1))
-        n, header = _property_header(lines)
-        try:
-            width = _property_width(header)
-        except ValueError as exc:
-            raise ParseError(frame, f"line {n}: {exc}") from exc
-        _check_rows(frame, lines[n:], lambda parts: _property_values(parts, width))
-        if frame == 0:
-            first = width
-        elif width != first:
-            raise ParseError(frame, f"{(width - 6) // 3} orientation bins, the block's first frame "
-                                    f"has {(first - 6) // 3}")
+def _properties(texts):
+    rows, ends, widths = [], [0], {}  # widths: the column count of each distinct header
+    for text in texts:
+        lines = text.splitlines()
+        n, header = next(((n, line) for n, line in enumerate(lines, start=1) if line.strip()), (1, ""))
+        if header not in widths:
+            widths[header] = _property_width(header)
+        rows += filter(None, map(str.split, lines[n:]))
+        ends.append(len(rows))
+    width, *other = widths.values()  # the first text's header comes first
+    for bad in other:
+        if bad != width:
+            raise ValueError(f"{(bad - 6) // 3} orientation bins, the block's first frame has {(width - 6) // 3}")
+    if not set(map(len, rows)) <= {width}:
+        bad = next(len(r) for r in rows if len(r) != width)
+        raise ValueError(f"property row has {bad} columns, expected {width}")
+    data = np.fromiter(map(float, chain.from_iterable(rows)), float, width * len(rows)).reshape(-1, width)
+    # the viewpoint class, an integer; OverflowError for one no float holds
+    data[:, 3] = [float(int(r[3])) for r in rows]
+    return Parsed(PropertyTable(data), np.array(ends))
+
+
+def _header_rows(text):
+    """A property text's header alone, then the header before each later
+    non-blank line, numbered by the piece's last line."""
+    (n, [header]), *rows = _rows(text) or [(1, [""])]
+    return [(n, [header]), *((m, [header + "\n" + line]) for m, [line] in rows)]
 
 
 def parse_properties(texts) -> Parsed:
@@ -371,25 +338,7 @@ def parse_properties(texts) -> Parsed:
     after its column header, which names at least one bin; all frames name
     the same bins.  A bad row or header raises ParseError, its line number
     counting the header."""
-    rows, ends, widths = [], [0], {}  # widths: the column count of each distinct header
-    try:
-        for text in texts:
-            lines = text.splitlines()
-            n, header = _property_header(enumerate(lines, start=1))
-            if header not in widths:
-                widths[header] = _property_width(header)
-            rows += filter(None, map(str.split, lines[n:]))
-            ends.append(len(rows))
-        (width,) = set(widths.values())
-        if not set(map(len, rows)) <= {width}:
-            raise ValueError("row width")
-        data = np.fromiter(map(float, chain.from_iterable(rows)), float, width * len(rows))
-        data = data.reshape(-1, width)
-        data[:, 3] = [float(int(r[3])) for r in rows]  # the viewpoint class, an integer
-    except (ValueError, OverflowError):
-        _check_properties(texts)
-        raise
-    return Parsed(PropertyTable(data), np.array(ends))
+    return _parse(_properties, texts, _header_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +375,14 @@ def _coerce(current, raw: str):
         h, w, l = (float(v) for v in raw.replace(",", " ").split())
         return Dimensions(h, w, l)
     return raw
+
+
+def check_fields(obj, names, ok=lambda v: v >= 0, must="a non-negative number"):
+    """ValueError naming the first of a dataclass's fields `names` whose
+    value fails ok; NaN fails the default test."""
+    for name in names:
+        if not ok(getattr(obj, name)):
+            raise ValueError(f"{name} must be {must}, got {getattr(obj, name)!r}")
 
 
 def coerce_fields(obj, overrides: dict):

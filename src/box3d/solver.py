@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Dimensions, vertex_offsets
-from .kitti_io import DetectionTable, PropertyTable, Table, _column_group
+from .kitti_io import DetectionTable, PropertyTable, Table, _column_group, check_fields
 from .properties import (
     CAR_PRIOR,
     alpha_from_local,
@@ -43,11 +43,9 @@ class SolverConfig:
     truncation_margin_px: float = 10.0
 
     def __post_init__(self):
-        # NaN fails `>= 0`: a NaN margin would switch the truncation gate off
-        for name in ("max_iterations", "step_tol", "residual_change_tol", "damping", "max_halvings",
-                     "truncation_margin_px"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be a non-negative number, got {getattr(self, name)!r}")
+        # a NaN margin would switch the truncation gate off
+        check_fields(self, ("max_iterations", "step_tol", "residual_change_tol", "damping", "max_halvings",
+                            "truncation_margin_px"))
 
 
 DEFAULT_SOLVER_CONFIG = SolverConfig()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Box2D, Box3D, CameraIntrinsics, Dimensions, box_iou_2d, box_vertices, project_point
-from .kitti_io import DetectionTable, FrameRecord, LabelTable, PropertyTable
+from .kitti_io import DetectionTable, FrameRecord, LabelTable, PropertyTable, check_fields
 from .properties import CAR_PRIOR, alpha_from_local, encode_cbf, encode_local_angle, local_from_global
 from .viewpoints import away_from_viewpoint_boundaries, classify_viewpoint
 
@@ -58,13 +58,17 @@ class SyntheticSceneSpec:
     overlap_free: bool = False
 
     def __post_init__(self):
-        if self.n_objects_min < 1 or self.n_objects_max < self.n_objects_min:
+        # NaN fails every test: a NaN sigma would write frames without noise
+        check_fields(self, ("n_objects_min", "n_bins"), lambda v: v >= 1, "at least 1")
+        check_fields(self, ("dims_sigma", "box_noise_sigma", "cbf_noise_sigma", "angle_noise_sigma",
+                            "image_width", "image_height", "boundary_margin_deg", "seed"))
+        check_fields(self, ("depth_min", "depth_max", "lateral_min", "lateral_max", "yaw_min", "yaw_max",
+                            "camera_height", "in_image_margin_px"), math.isfinite, "a finite number")
+        if self.n_objects_max < self.n_objects_min:
             raise ValueError("object count range empty")
         if self.depth_max < self.depth_min or self.lateral_max < self.lateral_min:
             raise ValueError("sampling range empty")
-        for sigma in (self.dims_sigma, self.box_noise_sigma, self.cbf_noise_sigma, self.angle_noise_sigma):
-            if sigma < 0:
-                raise ValueError("noise sigma must be non-negative")
+        self.camera  # CameraIntrinsics checks the intrinsics
 
     @property
     def camera(self) -> CameraIntrinsics:

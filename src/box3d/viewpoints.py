@@ -55,14 +55,11 @@ class SelectionMatrices:
         return (self.s1, self.s2, self.s3, self.s4)
 
 
-def _selector(sx, level, sz):
-    # level: 0 bottom (y = 0), 1 top (y = -h)
-    m = np.zeros((4, 4))
-    m[0, 0] = 0.5 * sx
-    m[1, 1] = -1.0 if level else 0.0
-    m[2, 2] = 0.5 * sz
-    m[3, 3] = 1.0
-    return m
+def _selector(index):
+    """The matrix that picks the corner of a vertex index, whose bits (see
+    camera.vertex_offsets) are the l sign (4), the top face (2) and the w
+    sign (1)."""
+    return np.diag([-0.5 if index & 4 else 0.5, -1.0 if index & 2 else 0.0, -0.5 if index & 1 else 0.5, 1.0])
 
 
 def _vertex_index(sx, level, sz):
@@ -86,40 +83,24 @@ _QUADRANT_COLUMNS = {
 
 
 def _build_table():
-    matrices = []
-    indices = []
+    """The (left, right, top, bottom) vertex indices of each class id in
+    turn."""
+    table = []
     for octant in range(8):
         left, right, near, far = _QUADRANT_COLUMNS[octant // 2]
-        for above in (0, 1):
-            top_col = far if above else near
-            sm = SelectionMatrices(
-                _selector(left[0], 0, left[1]),
-                _selector(right[0], 0, right[1]),
-                _selector(top_col[0], 1, top_col[1]),
-                _selector(near[0], 0, near[1]),
-            )
-            idx = (
-                _vertex_index(left[0], 0, left[1]),
-                _vertex_index(right[0], 0, right[1]),
-                _vertex_index(top_col[0], 1, top_col[1]),
-                _vertex_index(near[0], 0, near[1]),
-            )
-            vid = 2 * octant + above
-            matrices.append((vid, sm))
-            indices.append((vid, idx))
-    matrices.sort()
-    indices.sort()
-    return tuple(sm for _, sm in matrices), tuple(ix for _, ix in indices)
+        for top in (near, far):  # camera level with or below the top face, then above it
+            table.append((_vertex_index(left[0], 0, left[1]), _vertex_index(right[0], 0, right[1]),
+                          _vertex_index(top[0], 1, top[1]), _vertex_index(near[0], 0, near[1])))
+    return tuple(table)
 
 
-_TABLE, _VERTEX_INDEX_TABLE = _build_table()
+_VERTEX_INDEX_TABLE = _build_table()
 
 
 def selection_matrices(viewpoint: int) -> SelectionMatrices:
-    """Static table lookup for a viewpoint class id in [0, 16)."""
-    if not 0 <= viewpoint < N_VIEWPOINTS:
-        raise ValueError(f"viewpoint id out of range: {viewpoint}")
-    return _TABLE[viewpoint]
+    """The matrices of a viewpoint class id in [0, 16), one per selected
+    vertex (see selected_vertex_indices)."""
+    return SelectionMatrices(*map(_selector, selected_vertex_indices(viewpoint)))
 
 
 def selected_vertex_indices(viewpoint: int):

@@ -584,6 +584,24 @@ def test_bad_depuration_config_exits_naming_it(pipeline_dirs, tmp_path, text, me
     assert not (tmp_path / "kept").exists()
 
 
+@pytest.mark.parametrize("text, frames, message", [
+    ("n_bins = 0\n", "1", "config {cfg}: n_bins must be at least 1, got 0"),
+    ("depth_min = nan\n", "1", "config {cfg}: depth_min must be a finite number, got nan"),
+    ("camera_fu = 0\n", "1", "config {cfg}: focal lengths must be positive, got (0.0, 721.5377)"),
+    ("box_noise_sigma = nan\n", "1", "config {cfg}: box_noise_sigma must be a non-negative number, got nan"),
+    ("", "-3", "argument --frames: expected a whole number >= 0, got '-3'"),
+])
+def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, text, frames, message):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "out"), "--frames", frames, "--spec", str(cfg)])
+    err = capsys.readouterr().err
+    assert message.format(cfg=cfg) in (err if exc.value.code == 2 else exc.value.code)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("size", ["1242", "0x375", "1242x-5", "infx375", "1242xnan", "axb", "1x2x3"])
 def test_solve_rejects_bad_image_size(pipeline_dirs, tmp_path, capsys, size):
     with pytest.raises(SystemExit) as exc:

@@ -14,10 +14,7 @@ from box3d.kitti_io import (
     LabelTable,
     ParseError,
     PropertyTable,
-    _detection_values,
-    _label_values,
     _property_columns,
-    _property_values,
     coerce_fields,
     join,
     parse_calib,
@@ -316,6 +313,33 @@ def test_parsers_accept_or_name_line_of_arbitrary_text(text):
 # the block parse against the per-file parse it replaced
 
 
+def _label_values(parts):
+    if len(parts) not in (15, 16):
+        raise ValueError(f"label row has {len(parts)} columns, expected 15 or 16")
+    vals = [float(x) for x in parts[1:]]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("label row has a non-finite number")
+    vals[1] = float(int(vals[1]))  # the occlusion level
+    if len(vals) == 14:
+        vals.append(math.nan)
+    return vals
+
+
+def _detection_values(parts):
+    if len(parts) != 6:
+        raise ValueError(f"detection row has {len(parts)} columns, expected 6")
+    return [float(x) for x in parts[1:]]
+
+
+def _property_values(parts, width):
+    if len(parts) != width:
+        raise ValueError(f"property row has {len(parts)} columns, expected {width}")
+    vals = [float(x) for x in parts]
+    # an integer class; OverflowError for one no float holds
+    vals[3] = float(int(parts[3]))
+    return vals
+
+
 def _file_rows(lines, values):
     """Reference: class names and values(tokens) of the non-blank lines among
     numbered (n, line) pairs; a bad row raises ValueError("line N: ...")."""
@@ -405,13 +429,16 @@ def _tokens_replaced(text, data):
 
 def _reference(kind, texts):
     """The per-file parse of a run: (tables, None), or (None, (frame, message))
-    for the first frame that fails, in frame order."""
+    for the first frame that fails, in frame order: its own rows, then a bin
+    count that differs from the first frame's."""
     tables = []
     for f, text in enumerate(texts):
         try:
             tables.append(_KINDS[kind][1](text))
         except ValueError as exc:
             return None, (f, str(exc))
+        if kind == "properties" and tables[f].n_bins != tables[0].n_bins:
+            return None, (f, f"{tables[f].n_bins} orientation bins, the block's first frame has {tables[0].n_bins}")
     return tables, None
 
 
@@ -420,13 +447,20 @@ def _reference(kind, texts):
 def test_block_parse_equals_per_file_parse(data):
     """A run of several frames parsed in blocks, at a block budget of one byte
     and of more than the run, gives the per-file parse's rows and offsets, or
-    the per-file parse's first error naming the same frame and line."""
+    the per-file parse's first error naming the same frame and line.  A
+    property text with a bin count of its own may come before the text with
+    a replaced token; the cli half covers faults inside one text, as a block
+    of one frame has no bin count to differ from."""
     kind = data.draw(st.sampled_from(sorted(_KINDS)))
     n_bins = data.draw(st.integers(1, 3))
     texts = data.draw(st.lists(_frame_text(kind, n_bins), min_size=1, max_size=6))
+    f = len(texts)
     if data.draw(st.booleans()):
         f = data.draw(st.integers(0, len(texts) - 1))
         texts[f] = _tokens_replaced(texts[f], data)
+    if kind == "properties" and data.draw(st.booleans()):
+        other = data.draw(st.sampled_from([b for b in (1, 2, 3) if b != n_bins]))
+        texts.insert(data.draw(st.integers(0, f)), data.draw(_frame_text(kind, other)))
     tables, fault = _reference(kind, texts)
     parse = _KINDS[kind][0]
 
@@ -444,6 +478,8 @@ def test_block_parse_equals_per_file_parse(data):
             assert block.objects.cls.tolist() == expected.cls.tolist()
         assert block.offsets.tolist() == np.cumsum([0, *map(len, tables)]).tolist()
 
+    if fault and _reference(kind, [texts[fault[0]]])[1] is None:
+        return  # the bin counts differ, which no block of one frame shows
     frames = [f"{i:06d}" for i in range(len(texts))]
     for budget in (1, sum(map(len, texts)) + 1):
         with pytest.MonkeyPatch.context() as patch:
@@ -531,6 +567,16 @@ def test_block_parse_names_the_frame_whose_bins_differ():
     with pytest.raises(ParseError, match="^1 orientation bins, the block's first frame has 2$") as info:
         parse_properties(texts)
     assert info.value.frame == 2
+
+
+def test_block_parse_names_a_bad_row_and_a_bin_count_in_frame_order():
+    two, one = (write_properties(PropertyTable(np.zeros((1, 6 + 3 * b)))) for b in (2, 1))
+    with pytest.raises(ParseError, match="^1 orientation bins, the block's first frame has 2$") as info:
+        parse_properties([two, one, two + "x\n"])
+    assert info.value.frame == 1
+    with pytest.raises(ParseError, match="^line 3: property row has 1 columns, expected 12$") as info:
+        parse_properties([two, two + "x\n", one])
+    assert info.value.frame == 1
 
 
 # ---------------------------------------------------------------------------
