@@ -372,7 +372,10 @@ def cmd_synth(args):
         _make_dir(os.path.join(args.out, sub))
     for i in range(args.frames):
         frame = f"{i:06d}"
-        gt, detections, props = generate_scene(replace(spec, seed=spec.seed + i), frame)
+        try:
+            gt, detections, props = generate_scene(replace(spec, seed=spec.seed + i), frame)
+        except RuntimeError as exc:  # the spec leaves no pose to sample
+            raise SystemExit(f"frame {frame}: {exc}") from None
         for sub, text in (("calib", kitti_io.write_calib(gt.camera)), ("gt", kitti_io.write_labels(gt.objects)),
                           ("detections", kitti_io.write_detections(detections)),
                           ("properties", kitti_io.write_properties(props))):

@@ -5,12 +5,12 @@ Row files of one kind parse a block at a time: the texts of a block of frames
 become one table (a float array with a row per object and the rows' class
 names, see Table) and the frames' row offsets (see Parsed), in one pass that
 splits lines and tokens and converts every number of the block with Python's
-float().  Each kind has one parser, and a block it rejects is parsed again
-by the same parser in pieces: each row of each text alone (a property row
-after its text's header; a calibration text whole), then each text after the
-block's first, so that the first fault in frame order raises ParseError
-naming its frame and line.  Label rows follow the 15/16-column KITTI layout
-(score column optional):
+float().  Each kind has one parser, and a block it rejects is bisected with
+the same parser: first its texts, each part after the block's first text,
+then the first failing text's rows (a property row after its text's header;
+a calibration text whole) and the text after the block's first, so that the
+first fault in frame order raises ParseError naming its frame and line.
+Label rows follow the 15/16-column KITTI layout (score column optional):
 
     type truncated occluded alpha  u_min v_min u_max v_max  h w l  x y z  ry [score]
 
@@ -142,20 +142,45 @@ class FrameRecord:
     camera: CameraIntrinsics | None = None
 
 
+def _fails(parse, texts):
+    try:
+        parse(texts)
+    except (ValueError, OverflowError):
+        return True
+    return False
+
+
+def _first_failing(fails, n):
+    """The first of n units, some of which fail, given fails(lo, hi) of the
+    units lo:hi when those before lo pass: the first half of the units left
+    is tried, and the search descends into it if it fails, else into the
+    second half."""
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fails(lo, mid) else (mid, hi)
+    return lo
+
+
 def _parse(parse, texts, pieces):
-    """parse(texts), a kind's block parser.  Where the block fails, parse
-    runs again on each text's (n, block of one text) pieces(text) in turn,
-    then on the text after the block's first, and the first failure raises
-    ParseError naming the text, as "line n: ..." where n > 0."""
+    """parse(texts), a kind's block parser.  Where the block fails, the first
+    failing text is found by bisection, each part parsed after the block's
+    first text; then the first failing piece of that text's (n, block of one
+    text) pieces(text), or else the text after the block's first, the same
+    way.  That piece, parsed alone, raises ParseError naming the text, as
+    "line n: ..." where n > 0.  A block fails exactly when one of its texts,
+    or one of a text's pieces, does."""
     try:
         return parse(texts)
     except (ValueError, OverflowError):
-        for frame, text in enumerate(texts):
-            for n, piece in [*pieces(text), (0, [texts[0], text])]:
-                try:
-                    parse(piece)
-                except (ValueError, OverflowError) as exc:
-                    raise ParseError(frame, f"line {n}: {exc}" if n else str(exc)) from exc
+        frame = _first_failing(lambda lo, hi: _fails(parse, [*texts[:1], *texts[max(lo, 1):hi]]), len(texts))
+        units = [*pieces(texts[frame]), (0, [texts[0], texts[frame]])]
+        n, piece = units[_first_failing(
+            lambda lo, hi: _fails(parse, [text for _, block in units[lo:hi] for text in block]), len(units))]
+        try:
+            parse(piece)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(frame, f"line {n}: {exc}" if n else str(exc)) from exc
         raise
 
 

@@ -6,12 +6,17 @@ Matching is greedy in descending score, each ground truth consumable once,
 a detection is a true positive when its best 3D IoU clears the threshold; a
 frame's matches are four columns (score, true positive, orientation
 similarity, IoU).
-pair_ious scores a whole run's frames in blocks of array code.  It clips
-only the pairs whose vertical extents and ground-plane bounding circles
-overlap; every other pair scores exactly 0.
+pair_ious scores a whole run's within-frame pairs.  It culls them from a few
+columns computed once per table (ground-plane x and z, bottom and top y,
+bounding-circle radius, a non-positive-dimension flag), so that no pair
+gathers whole rows, and clips only the pairs whose vertical extents and
+ground-plane bounding circles overlap; every other pair scores exactly 0.
+dimension_error takes its center distances from the same kind of
+per-coordinate columns.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,6 +131,40 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
 CULL_PAD = 1e-6
 
 
+class _Cull(NamedTuple):
+    """The columns the cull reads of each box: ground-plane x and z, the
+    bottom y and the top y - h (y points down), the bounding-circle radius
+    hypot(l, w) / 2 + CULL_PAD, and whether a dimension is not positive."""
+
+    x: np.ndarray
+    z: np.ndarray
+    bottom: np.ndarray
+    top: np.ndarray
+    reach: np.ndarray
+    flat: np.ndarray
+
+    @classmethod
+    def of(cls, location, dims):
+        """The columns of boxes given as (N, 3) locations and (h, w, l)
+        dimensions, each contiguous."""
+        with np.errstate(all="ignore"):
+            y = np.ascontiguousarray(location[:, 1])
+            return cls(np.ascontiguousarray(location[:, 0]), np.ascontiguousarray(location[:, 2]), y,
+                       y - dims[:, 0], 0.5 * np.hypot(dims[:, 2], dims[:, 1]) + CULL_PAD, (dims <= 0).any(axis=1))
+
+    def take(self, rows):
+        return _Cull(*(column[rows] for column in self))
+
+
+def _may_meet(a: _Cull, b: _Cull) -> np.ndarray:
+    """may_intersect on the columns of P pairs."""
+    with np.errstate(all="ignore"):
+        overlap_y = np.minimum(a.bottom, b.bottom) - np.maximum(a.top, b.top)
+        reach = a.reach + b.reach
+        dx, dz = a.x - b.x, a.z - b.z
+        return ~(a.flat | b.flat | (overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
+
+
 def may_intersect(loc_a, dims_a, loc_b, dims_b) -> np.ndarray:
     """(P,) mask of the pairs of boxes, given as (P, 3) locations and (h, w, l)
     dimensions of each side, whose volumes may intersect: positive
@@ -133,16 +172,7 @@ def may_intersect(loc_a, dims_a, loc_b, dims_b) -> np.ndarray:
     bounding circles of radius hypot(l, w) / 2 + CULL_PAD.  The IoU is
     exactly 0.0 for every pair of positive-sized boxes outside the mask; a
     non-finite number never excludes a pair."""
-    with np.errstate(all="ignore"):
-        ya, yb = loc_a[:, 1], loc_b[:, 1]
-        overlap_y = np.minimum(ya, yb) - np.maximum(ya - dims_a[:, 0], yb - dims_b[:, 0])
-        reach = (0.5 * np.hypot(dims_a[:, 2], dims_a[:, 1]) + CULL_PAD) + (
-            0.5 * np.hypot(dims_b[:, 2], dims_b[:, 1]) + CULL_PAD
-        )
-        dx = loc_a[:, 0] - loc_b[:, 0]
-        dz = loc_a[:, 2] - loc_b[:, 2]
-        flat = (dims_a <= 0).any(axis=1) | (dims_b <= 0).any(axis=1)
-        return ~(flat | (overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
+    return _may_meet(_Cull.of(loc_a, dims_a), _Cull.of(loc_b, dims_b))
 
 
 def _blocks(n_pairs):
@@ -161,11 +191,13 @@ def _frame_pairs(det_offsets, gt_offsets):
     """Detection and ground-truth rows of every pair within a frame, over
     frames given by their (F + 1,) row offsets: frame by frame, detection
     by detection, ground truths ascending."""
-    n_gt = np.diff(gt_offsets)
-    counts = np.diff(det_offsets) * n_gt
-    frame = np.repeat(np.arange(len(counts)), counts)
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)  # the pair within its frame
-    return det_offsets[frame] + k // n_gt[frame], gt_offsets[frame] + k % n_gt[frame]
+    n_det = np.diff(det_offsets)
+    n_gt = np.repeat(np.diff(gt_offsets), n_det)  # each detection's pair count
+    ends = np.cumsum(n_gt)
+    d = np.repeat(np.arange(det_offsets[0], det_offsets[-1]), n_gt)
+    # a detection's pairs count up from its frame's first ground truth
+    g = np.arange(len(d)) + np.repeat(np.repeat(gt_offsets[:-1], n_det) - (ends - n_gt), n_gt)
+    return d, g
 
 
 def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
@@ -176,21 +208,29 @@ def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
     after the other: frame f is rows det_offsets[f]:det_offsets[f + 1] of
     one and gt_offsets[f]:gt_offsets[f + 1] of the other.  Returns the
     (det row, gt row, IoU) triples as three arrays, in detection order, then
-    ground-truth order.  Pairs are scored in blocks of whole frames; a pair
-    outside may_intersect is not clipped.  A NaN IoU is left out.
+    ground-truth order.  The cull (may_intersect) reads columns computed once
+    per table, over blocks of whole frames of about PAIR_BUDGET pairs.  The
+    run's survivors are clipped in equal blocks of about PAIR_BUDGET // 4, as
+    a clipped pair's temporaries weigh about four times a culled pair's.  A
+    NaN IoU is left out.
     """
     det_offsets, gt_offsets = np.asarray(det_offsets), np.asarray(gt_offsets)
-    corners_d, corners_g = bev_corners(detections), bev_corners(ground_truths)
-    parts = []
+    cull_d = _Cull.of(detections.location, detections.dims)
+    cull_g = _Cull.of(ground_truths.location, ground_truths.dims)
+    survivors = []
     for first, last in _blocks((np.diff(det_offsets) * np.diff(gt_offsets)).tolist()):
         d, g = _frame_pairs(det_offsets[first:last + 1], gt_offsets[first:last + 1])
-        boxes = detections.location[d], detections.dims[d], ground_truths.location[g], ground_truths.dims[g]
-        keep = may_intersect(*boxes)
-        d, g, boxes = d[keep], g[keep], [column[keep] for column in boxes]
-        iou = _ious(*boxes, corners_d[d], corners_g[g])
-        positive = iou > 0
-        parts.append((d[positive], g[positive], iou[positive]))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        keep = _may_meet(cull_d.take(d), cull_g.take(g))
+        survivors.append((d[keep], g[keep]))
+    d, g = (np.concatenate(rows) for rows in zip(*survivors))
+    corners_d, corners_g = bev_corners(detections), bev_corners(ground_truths)
+    blocks = max(round(len(d) / max(PAIR_BUDGET // 4, 1)), 1)
+    iou = np.concatenate([
+        _ious(detections.location[b], detections.dims[b], ground_truths.location[c], ground_truths.dims[c],
+              corners_d[b], corners_g[c])
+        for b, c in zip(np.array_split(d, blocks), np.array_split(g, blocks))])
+    positive = iou > 0
+    return d[positive], g[positive], iou[positive]
 
 
 def orientation_similarity(theta_det: float, theta_gt: float) -> float:
@@ -289,21 +329,23 @@ def dimension_error(detections, det_offsets, ground_truths, gt_offsets) -> np.nd
     frame with no detection or no ground truth.
 
     Tables and offsets as pair_ious takes them.  The run is scored in blocks
-    of whole frames; every sum adds its terms in the order, and with numpy's
-    pairwise summation, that one frame's own arrays would.
+    of whole frames of about PAIR_BUDGET pairs, each pair's squared distance
+    (dx*dx + dy*dy) + dz*dz from gathers of one coordinate column at a time;
+    every sum adds its terms in the order, and with numpy's pairwise
+    summation, that one frame's own arrays would.
     """
     det_offsets, gt_offsets = np.asarray(det_offsets), np.asarray(gt_offsets)
     n_gt = np.diff(gt_offsets)
     n_det = np.where(n_gt > 0, np.diff(det_offsets), 0)  # the detections scored
     sums = np.zeros(len(n_gt))
+    coords = [[np.ascontiguousarray(table.location[:, k]) for k in range(3)] for table in (detections, ground_truths)]
     with np.errstate(all="ignore"):
         for first, last in _blocks((n_det * n_gt).tolist()):
             d, g = _frame_pairs(det_offsets[first:last + 1], gt_offsets[first:last + 1])
             if not len(d):
                 continue
-            diff = detections.location[d] - ground_truths.location[g]
-            diff *= diff
-            dist = (diff[:, 0] + diff[:, 1]) + diff[:, 2]
+            dx, dy, dz = (a[d] - b[g] for a, b in zip(*coords))
+            dist = (dx * dx + dy * dy) + dz * dz
             # each detection's pairs are consecutive; its first pair at the
             # smallest distance, or at the first NaN, names its ground truth
             starts = np.flatnonzero(np.diff(d, prepend=-1))

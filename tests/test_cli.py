@@ -311,6 +311,22 @@ def test_depurate_unlistable_input_exits_naming_it(pipeline_dirs, tmp_path, caps
     assert (kept / "depuration_report.txt").read_text() == ""
 
 
+def test_eval_of_a_run_where_nothing_overlaps_scores_zero(pipeline_dirs, tmp_path, capsys):
+    # every detection is a ground truth moved 100 m to the side
+    results = tmp_path / "results"
+    results.mkdir()
+    for path in sorted((pipeline_dirs / "gt").iterdir()):
+        table = parse_labels([path.read_text()]).objects
+        table.location[:, 0] += 100.0
+        (results / path.name).write_text(write_labels(table))
+    json_path = tmp_path / "metrics.json"
+    assert main(["eval", "--results", str(results), "--gt", str(pipeline_dirs / "gt"),
+                 "--json", str(json_path)]) == 0
+    table = json.loads(json_path.read_text())
+    assert table["AP3D@0.7"] == table["AOS"] == 0.0
+    assert table["n_det"] == table["n_gt"] > 0
+
+
 def test_eval_unlistable_results_or_ground_truth_exit_naming_them(pipeline_dirs, tmp_path):
     missing, json_path = tmp_path / "no_such_dir", tmp_path / "metrics.json"
     for results, gt in ((missing, pipeline_dirs / "gt"), (pipeline_dirs / "gt", missing)):
@@ -600,6 +616,16 @@ def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, te
     assert message.format(cfg=cfg) in (err if exc.value.code == 2 else exc.value.code)
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["camera_height = -1\n", "image_width = 0\n"])
+def test_synth_spec_without_a_pose_exits_naming_the_frame(tmp_path, capsys, text):
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--out", str(tmp_path / "out"), "--frames", "2", "--spec", str(cfg)])
+    assert exc.value.code == "frame 000000: could not sample an acceptable pose; loosen the spec ranges"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size", ["1242", "0x375", "1242x-5", "infx375", "1242xnan", "axb", "1x2x3"])

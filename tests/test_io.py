@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box3d import cli
+from box3d import cli, kitti_io
 from box3d.camera import Box2D, Box3D, CameraIntrinsics, Detection2D, Dimensions
 from box3d.kitti_io import (
     DetectionTable,
@@ -577,6 +577,25 @@ def test_block_parse_names_a_bad_row_and_a_bin_count_in_frame_order():
     with pytest.raises(ParseError, match="^line 3: property row has 1 columns, expected 12$") as info:
         parse_properties([two, two + "x\n", one])
     assert info.value.frame == 1
+
+
+@pytest.mark.parametrize("n_frames, n_rows", [(1, 1024), (1024, 1)])
+def test_a_bad_row_is_named_in_logarithmically_many_parses(monkeypatch, n_frames, n_rows):
+    calls = []
+
+    def counted(texts, parse=kitti_io._labels):
+        calls.append(len(texts))
+        return parse(texts)
+
+    monkeypatch.setattr(kitti_io, "_labels", counted)
+    texts = [write_labels(LabelTable(np.zeros((n_rows, 15)), ["Car"] * n_rows))] * n_frames
+    texts[-1] += "Car 1 2\n"
+    with pytest.raises(ParseError, match=rf"^line {n_rows + 1}: label row has 3 columns, expected 15 or 16$") as info:
+        parse_labels(texts)
+    assert info.value.frame == n_frames - 1
+    # the block; halves of the texts, then of the failing text's rows and the
+    # text after the first; the bad row alone
+    assert len(calls) <= 2 + math.ceil(math.log2(n_frames)) + math.ceil(math.log2(n_rows + 2))
 
 
 # ---------------------------------------------------------------------------

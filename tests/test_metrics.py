@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -574,6 +575,61 @@ def test_run_pass_matches_per_frame_loop(monkeypatch, budget, iou_threshold):
         # a detection without a score counts 1.0
         scored = [(box, 1.0 if math.isnan(s) else s) for box, s in ds]
         assert _rows(got) == _match_frame_loop(scored, gs, iou_threshold)
+
+
+@given(frames=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8),
+       start=st.tuples(st.integers(0, 20), st.integers(0, 20)))
+def test_frame_pairs_equal_nested_loops(frames, start):
+    """Every frame's detection x ground-truth pairs, detection by detection,
+    ground truths ascending; a frame without detections or without ground
+    truths has none.  The offsets may start past row 0, as the slices of a
+    run's offsets that pair_ious passes do."""
+    det_offsets = start[0] + np.cumsum([0] + [n for n, _ in frames])
+    gt_offsets = start[1] + np.cumsum([0] + [n for _, n in frames])
+    d, g = metrics._frame_pairs(det_offsets, gt_offsets)
+    assert d.dtype.kind == g.dtype.kind == "i"
+    assert list(zip(d.tolist(), g.tolist())) == [
+        (i, j) for f in range(len(frames))
+        for i in range(det_offsets[f], det_offsets[f + 1]) for j in range(gt_offsets[f], gt_offsets[f + 1])
+    ]
+
+
+@pytest.mark.parametrize("frames", [
+    # pairs that the cull drops, apart on the ground plane or vertically, and
+    # frames without a pair
+    [([(_box(z=10.0), 0.5)], [_box(x=50.0, z=10.0)]), ([(_box(z=10.0), 0.5)], [_box(y=-5.0, z=10.0)]),
+     ([], [_box()]), ([(_box(), 0.5)], [])],
+    [],  # a run of zero frames
+])
+def test_pair_ious_without_a_survivor_returns_empty_columns(frames):
+    d, g, iou = pair_ious(*_joined(frames))
+    assert (d.dtype.kind, g.dtype.kind, iou.dtype) == ("i", "i", np.float64)
+    assert len(d) == len(g) == len(iou) == 0
+
+
+def test_pair_ious_memory_grows_by_its_survivors_not_by_their_clipping():
+    """The cull's survivors are clipped in blocks.  On a crowded run 4x as
+    long, the traced peak of pair_ious grows by a few words per extra
+    survivor and table row (the survivors' rows and IoUs, each table's cull
+    columns and corners), not by the ~1 kB of clip temporaries that each
+    survivor would add were they all clipped at once."""
+    rng = np.random.default_rng(3)
+    frames = [_crowded_frame(rng) for _ in range(40)]
+
+    def peak(run):
+        dets, det_offsets, gts, gt_offsets = _joined(run)
+        d, g = metrics._frame_pairs(det_offsets, gt_offsets)
+        survivors = int(may_intersect(dets.location[d], dets.dims[d], gts.location[g], gts.dims[g]).sum())
+        tracemalloc.start()
+        try:
+            pair_ious(dets, det_offsets, gts, gt_offsets)
+            return tracemalloc.get_traced_memory()[1], survivors, len(dets) + len(gts)
+        finally:
+            tracemalloc.stop()
+
+    (peak_1, survivors_1, rows_1), (peak_4, survivors_4, rows_4) = peak(frames), peak(frames * 4)
+    assert survivors_4 > metrics.PAIR_BUDGET  # several clip blocks
+    assert peak_4 - peak_1 < 256 * ((survivors_4 - survivors_1) + (rows_4 - rows_1))
 
 
 def _may_intersect(a, b):
