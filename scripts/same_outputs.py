@@ -25,11 +25,12 @@ compared.
 
 With ``--faults N``, each case then takes N seeded single faults, one at a
 time, in a file of its inputs or of the results of its ``solve``: a replaced
-token, a replaced byte, an added column, a deleted file, or, in a property
-file, one more orientation bin in its header and every row.  Under each tree
-and for each fault, ``solve`` runs on the inputs, and ``depurate`` and
-``eval`` on those results, in process, and their stdout, stderr and exit
-codes are compared.  Each tree sees the same faulted bytes.
+token, a replaced byte, an added column, a deleted file, an empty directory
+in the file's place, or, in a property file, one more orientation bin in its
+header and every row.  Under each tree and for each fault, ``solve`` runs on
+the inputs, and ``depurate`` and ``eval`` on those results, in process, and
+their stdout, stderr and exit codes are compared.  Each tree sees the same
+faulted bytes.
 
 The exit code is 0 when all are identical and 1 otherwise, after one line per
 difference.
@@ -98,17 +99,22 @@ FAULT_RUNNER = RUN + """
 with open(sys.argv[1]) as f:
     task = json.load(f)
 outcomes = []
-for path, faulted in task["faults"]:
+for path, kind, faulted in task["faults"]:
     with open(path, "rb") as f:
         original = f.read()
     try:
-        if faulted is None:
+        if kind == "delete":
             os.remove(path)
+        elif kind == "dir":
+            os.remove(path)
+            os.mkdir(path)
         else:
             with open(path, "wb") as f:
                 f.write(faulted.encode("latin-1"))
         outcomes.append([run(argv) for argv in task["commands"]])
     finally:
+        if os.path.isdir(path):
+            os.rmdir(path)
         with open(path, "wb") as f:
             f.write(original)
 with open(sys.argv[2], "w") as f:
@@ -137,9 +143,9 @@ def fault_commands(name):
 
 
 def make_faults(case, label, n):
-    """n (description, relative path, faulted text as latin-1 or None for a
-    deleted file) of a case directory's input and result files, seeded by
-    the case's label."""
+    """n (description, relative path, kind, faulted text as latin-1 or None
+    for a deleted file or an empty directory in its place) of a case
+    directory's input and result files, seeded by the case's label."""
     files = sorted(str(p.relative_to(case)) for sub in ("inputs/calib", "inputs/detections", "inputs/properties",
                                                         "inputs/gt", "results") for p in (case / sub).glob("*.txt"))
     faults = []
@@ -147,7 +153,8 @@ def make_faults(case, label, n):
         rng = random.Random(f"{label} {i}")
         path = rng.choice(files)
         raw = (case / path).read_bytes()
-        kinds = ["token", "byte", "column", "delete", *(["bins"] if path.startswith("inputs/properties") else [])]
+        kinds = ["token", "byte", "column", "delete", "dir",
+                 *(["bins"] if path.startswith("inputs/properties") else [])]
         kind = rng.choice(kinds) if raw.strip() else "delete"
         if kind == "token":
             tokens = re.split(r"(\s+)", raw.decode())
@@ -166,7 +173,8 @@ def make_faults(case, label, n):
             header, *rows = raw.decode().splitlines()
             b = header.count("conf")
             raw = "\n".join([f"{header} conf{b} sin{b} cos{b}", *(r + " 0 0 1" for r in rows)]).encode() + b"\n"
-        faults.append((f"#{i}: {kind} in {path}", path, None if kind == "delete" else raw.decode("latin-1")))
+        faults.append((f"#{i}: {kind} in {path}", path, kind,
+                       None if kind in ("delete", "dir") else raw.decode("latin-1")))
     return faults
 
 
@@ -178,12 +186,12 @@ def run_faults(src, work, cases, faults):
     for name, seed, _ in cases:
         case = work / f"{name}-{seed}"
         task = case / "faults.json"
-        task.write_text(json.dumps({"faults": [(path, text) for _, path, text in faults[name, seed]],
+        task.write_text(json.dumps({"faults": [fault[1:] for fault in faults[name, seed]],
                                     "commands": fault_commands(name)}))
         subprocess.run([sys.executable, "-c", FAULT_RUNNER, "faults.json", "outcomes.json"], cwd=case, env=env,
                        check=True, timeout=3600)
         results = json.loads((case / "outcomes.json").read_text())
-        for (description, _, _), ran in zip(faults[name, seed], results, strict=True):
+        for (description, *_), ran in zip(faults[name, seed], results, strict=True):
             for argv, outcome in zip(fault_commands(name), ran):
                 outcomes[(name, seed, description, argv[0])] = tuple(outcome)
     return outcomes

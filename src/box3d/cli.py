@@ -56,12 +56,49 @@ def _frames_in(directory):
     return sorted(n[:-4] for n in names if n.endswith(".txt") and n != DEPURATION_REPORT)
 
 
+# a handle only to open files relative to: O_PATH needs no read permission
+_DIR_FLAGS = getattr(os, "O_PATH", os.O_RDONLY) | getattr(os, "O_DIRECTORY", 0)
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+
+
+class _FrameDir:
+    """A directory of frame files, held as one handle from `with` to its
+    end, that each frame's file is opened relative to: the kernel then walks
+    the directory's path once, not once per file.  A directory that cannot
+    be opened as a handle (it is missing or a file, or the platform has no
+    dir_fd) is used by path, so that each fault reads as it does by path.  A
+    frame's path is built only to name it in a message."""
+
+    def __init__(self, path):
+        self.path, self.fd = path, None
+
+    def __enter__(self):
+        if os.open in os.supports_dir_fd:
+            try:
+                self.fd = os.open(self.path, _DIR_FLAGS)
+            except OSError:
+                pass
+        return self
+
+    def __exit__(self, *exc):
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+
+    def path_of(self, frame):
+        return os.path.join(self.path, frame + ".txt")
+
+    def open(self, frame, flags):
+        if self.fd is None:
+            return os.open(self.path_of(frame), flags, 0o666)
+        return os.open(frame + ".txt", flags, 0o666, dir_fd=self.fd)
+
+
 def _read(directory, frame, kind):
-    """The text of a frame's file; a missing or unreadable one, or one that
-    is not UTF-8, ends the run naming it."""
-    path = os.path.join(directory, frame + ".txt")
+    """The text of a frame's file in a _FrameDir; a missing or unreadable
+    one, or one that is not UTF-8, ends the run naming it."""
     try:
-        fd = os.open(path, os.O_RDONLY)
+        fd = directory.open(frame, os.O_RDONLY)
         try:
             chunks = []
             while chunk := os.read(fd, 1 << 16):
@@ -69,9 +106,10 @@ def _read(directory, frame, kind):
         finally:
             os.close(fd)
     except FileNotFoundError:
-        raise SystemExit(f"frame {frame}: missing {kind} file {path}") from None
+        raise SystemExit(f"frame {frame}: missing {kind} file {directory.path_of(frame)}") from None
     except OSError as exc:
-        raise SystemExit(f"frame {frame}: cannot read {kind} file {path}: {exc.strerror or exc}") from None
+        raise SystemExit(f"frame {frame}: cannot read {kind} file {directory.path_of(frame)}: "
+                         f"{exc.strerror or exc}") from None
     raw = b"".join(chunks)
     try:
         return raw.decode()
@@ -138,15 +176,28 @@ def _write(path, data):
     """Bytes to a file, created or truncated; a path that cannot be written
     ends the run naming it."""
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            view = memoryview(data)
-            while view:  # os.write may take fewer bytes than given
-                view = view[os.write(fd, view):]
-        finally:
-            os.close(fd)
+        _write_all(os.open(path, _WRITE_FLAGS, 0o666), data)
     except OSError as exc:
         raise SystemExit(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write_frame(directory, frame, data):
+    """Bytes to a frame's file in a _FrameDir, created or truncated; a file
+    that cannot be written ends the run naming its path."""
+    try:
+        _write_all(directory.open(frame, _WRITE_FLAGS), data)
+    except OSError as exc:
+        raise SystemExit(f"cannot write {directory.path_of(frame)}: {exc.strerror or exc}") from None
+
+
+def _write_all(fd, data):
+    """Bytes to an open file, which is then closed."""
+    try:
+        view = memoryview(data)
+        while view:  # os.write may take fewer bytes than given
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _make_dir(path):
@@ -160,19 +211,21 @@ def _make_dir(path):
 def _write_frames(out, frames, labels, offsets, written):
     """The `written` rows among rows offsets[f] to offsets[f + 1] of a run's
     labels to out/<frame f>.txt, from one write_labels call per block of whole
-    frames of about WRITE_BLOCK_ROWS written rows."""
+    frames of about WRITE_BLOCK_ROWS written rows.  The files are opened
+    relative to one handle on out."""
     kept = np.append(0, np.cumsum(written))[offsets]  # offsets among the written rows
     starts = np.flatnonzero(np.diff(kept[:-1] // WRITE_BLOCK_ROWS, prepend=-1)).tolist()
-    for a, b in zip(starts, [*starts[1:], len(frames)]):
-        rows = slice(offsets[a], offsets[b])
-        text = kitti_io.write_labels(labels[rows][written[rows]]).encode()
-        # every row ends in its only line break: the byte offset of each
-        # row's start, then the end of the text
-        ends = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1)
-        cuts = ends[kept[a:b + 1] - kept[a]].tolist()
-        view = memoryview(text)
-        for f, frame in enumerate(frames[a:b]):
-            _write(os.path.join(out, frame + ".txt"), view[cuts[f]:cuts[f + 1]])
+    with _FrameDir(out) as directory:
+        for a, b in zip(starts, [*starts[1:], len(frames)]):
+            rows = slice(offsets[a], offsets[b])
+            text = kitti_io.write_labels(labels[rows][written[rows]]).encode()
+            # every row ends in its only line break: the byte offset of each
+            # row's start, then the end of the text
+            ends = np.append(0, np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1)
+            cuts = ends[kept[a:b + 1] - kept[a]].tolist()
+            view = memoryview(text)
+            for f, frame in enumerate(frames[a:b]):
+                _write_frame(directory, frame, view[cuts[f]:cuts[f + 1]])
 
 
 def _image_size(text):
@@ -228,9 +281,11 @@ def cmd_solve(args):
 
     # every frame is parsed first, so that one decode and one lift cover the
     # whole run and a bad file leaves nothing written
-    blocks = _parse_blocks(frames, [lambda f: _read(args.calib, f, "calibration"),
-                                    lambda f: _read(args.detections, f, "detection"),
-                                    lambda f: _read(args.properties, f, "properties")], parse)
+    with _FrameDir(args.calib) as calib, _FrameDir(args.detections) as dets, \
+            _FrameDir(args.properties) as props:
+        blocks = _parse_blocks(frames, [lambda f: _read(calib, f, "calibration"),
+                                        lambda f: _read(dets, f, "detection"),
+                                        lambda f: _read(props, f, "properties")], parse)
     _make_dir(args.out)
     if not frames:
         print(f"solved 0 frames -> {args.out}")
@@ -268,8 +323,9 @@ def cmd_depurate(args):
         return kitti_io.parse_calib(_texts(calib)), kitti_io.parse_labels(_texts(results))
 
     # every frame is parsed first, so that a bad file leaves nothing written
-    blocks = _parse_blocks(frames, [lambda f: _read(args.calib, f, "calibration"),
-                                    lambda f: _read(args.in_dir, f, "result")], parse) or [parse([], [])]
+    with _FrameDir(args.calib) as calib, _FrameDir(args.in_dir) as results:
+        blocks = _parse_blocks(frames, [lambda f: _read(calib, f, "calibration"),
+                                        lambda f: _read(results, f, "result")], parse) or [parse([], [])]
     fvs = np.concatenate([block for block, _ in blocks])[:, 1].tolist()
     labels, offsets = kitti_io.join([parsed for _, parsed in blocks])
     _make_dir(args.out)
@@ -290,17 +346,17 @@ def cmd_depurate(args):
     print(f"removed {len(report_lines)} detections; report -> {report}")
 
 
-def _parse_run(args, gt_frames, result_frames):
-    """The ground truths and the results of the ground-truth frames, each
-    joined into one table (a frame without a result file has no results),
-    with the frames' row offsets."""
+def _parse_run(gt_dir, result_dir, gt_frames, result_frames):
+    """The ground truths and the results of the ground-truth frames, read
+    from their _FrameDirs, each joined into one table (a frame without a
+    result file has no results), with the frames' row offsets."""
 
     def parse(gts, results):
         return kitti_io.parse_labels(_texts(gts)), kitti_io.parse_labels(_texts(results))
 
     blocks = _parse_blocks(gt_frames, [
-        lambda f: _read(args.gt, f, "ground-truth"),
-        lambda f: _read(args.results, f, "result") if f in result_frames else "",
+        lambda f: _read(gt_dir, f, "ground-truth"),
+        lambda f: _read(result_dir, f, "result") if f in result_frames else "",
     ], parse) or [parse([], [])]
     return [kitti_io.join(kind) for kind in zip(*blocks)]
 
@@ -308,13 +364,14 @@ def _parse_run(args, gt_frames, result_frames):
 def cmd_eval(args):
     recall_points = RECALL_POINTS_11 if args.recall_points == 11 else RECALL_POINTS_40
     gt_frames, result_frames = _frames_in(args.gt), set(_frames_in(args.results))
-    for frame in sorted(result_frames - set(gt_frames)):
-        text = _read(args.results, frame, "result")
-        n_det = sum(1 for line in text.splitlines() if line.strip())
-        print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)",
-              file=sys.stderr)
-    # every frame is parsed first, so that one IoU pass covers the whole run
-    (gt, gt_offsets), (det, det_offsets) = _parse_run(args, gt_frames, result_frames)
+    with _FrameDir(args.gt) as gt_dir, _FrameDir(args.results) as result_dir:
+        for frame in sorted(result_frames - set(gt_frames)):
+            text = _read(result_dir, frame, "result")
+            n_det = sum(1 for line in text.splitlines() if line.strip())
+            print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)",
+                  file=sys.stderr)
+        # every frame is parsed first, so that one IoU pass covers the whole run
+        (gt, gt_offsets), (det, det_offsets) = _parse_run(gt_dir, result_dir, gt_frames, result_frames)
     with np.errstate(all="ignore"):
         height = gt.box[:, 3] - gt.box[:, 1]
     scored = (gt.cls != "DontCare") & passes_difficulty(height, gt.occluded, gt.truncated, args.difficulty)
@@ -368,18 +425,22 @@ def cmd_synth(args):
     spec = _load_config(args.spec, SyntheticSceneSpec())
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    for sub in ("calib", "detections", "properties", "gt"):
-        _make_dir(os.path.join(args.out, sub))
-    for i in range(args.frames):
-        frame = f"{i:06d}"
-        try:
-            gt, detections, props = generate_scene(replace(spec, seed=spec.seed + i), frame)
-        except RuntimeError as exc:  # the spec leaves no pose to sample
-            raise SystemExit(f"frame {frame}: {exc}") from None
-        for sub, text in (("calib", kitti_io.write_calib(gt.camera)), ("gt", kitti_io.write_labels(gt.objects)),
-                          ("detections", kitti_io.write_detections(detections)),
-                          ("properties", kitti_io.write_properties(props))):
-            _write(os.path.join(args.out, sub, frame + ".txt"), text.encode())
+    calib, dets, props, gt_dir = (_FrameDir(os.path.join(args.out, sub))
+                                  for sub in ("calib", "detections", "properties", "gt"))
+    for directory in (calib, dets, props, gt_dir):
+        _make_dir(directory.path)
+    with calib, dets, props, gt_dir:
+        for i in range(args.frames):
+            frame = f"{i:06d}"
+            try:
+                gt, detections, properties = generate_scene(replace(spec, seed=spec.seed + i), frame)
+            except RuntimeError as exc:  # the spec leaves no pose to sample
+                raise SystemExit(f"frame {frame}: {exc}") from None
+            for directory, text in ((calib, kitti_io.write_calib(gt.camera)),
+                                    (gt_dir, kitti_io.write_labels(gt.objects)),
+                                    (dets, kitti_io.write_detections(detections)),
+                                    (props, kitti_io.write_properties(properties))):
+                _write_frame(directory, frame, text.encode())
     print(f"wrote {args.frames} frames under {args.out}")
 
 
@@ -430,6 +491,9 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command.  It closes every file and directory handle it opens,
+    whether it returns or exits, so main() may be called many times in one
+    process."""
     args = build_parser().parse_args(argv)
     args.func(args)
     return 0

@@ -61,9 +61,13 @@ class SyntheticSceneSpec:
         # NaN fails every test: a NaN sigma would write frames without noise
         check_fields(self, ("n_objects_min", "n_bins"), lambda v: v >= 1, "at least 1")
         check_fields(self, ("dims_sigma", "box_noise_sigma", "cbf_noise_sigma", "angle_noise_sigma",
-                            "image_width", "image_height", "boundary_margin_deg", "seed"))
+                            "boundary_margin_deg", "seed"))
+        check_fields(self, ("image_width", "image_height"), lambda v: v > 0, "positive")
         check_fields(self, ("depth_min", "depth_max", "lateral_min", "lateral_max", "yaw_min", "yaw_max",
                             "camera_height", "in_image_margin_px"), math.isfinite, "a finite number")
+        if not self.allow_truncated:  # a pose needs m < u_min < u_max < W - m, and the same in v
+            check_fields(self, ("in_image_margin_px",), lambda m: m < min(self.image_size) / 2,
+                         "below half of image_width and of image_height unless allow_truncated is set")
         if self.n_objects_max < self.n_objects_min:
             raise ValueError("object count range empty")
         if self.depth_max < self.depth_min or self.lateral_max < self.lateral_min:

@@ -370,13 +370,33 @@ def _path_fault(data, tmp_path, fault):
         path.unlink()
         path.mkdir()
         return solve, f"cannot write {path}: Is a directory"
+    # a frame directory that cannot be opened is named as the path of its first frame's file
+    if fault in ("solve: calibration directory is missing", "depurate: calibration directory is missing"):
+        calib = data / "calib"
+        calib.rename(tmp_path / "calib_moved")
+        return solve if fault.startswith("solve") else depurate, \
+            f"frame 000000: missing calibration file {calib / '000000.txt'}"
+    if fault == "calibration path is a file":
+        calib = data / "calib"
+        calib.rename(tmp_path / "calib_moved")
+        calib.write_text("")
+        return solve, f"frame 000000: cannot read calibration file {calib / '000000.txt'}: Not a directory"
+    if fault == "properties directory is missing":
+        properties = data / "properties"
+        properties.rename(tmp_path / "properties_moved")
+        return solve, f"frame 000000: missing properties file {properties / '000000.txt'}"
     path = tmp_path / "no_such_dir" / "table.json"
     return [*evaluate, "--json", str(path)], f"cannot write {path}: No such file or directory"
 
 
-@pytest.mark.parametrize("fault", ["calibration file is a directory", "ground-truth file is a directory",
-                                   "solve --out is a file", "depurate --out is a file",
-                                   "result frame is a directory", "eval --json in a missing directory"])
+PATH_FAULTS = ["calibration file is a directory", "ground-truth file is a directory",
+               "solve --out is a file", "depurate --out is a file",
+               "result frame is a directory", "eval --json in a missing directory",
+               "solve: calibration directory is missing", "depurate: calibration directory is missing",
+               "calibration path is a file", "properties directory is missing"]
+
+
+@pytest.mark.parametrize("fault", PATH_FAULTS)
 def test_path_fault_exits_with_one_line_naming_the_path(pipeline_dirs, tmp_path, fault):
     argv, line = _path_fault(pipeline_dirs, tmp_path, fault)
     out = subprocess.run([sys.executable, "-m", "box3d.cli", *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -385,6 +405,58 @@ def test_path_fault_exits_with_one_line_naming_the_path(pipeline_dirs, tmp_path,
     assert (out.returncode, out.stderr.splitlines()) == (1, [line])
     if argv[0] == "eval":
         assert out.stdout == ""  # the table is printed only once it is written
+
+
+def test_depurate_without_its_calibration_directory_writes_nothing(pipeline_dirs, tmp_path):
+    argv, line = _path_fault(pipeline_dirs, tmp_path, "depurate: calibration directory is missing")
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == line
+    assert not (tmp_path / "kept").exists()
+
+
+def _descriptor_cases(data, tmp_path, case):
+    """The (argv, exit code or message) of the runs of a case: a clean run
+    of each command, a parse fault in each reading command, a synth file
+    that cannot be written, or one of PATH_FAULTS."""
+    results, kept = tmp_path / "results", tmp_path / "kept"
+    solve = _solve_argv(data, results)
+    depurate = ["depurate", "--in", str(results), "--calib", str(data / "calib"), "--out", str(kept)]
+    evaluate = ["eval", "--results", str(results), "--gt", str(data / "gt"), "--json", str(tmp_path / "t.json")]
+    if case == "clean runs":
+        return [(["synth", "--out", str(tmp_path / "synth"), "--frames", "3"], 0),
+                (solve, 0), (depurate, 0), (evaluate, 0)]
+    if case == "parse faults":
+        assert main(solve) == 0
+        lines = []
+        for path in (data / "detections" / "000002.txt", results / "000002.txt", data / "gt" / "000001.txt"):
+            lines.append(len(path.read_text().splitlines()) + 1)
+            with path.open("a") as f:
+                f.write("Car 1 2\n")
+        return [(_solve_argv(data, tmp_path / "again"),
+                 f"frame 000002: line {lines[0]}: detection row has 3 columns, expected 6"),
+                (depurate, f"frame 000002: line {lines[1]}: label row has 3 columns, expected 15 or 16"),
+                (evaluate, f"frame 000001: line {lines[2]}: label row has 3 columns, expected 15 or 16")]
+    if case == "synth file is a directory":
+        path = tmp_path / "synth" / "gt" / "000001.txt"
+        path.mkdir(parents=True)
+        return [(["synth", "--out", str(tmp_path / "synth"), "--frames", "3"], f"cannot write {path}: Is a directory")]
+    return [_path_fault(data, tmp_path, case)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case", ["clean runs", "parse faults", "synth file is a directory", *PATH_FAULTS])
+def test_commands_leave_no_descriptor_open(pipeline_dirs, tmp_path, case):
+    """A benchmark calls main() thousands of times in one process: a
+    command closes what it opens, whether it returns or exits."""
+    before = len(os.listdir("/proc/self/fd"))
+    for argv, outcome in _descriptor_cases(pipeline_dirs, tmp_path, case):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == outcome
+        assert len(os.listdir("/proc/self/fd")) == before, argv
 
 
 def test_write_finishes_after_partial_writes(tmp_path, monkeypatch):
@@ -605,6 +677,9 @@ def test_bad_depuration_config_exits_naming_it(pipeline_dirs, tmp_path, text, me
     ("depth_min = nan\n", "1", "config {cfg}: depth_min must be a finite number, got nan"),
     ("camera_fu = 0\n", "1", "config {cfg}: focal lengths must be positive, got (0.0, 721.5377)"),
     ("box_noise_sigma = nan\n", "1", "config {cfg}: box_noise_sigma must be a non-negative number, got nan"),
+    ("image_width = 0\n", "1", "config {cfg}: image_width must be positive, got 0"),
+    ("in_image_margin_px = 187.5\n", "1", "config {cfg}: in_image_margin_px must be below half of image_width and "
+                                         "of image_height unless allow_truncated is set, got 187.5"),
     ("", "-3", "argument --frames: expected a whole number >= 0, got '-3'"),
 ])
 def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, text, frames, message):
@@ -618,7 +693,7 @@ def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, te
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", ["camera_height = -1\n", "image_width = 0\n"])
+@pytest.mark.parametrize("text", ["camera_height = -1\n"])
 def test_synth_spec_without_a_pose_exits_naming_the_frame(tmp_path, capsys, text):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(text)
