@@ -126,8 +126,13 @@ with open(sys.argv[2], "w") as f:
 # outcomes and report lines that the defaults never give on the benchmark mixes
 DEPURATION_CONFIG = "adjacency_iou_min = 0.2\ndepth_gap_max = 3\nheight_monotonic_eps = 0\n"
 
-# tokens a replaced-token fault puts in
-FAULT_TOKENS = ["nan", "inf", "-inf", "1e400", "x", "-1", "0", "16", "1.5", "#", "0x1", "1_0", "", "\u0663"]
+# tokens a replaced-token fault puts in.  The finite ones on the second line
+# reach the edges of the label writer's array pass: written back, they read
+# 1000000000.000000 (10 whole digits), -0.000000, 0.000003 (whose float
+# product with 1e6 is 2.5: only the exact product rounds it up) and
+# 1000000000.000000 again
+FAULT_TOKENS = ["nan", "inf", "-inf", "1e400", "x", "-1", "0", "16", "1.5", "#", "0x1", "1_0", "", "\u0663",
+                "999999999.9999995", "-0.0000004", "0.0000025", "1e9"]
 
 
 def fault_commands(name):

@@ -16,7 +16,7 @@ import numpy as np
 from .camera import Box2D, Box3D, CameraIntrinsics, Dimensions, box_iou_2d, box_vertices, project_point
 from .kitti_io import DetectionTable, FrameRecord, LabelTable, PropertyTable, check_fields
 from .properties import CAR_PRIOR, alpha_from_local, encode_cbf, encode_local_angle, local_from_global
-from .viewpoints import away_from_viewpoint_boundaries, classify_viewpoint
+from .viewpoints import HEIGHT_MARGIN, away_from_viewpoint_boundaries, classify_viewpoint
 
 # KITTI-like default camera
 DEFAULT_CAMERA = CameraIntrinsics(fu=721.5377, fv=721.5377, cu=609.5593, cv=172.854)
@@ -68,6 +68,14 @@ class SyntheticSceneSpec:
         if not self.allow_truncated:  # a pose needs m < u_min < u_max < W - m, and the same in v
             check_fields(self, ("in_image_margin_px",), lambda m: m < min(self.image_size) / 2,
                          "below half of image_width and of image_height unless allow_truncated is set")
+        if not self.allow_boundary_poses:  # a pose needs the camera clear of the box's faces
+            check_fields(self, ("camera_height",), lambda y: y >= HEIGHT_MARGIN,
+                         f"at least {HEIGHT_MARGIN} unless allow_boundary_poses is set")
+            if self.dims_sigma == 0:  # every box has the prior's height
+                h = CAR_PRIOR.mean_dims.h
+                check_fields(self, ("camera_height",), lambda y: abs(y - h) >= HEIGHT_MARGIN,
+                             f"at least {HEIGHT_MARGIN} from the car height {h} when dims_sigma is 0 "
+                             "unless allow_boundary_poses is set")
         if self.n_objects_max < self.n_objects_min:
             raise ValueError("object count range empty")
         if self.depth_max < self.depth_min or self.lateral_max < self.lateral_min:

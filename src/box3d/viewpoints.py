@@ -158,10 +158,14 @@ def _dist_to_multiple(angle, period):
     return min(r, period - r)
 
 
+# meters the camera must clear the bottom face and the top plane of a box by
+HEIGHT_MARGIN = 0.02
+
+
 def away_from_viewpoint_boundaries(
     b: Box3D,
     angle_margin: float = math.radians(2.0),
-    height_margin: float = 0.02,
+    height_margin: float = HEIGHT_MARGIN,
 ) -> bool:
     """True when the static table is exact for this pose with margin to spare.
 

@@ -680,6 +680,8 @@ def test_bad_depuration_config_exits_naming_it(pipeline_dirs, tmp_path, text, me
     ("image_width = 0\n", "1", "config {cfg}: image_width must be positive, got 0"),
     ("in_image_margin_px = 187.5\n", "1", "config {cfg}: in_image_margin_px must be below half of image_width and "
                                          "of image_height unless allow_truncated is set, got 187.5"),
+    ("camera_height = -1\n", "1", "config {cfg}: camera_height must be at least 0.02 unless allow_boundary_poses "
+                                 "is set, got -1.0"),
     ("", "-3", "argument --frames: expected a whole number >= 0, got '-3'"),
 ])
 def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, text, frames, message):
@@ -693,7 +695,7 @@ def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, te
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", ["camera_height = -1\n"])
+@pytest.mark.parametrize("text", ["yaw_min = 0\nyaw_max = 0\n"])  # yaw 0 is a viewpoint boundary
 def test_synth_spec_without_a_pose_exits_naming_the_frame(tmp_path, capsys, text):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(text)

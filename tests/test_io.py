@@ -28,9 +28,10 @@ from box3d.kitti_io import (
     write_properties,
 )
 from box3d.depuration import DepurationConfig
+from box3d.properties import CAR_PRIOR
 from box3d.solver import SolverConfig, decode_rows, lift_batch
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
-from box3d.viewpoints import extremal_vertices
+from box3d.viewpoints import away_from_viewpoint_boundaries, extremal_vertices
 
 REAL_CALIB = (
     "P0: 7.215377000000e+02 0.000000000000e+00 6.095593000000e+02 0.000000000000e+00 "
@@ -262,6 +263,106 @@ def test_labels_round_trip_at_written_precision(rows):
         [_at_written_precision(x) for x in row] for row in objs.data[:, columns].tolist()
     ]
     assert write_labels(back) == text
+
+
+_ULP_NEAR_1E9 = 2.0 ** -23  # the spacing of floats in [2**29, 2**30)
+
+
+def _signs(x):
+    return st.sampled_from([x, -x])
+
+
+_label_numbers = st.one_of(  # each written with at most 9 whole digits
+    # ties of the millionths: (2k + 1) / 2e6 is within an ulp of a half
+    st.integers(0, 10**15 - 10**7).map(lambda k: (2 * k + 1) / 2e6),
+    st.integers(0, 10**6).map(lambda k: (2 * k + 1) / 128),  # exact ties
+    st.floats(min_value=-5e-7, max_value=0.0, exclude_min=True),  # written as -0.000000
+    st.floats(min_value=-999999999.0, max_value=999999999.0),
+).flatmap(_signs)
+_label_rows_st = st.lists(
+    st.tuples(
+        st.one_of(_names, st.sampled_from(["", "Pédestrian", "車"]),
+                  st.text(st.characters(blacklist_characters="\0"), max_size=4)),
+        st.one_of(st.sampled_from([-1.5, -0.5, -0.0, 2.0]), st.floats(min_value=-999999999.0, max_value=999999999.0)),
+        st.lists(_label_numbers, min_size=13, max_size=13),
+        st.one_of(st.just(math.nan), _label_numbers),
+    ),
+    min_size=1, max_size=8,
+)
+# a number that may take the table out of the array pass's range
+_edge_numbers = st.one_of(
+    st.integers(-8, 8).map(lambda i: 1e9 - 5e-7 + i * _ULP_NEAR_1E9),  # rounds to 1e9 or below it
+    st.sampled_from([math.inf, math.nan]),
+).flatmap(_signs)
+
+
+@given(_label_rows_st, st.none() | st.tuples(st.integers(0, 7), st.integers(0, 14), _edge_numbers))
+@settings(max_examples=150, deadline=None)
+def test_label_array_pass_writes_the_row_formatters_bytes(rows, edge):
+    # the array pass, called directly so that small tables are covered too
+    data = np.array([[v[0], occluded, *v[1:], score] for _, occluded, v, score in rows])
+    if edge is not None:
+        row, col, value = edge
+        data[row % len(data), col] = value
+    table = LabelTable(data, [name for name, *_ in rows])
+    # it writes the table unless a number is not finite (but a NaN score) or
+    # is written with 10 whole digits, or the occlusion level has 10 digits
+    scores = data[:, 14]
+    numbers = [*data[:, [0, *range(2, 14)]].ravel().tolist(), *scores[~np.isnan(scores)].tolist()]
+    falls_back = (any(not math.isfinite(x) or len(f"{abs(x):.6f}") > 16 for x in numbers)
+                  or not (abs(data[:, 1]) < 1e9).all())
+    text = kitti_io._label_array(table)
+    assert (text is None) == falls_back
+    if text is not None:
+        assert text == kitti_io._label_rows(table)
+
+
+def _label_rows_to_fall_back():
+    n = kitti_io.LABEL_ARRAY_MIN_ROWS
+    data = np.tile(_labels_fixture().data, (n, 1))[:n]
+    return LabelTable(data, ["Car"] * n)
+
+
+def _with(table, row, col, value):
+    data = table.data.copy()
+    data[row, col] = value
+    return LabelTable(data, table.cls)
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: _with(t, 3, 5, math.nan),
+    lambda t: _with(t, 3, 0, math.inf),
+    lambda t: _with(t, 3, 14, -math.inf),  # a score: only NaN means none
+    lambda t: _with(t, 3, 12, 1e9 - 5e-7),  # written as 1000000000.000000
+    lambda t: _with(t, 3, 1, -1e9),
+    lambda t: LabelTable(t.data, [*t.cls[:-1], "Car\0"]),
+    lambda t: t[:-1],  # below the crossover
+], ids=["nan", "inf", "score_inf", "rounds_to_1e9", "occluded_1e9", "nul_in_name", "few_rows"])
+def test_write_labels_falls_back_to_the_row_formatter(change):
+    table = change(_label_rows_to_fall_back())
+    assert len(table) < kitti_io.LABEL_ARRAY_MIN_ROWS or kitti_io._label_array(table) is None
+    assert write_labels(table) == kitti_io._label_rows(table)
+
+
+@pytest.mark.parametrize("occluded, error", [(math.nan, ValueError), (math.inf, OverflowError),
+                                             (-math.inf, OverflowError)])
+def test_write_labels_of_a_non_finite_occlusion_level_raises_what_int_raises(occluded, error):
+    table = _with(_label_rows_to_fall_back(), 3, 1, occluded)
+    with pytest.raises(error) as row_formatter:
+        kitti_io._label_rows(table)
+    with pytest.raises(error) as written:
+        write_labels(table)
+    assert str(written.value) == str(row_formatter.value)
+
+
+def test_write_labels_of_a_large_table_equals_the_row_formatter():
+    rng = np.random.default_rng(3)
+    data = rng.normal(0.0, 10.0 ** rng.integers(-7, 9, (2000, 15)))
+    data[:, 1] = rng.integers(-1, 4, 2000)
+    data[::2, 14] = math.nan
+    table = LabelTable(data, rng.choice(["Car", "Van", "DontCare"], 2000))
+    assert kitti_io._label_array(table) is not None
+    assert write_labels(table) == kitti_io._label_rows(table)
 
 
 def _parse_or_line_error(parse, text, prefix="line "):
@@ -723,3 +824,26 @@ def test_scene_spec_validation():
         SyntheticSceneSpec(depth_min=10.0, depth_max=5.0)
     with pytest.raises(ValueError):
         SyntheticSceneSpec(box_noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # below the bottom-face margin: the camera is never above the boxes
+    ({"camera_height": -1.0}, "camera_height must be at least 0.02 unless allow_boundary_poses is set"),
+    ({"camera_height": 0.01}, "camera_height must be at least 0.02 unless allow_boundary_poses is set"),
+    # every box has the prior's height, and the camera is in its top plane
+    ({"camera_height": CAR_PRIOR.mean_dims.h + 0.01}, "camera_height must be at least 0.02 from the car height"),
+], ids=["below_the_camera", "inside_the_margin", "in_the_top_plane"])
+def test_scene_spec_refuses_a_camera_height_that_leaves_no_pose(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        SyntheticSceneSpec(**kwargs)
+    # the sampler agrees: no pose of that height passes the boundary check
+    b = Box3D(np.array([2.0, kwargs["camera_height"], 20.0]), CAR_PRIOR.mean_dims, 0.5)
+    assert not away_from_viewpoint_boundaries(b, 0.0)
+
+
+def test_scene_spec_keeps_camera_heights_that_can_be_sampled():
+    # jittered heights leave poses clear of the top plane
+    generate_scene(SyntheticSceneSpec(camera_height=CAR_PRIOR.mean_dims.h + 0.01, dims_sigma=0.05))
+    # boundary poses are allowed, as for the benchmark's cars above the camera
+    gt, _, _ = generate_scene(SyntheticSceneSpec(camera_height=-1.0, allow_boundary_poses=True))
+    assert (gt.objects.location[:, 1] == -1.0).all()
