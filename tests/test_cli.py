@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -18,6 +19,9 @@ from box3d.depuration import DEFAULT_DEPURATION_CONFIG, depurate
 from box3d.kitti_io import PropertyTable, parse_calib, parse_labels, parse_properties, write_labels, write_properties
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# sha256 of the stdout of `box3d viewpoint-table`
+VIEWPOINT_TABLE_SHA256 = "f70618594883caeeeaa73c903929a7104fce6e068c2575c866cf4201c8f5cb6a"
 
 
 @pytest.fixture
@@ -554,8 +558,16 @@ def test_depurate_cli(pipeline_dirs, tmp_path):
 def test_viewpoint_table_command(capsys):
     assert main(["viewpoint-table"]) == 0
     out = capsys.readouterr().out
-    assert "viewpoint 15" in out
-    assert out.count("left/u_min") == 16
+    assert out.splitlines()[:5] == [
+        "viewpoint  0: local yaw (  0,  45] deg, camera level with or below top face",
+        "    left/u_min   -> vertex 0 at (+l/2,  0, +w/2)",
+        "    right/u_max  -> vertex 5 at (-l/2,  0, -w/2)",
+        "    top/v_min    -> vertex 6 at (-l/2, -h, +w/2)",
+        "    bottom/v_max -> vertex 4 at (-l/2,  0, +w/2)",
+    ]
+    # the whole dump, 16 classes of 5 lines, byte for byte
+    assert len(out.splitlines()) == 80
+    assert hashlib.sha256(out.encode()).hexdigest() == VIEWPOINT_TABLE_SHA256
 
 
 def test_depuration_config_override(pipeline_dirs, tmp_path):
