@@ -4,8 +4,9 @@
     python3 scripts/same_outputs.py BASE_SRC [--seeds 0 7] [--frames N] [--workloads W ...] [--faults N]
 
 BASE_SRC is the ``src`` directory of the other tree, for example a clone of
-the parent commit.  For each workload mix of the benchmark (``WORKLOADS`` of
-``bench/run.py``, imported as it stands) and each seed, each tree:
+the parent commit.  Each tree runs ``box3d viewpoint-table`` once.  For each
+workload mix of the benchmark (``WORKLOADS`` of ``bench/run.py``, imported as
+it stands) and each seed, each tree:
 
 - writes the workload's inputs as the benchmark's set-up does: ``box3d
   synth`` plus the injected false detections;
@@ -239,7 +240,10 @@ def run_tree(src, work, cases):
     """Each command's (exit code, stdout, stderr) and each written file's
     bytes, keyed by case, command and relative path."""
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
-    outcomes, files = {}, {}
+    work.mkdir(parents=True)
+    table = subprocess.run([sys.executable, "-m", "box3d.cli", "viewpoint-table"], cwd=work, env=env,
+                           capture_output=True, timeout=600)
+    outcomes, files = {("viewpoint-table",): (table.returncode, table.stdout, table.stderr)}, {}
     for name, seed, frames in cases:
         case = work / f"{name}-{seed}"
         case.mkdir(parents=True)

@@ -10,7 +10,6 @@ from .camera import (
     Dimensions,
     box_vertices,
     project_point,
-    ray_angle,
     wrap_angle,
     yaw_rotation,
 )
@@ -20,7 +19,6 @@ from .metrics import (
     aos_and_os,
     average_precision,
     dimension_error,
-    iou_3d,
     match_frame,
     orientation_similarity,
     pair_ious,
@@ -44,6 +42,6 @@ from .solver import (
     lift_batch,
 )
 from .synthetic import SyntheticSceneSpec, generate_scene
-from .viewpoints import classify_viewpoint, extremal_vertices, selection_matrices
+from .viewpoints import classify_viewpoint, extremal_vertices
 
 __version__ = "0.1.0"

@@ -127,16 +127,6 @@ def project_point(k: CameraIntrinsics, p) -> np.ndarray:
     return np.array([k.cu + k.fu * x / z, k.cv + k.fv * y / z])
 
 
-def ray_angle(k: CameraIntrinsics, uc: float) -> float:
-    """Angle between the principal axis plane and the viewing ray through
-    image column uc, measured in the ground plane.
-
-    Equals atan2(z, x) of any point projecting to uc: pi/2 on the principal
-    axis, smaller to the right, larger to the left; range (0, pi).
-    """
-    return math.atan2(k.fu, uc - k.cu)
-
-
 def yaw_rotation(theta: float) -> np.ndarray:
     """Rotation about the vertical (y, downward) axis."""
     c, s = math.cos(theta), math.sin(theta)

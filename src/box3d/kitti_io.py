@@ -89,6 +89,7 @@ class DetectionTable(Table):
     box = _column_group(slice(0, 4), "(N, 4) u_min, v_min, u_max, v_max")
     score = _column_group(4, "(N,) detection score")
 
+    # kept for bench/run.py, whose write_inputs checks the injected boxes row by row
     def __iter__(self):
         """One Detection2D per row."""
         for name, row in zip(self.cls, self.data.tolist()):
@@ -135,6 +136,7 @@ def join(parts) -> Parsed:
     return Parsed(objects, np.append(0, np.cumsum(np.concatenate([np.diff(p.offsets) for p in parts]))))
 
 
+# kept for bench/spans.py, whose generate_scene counter reads result[0].objects
 @dataclass
 class FrameRecord:
     frame_id: str

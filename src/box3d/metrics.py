@@ -20,9 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .camera import Box3D
-from .kitti_io import LabelTable
-
 RECALL_POINTS_11 = tuple(np.linspace(0.0, 1.0, 11))
 RECALL_POINTS_40 = tuple(np.linspace(1.0 / 40.0, 1.0, 40))
 
@@ -115,17 +112,6 @@ def _ious(loc_a, dims_a, loc_b, dims_b, corners_a, corners_b) -> np.ndarray:
         return np.where((overlap_y <= 0) | (inter <= 0), 0.0, inter / (vol_a + vol_b - inter))
 
 
-def _box_table(b: Box3D):
-    return LabelTable([0.0] * 7 + [b.dims.h, b.dims.w, b.dims.l, *b.location.tolist(), b.yaw, math.nan])
-
-
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volume IoU of two yaw-rotated boxes: BEV polygon intersection times
-    vertical overlap, over the union volume."""
-    a, b = _box_table(a), _box_table(b)
-    return float(_ious(a.location, a.dims, b.location, b.dims, bev_corners(a), bev_corners(b))[0])
-
-
 # Added to each ground-plane bounding-circle radius (metres), so that a culled
 # pair is farther apart than the rounding error of the clipping.
 CULL_PAD = 1e-6
@@ -157,22 +143,16 @@ class _Cull(NamedTuple):
 
 
 def _may_meet(a: _Cull, b: _Cull) -> np.ndarray:
-    """may_intersect on the columns of P pairs."""
+    """(P,) mask of the pairs of boxes, given as the columns of each side,
+    whose volumes may intersect: positive dimensions, a positive vertical
+    overlap, and overlapping ground-plane bounding circles.  The IoU is
+    exactly 0.0 for every pair of positive-sized boxes outside the mask; a
+    non-finite number never excludes a pair."""
     with np.errstate(all="ignore"):
         overlap_y = np.minimum(a.bottom, b.bottom) - np.maximum(a.top, b.top)
         reach = a.reach + b.reach
         dx, dz = a.x - b.x, a.z - b.z
         return ~(a.flat | b.flat | (overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
-
-
-def may_intersect(loc_a, dims_a, loc_b, dims_b) -> np.ndarray:
-    """(P,) mask of the pairs of boxes, given as (P, 3) locations and (h, w, l)
-    dimensions of each side, whose volumes may intersect: positive
-    dimensions, a positive vertical overlap, and overlapping ground-plane
-    bounding circles of radius hypot(l, w) / 2 + CULL_PAD.  The IoU is
-    exactly 0.0 for every pair of positive-sized boxes outside the mask; a
-    non-finite number never excludes a pair."""
-    return _may_meet(_Cull.of(loc_a, dims_a), _Cull.of(loc_b, dims_b))
 
 
 def _blocks(n_pairs):
@@ -208,7 +188,7 @@ def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
     after the other: frame f is rows det_offsets[f]:det_offsets[f + 1] of
     one and gt_offsets[f]:gt_offsets[f + 1] of the other.  Returns the
     (det row, gt row, IoU) triples as three arrays, in detection order, then
-    ground-truth order.  The cull (may_intersect) reads columns computed once
+    ground-truth order.  The cull (_may_meet) reads columns computed once
     per table, over blocks of whole frames of about PAIR_BUDGET pairs.  The
     run's survivors are clipped in equal blocks of about PAIR_BUDGET // 4, as
     a clipped pair's temporaries weigh about four times a culled pair's.  A
@@ -242,13 +222,13 @@ def orientation_similarity(theta_det: float, theta_gt: float) -> float:
 # matching and ranked metrics
 
 
-def match_frame(detections, ground_truths, iou_threshold: float, ious=None):
+def match_frame(detections, ground_truths, iou_threshold: float, ious):
     """Greedy match of one frame's detections against its ground truths, two
     LabelTables (location, dims, yaw; a detection without a score counts
     1.0).
 
     ious holds the frame's positive IoUs as pair_ious returns them, rows
-    counted from the frame's first; pair_ious computes them when it is None.
+    counted from the frame's first.
     In descending score (ties keep their input order), each detection takes
     the first unused ground truth of largest IoU, and is a true positive if
     that IoU clears the threshold.  Returns four columns in detection order,
@@ -256,8 +236,6 @@ def match_frame(detections, ground_truths, iou_threshold: float, ious=None):
     orientation similarity (0.0 for a false positive) and the IoU taken (0.0
     where no unused ground truth overlaps).
     """
-    if ious is None:
-        ious = pair_ious(detections, [0, len(detections)], ground_truths, [0, len(ground_truths)])
     scores = [1.0 if math.isnan(s) else s for s in detections.score.tolist()]
     n = len(scores)
     is_tp, sims, taken = [False] * n, [0.0] * n, [0.0] * n

@@ -99,7 +99,8 @@ def decode_rows(detections: DetectionTable, properties: PropertyTable, cameras) 
         fu, cu = rows.camera[:, 0], rows.camera[:, 2]
         cbf = decode_cbf(properties.cbf_offset, detections.box)
         theta_l = decode_local_angle(properties.bins)
-        # ray_angle, row by row with each row's camera
+        # the viewing ray's ground-plane angle atan2(z, x) through the bottom-face
+        # center's column, in (0, pi); math's atan2, row by row with each row's camera
         theta_ray = np.array([math.atan2(f, du) for f, du in zip(fu.tolist(), (cbf[:, 0] - cu).tolist())])
         rows.box[:] = detections.box
         rows.dims[:] = dimension_values(properties.dim_residual, CAR_PRIOR)
@@ -356,6 +357,7 @@ def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOL
     return LiftResult(location, np.array(STATUSES)[codes], used, iterations, residual, converged)
 
 
+# kept for bench/spans.py, which wraps it as its solver.refine layer
 def gauss_newton_refine(t0, rows: DecodedRows, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> LiftResult:
     """Stage two alone: refine each row from its start in t0 (n, 3), with no
     closed form and no truncation gate, on rows lift_batch would lift.

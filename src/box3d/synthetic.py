@@ -16,7 +16,7 @@ import numpy as np
 from .camera import Box2D, Box3D, CameraIntrinsics, Dimensions, box_iou_2d, box_vertices, project_point
 from .kitti_io import DetectionTable, FrameRecord, LabelTable, PropertyTable, check_fields
 from .properties import CAR_PRIOR, alpha_from_local, encode_cbf, encode_local_angle, local_from_global
-from .viewpoints import HEIGHT_MARGIN, away_from_viewpoint_boundaries, classify_viewpoint
+from .viewpoints import HALF_PI, HEIGHT_MARGIN, away_from_viewpoint_boundaries, classify_viewpoint
 
 # KITTI-like default camera
 DEFAULT_CAMERA = CameraIntrinsics(fu=721.5377, fv=721.5377, cu=609.5593, cv=172.854)
@@ -76,6 +76,13 @@ class SyntheticSceneSpec:
                 check_fields(self, ("camera_height",), lambda y: abs(y - h) >= HEIGHT_MARGIN,
                              f"at least {HEIGHT_MARGIN} from the car height {h} when dims_sigma is 0 "
                              "unless allow_boundary_poses is set")
+            # and its local yaw clear of the 45-degree boundaries, its global yaw of the 90-degree ones
+            check_fields(self, ("boundary_margin_deg",), lambda m: m < 22.5,
+                         "below 22.5 unless allow_boundary_poses is set")
+            margin, k = math.radians(self.boundary_margin_deg), round((self.yaw_min + self.yaw_max) / math.pi)
+            if abs(self.yaw_min - k * HALF_PI) < margin and abs(self.yaw_max - k * HALF_PI) < margin:
+                raise ValueError(f"yaw_min and yaw_max must not both lie within boundary_margin_deg of {90 * k} deg "
+                                 f"unless allow_boundary_poses is set, got {self.yaw_min!r} and {self.yaw_max!r}")
         if self.n_objects_max < self.n_objects_min:
             raise ValueError("object count range empty")
         if self.depth_max < self.depth_min or self.lateral_max < self.lateral_min:

@@ -1,4 +1,4 @@
-"""The 16 viewpoint classes and their vertex-selection matrices.
+"""The 16 viewpoint classes and the box corners each one selects.
 
 A projected 3D box touches its 2D box on four sides; which of the eight
 corners carries each side depends only on how the object is seen.  The
@@ -26,40 +26,15 @@ where the static table is exact, validated against the brute-force
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import TWO_PI, Box3D, CameraIntrinsics, Dimensions, box_vertices, project_point
+from .camera import TWO_PI, Box3D, CameraIntrinsics, Dimensions, box_vertices, project_point, vertex_offsets
 
 N_VIEWPOINTS = 16
 
 QUARTER_PI = math.pi / 4.0
 HALF_PI = math.pi / 2.0
-
-
-@dataclass(frozen=True)
-class SelectionMatrices:
-    """S1..S4 pick the corners tied to the left/right/top/bottom 2D edges.
-
-    Each is 4x4 over {-1, -0.5, 0, 0.5, 1}; S_i @ [l, h, w, 1] is the
-    homogeneous object-frame offset of the selected corner.
-    """
-
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-    s4: np.ndarray
-
-    def as_tuple(self):
-        return (self.s1, self.s2, self.s3, self.s4)
-
-
-def _selector(index):
-    """The matrix that picks the corner of a vertex index, whose bits (see
-    camera.vertex_offsets) are the l sign (4), the top face (2) and the w
-    sign (1)."""
-    return np.diag([-0.5 if index & 4 else 0.5, -1.0 if index & 2 else 0.0, -0.5 if index & 1 else 0.5, 1.0])
 
 
 def _vertex_index(sx, level, sz):
@@ -97,23 +72,12 @@ def _build_table():
 _VERTEX_INDEX_TABLE = _build_table()
 
 
-def selection_matrices(viewpoint: int) -> SelectionMatrices:
-    """The matrices of a viewpoint class id in [0, 16), one per selected
-    vertex (see selected_vertex_indices)."""
-    return SelectionMatrices(*map(_selector, selected_vertex_indices(viewpoint)))
-
-
 def selected_vertex_indices(viewpoint: int):
-    """(left, right, top, bottom) vertex indices the class's matrices pick."""
+    """(left, right, top, bottom) vertex indices (see camera.vertex_offsets)
+    of a viewpoint class id in [0, 16)."""
     if not 0 <= viewpoint < N_VIEWPOINTS:
         raise ValueError(f"viewpoint id out of range: {viewpoint}")
     return _VERTEX_INDEX_TABLE[viewpoint]
-
-
-def selected_offsets(sm: SelectionMatrices, dims: Dimensions) -> np.ndarray:
-    """Object-frame offsets of the four selected corners, shape (4, 3)."""
-    d = np.array([dims.l, dims.h, dims.w, 1.0])
-    return np.stack([(m @ d)[:3] for m in sm.as_tuple()])
 
 
 def local_yaw(b: Box3D) -> float:
@@ -210,6 +174,7 @@ _RULE_NAMES = ("left/u_min", "right/u_max", "top/v_min", "bottom/v_max")
 
 def format_viewpoint_table() -> str:
     """Human-readable dump of all 16 classes, for the CLI."""
+    offsets = vertex_offsets(Dimensions(1.0, 1.0, 1.0))  # only their signs are printed
     lines = []
     for vid in range(N_VIEWPOINTS):
         octant, above = divmod(vid, 2)
@@ -218,13 +183,10 @@ def format_viewpoint_table() -> str:
             f"viewpoint {vid:2d}: local yaw ({lo:3d}, {hi:3d}] deg, "
             f"camera {'above top face' if above else 'level with or below top face'}"
         )
-        sm = selection_matrices(vid)
-        idx = selected_vertex_indices(vid)
-        d = np.array([2.0, 1.0, 1.0, 1.0])  # l, h, w symbolic: offsets in halves
-        for name, m, i in zip(_RULE_NAMES, sm.as_tuple(), idx):
-            off = m @ d
-            sx = "+l/2" if off[0] > 0 else "-l/2"
-            sy = "-h" if off[1] < 0 else " 0"
-            sz = "+w/2" if off[2] > 0 else "-w/2"
+        for name, i in zip(_RULE_NAMES, selected_vertex_indices(vid)):
+            x, y, z = offsets[i]
+            sx = "+l/2" if x > 0 else "-l/2"
+            sy = "-h" if y < 0 else " 0"
+            sz = "+w/2" if z > 0 else "-w/2"
             lines.append(f"    {name:12s} -> vertex {i} at ({sx}, {sy}, {sz})")
     return "\n".join(lines)

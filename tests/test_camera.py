@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from box3d.camera import (
     box_iou_2d,
     box_vertices,
     project_point,
-    ray_angle,
     vertex_offsets,
     wrap_angle,
     yaw_rotation,
 )
-from box3d.solver import DecodedRows, SolverConfig, lift_batch
+from box3d.kitti_io import DetectionTable, PropertyTable
+from box3d.solver import DecodedRows, SolverConfig, decode_rows, lift_batch
 
 K = CameraIntrinsics(700.0, 700.0, 600.0, 180.0)
 
@@ -60,15 +61,24 @@ def test_project_back_project_round_trip(u, v, depth):
     assert abs(px[1] - v) < 1e-9
 
 
+def _ray_angles(us):
+    """The angles of the viewing rays through image columns us, as
+    decode_rows takes them at bottom-face centers in those columns: it gives
+    a local yaw of 0 the global yaw 2*pi - ray, wrapped to -ray."""
+    n = len(us)
+    detections = DetectionTable(np.column_stack([us, np.zeros(n), us, np.ones(n), np.ones(n)]), ["Car"] * n)
+    properties = PropertyTable(np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0], (n, 1)))  # local yaw 0
+    return -decode_rows(detections, properties, astuple(K)).yaw
+
+
 def test_ray_angle_examples():
-    assert ray_angle(K, K.cu) == pytest.approx(math.pi / 2)
-    assert ray_angle(K, K.cu + K.fu) == pytest.approx(math.pi / 4)
-    assert ray_angle(K, K.cu - K.fu) == pytest.approx(3 * math.pi / 4)
+    # atan2(z, x) of any point projecting to the column
+    assert _ray_angles([K.cu, K.cu + K.fu, K.cu - K.fu]) == pytest.approx([math.pi / 2, math.pi / 4, 3 * math.pi / 4])
 
 
 def test_ray_angle_monotonic_decreasing_and_in_range():
     us = np.linspace(-1e6, 1e6, 2001)
-    angles = np.array([ray_angle(K, u) for u in us])
+    angles = _ray_angles(us)
     assert np.all(np.diff(angles) < 0)
     assert np.all((angles > 0) & (angles < math.pi))
 

@@ -694,6 +694,10 @@ def test_bad_depuration_config_exits_naming_it(pipeline_dirs, tmp_path, text, me
                                          "of image_height unless allow_truncated is set, got 187.5"),
     ("camera_height = -1\n", "1", "config {cfg}: camera_height must be at least 0.02 unless allow_boundary_poses "
                                  "is set, got -1.0"),
+    ("yaw_min = 0\nyaw_max = 0\n", "1", "config {cfg}: yaw_min and yaw_max must not both lie within "
+                                        "boundary_margin_deg of 0 deg unless allow_boundary_poses is set"),
+    ("boundary_margin_deg = 22.5\n", "1", "config {cfg}: boundary_margin_deg must be below 22.5 unless "
+                                          "allow_boundary_poses is set, got 22.5"),
     ("", "-3", "argument --frames: expected a whole number >= 0, got '-3'"),
 ])
 def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, text, frames, message):
@@ -707,7 +711,7 @@ def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, te
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("text", ["yaw_min = 0\nyaw_max = 0\n"])  # yaw 0 is a viewpoint boundary
+@pytest.mark.parametrize("text", ["lateral_min = 100\nlateral_max = 100\n"], ids=["cars right of the image"])
 def test_synth_spec_without_a_pose_exits_naming_the_frame(tmp_path, capsys, text):
     cfg = tmp_path / "spec.cfg"
     cfg.write_text(text)

@@ -841,6 +841,34 @@ def test_scene_spec_refuses_a_camera_height_that_leaves_no_pose(kwargs, message)
     assert not away_from_viewpoint_boundaries(b, 0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    # every global yaw is within the margin of 0 deg, resp. 90 deg
+    ({"yaw_min": 0.0, "yaw_max": 0.0}, "yaw_min and yaw_max must not both lie within boundary_margin_deg of 0 deg"),
+    ({"yaw_min": math.pi / 2 - 0.03, "yaw_max": math.pi / 2 + 0.01},
+     "yaw_min and yaw_max must not both lie within boundary_margin_deg of 90 deg"),
+    # every local yaw is within the margin of a multiple of 45 deg
+    ({"boundary_margin_deg": 22.5}, "boundary_margin_deg must be below 22.5 unless allow_boundary_poses is set"),
+], ids=["yaw_on_a_boundary", "yaw_inside_the_margin", "margin_of_half_an_octant"])
+def test_scene_spec_refuses_a_yaw_range_or_margin_that_leaves_no_pose(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        SyntheticSceneSpec(**kwargs)
+    # the sampler agrees: no pose of a yaw in the range passes the boundary check
+    spec = SyntheticSceneSpec(**kwargs, allow_boundary_poses=True)
+    for yaw in np.linspace(spec.yaw_min, spec.yaw_max, 50):
+        for x in (-5.0, 0.0, 5.0):
+            b = Box3D(np.array([x, 1.65, 20.0]), CAR_PRIOR.mean_dims, yaw)
+            assert not away_from_viewpoint_boundaries(b, math.radians(spec.boundary_margin_deg))
+
+
+def test_scene_spec_keeps_a_yaw_range_that_reaches_past_the_margin():
+    # one end exactly at the margin: a pose there is clear of the boundary
+    SyntheticSceneSpec(yaw_min=-math.radians(2.0), yaw_max=0.0)
+    gt, _, _ = generate_scene(SyntheticSceneSpec(yaw_min=-0.1, yaw_max=0.1, n_objects_min=1, n_objects_max=1))
+    assert abs(gt.objects.yaw[0]) >= math.radians(2.0)
+    # boundary poses are allowed
+    generate_scene(SyntheticSceneSpec(yaw_min=0.0, yaw_max=0.0, boundary_margin_deg=30.0, allow_boundary_poses=True))
+
+
 def test_scene_spec_keeps_camera_heights_that_can_be_sampled():
     # jittered heights leave poses clear of the top plane
     generate_scene(SyntheticSceneSpec(camera_height=CAR_PRIOR.mean_dims.h + 0.01, dims_sigma=0.05))

@@ -18,9 +18,7 @@ from box3d.metrics import (
     average_precision,
     bev_corners,
     dimension_error,
-    iou_3d,
     match_frame,
-    may_intersect,
     orientation_similarity,
     pair_ious,
     passes_difficulty,
@@ -55,10 +53,23 @@ def _rows(matches):
     return list(zip(*(column[order].tolist() for column in matches)))
 
 
+def _iou(a, b):
+    """The 3D IoU of two Box3Ds: pair_ious on one-row tables, 0.0 where it
+    returns no triple."""
+    iou = pair_ious(_table([a]), [0, 1], _table([b]), [0, 1])[2]
+    return float(iou[0]) if len(iou) else 0.0
+
+
+def _match_tables(detections, ground_truths, iou_threshold):
+    """match_frame on one frame's tables, with the frame's pair_ious."""
+    ious = pair_ious(detections, [0, len(detections)], ground_truths, [0, len(ground_truths)])
+    return match_frame(detections, ground_truths, iou_threshold, ious)
+
+
 def _match(detections, ground_truths, iou_threshold):
     """match_frame on (Box3D, score) pairs and Box3Ds, as rows (see _rows)."""
-    return _rows(match_frame(_table([b for b, _ in detections], [s for _, s in detections]), _table(ground_truths),
-                             iou_threshold))
+    return _rows(_match_tables(_table([b for b, _ in detections], [s for _, s in detections]), _table(ground_truths),
+                               iou_threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +193,20 @@ def _mc_iou(a, b, n=1_000_000, seed=0):
 
 def test_identical_boxes_full_overlap():
     a = _box(1.0, 2.0, 10.0, yaw=0.4)
-    assert iou_3d(a, a) == pytest.approx(1.0)
+    assert _iou(a, a) == pytest.approx(1.0)
 
 
 def test_distant_boxes_zero():
-    assert iou_3d(_box(), _box(x=100.0)) == 0.0
+    assert _iou(_box(), _box(x=100.0)) == 0.0
 
 
 def test_unit_cubes_half_offset():
-    assert iou_3d(_box(), _box(x=0.5)) == pytest.approx(1.0 / 3.0)
+    assert _iou(_box(), _box(x=0.5)) == pytest.approx(1.0 / 3.0)
 
 
 def test_vertical_offset_only():
     # y down, boxes span [y-h, y]: offset 0.25 leaves 0.75 overlap
-    assert iou_3d(_box(), _box(y=0.25)) == pytest.approx(0.75 / 1.25)
+    assert _iou(_box(), _box(y=0.25)) == pytest.approx(0.75 / 1.25)
 
 
 def test_rotated_iou_against_monte_carlo():
@@ -210,7 +221,7 @@ def test_rotated_iou_against_monte_carlo():
             h=rng.uniform(1, 2), w=rng.uniform(1, 2), l=rng.uniform(2, 5),
             yaw=rng.uniform(-math.pi, math.pi),
         )
-        assert iou_3d(a, b) == pytest.approx(_mc_iou(a, b, seed=trial), abs=0.01)
+        assert _iou(a, b) == pytest.approx(_mc_iou(a, b, seed=trial), abs=0.01)
 
 
 @given(
@@ -223,7 +234,7 @@ def test_rotated_iou_against_monte_carlo():
 def test_iou_symmetry(yaw_a, yaw_b, dx, dz):
     a = _box(yaw=yaw_a, l=3.0)
     b = _box(x=dx, z=dz, yaw=yaw_b, l=3.0)
-    assert iou_3d(a, b) == pytest.approx(iou_3d(b, a), abs=1e-12)
+    assert _iou(a, b) == pytest.approx(_iou(b, a), abs=1e-12)
 
 
 @given(
@@ -235,7 +246,7 @@ def test_iou_symmetry(yaw_a, yaw_b, dx, dz):
 def test_iou_rigid_motion_invariance(shift, tx, tz):
     a = _box(yaw=0.3, l=3.0)
     b = _box(x=0.8, z=0.4, yaw=-0.5, l=3.0)
-    base = iou_3d(a, b)
+    base = _iou(a, b)
 
     def moved(box):
         c, s = math.cos(shift), math.sin(shift)
@@ -246,14 +257,14 @@ def test_iou_rigid_motion_invariance(shift, tx, tz):
             box.yaw + shift,
         )
 
-    assert iou_3d(moved(a), moved(b)) == pytest.approx(base, abs=1e-9)
+    assert _iou(moved(a), moved(b)) == pytest.approx(base, abs=1e-9)
 
 
 def test_bev_intersection_disjoint_is_zero():
     a, b = _box(), _box(x=5.0)
     assert _clipped_area(_bev_corners_ref(a), _bev_corners_ref(b)) == 0.0
     assert _clipped_areas(bev_corners(_table([a])), bev_corners(_table([b]))).tolist() == [0.0]
-    assert iou_3d(a, b) == 0.0
+    assert _iou(a, b) == 0.0
 
 
 def test_bev_corners_equal_scalar_reference():
@@ -506,12 +517,12 @@ def test_match_frame_matches_loop_reference(iou_threshold):
         dets, gts = _crowded_frame(rng)
         assert _match(dets, gts, iou_threshold) == _match_frame_loop(dets, gts, iou_threshold)
         # the columns come in detection order
-        scores = match_frame(_table([b for b, _ in dets], [s for _, s in dets]), _table(gts), iou_threshold)[0]
+        scores = _match_tables(_table([b for b, _ in dets], [s for _, s in dets]), _table(gts), iou_threshold)[0]
         assert scores.tolist() == [s for _, s in dets]
     assert _match([], [_box()], iou_threshold) == []
     assert _match([(_box(), 0.5)], [], iou_threshold) == [(0.5, False, 0.0, 0.0)]
     # a detection without a score counts 1.0
-    assert _rows(match_frame(_table([_box()]), _table([]), iou_threshold)) == [(1.0, False, 0.0, 0.0)]
+    assert _rows(_match_tables(_table([_box()]), _table([]), iou_threshold)) == [(1.0, False, 0.0, 0.0)]
 
 
 def _big_frame(rng, n_gt=64, n_det=70):
@@ -619,7 +630,8 @@ def test_pair_ious_memory_grows_by_its_survivors_not_by_their_clipping():
     def peak(run):
         dets, det_offsets, gts, gt_offsets = _joined(run)
         d, g = metrics._frame_pairs(det_offsets, gt_offsets)
-        survivors = int(may_intersect(dets.location[d], dets.dims[d], gts.location[g], gts.dims[g]).sum())
+        cull_d, cull_g = metrics._Cull.of(dets.location, dets.dims), metrics._Cull.of(gts.location, gts.dims)
+        survivors = int(metrics._may_meet(cull_d.take(d), cull_g.take(g)).sum())
         tracemalloc.start()
         try:
             pair_ious(dets, det_offsets, gts, gt_offsets)
@@ -632,9 +644,10 @@ def test_pair_ious_memory_grows_by_its_survivors_not_by_their_clipping():
     assert peak_4 - peak_1 < 256 * ((survivors_4 - survivors_1) + (rows_4 - rows_1))
 
 
-def _may_intersect(a, b):
-    """may_intersect on the one rows of two tables."""
-    return bool(may_intersect(a.location, a.dims, b.location, b.dims)[0])
+def _may_meet(a, b):
+    """The cull's verdict on the one rows of two tables: whether the pair
+    survives it."""
+    return bool(metrics._may_meet(metrics._Cull.of(a.location, a.dims), metrics._Cull.of(b.location, b.dims))[0])
 
 
 @given(
@@ -663,10 +676,14 @@ def test_culled_pairs_have_zero_iou(dims_a, dims_b, yaw_a, yaw_b, direction, gap
     dist = max(reach + gap, 0.0)
     b = _box(origin[0] + dist * math.cos(direction), origin[1] + dy,
              origin[2] + dist * math.sin(direction), *dims_b, yaw_b)
-    culled = not _may_intersect(_table([a]), _table([b]))
-    assert culled == (not _may_intersect(_table([b]), _table([a])))
+    culled = not _may_meet(_table([a]), _table([b]))
+    assert culled == (not _may_meet(_table([b]), _table([a])))
     if culled:
-        assert _iou_ref(a, b) == _iou_ref(b, a) == iou_3d(a, b) == iou_3d(b, a) == 0.0
+        assert _iou_ref(a, b) == _iou_ref(b, a) == 0.0
+        # the clipping kernel, without the cull, agrees
+        ta, tb = _table([a]), _table([b])
+        assert metrics._ious(ta.location, ta.dims, tb.location, tb.dims, bev_corners(ta), bev_corners(tb)) == 0.0
+        assert metrics._ious(tb.location, tb.dims, ta.location, ta.dims, bev_corners(tb), bev_corners(ta)) == 0.0
         for first, second in ((a, b), (b, a)):
             assert all(len(v) == 0 for v in pair_ious(_table([first]), [0, 1], _table([second]), [0, 1]))
 
@@ -678,8 +695,8 @@ def test_box_with_a_non_positive_dimension_never_intersects():
         for value in (0.0, -1.0):
             gt = _table([_box(z=10.0)])
             gt.dims[0, k] = value
-            assert not _may_intersect(det, gt) and not _may_intersect(gt, det)
-            assert _rows(match_frame(det, gt, 0.5)) == [(0.9, False, 0.0, 0.0)]
+            assert not _may_meet(det, gt) and not _may_meet(gt, det)
+            assert _rows(_match_tables(det, gt, 0.5)) == [(0.9, False, 0.0, 0.0)]
 
 
 def test_match_frame_equal_iou_takes_first_ground_truth():
@@ -687,7 +704,7 @@ def test_match_frame_equal_iou_takes_first_ground_truth():
     # the first leaves the second detection only its below-threshold IoU
     gts = [_box(x=-0.5, h=1.5, w=2.0, l=4.0), _box(x=0.5, h=1.5, w=2.0, l=4.0)]
     dets = [(_box(h=1.5, w=2.0, l=4.0), 0.9), (_box(x=-0.5, h=1.5, w=2.0, l=4.0), 0.8)]
-    assert iou_3d(dets[0][0], gts[0]) == iou_3d(dets[0][0], gts[1]) == 10.5 / 13.5
+    assert _iou(dets[0][0], gts[0]) == _iou(dets[0][0], gts[1]) == 10.5 / 13.5
     assert _match(dets, gts, 0.7) == [
         (0.9, True, 1.0, 10.5 / 13.5),
         (0.8, False, 0.0, 0.6),

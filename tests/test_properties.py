@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, project_point, ray_angle, wrap_angle
+from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, project_point, wrap_angle
 from box3d.kitti_io import DetectionTable, PropertyTable
 from box3d.properties import (
     CAR_PRIOR,
@@ -192,7 +192,8 @@ def _decode_rows_loop(detections, properties, camera):
         theta_l = wrap_angle(centers[best] + math.atan2(sins[best], coss[best]))
         cbf = (0.5 * (box[0] + box[2]) + du, box[3] + dv)
         m = CAR_PRIOR.mean_dims
-        out.append([*box, m.h + dh, m.w + dw, m.l + dl, global_from_local(theta_l, ray_angle(camera, cbf[0])),
+        theta_ray = math.atan2(camera.fu, cbf[0] - camera.cu)  # the viewing ray's angle
+        out.append([*box, m.h + dh, m.w + dw, m.l + dl, global_from_local(theta_l, theta_ray),
                     alpha_from_local(theta_l), viewpoint, *cbf, *astuple(camera), score])
     return np.array(out).reshape(-1, 17)
 

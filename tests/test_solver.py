@@ -12,6 +12,7 @@ from box3d.camera import (
     CameraIntrinsics,
     Dimensions,
     project_point,
+    vertex_offsets,
     yaw_rotation,
 )
 from box3d.solver import (
@@ -25,7 +26,7 @@ from box3d.solver import (
     lift_batch,
 )
 from box3d.synthetic import SyntheticSceneSpec, generate_scene
-from box3d.viewpoints import selected_offsets, selection_matrices
+from box3d.viewpoints import selected_vertex_indices
 
 K = CameraIntrinsics(721.5377, 721.5377, 609.5593, 172.854)
 CAR = Dimensions(1.52, 1.64, 3.86)
@@ -167,7 +168,7 @@ def test_residuals_error_behind_camera():
 
 def _analytic_jacobian(t, row):
     """Independent oracle: hand-derived projective derivatives d r / d t."""
-    offsets = selected_offsets(selection_matrices(int(row.viewpoint[0])), Dimensions(*row.dims[0]))
+    offsets = vertex_offsets(Dimensions(*row.dims[0]))[list(selected_vertex_indices(int(row.viewpoint[0])))]
     rotated = offsets @ yaw_rotation(float(row.yaw[0])).T
     k = _camera(row)
     J = np.zeros((4, 3))
@@ -304,7 +305,7 @@ def test_solver_config_overrides():
 
 
 def _fd_prepared(rows, i):
-    offsets = selected_offsets(selection_matrices(int(rows.viewpoint[i])), Dimensions(*rows.dims[i]))
+    offsets = vertex_offsets(Dimensions(*rows.dims[i]))[list(selected_vertex_indices(int(rows.viewpoint[i])))]
     rotated = offsets @ yaw_rotation(float(rows.yaw[i])).T
     u_min, v_min, u_max, v_max = rows.box[i]
     return rotated, np.array([u_min, u_max, v_min, v_max])

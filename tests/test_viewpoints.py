@@ -19,9 +19,7 @@ from box3d.viewpoints import (
     format_viewpoint_table,
     local_yaw,
     octant_of_local_yaw,
-    selected_offsets,
     selected_vertex_indices,
-    selection_matrices,
 )
 
 K = CameraIntrinsics(721.5377, 721.5377, 609.5593, 172.854)
@@ -60,30 +58,15 @@ def _random_clean_poses(seed, n, angle_margin_deg=2.0):
 
 def test_table_has_16_entries_and_valid_ids():
     for vid in range(N_VIEWPOINTS):
-        assert selection_matrices(vid) is not None
+        assert len(selected_vertex_indices(vid)) == 4
     for bad in (-1, 16):
         with pytest.raises(ValueError):
-            selection_matrices(bad)
+            selected_vertex_indices(bad)
 
 
 def test_every_selected_offset_is_a_box_vertex():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        dims = Dimensions(*rng.uniform(0.5, 5.0, 3))
-        offsets = vertex_offsets(dims)
-        for vid in range(N_VIEWPOINTS):
-            sel = selected_offsets(selection_matrices(vid), dims)
-            for row in sel:
-                assert any(np.allclose(row, v, atol=0) for v in offsets)
-
-
-def test_selected_offsets_match_index_table():
-    dims = Dimensions(1.3, 1.9, 4.4)
-    offsets = vertex_offsets(dims)
     for vid in range(N_VIEWPOINTS):
-        sel = selected_offsets(selection_matrices(vid), dims)
-        for row, idx in zip(sel, selected_vertex_indices(vid)):
-            assert np.array_equal(row, offsets[idx])
+        assert all(0 <= i < 8 for i in selected_vertex_indices(vid))
 
 
 def test_left_right_selectors_never_share_a_vertical_edge():
@@ -93,39 +76,22 @@ def test_left_right_selectors_never_share_a_vertical_edge():
         assert (left & 4) != (right & 4) or (left & 1) != (right & 1)
 
 
-def test_matrix_entries_restricted():
-    allowed = {-1.0, -0.5, 0.0, 0.5, 1.0}
-    for vid in range(N_VIEWPOINTS):
-        for m in selection_matrices(vid).as_tuple():
-            assert set(np.unique(m)) <= allowed
-
-
 def test_frozen_corner_selectors_for_class_1():
     # regression pin of the top/bottom selectors for class 1 (first octant,
     # camera above the top face): top edge from the far top corner
     # (+l/2, -h, -w/2), bottom edge from the near bottom corner (-l/2, 0, +w/2)
-    sm = selection_matrices(1)
-    s3_expected = np.array(
-        [[0.5, 0, 0, 0], [0, -1, 0, 0], [0, 0, -0.5, 0], [0, 0, 0, 1.0]]
-    )
-    s4_expected = np.array(
-        [[-0.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 1.0]]
-    )
-    assert np.array_equal(sm.s3, s3_expected)
-    assert np.array_equal(sm.s4, s4_expected)
+    _, _, top, bottom = selected_vertex_indices(1)
+    assert (top, bottom) == (3, 4)
+    dims = Dimensions(1.0, 2.0, 4.0)
+    assert vertex_offsets(dims)[[top, bottom]].tolist() == [[2.0, -1.0, -1.0], [-2.0, 0.0, 1.0]]
 
 
 def test_mirror_classes_swap_left_right_with_w_flip():
-    flip = np.diag([1.0, 1.0, -1.0, 1.0])
     for octant in range(8):
         for above in (0, 1):
-            vid = 2 * octant + above
-            mirror_vid = 2 * (7 - octant) + above
-            sm, mm = selection_matrices(vid), selection_matrices(mirror_vid)
-            assert np.array_equal(mm.s1, flip @ sm.s2)
-            assert np.array_equal(mm.s2, flip @ sm.s1)
-            assert np.array_equal(mm.s3, flip @ sm.s3)
-            assert np.array_equal(mm.s4, flip @ sm.s4)
+            left, right, top, bottom = selected_vertex_indices(2 * octant + above)
+            # the mirror image flips the w sign, the 1 bit of a vertex index
+            assert selected_vertex_indices(2 * (7 - octant) + above) == (right ^ 1, left ^ 1, top ^ 1, bottom ^ 1)
 
 
 def test_format_viewpoint_table_lists_all_classes():
