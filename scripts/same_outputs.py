@@ -24,14 +24,15 @@ relative paths, so that the output names the same paths for both trees.
 Every written file and every command's stdout, stderr and exit code are
 compared.
 
-With ``--faults N``, each case then takes N seeded single faults, one at a
-time, in a file of its inputs or of the results of its ``solve``: a replaced
-token, a replaced byte, an added column, a deleted file, an empty directory
-in the file's place, or, in a property file, one more orientation bin in its
-header and every row.  Under each tree and for each fault, ``solve`` runs on
-the inputs, and ``depurate`` and ``eval`` on those results, in process, and
-their stdout, stderr and exit codes are compared.  Each tree sees the same
-faulted bytes.
+With ``--faults N``, each case then takes N seeded faults, one at a time, in
+a file of its inputs or of the results of its ``solve``: a replaced token, a
+replaced byte, an added column, a deleted file, an empty directory in the
+file's place, or, in a property file, one more orientation bin in its header
+and every row; or a pair, one of those in the file and a second drawn the
+same way in another file, so that the trees' first-fault order is compared.
+Under each tree and for each fault, ``solve`` runs on the inputs, and
+``depurate`` and ``eval`` on those results, in process, and their stdout,
+stderr and exit codes are compared.  Each tree sees the same faulted bytes.
 
 The exit code is 0 when all are identical and 1 otherwise, after one line per
 difference.
@@ -94,30 +95,32 @@ with open(sys.argv[2], "w") as f:
     json.dump([run(argv) for argv in commands], f)
 """
 
-# runs the commands once per fault: argv: FAULTS_JSON OUTCOMES_JSON, from a
-# case's directory
+# runs the commands once per fault, each a list of (path, kind, faulted text)
+# edits: argv: FAULTS_JSON OUTCOMES_JSON, from a case's directory
 FAULT_RUNNER = RUN + """
 with open(sys.argv[1]) as f:
     task = json.load(f)
 outcomes = []
-for path, kind, faulted in task["faults"]:
-    with open(path, "rb") as f:
-        original = f.read()
+for edits in task["faults"]:
+    originals = []
     try:
-        if kind == "delete":
-            os.remove(path)
-        elif kind == "dir":
-            os.remove(path)
-            os.mkdir(path)
-        else:
-            with open(path, "wb") as f:
-                f.write(faulted.encode("latin-1"))
+        for path, kind, faulted in edits:
+            with open(path, "rb") as f:
+                originals.append((path, f.read()))
+            if faulted is None:  # deleted, or an empty directory in its place
+                os.remove(path)
+                if kind == "dir":
+                    os.mkdir(path)
+            else:
+                with open(path, "wb") as f:
+                    f.write(faulted.encode("latin-1"))
         outcomes.append([run(argv) for argv in task["commands"]])
     finally:
-        if os.path.isdir(path):
-            os.rmdir(path)
-        with open(path, "wb") as f:
-            f.write(original)
+        for path, original in originals:
+            if os.path.isdir(path):
+                os.rmdir(path)
+            with open(path, "wb") as f:
+                f.write(original)
 with open(sys.argv[2], "w") as f:
     json.dump(outcomes, f)
 """
@@ -135,6 +138,9 @@ DEPURATION_CONFIG = "adjacency_iou_min = 0.2\ndepth_gap_max = 3\nheight_monotoni
 FAULT_TOKENS = ["nan", "inf", "-inf", "1e400", "x", "-1", "0", "16", "1.5", "#", "0x1", "1_0", "", "\u0663",
                 "999999999.9999995", "-0.0000004", "0.0000025", "1e9"]
 
+# the kinds of a single fault; a property file also takes "bins"
+FAULT_KINDS = ["token", "byte", "column", "delete", "dir"]
+
 
 def fault_commands(name):
     """The argv of the commands that each fault of a workload's case runs."""
@@ -148,39 +154,49 @@ def fault_commands(name):
     ]
 
 
+def _fault_in(rng, case, path, kinds):
+    """A fault of one of kinds drawn in a case directory's file (a blank file
+    is deleted): (path, kind, faulted text as latin-1, or None for a deleted
+    file or an empty directory in its place, or for a pair).  A property
+    file also takes one more orientation bin."""
+    raw = (case / path).read_bytes()
+    kinds = [*kinds, *(["bins"] if path.startswith("inputs/properties") else [])]
+    kind = rng.choice(kinds) if raw.strip() else "delete"
+    if kind == "token":
+        tokens = re.split(r"(\s+)", raw.decode())
+        tokens[rng.choice([j for j, t in enumerate(tokens) if t and not t.isspace()])] = rng.choice(FAULT_TOKENS)
+        raw = "".join(tokens).encode()
+    elif kind == "byte":
+        at = rng.randrange(len(raw))
+        raw = raw[:at] + bytes([rng.randrange(256)]) + raw[at + 1:]
+    elif kind == "column":
+        lines = raw.decode().splitlines(keepends=True)
+        j = rng.choice([j for j, line in enumerate(lines) if line.strip()])
+        body = lines[j].rstrip("\r\n")
+        lines[j] = body + " 0.5" + lines[j][len(body):]
+        raw = "".join(lines).encode()
+    elif kind == "bins":  # a bin count that differs from the other frames'
+        header, *rows = raw.decode().splitlines()
+        b = header.count("conf")
+        raw = "\n".join([f"{header} conf{b} sin{b} cos{b}", *(r + " 0 0 1" for r in rows)]).encode() + b"\n"
+    return path, kind, None if kind in ("delete", "dir", "pair") else raw.decode("latin-1")
+
+
 def make_faults(case, label, n):
-    """n (description, relative path, kind, faulted text as latin-1 or None
-    for a deleted file or an empty directory in its place) of a case
-    directory's input and result files, seeded by the case's label."""
+    """n (description, edits) of a case directory's input and result files,
+    seeded by the case's label: edits lists the one or two faulted files as
+    (relative path, kind, faulted text as latin-1 or None)."""
     files = sorted(str(p.relative_to(case)) for sub in ("inputs/calib", "inputs/detections", "inputs/properties",
                                                         "inputs/gt", "results") for p in (case / sub).glob("*.txt"))
     faults = []
     for i in range(n):
         rng = random.Random(f"{label} {i}")
-        path = rng.choice(files)
-        raw = (case / path).read_bytes()
-        kinds = ["token", "byte", "column", "delete", "dir",
-                 *(["bins"] if path.startswith("inputs/properties") else [])]
-        kind = rng.choice(kinds) if raw.strip() else "delete"
-        if kind == "token":
-            tokens = re.split(r"(\s+)", raw.decode())
-            tokens[rng.choice([j for j, t in enumerate(tokens) if t and not t.isspace()])] = rng.choice(FAULT_TOKENS)
-            raw = "".join(tokens).encode()
-        elif kind == "byte":
-            at = rng.randrange(len(raw))
-            raw = raw[:at] + bytes([rng.randrange(256)]) + raw[at + 1:]
-        elif kind == "column":
-            lines = raw.decode().splitlines(keepends=True)
-            j = rng.choice([j for j, line in enumerate(lines) if line.strip()])
-            body = lines[j].rstrip("\r\n")
-            lines[j] = body + " 0.5" + lines[j][len(body):]
-            raw = "".join(lines).encode()
-        elif kind == "bins":  # a bin count that differs from the other frames'
-            header, *rows = raw.decode().splitlines()
-            b = header.count("conf")
-            raw = "\n".join([f"{header} conf{b} sin{b} cos{b}", *(r + " 0 0 1" for r in rows)]).encode() + b"\n"
-        faults.append((f"#{i}: {kind} in {path}", path, kind,
-                       None if kind in ("delete", "dir") else raw.decode("latin-1")))
+        edits = [_fault_in(rng, case, rng.choice(files), [*FAULT_KINDS, "pair"])]
+        if edits[0][1] == "pair":  # a fault in the drawn file, then one in another, drawn the same way
+            path = edits[0][0]
+            edits = [_fault_in(rng, case, path, FAULT_KINDS),
+                     _fault_in(rng, case, rng.choice([f for f in files if f != path]), FAULT_KINDS)]
+        faults.append((f"#{i}: " + " and ".join(f"{kind} in {path}" for path, kind, _ in edits), edits))
     return faults
 
 
@@ -192,12 +208,12 @@ def run_faults(src, work, cases, faults):
     for name, seed, _ in cases:
         case = work / f"{name}-{seed}"
         task = case / "faults.json"
-        task.write_text(json.dumps({"faults": [fault[1:] for fault in faults[name, seed]],
+        task.write_text(json.dumps({"faults": [edits for _, edits in faults[name, seed]],
                                     "commands": fault_commands(name)}))
         subprocess.run([sys.executable, "-c", FAULT_RUNNER, "faults.json", "outcomes.json"], cwd=case, env=env,
                        check=True, timeout=3600)
         results = json.loads((case / "outcomes.json").read_text())
-        for (description, *_), ran in zip(faults[name, seed], results, strict=True):
+        for (description, _), ran in zip(faults[name, seed], results, strict=True):
             for argv, outcome in zip(fault_commands(name), ran):
                 outcomes[(name, seed, description, argv[0])] = tuple(outcome)
     return outcomes

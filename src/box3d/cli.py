@@ -96,7 +96,7 @@ class _FrameDir:
 
 def _read(directory, frame, kind):
     """The text of a frame's file in a _FrameDir; a missing or unreadable
-    one, or one that is not UTF-8, ends the run naming it."""
+    one, or one that is not UTF-8, raises ValueError naming it."""
     try:
         fd = directory.open(frame, os.O_RDONLY)
         try:
@@ -106,46 +106,44 @@ def _read(directory, frame, kind):
         finally:
             os.close(fd)
     except FileNotFoundError:
-        raise SystemExit(f"frame {frame}: missing {kind} file {directory.path_of(frame)}") from None
+        raise ValueError(f"missing {kind} file {directory.path_of(frame)}") from None
     except OSError as exc:
-        raise SystemExit(f"frame {frame}: cannot read {kind} file {directory.path_of(frame)}: "
-                         f"{exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {kind} file {directory.path_of(frame)}: {exc.strerror or exc}") from None
     raw = b"".join(chunks)
     try:
         return raw.decode()
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise SystemExit(f"frame {frame}: line {line}: {kind} file is not UTF-8 ({exc.reason})") from None
+        raise ValueError(f"line {line}: {kind} file is not UTF-8 ({exc.reason})") from None
 
 
 def _read_blocks(frames, readers):
-    """(frames, texts) blocks of whole frames of at most BLOCK_BYTES of text,
-    in order: texts holds, per reader, the list of its read(frame) texts.  A
-    read that ends the run is held in place of its text (see _texts)."""
-    block, texts, size = [], [[] for _ in readers], 0
+    """(frames, units) blocks of whole frames of at most BLOCK_BYTES of text,
+    in order: units holds, per frame, the tuple of its read(frame) texts.  A
+    read's ValueError is held in place of its text (see _texts)."""
+    block, units, size = [], [], 0
     for frame in frames:
         got, n = [], 0
         for read in readers:
             try:
                 text = read(frame)
                 n += len(text)
-            except SystemExit as fault:
+            except ValueError as fault:
                 text = fault
             got.append(text)
         if block and size + n > BLOCK_BYTES:
-            yield block, texts
-            block, texts, size = [], [[] for _ in readers], 0
+            yield block, units
+            block, units, size = [], [], 0
         block.append(frame)
-        for kind, text in zip(texts, got):
-            kind.append(text)
+        units.append(tuple(got))
         size += n
     if block:
-        yield block, texts
+        yield block, units
 
 
 def _texts(texts):
     """A reader's texts of a block, once no read of them failed; else the
-    first failed read ends the run."""
+    first failed read's ValueError is raised."""
     for text in texts:
         if not isinstance(text, str):
             raise text
@@ -155,20 +153,16 @@ def _texts(texts):
 def _parse_blocks(frames, readers, parse):
     """parse(*texts) of each block of whole frames (see _read_blocks), in
     order.  parse takes its steps in the order one frame takes them, and
-    passes each reader's texts through _texts before it first uses them.  A
-    block with a fault is parsed again a frame at a time, so that the run ends
-    on its first fault in frame order; a ValueError ends it as "frame F: ..."."""
+    passes each reader's texts through _texts before it first uses them, so
+    that a failed read is one step of its frame.  The run ends on its first
+    fault in frame order, which kitti_io.parse_units finds among the block's
+    frames, as "frame F: ..."."""
     parsed = []
-    for block, texts in _read_blocks(frames, readers):
+    for block, units in _read_blocks(frames, readers):
         try:
-            parsed.append(parse(*texts))
-        except (ValueError, SystemExit):
-            for frame, *one in zip(block, *texts):
-                try:
-                    parse(*([text] for text in one))
-                except ValueError as exc:
-                    raise SystemExit(f"frame {frame}: {exc}") from None
-            raise
+            parsed.append(kitti_io.parse_units(lambda part: parse(*zip(*part)), units))
+        except kitti_io.ParseError as exc:
+            raise SystemExit(f"frame {block[exc.frame]}: {exc}") from None
     return parsed
 
 
@@ -366,7 +360,10 @@ def cmd_eval(args):
     gt_frames, result_frames = _frames_in(args.gt), set(_frames_in(args.results))
     with _FrameDir(args.gt) as gt_dir, _FrameDir(args.results) as result_dir:
         for frame in sorted(result_frames - set(gt_frames)):
-            text = _read(result_dir, frame, "result")
+            try:
+                text = _read(result_dir, frame, "result")
+            except ValueError as exc:
+                raise SystemExit(f"frame {frame}: {exc}") from None
             n_det = sum(1 for line in text.splitlines() if line.strip())
             print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)",
                   file=sys.stderr)
@@ -425,22 +422,26 @@ def cmd_synth(args):
     spec = _load_config(args.spec, SyntheticSceneSpec())
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+
+    def scene(i):
+        try:
+            return generate_scene(replace(spec, seed=spec.seed + i), f"{i:06d}")
+        except RuntimeError as exc:  # the spec leaves no pose to sample
+            raise SystemExit(f"frame {i:06d}: {exc}") from None
+
+    first = scene(0) if args.frames else None  # before any write: a spec may leave no pose
     calib, dets, props, gt_dir = (_FrameDir(os.path.join(args.out, sub))
                                   for sub in ("calib", "detections", "properties", "gt"))
     for directory in (calib, dets, props, gt_dir):
         _make_dir(directory.path)
     with calib, dets, props, gt_dir:
         for i in range(args.frames):
-            frame = f"{i:06d}"
-            try:
-                gt, detections, properties = generate_scene(replace(spec, seed=spec.seed + i), frame)
-            except RuntimeError as exc:  # the spec leaves no pose to sample
-                raise SystemExit(f"frame {frame}: {exc}") from None
+            gt, detections, properties = scene(i) if i else first
             for directory, text in ((calib, kitti_io.write_calib(gt.camera)),
                                     (gt_dir, kitti_io.write_labels(gt.objects)),
                                     (dets, kitti_io.write_detections(detections)),
                                     (props, kitti_io.write_properties(properties))):
-                _write_frame(directory, frame, text.encode())
+                _write_frame(directory, f"{i:06d}", text.encode())
     print(f"wrote {args.frames} frames under {args.out}")
 
 

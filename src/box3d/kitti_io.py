@@ -6,10 +6,11 @@ become one table (a float array with a row per object and the rows' class
 names, see Table) and the frames' row offsets (see Parsed), in one pass that
 splits lines and tokens and converts every number of the block with Python's
 float().  Each kind has one parser, and a block it rejects is bisected with
-the same parser: first its texts, each part after the block's first text,
-then the first failing text's rows (a property row after its text's header;
-a calibration text whole) and the text after the block's first, so that the
-first fault in frame order raises ParseError naming its frame and line.
+the same parser (parse_units, which the CLI also runs on a block's frames):
+first its texts, each part after the block's first text, then the first
+failing text's rows (a property row after its text's header; a calibration
+text whole) and the text after the block's first, so that the first fault
+in frame order raises ParseError naming its frame and line.
 Label rows follow the 15/16-column KITTI layout (score column optional):
 
     type truncated occluded alpha  u_min v_min u_max v_max  h w l  x y z  ry [score]
@@ -164,21 +165,22 @@ def _first_failing(fails, n):
     return lo
 
 
-def _parse(parse, texts, pieces):
-    """parse(texts), a kind's block parser.  Where the block fails, the first
-    failing text is found by bisection, each part parsed after the block's
-    first text; then the first failing piece of that text's (n, block of one
-    text) pieces(text), or else the text after the block's first, the same
-    way.  That piece, parsed alone, raises ParseError naming the text, as
-    "line n: ..." where n > 0.  A block fails exactly when one of its texts,
-    or one of a text's pieces, does."""
+def parse_units(parse, units, pieces=lambda unit: [(0, [unit])]):
+    """parse(units), a parser of a block of units: a kind's texts, or the
+    CLI's frames.  Where the block fails, the first failing unit is found by
+    bisection, each part parsed after the block's first unit; then the first
+    failing piece of that unit's (n, block of one unit) pieces(unit), by
+    default the unit whole, or else the unit after the block's first, the
+    same way.  That piece, parsed alone, raises ParseError naming the unit,
+    as "line n: ..." where n > 0.  A block fails exactly when one of its
+    units, or one of a unit's pieces, does."""
     try:
-        return parse(texts)
+        return parse(units)
     except (ValueError, OverflowError):
-        frame = _first_failing(lambda lo, hi: _fails(parse, [*texts[:1], *texts[max(lo, 1):hi]]), len(texts))
-        units = [*pieces(texts[frame]), (0, [texts[0], texts[frame]])]
-        n, piece = units[_first_failing(
-            lambda lo, hi: _fails(parse, [text for _, block in units[lo:hi] for text in block]), len(units))]
+        frame = _first_failing(lambda lo, hi: _fails(parse, [*units[:1], *units[max(lo, 1):hi]]), len(units))
+        tried = [*pieces(units[frame]), (0, [units[0], units[frame]])]
+        n, piece = tried[_first_failing(
+            lambda lo, hi: _fails(parse, [unit for _, block in tried[lo:hi] for unit in block]), len(tried))]
         try:
             parse(piece)
         except (ValueError, OverflowError) as exc:
@@ -217,7 +219,7 @@ def parse_calib(texts) -> np.ndarray:
     projection matrix, whose translation column is ignored (single-camera
     use).  A text without a P2 line, with a P2 line of another length, or
     whose intrinsics CameraIntrinsics rejects raises ParseError."""
-    return _parse(_calib, texts, lambda text: [(0, [text])])
+    return parse_units(_calib, texts)
 
 
 def write_calib(k: CameraIntrinsics) -> str:
@@ -263,7 +265,7 @@ def _labels(texts):
 def parse_labels(texts) -> Parsed:
     """The label rows of a block of frames' texts; a bad row raises
     ParseError."""
-    return _parse(_labels, texts, _rows)
+    return parse_units(_labels, texts, _rows)
 
 
 # tables of fewer rows are written a row at a time: the array pass's fixed
@@ -392,7 +394,7 @@ def _detections(texts):
 def parse_detections(texts) -> Parsed:
     """The 2D detection rows of a block of frames' texts: class u_min v_min
     u_max v_max score.  A bad row raises ParseError."""
-    return _parse(_detections, texts, _rows)
+    return parse_units(_detections, texts, _rows)
 
 
 def write_detections(table: DetectionTable) -> str:
@@ -469,7 +471,7 @@ def parse_properties(texts) -> Parsed:
     after its column header, which names at least one bin; all frames name
     the same bins.  A bad row or header raises ParseError, its line number
     counting the header."""
-    return _parse(_properties, texts, _header_rows)
+    return parse_units(_properties, texts, _header_rows)
 
 
 # ---------------------------------------------------------------------------

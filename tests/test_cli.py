@@ -266,6 +266,73 @@ def test_run_with_two_faults_names_the_first(pipeline_dirs, tmp_path, monkeypatc
     assert info.value.code == message
 
 
+@pytest.fixture(scope="module")
+def six_frame_run(tmp_path_factory):
+    """Each file of a 6-frame synth run and of its `box3d solve` results, as
+    bytes by relative path."""
+    root = tmp_path_factory.mktemp("six")
+    assert main(["synth", "--out", str(root), "--frames", "6", "--seed", "3"]) == 0
+    assert main(_solve_argv(root, root / "results")) == 0
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*.txt"))}
+
+
+_FILE_FAULTS = ("missing", "directory", "not UTF-8", "malformed row")
+# (directory, fault kind): the faults that each directory of a run takes
+_FAULT_PLACES = [*((sub, kind) for sub in ("calib", "detections", "properties", "gt", "results")
+                   for kind in _FILE_FAULTS),
+                 ("detections", "extra detection row"), ("properties", "one more bin")]
+
+
+def _put_fault(path, kind, data):
+    """A fault of a kind in the file at path."""
+    raw = path.read_bytes()
+    if kind in ("missing", "directory"):
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+        return
+    if kind == "not UTF-8":
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    elif kind == "malformed row":
+        raw = {"calib": b"P2: 1 2 3\n", "properties": raw + b"1 2\n"}.get(path.parent.name, raw + b"Car 1 2\n")
+    elif kind == "extra detection row":
+        raw += b"Car 10 20 30 40 0.9\n"
+    else:  # one more orientation bin, in the header and in every row
+        header, *rows = raw.decode().splitlines()
+        b = header.count("conf")
+        raw = "\n".join([f"{header} conf{b} sin{b} cos{b}", *(r + " 0 0 1" for r in rows)]).encode() + b"\n"
+    path.write_bytes(raw)
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_run_with_two_random_faults_names_the_same_first_at_any_block_size(six_frame_run, data):
+    """Two faults in random frames and files of a run: each command exits
+    with the same line whether each frame is a block of its own, where no
+    frame's fault is looked for among other frames, or the run is one
+    block."""
+    faults = data.draw(st.lists(st.tuples(st.sampled_from(_FAULT_PLACES), st.integers(0, 5)),
+                                min_size=2, max_size=2, unique_by=lambda fault: (fault[0][0], fault[1])))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for rel, raw in six_frame_run.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_bytes(raw)
+        for (sub, kind), f in faults:
+            _put_fault(root / sub / f"{f:06d}.txt", kind, data)
+        lines = {}
+        for budget in (1, 1 << 16):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "BLOCK_BYTES", budget)
+                lines[budget] = [_exit_line(argv) for argv in (
+                    _solve_argv(root, root / f"solved-{budget}"),
+                    ["depurate", "--in", str(root / "results"), "--calib", str(root / "calib"),
+                     "--out", str(root / f"kept-{budget}")],
+                    ["eval", "--results", str(root / "results"), "--gt", str(root / "gt")])]
+        assert lines[1] == lines[1 << 16]
+
+
 def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path, capsys):
     results, kept = tmp_path / "results", tmp_path / "kept"
     assert _solve(pipeline_dirs, results) == 0
@@ -719,6 +786,14 @@ def test_synth_spec_without_a_pose_exits_naming_the_frame(tmp_path, capsys, text
         main(["synth", "--out", str(tmp_path / "out"), "--frames", "2", "--spec", str(cfg)])
     assert exc.value.code == "frame 000000: could not sample an acceptable pose; loosen the spec ranges"
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_of_no_frames_makes_four_empty_directories(tmp_path):
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--frames", "0"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["calib", "detections", "gt", "properties"]
+    assert not any(out.rglob("*.txt"))
 
 
 @pytest.mark.parametrize("size", ["1242", "0x375", "1242x-5", "infx375", "1242xnan", "axb", "1x2x3"])

@@ -699,6 +699,26 @@ def test_a_bad_row_is_named_in_logarithmically_many_parses(monkeypatch, n_frames
     assert len(calls) <= 2 + math.ceil(math.log2(n_frames)) + math.ceil(math.log2(n_rows + 2))
 
 
+def test_the_cli_names_a_bad_frame_in_logarithmically_many_parses(monkeypatch):
+    """One bisection among a block's frames names the bad frame: the
+    command's parse is not run again a frame at a time."""
+    calls = []
+
+    def parse(texts):
+        calls.append(len(texts))
+        return parse_labels(cli._texts(texts))
+
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 1 << 30)
+    frames = [f"{i:06d}" for i in range(1024)]
+    texts = [write_labels(LabelTable(np.zeros((1, 15)), ["Car"]))] * len(frames)
+    texts[-1] += "Car 1 2\n"
+    with pytest.raises(SystemExit) as info:
+        cli._parse_blocks(frames, [dict(zip(frames, texts)).__getitem__], parse)
+    assert info.value.code == "frame 001023: line 2: label row has 3 columns, expected 15 or 16"
+    # the block; halves of the frames; the bad frame alone, then after the block's first; the bad frame alone
+    assert len(calls) <= 3 + math.ceil(math.log2(len(frames)))
+
+
 # ---------------------------------------------------------------------------
 # key-value configs
 
