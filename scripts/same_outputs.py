@@ -10,7 +10,9 @@ it stands) and each seed, each tree:
 
 - writes the workload's inputs as the benchmark's set-up does: ``box3d
   synth`` plus the injected false detections;
-- runs ``box3d solve`` with and without ``--no-refine``;
+- runs ``box3d solve`` with and without ``--no-refine``, and once more with
+  ``--config`` and a solver config it writes into the case
+  (``SOLVER_CONFIG``);
 - runs ``box3d depurate`` on both results, and once more on the refined
   results with ``--config`` and a non-default config it writes into the case
   (``DEPURATION_CONFIG``);
@@ -125,6 +127,11 @@ with open(sys.argv[2], "w") as f:
     json.dump(outcomes, f)
 """
 
+# solver tolerances off the defaults, written as a case's `solver.cfg`: with
+# no tolerance every refined row runs until its line search stalls, which
+# then walks all its step scales
+SOLVER_CONFIG = "step_tol = 0\nresidual_change_tol = 0\nmax_halvings = 3\n"
+
 # depuration thresholds off the defaults, written as a case's `depuration.cfg`:
 # a narrower adjacency, a smaller depth gap and no height band reach rule
 # outcomes and report lines that the defaults never give on the benchmark mixes
@@ -232,6 +239,9 @@ def commands(name, seed, frames):
         kept = results.replace("results", "kept")
         runs.append((f"depurate {results}", box3d + ["depurate", "--in", results, "--calib", "inputs/calib",
                                                      "--out", kept]))
+    runs.append(("solve --config", box3d + ["solve", "--calib", "inputs/calib", "--detections", "inputs/detections",
+                                            "--properties", "inputs/properties", "--out", "results_config",
+                                            "--config", "solver.cfg"]))
     runs.append(("depurate results --config", box3d + ["depurate", "--in", "results", "--calib", "inputs/calib",
                                                         "--out", "kept_config", "--config", "depuration.cfg"]))
     return runs
@@ -263,6 +273,7 @@ def run_tree(src, work, cases):
     for name, seed, frames in cases:
         case = work / f"{name}-{seed}"
         case.mkdir(parents=True)
+        (case / "solver.cfg").write_text(SOLVER_CONFIG)
         (case / "depuration.cfg").write_text(DEPURATION_CONFIG)
         for label, argv in commands(name, seed, frames):
             out = subprocess.run(argv, cwd=case, env=env, capture_output=True, timeout=600)

@@ -10,9 +10,17 @@ constraints tying the selected 3D corners to the 2D box edges.
 ``LIFT_BLOCK_ROWS`` rows per vectorised pass, and gives every row a status
 instead of raising.  ``gauss_newton_refine`` runs stage two alone, from
 given starting locations.
+
+Gauss-Newton works on four columns per row, one per constraint.  Its line
+search takes each step at the first of the scales 1, 1/2, ...,
+2^-max_halvings that decreases the residual norm, and tries the next k
+scales of every row still searching in one pass, k being the rows still
+iterating over the rows searching.  The scales are powers of two and each
+trial is computed on its own, so the results do not depend on the grouping.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +54,8 @@ class SolverConfig:
         # a NaN margin would switch the truncation gate off
         check_fields(self, ("max_iterations", "step_tol", "residual_change_tol", "damping", "max_halvings",
                             "truncation_margin_px"))
+        check_fields(self, ("max_iterations", "max_halvings"), lambda v: isinstance(v, numbers.Integral),
+                     "an integer")
 
 
 DEFAULT_SOLVER_CONFIG = SolverConfig()
@@ -162,54 +172,57 @@ _SELECTED = np.array([selected_vertex_indices(v) for v in range(N_VIEWPOINTS)])
 _UNIT_OFFSETS = vertex_offsets(Dimensions(1.0, 1.0, 1.0))[_SELECTED]
 _VIEWPOINT_IDS = np.arange(N_VIEWPOINTS)
 
+# the image axis of each constraint [u_left, u_right, v_top, v_bottom]: 0 for u, 1 for v
+_AXIS = [0, 0, 1, 1]
+
 
 def _prepared(rows: DecodedRows):
-    """Camera-frame offsets of each row's four selected corners, (n, 4, 3),
-    and the 2D edges they must touch, [u_min, u_max, v_min, v_max] (n, 4)."""
+    """The four tight-fit constraints of each row as one (5, n, 4) array of
+    columns [u_left, u_right, v_top, v_bottom]: its selected corner's
+    camera-frame offset along the constraint's image axis (x for u, y for v)
+    and in depth, the focal length and principal point of that axis, and the
+    2D edge the corner must touch."""
     dims, vp = rows.dims, rows.viewpoint.astype(np.intp)
     ox, oy, oz = np.moveaxis(_UNIT_OFFSETS[vp] * dims[:, None, [2, 0, 1]], 2, 0)
     yaw = rows.yaw[:, None]
     c, s = np.cos(yaw), np.sin(yaw)  # rotation about the (downward) y axis
-    rotated = np.stack([ox * c + oz * s, oy, oz * c - ox * s], axis=2)
-    return rotated, rows.box[:, [0, 2, 1, 3]]
+    across = np.concatenate([ox[:, :2] * c + oz[:, :2] * s, oy[:, 2:]], axis=1)
+    cam = rows.camera
+    return np.stack([across, oz * c - ox * s, cam[:, [0, 0, 1, 1]], cam[:, [2, 2, 3, 3]], rows.box[:, [0, 2, 1, 3]]])
 
 
-def _residuals(t, rotated, targets, cam):
-    """Tight-fit residuals [u_left, u_right, v_top, v_bottom] in pixels of n
-    rows at candidate bottom-face centers t (n, 3), and which rows have a
-    selected corner at or behind the camera."""
-    verts = rotated + t[:, None, :]
-    z = verts[:, :, 2]
-    proj = np.empty_like(targets)
-    proj[:, :2] = cam[:, 2:3] + cam[:, 0:1] * verts[:, :2, 0] / z[:, :2]
-    proj[:, 2:] = cam[:, 3:4] + cam[:, 1:2] * verts[:, 2:, 1] / z[:, 2:]
-    return proj - targets, (z <= 0.0).any(axis=1)
+def _residuals(t, cols):
+    """Tight-fit residuals [u_left, u_right, v_top, v_bottom] in pixels at
+    candidate bottom-face centers t (..., 3) of constraint columns cols
+    (5, ..., 4) that broadcast with them, and where a selected corner is at
+    or behind the camera."""
+    across, depth, focal, center, targets = cols
+    z = depth + t[..., 2:]
+    return center + focal * (across + t[..., _AXIS]) / z - targets, (z <= 0.0).any(axis=-1)
 
 
 def _norm(a):
-    return np.sqrt((a * a).sum(axis=1))
+    return np.sqrt((a * a).sum(axis=-1))
 
 
-def _normal_equations(t, r, rotated, cam):
+def _pairs(a):
+    """(n, 4) -> (n, 2): the sums over the two u and over the two v constraints."""
+    return a.reshape(-1, 2, 2).sum(axis=2)
+
+
+def _normal_equations(t, r, cols):
     """J^T J (n, 3, 3) and J^T r (n, 3) from the analytic Jacobian of the
     residuals: du/dt = fu*(1/z, 0, -x/z^2) on the two u rows and
     dv/dt = fv*(0, 1/z, -y/z^2) on the two v rows."""
-    verts = rotated + t[:, None, :]
-    z = verts[:, :, 2]
-    a = cam[:, 0:1] / z[:, :2]            # du/dtx
-    b = -a * verts[:, :2, 0] / z[:, :2]   # du/dtz
-    c = cam[:, 1:2] / z[:, 2:]            # dv/dty
-    d = -c * verts[:, 2:, 1] / z[:, 2:]   # dv/dtz
-    ab, cd = (a * b).sum(axis=1), (c * d).sum(axis=1)
-    H = np.zeros((len(t), 3, 3))
-    H[:, 0, 0] = (a * a).sum(axis=1)
-    H[:, 1, 1] = (c * c).sum(axis=1)
-    H[:, 2, 2] = (b * b).sum(axis=1) + (d * d).sum(axis=1)
-    H[:, 0, 2] = H[:, 2, 0] = ab
-    H[:, 1, 2] = H[:, 2, 1] = cd
-    ru, rv = r[:, :2], r[:, 2:]
-    g = np.stack([(a * ru).sum(axis=1), (c * rv).sum(axis=1), (b * ru).sum(axis=1) + (d * rv).sum(axis=1)], axis=1)
-    return H, g
+    across, depth, focal = cols[:3]
+    z = depth + t[:, 2:]
+    p = focal / z                               # along the constraint's axis
+    q = -p * (across + t[:, _AXIS]) / z         # along z
+    (hxx, hyy), (hxz, hyz), zz = _pairs(p * p).T, _pairs(p * q).T, _pairs(q * q)
+    (gx, gy), gz = _pairs(p * r).T, _pairs(q * r)
+    zero = np.zeros(len(t))
+    H = np.stack([hxx, zero, hxz, zero, hyy, hyz, hxz, hyz, zz[:, 0] + zz[:, 1]], axis=1).reshape(-1, 3, 3)
+    return H, np.stack([gx, gy, gz[:, 0] + gz[:, 1]], axis=1)
 
 
 def _normal_step(H, g, damping):
@@ -232,15 +245,19 @@ def _normal_step(H, g, damping):
     return step, singular
 
 
-def _gauss_newton(t0, rotated, targets, cam, config: SolverConfig):
-    """Gauss-Newton on the tight-fit equations of n rows at once.
+def _gauss_newton(t0, cols, config: SolverConfig):
+    """Gauss-Newton on the tight-fit equations of n rows at once, from
+    starts t0 (n, 3), on their constraint columns cols (see _prepared).
 
-    Each row takes plain Gauss-Newton steps, halved up to max_halvings times
-    until the residual norm decreases.  It stops converged when no halving
-    decreases it (already at a local minimum) or when the accepted step or
-    the residual decrease falls below its tolerance.  A selected corner
-    behind the camera at t0, or normal equations still singular after
-    damping, stop it failed at t0.
+    Each row takes plain Gauss-Newton steps, each at the first of the scales
+    1, 1/2, ..., 2^-max_halvings that decreases the residual norm.  It stops
+    converged when no scale decreases it (already at a local minimum) or
+    when the accepted step or the residual decrease falls below its
+    tolerance.  A selected corner behind the camera at t0, or normal
+    equations still singular after damping, stop it failed at t0.
+
+    The line search groups scales into passes as the module docstring
+    says; a pass holds no more trial rows than the rows still iterating.
 
     Returns (location, iterations, final residual norm, converged, failed).
     """
@@ -249,34 +266,38 @@ def _gauss_newton(t0, rotated, targets, cam, config: SolverConfig):
     iterations = np.zeros(n, dtype=np.int64)
     final = np.full(n, math.inf)
     converged = np.zeros(n, dtype=bool)
-    r, failed = _residuals(t0, rotated, targets, cam)
+    r, failed = _residuals(t0, cols)
     act = np.flatnonzero(~failed)  # rows still iterating
-    t, r, rotated, targets, cam = t0[act], r[act], rotated[act], targets[act], cam[act]
+    t, r, cols = t0[act], r[act], cols[:, act]
     rnorm = _norm(r)
     for it in range(config.max_iterations):
         if not act.size:
             break
-        step, singular = _normal_step(*_normal_equations(t, r, rotated, cam), config.damping)
+        step, singular = _normal_step(*_normal_equations(t, r, cols), config.damping)
 
-        alpha = np.ones(len(act))
+        scale = np.ones(len(act))
         accepted = np.zeros(len(act), dtype=bool)
         t_new, r_new, rnorm_new = t.copy(), r.copy(), rnorm.copy()
-        searching = ~singular
-        for _ in range(config.max_halvings + 1):
-            s = np.flatnonzero(searching)
-            if not s.size:
-                break
-            t_try = t[s] - alpha[s, None] * step[s]
-            r_try, behind = _residuals(t_try, rotated[s], targets[s], cam[s])
+        s = np.flatnonzero(~singular)  # rows still searching
+        tried = 0  # scales tried so far by every searching row
+        while s.size and tried <= config.max_halvings:
+            k = min(max(len(act) // len(s), 1), config.max_halvings + 1 - tried)
+            scales = np.ldexp(1.0, -np.arange(tried, tried + k))
+            t_try = t[s, None] - scales[:, None] * step[s, None]  # (len(s), k, 3)
+            r_try, behind = _residuals(t_try, cols[:, s, None])
             rnorm_try = _norm(r_try)
-            better = ~behind & (rnorm_try < rnorm[s])
-            won = s[better]
-            t_new[won], r_new[won], rnorm_new[won] = t_try[better], r_try[better], rnorm_try[better]
-            accepted[won] = True
-            searching[won] = False
-            alpha[s[~better]] *= 0.5
+            better = ~behind & (rnorm_try < rnorm[s, None])
+            first = better.argmax(axis=1)  # each row's first scale that decreases
+            won = better.any(axis=1)
+            pick = np.flatnonzero(won), first[won]
+            w = s[won]
+            t_new[w], r_new[w], rnorm_new[w] = t_try[pick], r_try[pick], rnorm_try[pick]
+            scale[w] = scales[pick[1]]
+            accepted[w] = True
+            s = s[~won]
+            tried += k
 
-        small = (_norm(alpha[:, None] * step) < config.step_tol) | (
+        small = (_norm(scale[:, None] * step) < config.step_tol) | (
             rnorm - rnorm_new < config.residual_change_tol
         )
         t, r, rnorm = t_new, r_new, rnorm_new
@@ -290,8 +311,7 @@ def _gauss_newton(t0, rotated, targets, cam, config: SolverConfig):
         failed[stop] = ~ok
         location[stop[ok]] = t[done][ok]
         keep = ~done
-        act, t, r, rnorm = act[keep], t[keep], r[keep], rnorm[keep]
-        rotated, targets, cam = rotated[keep], targets[keep], cam[keep]
+        act, t, r, rnorm, cols = act[keep], t[keep], r[keep], rnorm[keep], cols[:, keep]
     location[act] = t
     iterations[act] = config.max_iterations
     final[act] = rnorm
@@ -347,8 +367,7 @@ def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOL
             gated = _truncated(box[good], image_size, config.truncation_margin_px)
             codes[lift[gated]] = _TRUNCATED
             refine = lift[~gated]
-            rotated, targets = _prepared(rows[refine])
-            t, it, rnorm, conv, failed = _gauss_newton(t0[~gated], rotated, targets, rows.camera[refine], config)
+            t, it, rnorm, conv, failed = _gauss_newton(t0[~gated], _prepared(rows[refine]), config)
             location[refine], iterations[refine], residual[refine], converged[refine] = t, it, rnorm, conv
             used[refine] = True
             codes[refine[failed]] = _REFINE_FAILED
@@ -365,9 +384,8 @@ def gauss_newton_refine(t0, rows: DecodedRows, config: SolverConfig = DEFAULT_SO
     Every row has used_refinement set and status ok or refine_failed; a
     failed row keeps its start.
     """
-    rotated, targets = _prepared(rows)
     t0 = np.asarray(t0, dtype=float).reshape(-1, 3)
     with np.errstate(all="ignore"):
-        t, it, rnorm, conv, failed = _gauss_newton(t0, rotated, targets, rows.camera, config)
+        t, it, rnorm, conv, failed = _gauss_newton(t0, _prepared(rows), config)
     status = np.array(STATUSES)[np.where(failed, _REFINE_FAILED, _OK)]
     return LiftResult(t, status, np.ones(len(t), dtype=bool), it, rnorm, conv)

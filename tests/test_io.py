@@ -771,6 +771,14 @@ def test_coerce_out_of_range_value_names_key(config, key, raw):
         coerce_fields(config, {key: raw})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_halvings", 2.5), ("max_halvings", 3.0), ("max_iterations", float("inf")),
+])
+def test_solver_config_rejects_a_count_that_is_not_an_integer(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got {value!r}$"):
+        SolverConfig(**{key: value})
+
+
 def test_parse_keyvalue_line_without_equals_raises():
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_keyvalue("refine false\n")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import box3d.solver as solver
 from box3d.camera import (
     BehindCameraError,
     Box2D,
@@ -19,6 +20,7 @@ from box3d.solver import (
     STATUSES,
     DecodedRows,
     SolverConfig,
+    _normal_step,
     _prepared,
     _residuals,
     decode_rows,
@@ -70,9 +72,8 @@ def _fit_residuals(t, row: DecodedRows):
     """The package's tight-fit residuals [u_left, u_right, v_top, v_bottom]
     of a one-row table at candidate bottom-face center t, and whether a
     selected corner is at or behind the camera there."""
-    rotated, targets = _prepared(row)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r, behind = _residuals(np.asarray(t, dtype=float).reshape(1, 3), rotated, targets, row.camera)
+        r, behind = _residuals(np.asarray(t, dtype=float).reshape(1, 3), _prepared(row))
     return r[0], bool(behind[0])
 
 
@@ -477,8 +478,6 @@ def test_lift_batch_rows_are_independent_of_the_batch(config):
 
 
 def test_lift_batch_blocks_do_not_change_results(monkeypatch):
-    import box3d.solver as solver
-
     rows = _mixed_rows()
     whole = lift_batch(rows, IMAGE)
     monkeypatch.setattr(solver, "LIFT_BLOCK_ROWS", 3)
@@ -526,3 +525,156 @@ def test_lift_batch_never_raises_on_finite_input(rows):
     assert set(result.status) <= set(STATUSES)
     assert np.isfinite(result.location[result.lifted]).all()
     assert np.isnan(result.location[~result.lifted]).all()
+
+
+# ---------------------------------------------------------------------------
+# the batched line search against the one-scale-per-pass Gauss-Newton it replaced
+
+
+def _sequential_prepared(rows):
+    """Camera-frame offsets of each row's four selected corners, (n, 4, 3),
+    the 2D edges they must touch, [u_min, u_max, v_min, v_max] (n, 4), and
+    the rows' cameras (n, 4)."""
+    dims, vp = rows.dims, rows.viewpoint.astype(np.intp)
+    ox, oy, oz = np.moveaxis(solver._UNIT_OFFSETS[vp] * dims[:, None, [2, 0, 1]], 2, 0)
+    yaw = rows.yaw[:, None]
+    c, s = np.cos(yaw), np.sin(yaw)
+    rotated = np.stack([ox * c + oz * s, oy, oz * c - ox * s], axis=2)
+    return rotated, rows.box[:, [0, 2, 1, 3]], rows.camera
+
+
+def _sequential_residuals(t, rotated, targets, cam):
+    verts = rotated + t[:, None, :]
+    z = verts[:, :, 2]
+    proj = np.empty_like(targets)
+    proj[:, :2] = cam[:, 2:3] + cam[:, 0:1] * verts[:, :2, 0] / z[:, :2]
+    proj[:, 2:] = cam[:, 3:4] + cam[:, 1:2] * verts[:, 2:, 1] / z[:, 2:]
+    return proj - targets, (z <= 0.0).any(axis=1)
+
+
+def _sequential_norm(a):
+    return np.sqrt((a * a).sum(axis=1))
+
+
+def _sequential_normal_equations(t, r, rotated, cam):
+    verts = rotated + t[:, None, :]
+    z = verts[:, :, 2]
+    a = cam[:, 0:1] / z[:, :2]
+    b = -a * verts[:, :2, 0] / z[:, :2]
+    c = cam[:, 1:2] / z[:, 2:]
+    d = -c * verts[:, 2:, 1] / z[:, 2:]
+    ab, cd = (a * b).sum(axis=1), (c * d).sum(axis=1)
+    H = np.zeros((len(t), 3, 3))
+    H[:, 0, 0] = (a * a).sum(axis=1)
+    H[:, 1, 1] = (c * c).sum(axis=1)
+    H[:, 2, 2] = (b * b).sum(axis=1) + (d * d).sum(axis=1)
+    H[:, 0, 2] = H[:, 2, 0] = ab
+    H[:, 1, 2] = H[:, 2, 1] = cd
+    ru, rv = r[:, :2], r[:, 2:]
+    g = np.stack([(a * ru).sum(axis=1), (c * rv).sum(axis=1), (b * ru).sum(axis=1) + (d * rv).sum(axis=1)], axis=1)
+    return H, g
+
+
+def _sequential_gauss_newton(t0, prepared, config):
+    """Reference: the vectorised Gauss-Newton whose line search tries one
+    step scale per pass, on (n, 4, 3) corners; the arguments and results of
+    solver._gauss_newton."""
+    rotated, targets, cam = prepared
+    n = len(t0)
+    location = t0.copy()
+    iterations = np.zeros(n, dtype=np.int64)
+    final = np.full(n, math.inf)
+    converged = np.zeros(n, dtype=bool)
+    r, failed = _sequential_residuals(t0, rotated, targets, cam)
+    act = np.flatnonzero(~failed)
+    t, r, rotated, targets, cam = t0[act], r[act], rotated[act], targets[act], cam[act]
+    rnorm = _sequential_norm(r)
+    for it in range(config.max_iterations):
+        if not act.size:
+            break
+        step, singular = _normal_step(*_sequential_normal_equations(t, r, rotated, cam), config.damping)
+        alpha = np.ones(len(act))
+        accepted = np.zeros(len(act), dtype=bool)
+        t_new, r_new, rnorm_new = t.copy(), r.copy(), rnorm.copy()
+        searching = ~singular
+        for _ in range(config.max_halvings + 1):
+            s = np.flatnonzero(searching)
+            if not s.size:
+                break
+            t_try = t[s] - alpha[s, None] * step[s]
+            r_try, behind = _sequential_residuals(t_try, rotated[s], targets[s], cam[s])
+            rnorm_try = _sequential_norm(r_try)
+            better = ~behind & (rnorm_try < rnorm[s])
+            won = s[better]
+            t_new[won], r_new[won], rnorm_new[won] = t_try[better], r_try[better], rnorm_try[better]
+            accepted[won] = True
+            searching[won] = False
+            alpha[s[~better]] *= 0.5
+        small = (_sequential_norm(alpha[:, None] * step) < config.step_tol) | (
+            rnorm - rnorm_new < config.residual_change_tol
+        )
+        t, r, rnorm = t_new, r_new, rnorm_new
+        done = ~accepted | small
+        stop = act[done]
+        ok = ~singular[done]
+        iterations[stop] = it + ok
+        final[stop] = rnorm[done]
+        converged[stop] = ok
+        failed[stop] = ~ok
+        location[stop[ok]] = t[done][ok]
+        keep = ~done
+        act, t, r, rnorm = act[keep], t[keep], r[keep], rnorm[keep]
+        rotated, targets, cam = rotated[keep], targets[keep], cam[keep]
+    location[act] = t
+    iterations[act] = config.max_iterations
+    final[act] = rnorm
+    return location, iterations, final, converged, failed
+
+
+SEARCH_CONFIGS = {
+    "default": SolverConfig(),
+    "max_halvings_0": SolverConfig(max_halvings=0),
+    "max_halvings_1": SolverConfig(max_halvings=1),
+    "max_halvings_3": SolverConfig(max_halvings=3),
+    "max_halvings_40": SolverConfig(max_halvings=40),
+    "every_row_stalls": SolverConfig(step_tol=0.0, residual_change_tol=0.0),
+    "no_damping": SolverConfig(damping=0.0),
+    "block_rows_3": SolverConfig(),
+}
+
+
+@pytest.mark.parametrize("rows_of", [
+    _mixed_rows, lambda: _decoded_run(range(300), box_noise_sigma=1.0),
+], ids=["mixed", "box_noise_1px"])
+@pytest.mark.parametrize("name", SEARCH_CONFIGS)
+def test_lift_batch_equals_the_sequential_line_search(monkeypatch, rows_of, name):
+    rows, config = rows_of(), SEARCH_CONFIGS[name]
+    if name == "block_rows_3":
+        monkeypatch.setattr(solver, "LIFT_BLOCK_ROWS", 3)
+    batched = lift_batch(rows, IMAGE, config)
+    monkeypatch.setattr(solver, "_prepared", _sequential_prepared)
+    monkeypatch.setattr(solver, "_gauss_newton", _sequential_gauss_newton)
+    sequential = lift_batch(rows, IMAGE, config)
+    assert batched.used_refinement.any()
+    for field in ("location", "status", "used_refinement", "iterations", "residual", "converged"):
+        assert np.array_equal(getattr(batched, field), getattr(sequential, field),
+                              equal_nan=field in ("location", "residual")), field
+
+
+def test_a_line_search_pass_holds_no_more_rows_than_its_block(monkeypatch):
+    rows = _decoded_run(range(300), box_noise_sigma=1.0)
+    block = 100
+    monkeypatch.setattr(solver, "LIFT_BLOCK_ROWS", block)
+    calls = []
+
+    def counted(t, cols):
+        calls.append(t.shape[:-1])
+        return _residuals(t, cols)
+
+    monkeypatch.setattr(solver, "_residuals", counted)
+    # no tolerance stops a row, so every row ends in a stalled line search
+    # that walks all 41 scales
+    result = lift_batch(rows, IMAGE, SolverConfig(step_tol=0.0, residual_change_tol=0.0, max_halvings=40))
+    assert len(rows) > 2 * block and result.used_refinement.sum() > block
+    assert max(int(np.prod(shape)) for shape in calls) <= block
+    assert any(len(shape) == 2 and shape[1] > 1 for shape in calls)  # some pass tried several scales
