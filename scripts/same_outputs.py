@@ -18,7 +18,10 @@ it stands) and each seed, each tree:
   (``DEPURATION_CONFIG``);
 - runs ``box3d eval --json`` on both results and both sets of kept frames,
   at every combination of ``--iou``, ``--recall-points`` and
-  ``--difficulty`` (16 per output), in process in one fresh interpreter.
+  ``--difficulty`` (16 per output), and once on the refined results against
+  a copy of the ground truth without its last frame (``UNSCORED_GT``, so
+  that one result frame is not scored), in process in one fresh
+  interpreter.
 
 Every other command runs in a fresh interpreter of its own.  Each tree is on
 PYTHONPATH, and each case runs from a working directory of its own with
@@ -137,6 +140,10 @@ SOLVER_CONFIG = "step_tol = 0\nresidual_change_tol = 0\nmax_halvings = 3\n"
 # outcomes and report lines that the defaults never give on the benchmark mixes
 DEPURATION_CONFIG = "adjacency_iou_min = 0.2\ndepth_gap_max = 3\nheight_monotonic_eps = 0\n"
 
+# a case's copy of its ground truth without the last frame, outside the
+# inputs and results that the seeded faults are drawn from
+UNSCORED_GT = "gt_without_last"
+
 # tokens a replaced-token fault puts in.  The finite ones on the second line
 # reach the edges of the label writer's array pass: written back, they read
 # 1000000000.000000 (10 whole digits), -0.000000, 0.000003 (whose float
@@ -249,7 +256,8 @@ def commands(name, seed, frames):
 
 def eval_grid():
     """(label, argv) of `box3d eval --json` on each output of a case, at every
-    IoU threshold, recall grid and difficulty that eval takes."""
+    IoU threshold, recall grid and difficulty that eval takes, then on the
+    refined results against UNSCORED_GT."""
     runs = []
     for scored in ("results", "kept", "results_closed_form", "kept_closed_form"):
         for iou in ("0.5", "0.7"):
@@ -259,6 +267,8 @@ def eval_grid():
                     runs.append((f"eval {scored} {' '.join(flags)}",
                                  ["eval", "--results", scored, "--gt", "inputs/gt", *flags,
                                   "--json", f"{scored}-{iou}-{points}-{difficulty}.json"]))
+    runs.append((f"eval results --gt {UNSCORED_GT}",
+                 ["eval", "--results", "results", "--gt", UNSCORED_GT, "--json", "results-unscored.json"]))
     return runs
 
 
@@ -278,6 +288,9 @@ def run_tree(src, work, cases):
         for label, argv in commands(name, seed, frames):
             out = subprocess.run(argv, cwd=case, env=env, capture_output=True, timeout=600)
             outcomes[(name, seed, label)] = (out.returncode, out.stdout, out.stderr)
+        (case / UNSCORED_GT).mkdir()
+        for path in sorted((case / "inputs" / "gt").glob("*.txt"))[:-1]:
+            (case / UNSCORED_GT / path.name).write_bytes(path.read_bytes())
         grid, ran = work / f"{name}-{seed}-grid.json", work / f"{name}-{seed}-grid-outcomes.json"
         grid.write_text(json.dumps([argv for _, argv in eval_grid()]))
         subprocess.run([sys.executable, "-c", COMMAND_RUNNER, str(grid), str(ran)], cwd=case, env=env,

@@ -64,18 +64,6 @@ class Box2D(NamedTuple):
     u_max: float
     v_max: float
 
-    @property
-    def width(self):
-        return self.u_max - self.u_min
-
-    @property
-    def height(self):
-        return self.v_max - self.v_min
-
-    @property
-    def center_u(self):
-        return 0.5 * (self.u_min + self.u_max)
-
 
 def box_iou_2d(a, b) -> float:
     """Intersection over union of two image boxes given as (u_min, v_min,

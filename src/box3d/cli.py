@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain, compress
 
 import numpy as np
 
@@ -120,14 +121,15 @@ def _read(directory, frame, kind):
 def _read_blocks(frames, readers):
     """(frames, units) blocks of whole frames of at most BLOCK_BYTES of text,
     in order: units holds, per frame, the tuple of its read(frame) texts.  A
-    read's ValueError is held in place of its text (see _texts)."""
+    read's ValueError is held in place of its text (see _texts); a read may
+    give None for a frame that has no file of its kind."""
     block, units, size = [], [], 0
     for frame in frames:
         got, n = [], 0
         for read in readers:
             try:
                 text = read(frame)
-                n += len(text)
+                n += len(text or "")
             except ValueError as fault:
                 text = fault
             got.append(text)
@@ -340,35 +342,30 @@ def cmd_depurate(args):
     print(f"removed {len(report_lines)} detections; report -> {report}")
 
 
-def _parse_run(gt_dir, result_dir, gt_frames, result_frames):
-    """The ground truths and the results of the ground-truth frames, read
-    from their _FrameDirs, each joined into one table (a frame without a
-    result file has no results), with the frames' row offsets."""
-
-    def parse(gts, results):
-        return kitti_io.parse_labels(_texts(gts)), kitti_io.parse_labels(_texts(results))
-
-    blocks = _parse_blocks(gt_frames, [
-        lambda f: _read(gt_dir, f, "ground-truth"),
-        lambda f: _read(result_dir, f, "result") if f in result_frames else "",
-    ], parse) or [parse([], [])]
-    return [kitti_io.join(kind) for kind in zip(*blocks)]
-
-
 def cmd_eval(args):
     recall_points = RECALL_POINTS_11 if args.recall_points == 11 else RECALL_POINTS_40
-    gt_frames, result_frames = _frames_in(args.gt), set(_frames_in(args.results))
+    gt_frames, result_frames = _frames_in(args.gt), _frames_in(args.results)
+    has_gt, has_result = set(gt_frames), set(result_frames)
+
+    def parse(gts, results):
+        # a frame with a ground-truth file is scored, with no results where it
+        # has no result file; a frame without one only has its results counted
+        scored = [gt is not None for gt in gts]
+        return (kitti_io.parse_labels(_texts([*compress(gts, scored)])),
+                kitti_io.parse_labels(_texts([*compress(results, scored)])),
+                [sum(1 for line in text.splitlines() if line.strip())
+                 for text in _texts([r for r, s in zip(results, scored) if not s])])
+
+    # every frame is parsed first, so that one IoU pass covers the whole run
     with _FrameDir(args.gt) as gt_dir, _FrameDir(args.results) as result_dir:
-        for frame in sorted(result_frames - set(gt_frames)):
-            try:
-                text = _read(result_dir, frame, "result")
-            except ValueError as exc:
-                raise SystemExit(f"frame {frame}: {exc}") from None
-            n_det = sum(1 for line in text.splitlines() if line.strip())
-            print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)",
-                  file=sys.stderr)
-        # every frame is parsed first, so that one IoU pass covers the whole run
-        (gt, gt_offsets), (det, det_offsets) = _parse_run(gt_dir, result_dir, gt_frames, result_frames)
+        blocks = _parse_blocks(sorted(has_gt | has_result), [
+            lambda f: _read(gt_dir, f, "ground-truth") if f in has_gt else None,
+            lambda f: _read(result_dir, f, "result") if f in has_result else "",
+        ], parse) or [parse([], [])]
+    gts, dets, n_unscored = zip(*blocks)
+    for frame, n_det in zip([f for f in result_frames if f not in has_gt], chain.from_iterable(n_unscored)):
+        print(f"box3d eval: frame {frame}: not scored ({n_det} detections, no ground-truth file)", file=sys.stderr)
+    (gt, gt_offsets), (det, det_offsets) = kitti_io.join(gts), kitti_io.join(dets)
     with np.errstate(all="ignore"):
         height = gt.box[:, 3] - gt.box[:, 1]
     scored = (gt.cls != "DontCare") & passes_difficulty(height, gt.occluded, gt.truncated, args.difficulty)

@@ -38,6 +38,8 @@ class DepurationConfig:
         # a NaN threshold would switch its rule off
         check_fields(self, ("dim_tolerance", "vertical_slack", "height_monotonic_eps", "adjacency_iou_min",
                             "depth_gap_max"))
+        # an infinite mean dimension would fail the dims rule on every row
+        check_fields(self, ("mean_dims",), lambda d: all(map(math.isfinite, (d.h, d.w, d.l))), "finite")
         if not self.vertical_centers or not all(map(math.isfinite, self.vertical_centers)):
             raise ValueError("vertical_centers must be one or more finite numbers")
         if list(self.vertical_centers) != sorted(self.vertical_centers):

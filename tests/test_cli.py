@@ -237,6 +237,11 @@ def _first_fault_case(data, tmp_path, case):
         n_line = malformed(data / "gt" / "000001.txt")
         (results / "000003.txt").write_bytes(b"Car \xff\n")
         return eval_argv, f"frame 000001: line {n_line}: label row has 3 columns, expected 15 or 16"
+    if case == "eval: a bad ground truth, then an unscored result that is not UTF-8":
+        n_line = malformed(data / "gt" / "000001.txt")
+        (data / "gt" / "000003.txt").unlink()
+        (results / "000003.txt").write_bytes(b"Car \xff\n")
+        return eval_argv, f"frame 000001: line {n_line}: label row has 3 columns, expected 15 or 16"
     n_line = malformed(data / "gt" / "000002.txt")  # eval: the same, in one frame
     (results / "000002.txt").write_bytes(b"Car \xff\n")
     return eval_argv, f"frame 000002: line {n_line}: label row has 3 columns, expected 15 or 16"
@@ -255,6 +260,7 @@ def _solve_argv(data, out):
     "depurate: a bad calibration, then a result of the same frame that is not UTF-8",
     "eval: a bad ground truth, then a result that is not UTF-8",
     "eval: a bad ground truth, then a result that is not UTF-8, in one frame",
+    "eval: a bad ground truth, then an unscored result that is not UTF-8",
 ])
 def test_run_with_two_faults_names_the_first(pipeline_dirs, tmp_path, monkeypatch, case, budget):
     """Whether the frames are parsed one block at a time or all in one, the
@@ -333,24 +339,27 @@ def test_run_with_two_random_faults_names_the_same_first_at_any_block_size(six_f
         assert lines[1] == lines[1 << 16]
 
 
-def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path, capsys):
+def test_eval_reports_result_frames_without_ground_truth(pipeline_dirs, tmp_path, capsys, monkeypatch):
+    """Unscored frames are read in the block pass with the scored ones, one
+    block per frame or all in one, and reported in frame order."""
     results, kept = tmp_path / "results", tmp_path / "kept"
     assert _solve(pipeline_dirs, results) == 0
     assert main(["depurate", "--in", str(results), "--calib", str(pipeline_dirs / "calib"),
                  "--out", str(kept)]) == 0
-    n_det = len(parse_labels([(kept / "000001.txt").read_text()]).objects)
-    (pipeline_dirs / "gt" / "000001.txt").unlink()
-    capsys.readouterr()
+    n_det = {i: len(parse_labels([(kept / f"{i:06d}.txt").read_text()]).objects) for i in range(4)}
+    for i in (1, 3):
+        (pipeline_dirs / "gt" / f"{i:06d}.txt").unlink()
     json_path = tmp_path / "metrics.json"
-    assert main(["eval", "--results", str(kept), "--gt", str(pipeline_dirs / "gt"),
-                 "--json", str(json_path)]) == 0
-    # one line for the unscored frame, none for the depuration report
-    assert capsys.readouterr().err.splitlines() == [
-        f"box3d eval: frame 000001: not scored ({n_det} detections, no ground-truth file)"
-    ]
-    assert json.loads(json_path.read_text())["n_det"] == sum(
-        len(parse_labels([(kept / f"{i:06d}.txt").read_text()]).objects) for i in (0, 2, 3)
-    )
+    for budget in (1, 1 << 16):
+        monkeypatch.setattr(cli, "BLOCK_BYTES", budget)
+        capsys.readouterr()
+        assert main(["eval", "--results", str(kept), "--gt", str(pipeline_dirs / "gt"),
+                     "--json", str(json_path)]) == 0
+        # one line per unscored frame, none for the depuration report
+        assert capsys.readouterr().err.splitlines() == [
+            f"box3d eval: frame {i:06d}: not scored ({n_det[i]} detections, no ground-truth file)" for i in (1, 3)
+        ]
+        assert json.loads(json_path.read_text())["n_det"] == n_det[0] + n_det[2]
 
 
 def _unlistable(tmp_path):
@@ -594,6 +603,33 @@ def test_run_level_writer_equals_per_frame_writes(tmp_path, capsys):
     assert (kept / "depuration_report.txt").read_text().startswith("000002 object ")
 
 
+def test_write_blocks_of_any_row_count_write_the_same_bytes(tmp_path, monkeypatch, capsys):
+    """solve and depurate write the same files whether a write block holds 1,
+    2, 5 or the default WRITE_BLOCK_ROWS rows, on a run where solve skips
+    rows and depuration removes rows."""
+    spec, data = tmp_path / "spec.cfg", tmp_path / "data"
+    spec.write_text("allow_truncated = true\n")
+    assert main(["synth", "--out", str(data), "--frames", "20", "--seed", "0", "--spec", str(spec)]) == 0
+    # a detection above the horizon that depuration removes
+    with (data / "detections" / "000002.txt").open("a") as f:
+        f.write("Car 520.0 60.0 640.0 130.0 0.95\n")
+    with (data / "properties" / "000002.txt").open("a") as f:
+        f.write("0 0 0 5 0 0 1 0.389418342 0.921060994 0 0 1\n")
+    written, default = {}, cli.WRITE_BLOCK_ROWS
+    for rows in (default, 1, 2, 5):
+        monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", rows)
+        out = tmp_path / f"rows-{rows}"
+        capsys.readouterr()
+        assert _solve(data, out / "results") == 0
+        assert len(_skipped_rows(capsys.readouterr().err)) == 6
+        assert main(["depurate", "--in", str(out / "results"), "--calib", str(data / "calib"),
+                     "--out", str(out / "kept")]) == 0
+        assert (out / "kept" / "depuration_report.txt").read_text()
+        written[rows] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.txt"))}
+    assert len(written[1]) == 41
+    assert written[1] == written[2] == written[5] == written[default]
+
+
 def test_solve_refine_field_matches_no_refine_flag(pipeline_dirs, tmp_path):
     cfg = tmp_path / "solver.cfg"
     cfg.write_text("refine = false\n")
@@ -741,6 +777,7 @@ def test_bad_config_file_exits_naming_it(pipeline_dirs, tmp_path, text, message)
     ("vertical_slack = nan\n", "vertical_slack must be a non-negative number, got nan"),
     ("vertical_centers =\n", "vertical_centers must be one or more finite numbers"),
     ("vertical_centers = 1.2, inf\n", "vertical_centers must be one or more finite numbers"),
+    ("mean_dims = inf 1.64 3.86\n", "mean_dims must be finite, got Dimensions(h=inf, w=1.64, l=3.86)"),
 ])
 def test_bad_depuration_config_exits_naming_it(pipeline_dirs, tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"

@@ -73,8 +73,10 @@ def _depurate_loop(scene, camera, cfg):
         return (min(cfg.vertical_centers) - cfg.vertical_slack <= y
                 <= max(cfg.vertical_centers) + cfg.vertical_slack)
 
+    height = [b2.v_max - b2.v_min for b2, _ in scene]
+    center_u = [0.5 * (b2.u_min + b2.u_max) for b2, _ in scene]
     height_depth_ok = [True] * n
-    residual = [abs(b2.height * b3.location[2] - camera.fv * b3.dims.h) for b2, b3 in scene]
+    residual = [abs(h * b3.location[2] - camera.fv * b3.dims.h) for h, (_, b3) in zip(height, scene)]
     for i in range(n):
         for j in range(i + 1, n):
             b3i, b3j = scene[i][1], scene[j][1]
@@ -86,7 +88,7 @@ def _depurate_loop(scene, camera, cfg):
                 far, near = j, i
             else:
                 continue
-            if scene[far][0].height >= scene[near][0].height:
+            if height[far] >= height[near]:
                 height_depth_ok[far if residual[far] >= residual[near] else near] = False
 
     adjacent_ok = [True] * n
@@ -100,9 +102,9 @@ def _depurate_loop(scene, camera, cfg):
             if box_iou_2d(b2i, b2j) <= cfg.adjacency_iou_min:
                 continue
             gap = abs(b3i.location[2] - b3j.location[2])
-            if b2j.center_u < b2i.center_u:
+            if center_u[j] < center_u[i]:
                 left_gaps.append(gap)
-            elif b2j.center_u > b2i.center_u:
+            elif center_u[j] > center_u[i]:
                 right_gaps.append(gap)
         if left_gaps and right_gaps:
             if min(left_gaps) > cfg.depth_gap_max and min(right_gaps) > cfg.depth_gap_max:

@@ -764,11 +764,23 @@ def test_coerce_bad_value_names_key(key, raw):
         ("max_halvings", "-1"))),
     *((DepurationConfig(), key, raw) for key, raw in (
         ("vertical_slack", "nan"), ("depth_gap_max", "nan"), ("dim_tolerance", "-0.5"),
-        ("vertical_centers", ""), ("vertical_centers", "1, inf"), ("vertical_centers", "2, 1"))),
+        ("vertical_centers", ""), ("vertical_centers", "1, inf"), ("vertical_centers", "2, 1"),
+        ("mean_dims", "inf 1.64 3.86"), ("mean_dims", "1.5, 1e400, 3.9"))),
 ])
 def test_coerce_out_of_range_value_names_key(config, key, raw):
     with pytest.raises(ValueError, match=rf"^{key} must be"):
         coerce_fields(config, {key: raw})
+
+
+@pytest.mark.parametrize("raw", ["1.5 1.6 3.9", "1.5, 1.6, 3.9", " 1.5,1.6 ,3.9 "])
+def test_coerce_mean_dims_takes_three_numbers(raw):
+    assert coerce_fields(DepurationConfig(), {"mean_dims": raw}).mean_dims == Dimensions(1.5, 1.6, 3.9)
+
+
+@pytest.mark.parametrize("raw", ["1.5 1.6", "1.5 0 3.9"])
+def test_coerce_mean_dims_refuses_two_numbers_or_a_zero(raw):
+    with pytest.raises(ValueError, match=r"^config key 'mean_dims': "):
+        coerce_fields(DepurationConfig(), {"mean_dims": raw})
 
 
 @pytest.mark.parametrize("key, value", [
