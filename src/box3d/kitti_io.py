@@ -505,8 +505,10 @@ def _coerce(current, raw: str):
     if isinstance(current, tuple):
         return tuple(float(v) for v in raw.replace(",", " ").split())
     if isinstance(current, Dimensions):
-        h, w, l = (float(v) for v in raw.replace(",", " ").split())
-        return Dimensions(h, w, l)
+        values = [float(v) for v in raw.replace(",", " ").split()]
+        if len(values) != 3:
+            raise ValueError(f"expected three numbers (h w l), got {len(values)}")
+        return Dimensions(*values)
     return raw
 
 

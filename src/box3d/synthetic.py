@@ -182,7 +182,7 @@ def generate_scene(spec: SyntheticSceneSpec, frame_id: str = "000000"):
         cbf = tuple(project_point(k, b.location))
         theta_ray = math.atan2(b.location[2], b.location[0])
         theta_l = local_from_global(b.yaw, theta_ray)
-        viewpoint = classify_viewpoint(b, k)
+        viewpoint = classify_viewpoint(b)
 
         # untruncated, unoccluded, no score
         gt_rows.append([0.0, 0.0, alpha_from_local(theta_l), *box, b.dims.h, b.dims.w, b.dims.l,

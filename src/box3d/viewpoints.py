@@ -95,7 +95,7 @@ def octant_of_local_yaw(theta_l: float) -> int:
     return min(7, math.ceil(t / QUARTER_PI) - 1)
 
 
-def classify_viewpoint(b: Box3D, k: CameraIntrinsics) -> int:
+def classify_viewpoint(b: Box3D) -> int:
     """Viewpoint class of a pose; the ground-truth labeler for synthetic data."""
     above = b.location[1] > b.dims.h
     return 2 * octant_of_local_yaw(local_yaw(b)) + (1 if above else 0)

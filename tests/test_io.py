@@ -777,9 +777,13 @@ def test_coerce_mean_dims_takes_three_numbers(raw):
     assert coerce_fields(DepurationConfig(), {"mean_dims": raw}).mean_dims == Dimensions(1.5, 1.6, 3.9)
 
 
-@pytest.mark.parametrize("raw", ["1.5 1.6", "1.5 0 3.9"])
-def test_coerce_mean_dims_refuses_two_numbers_or_a_zero(raw):
-    with pytest.raises(ValueError, match=r"^config key 'mean_dims': "):
+@pytest.mark.parametrize("raw, message", [
+    ("1.5 1.6", r"expected three numbers \(h w l\), got 2$"),
+    ("1.5 1.6 3.9 4.0", r"expected three numbers \(h w l\), got 4$"),
+    ("1.5 0 3.9", r"dimensions must be positive, got \(1.5, 0.0, 3.9\)$"),
+], ids=["1.5 1.6", "1.5 1.6 3.9 4.0", "1.5 0 3.9"])
+def test_coerce_mean_dims_refuses_two_numbers_or_a_zero(raw, message):
+    with pytest.raises(ValueError, match=r"^config key 'mean_dims': " + message):
         coerce_fields(DepurationConfig(), {"mean_dims": raw})
 
 

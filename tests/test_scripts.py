@@ -17,12 +17,6 @@ def _run(script, *args):
     return out.stdout
 
 
-def test_noise_sweep_prints_table():
-    lines = _run("noise_sweep.py", "--scenes", "5", "--levels", "0", "1").splitlines()
-    assert lines[0].split() == ["sigma_px", "init_med", "ref_med", "ref_p90", "ref_max"]
-    assert [float(line.split()[0]) for line in lines[1:]] == [0.0, 1.0]
-
-
 def test_pipeline_demo_prints_sections(tmp_path):
     stdout = _run("pipeline_demo.py", "--frames", "4", "--out", str(tmp_path / "demo"))
     for heading in ("== metrics before depuration ==", "== metrics after depuration ==",

@@ -117,7 +117,7 @@ def test_facing_camera_look_down_class_is_documented_id():
     assert 2 * octant_of_local_yaw(0.0) + 1 == 15
     b = _pose(-1e-9, depth=20.0)
     assert b.location[1] > b.dims.h
-    assert classify_viewpoint(b, K) == 15
+    assert classify_viewpoint(b) == 15
 
 
 def test_classification_deterministic_and_in_range():
@@ -128,16 +128,16 @@ def test_classification_deterministic_and_in_range():
             CAR,
             rng.uniform(-math.pi, math.pi),
         )
-        vid = classify_viewpoint(b, K)
+        vid = classify_viewpoint(b)
         assert 0 <= vid < 16
-        assert vid == classify_viewpoint(b, K)
+        assert vid == classify_viewpoint(b)
 
 
 def test_camera_above_flag_flips_class_parity():
     low = _pose(0.5, y=1.0)   # camera above the top plane? 1.0 < h -> no
     high = _pose(0.5, y=2.0)  # 2.0 > h -> yes
-    assert classify_viewpoint(low, K) % 2 == 0
-    assert classify_viewpoint(high, K) % 2 == 1
+    assert classify_viewpoint(low) % 2 == 0
+    assert classify_viewpoint(high) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def test_extremal_raises_behind_camera():
 
 def test_front_right_pose_extremes_in_both_numbering_conventions():
     b = _pose(math.radians(30.0), depth=25.0)
-    assert classify_viewpoint(b, K) == 1
+    assert classify_viewpoint(b) == 1
     left, right, top, bottom = extremal_vertices(b, K)
     assert (top, bottom, left, right) == (3, 4, 0, 5)
     assert (
@@ -186,13 +186,13 @@ def test_half_turn_swaps_u_extremes_to_opposite_columns():
 def test_table_matches_oracle_on_clean_poses():
     poses = _random_clean_poses(seed=101, n=500)
     for b in poses:
-        assert extremal_vertices(b, K) == selected_vertex_indices(classify_viewpoint(b, K))
+        assert extremal_vertices(b, K) == selected_vertex_indices(classify_viewpoint(b))
 
 
 def test_agreement_rate_away_from_boundaries_at_least_99pct():
     poses = _random_clean_poses(seed=202, n=500)
     hits = sum(
-        extremal_vertices(b, K) == selected_vertex_indices(classify_viewpoint(b, K))
+        extremal_vertices(b, K) == selected_vertex_indices(classify_viewpoint(b))
         for b in poses
     )
     assert hits / len(poses) >= 0.99
