@@ -27,7 +27,8 @@ Every other command runs in a fresh interpreter of its own.  Each tree is on
 PYTHONPATH, and each case runs from a working directory of its own with
 relative paths, so that the output names the same paths for both trees.
 Every written file and every command's stdout, stderr and exit code are
-compared.
+compared.  The line of a label frame file that differs says in how many rows
+and which fields, each with its largest absolute difference.
 
 With ``--faults N``, each case then takes N seeded faults, one at a time, in
 a file of its inputs or of the results of its ``solve``: a replaced token, a
@@ -51,6 +52,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -303,14 +305,42 @@ def run_tree(src, work, cases):
     return outcomes, files
 
 
-def differences(base, new):
-    """One line per key whose value differs or that only one side has."""
+# the fields of a KITTI label line, the last only in result and kept frames
+LABEL_FIELDS = ("type", "truncated", "occluded", "alpha", "u_min", "v_min", "u_max", "v_max",
+                "h", "w", "l", "x", "y", "z", "ry", "score")
+
+
+def label_difference(base, new):
+    """Where two label frame files differ, as 'k of n rows; x by 1e-06, z by
+    2e-06': each differing field with its largest absolute difference, taken
+    on the written decimals.  None unless both are label frames of the same
+    rows and the same number of fields in each."""
+    try:
+        a, b = ([line.split() for line in text.decode().splitlines()] for text in (base, new))
+        if len(a) != len(b) or any(len(x) != len(y) or len(x) not in (15, 16) for x, y in zip(a, b)):
+            return None
+        largest = {}
+        for x, y in zip(a, b):
+            for j, (u, v) in enumerate(zip(x, y)):
+                if u != v:
+                    largest[j] = max(largest.get(j, 0), 0 if j == 0 else abs(Decimal(u) - Decimal(v)))
+    except (UnicodeDecodeError, InvalidOperation):
+        return None
+    fields = ", ".join(LABEL_FIELDS[j] if j == 0 else f"{LABEL_FIELDS[j]} by {float(d):g}"
+                       for j, d in sorted(largest.items()))
+    return f"{sum(x != y for x, y in zip(a, b))} of {len(a)} rows; {fields}"
+
+
+def differences(base, new, detail=lambda base, new: None):
+    """One line per key whose value differs or that only one side has; a
+    differing pair's detail, where it gives one, follows on its line."""
     lines = []
     for key in sorted(base.keys() | new.keys()):
         if key not in base or key not in new:
             lines.append(f"{key}: only in {'base' if key in base else 'new'}")
         elif base[key] != new[key]:
-            lines.append(f"{key}: differs")
+            how = detail(base[key], new[key])
+            lines.append(f"{key}: differs" + (f": {how}" if how else ""))
     return lines
 
 
@@ -333,7 +363,7 @@ def main(argv=None):
             base_faults = run_faults(args.base_src, Path(tmp) / "base", cases, faults)
             new_faults = run_faults(ROOT / "src", Path(tmp) / "new", cases, faults)
     diffs = [f"command {line}" for line in differences(base_out, new_out)]
-    diffs += [f"file {line}" for line in differences(base_files, new_files)]
+    diffs += [f"file {line}" for line in differences(base_files, new_files, label_difference)]
     fault_diffs = [f"fault {line}" for line in differences(base_faults, new_faults)] if args.faults else []
     for line in diffs + fault_diffs:
         print(line)

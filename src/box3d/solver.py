@@ -11,7 +11,8 @@ constraints tying the selected 3D corners to the 2D box edges.
 instead of raising.  ``gauss_newton_refine`` runs stage two alone, from
 given starting locations.
 
-Gauss-Newton works on four columns per row, one per constraint.  Its line
+Gauss-Newton works on four columns per row, one per constraint, and solves
+its 3x3 normal equations in closed form, with no LAPACK call.  Its line
 search takes each step at the first of the scales 1, 1/2, ...,
 2^-max_halvings that decreases the residual norm, and tries the next k
 scales of every row still searching in one pass, k being the rows still
@@ -46,7 +47,7 @@ class SolverConfig:
     max_iterations: int = 100
     step_tol: float = 1e-6          # meters, on the accepted step norm
     residual_change_tol: float = 1e-9  # pixels, on the residual-norm change
-    damping: float = 1e-9           # Tikhonov lambda added on singular normal eqs
+    damping: float = 1e-9           # added to the three diagonal entries of a row with a zero pivot
     max_halvings: int = 10
     truncation_margin_px: float = 10.0
 
@@ -202,46 +203,53 @@ def _residuals(t, cols):
 
 
 def _norm(a):
-    return np.sqrt((a * a).sum(axis=-1))
+    """Euclidean norm over the last axis of 3 or 4, adding the squares left to right as numpy's sum does."""
+    sq = a * a
+    total = sq[..., 0] + sq[..., 1] + sq[..., 2]
+    return np.sqrt(total if a.shape[-1] == 3 else total + sq[..., 3])
 
 
 def _pairs(a):
-    """(n, 4) -> (n, 2): the sums over the two u and over the two v constraints."""
-    return a.reshape(-1, 2, 2).sum(axis=2)
+    """(n, 4) -> the (n,) sums over the two u and over the two v constraints."""
+    return a[:, 0] + a[:, 1], a[:, 2] + a[:, 3]
 
 
 def _normal_equations(t, r, cols):
-    """J^T J (n, 3, 3) and J^T r (n, 3) from the analytic Jacobian of the
+    """J^T J as (n,) columns of its distinct entries (hxx, hyy, hzz, hxz, hyz),
+    hxy being 0, and J^T r as (gx, gy, gz), from the analytic Jacobian of the
     residuals: du/dt = fu*(1/z, 0, -x/z^2) on the two u rows and
     dv/dt = fv*(0, 1/z, -y/z^2) on the two v rows."""
     across, depth, focal = cols[:3]
     z = depth + t[:, 2:]
     p = focal / z                               # along the constraint's axis
     q = -p * (across + t[:, _AXIS]) / z         # along z
-    (hxx, hyy), (hxz, hyz), zz = _pairs(p * p).T, _pairs(p * q).T, _pairs(q * q)
-    (gx, gy), gz = _pairs(p * r).T, _pairs(q * r)
-    zero = np.zeros(len(t))
-    H = np.stack([hxx, zero, hxz, zero, hyy, hyz, hxz, hyz, zz[:, 0] + zz[:, 1]], axis=1).reshape(-1, 3, 3)
-    return H, np.stack([gx, gy, gz[:, 0] + gz[:, 1]], axis=1)
+    (hxx, hyy), (hxz, hyz), zz = _pairs(p * p), _pairs(p * q), _pairs(q * q)
+    (gx, gy), gz = _pairs(p * r), _pairs(q * r)
+    return (hxx, hyy, zz[0] + zz[1], hxz, hyz), (gx, gy, gz[0] + gz[1])
+
+
+def _eliminate(hxx, hyy, hzz, hxz, hyz, gx, gy, gz):
+    """Solve [[hxx, 0, hxz], [0, hyy, hyz], [hxz, hyz, hzz]] step = g: dz from its
+    Schur complement s, then dx and dy.  Also flags a zero pivot hxx, hyy or s."""
+    a, b = hxz / hxx, hyz / hyy
+    s = hzz - a * hxz - b * hyz
+    dz = (gz - a * gx - b * gy) / s
+    return np.stack([(gx - hxz * dz) / hxx, (gy - hyz * dz) / hyy, dz], axis=1), (hxx == 0) | (hyy == 0) | (s == 0)
 
 
 def _normal_step(H, g, damping):
-    """Solve H step = g row by row.  A singular row is retried once with
-    damping*I, and flagged when that is singular too."""
-    singular = np.zeros(len(g), dtype=bool)
-    try:
-        return np.linalg.solve(H, g[..., None])[..., 0], singular
-    except np.linalg.LinAlgError:
-        pass  # some row is singular: solve each on its own
-    step = np.zeros_like(g)
-    for i in range(len(g)):
-        try:
-            step[i] = np.linalg.solve(H[i], g[i])
-        except np.linalg.LinAlgError:
-            try:
-                step[i] = np.linalg.solve(H[i] + damping * np.eye(3), g[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
+    """Solve H step = g on the columns of _normal_equations in closed form.  A
+    row with a zero pivot and finite entries is solved again with damping added
+    to the diagonal, then flagged with a zero step if a pivot is still 0.  A
+    non-finite entry gives no flag, as LU with row pivoting finds a nonzero
+    pivot there, but a NaN step, which the line search rejects."""
+    step, singular = _eliminate(*H, *g)
+    if singular.any():
+        singular &= np.isfinite(H).all(axis=0)
+        i = np.flatnonzero(singular)
+        hxx, hyy, hzz, hxz, hyz, gx, gy, gz = (c[i] for c in (*H, *g))
+        step[i], singular[i] = _eliminate(hxx + damping, hyy + damping, hzz + damping, hxz, hyz, gx, gy, gz)
+        step[singular] = 0.0
     return step, singular
 
 
@@ -283,10 +291,12 @@ def _gauss_newton(t0, cols, config: SolverConfig):
         while s.size and tried <= config.max_halvings:
             k = min(max(len(act) // len(s), 1), config.max_halvings + 1 - tried)
             scales = np.ldexp(1.0, -np.arange(tried, tried + k))
-            t_try = t[s, None] - scales[:, None] * step[s, None]  # (len(s), k, 3)
-            r_try, behind = _residuals(t_try, cols[:, s, None])
+            # a pass that holds every row needs no gathered copies
+            ts, steps, cs, rs = (t, step, cols, rnorm) if len(s) == len(act) else (t[s], step[s], cols[:, s], rnorm[s])
+            t_try = ts[:, None] - scales[:, None] * steps[:, None]  # (len(s), k, 3)
+            r_try, behind = _residuals(t_try, cs[:, :, None])
             rnorm_try = _norm(r_try)
-            better = ~behind & (rnorm_try < rnorm[s, None])
+            better = ~behind & (rnorm_try < rs[:, None])
             first = better.argmax(axis=1)  # each row's first scale that decreases
             won = better.any(axis=1)
             pick = np.flatnonzero(won), first[won]

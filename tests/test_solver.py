@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import box3d.solver as solver
@@ -563,16 +563,10 @@ def _sequential_normal_equations(t, r, rotated, cam):
     b = -a * verts[:, :2, 0] / z[:, :2]
     c = cam[:, 1:2] / z[:, 2:]
     d = -c * verts[:, 2:, 1] / z[:, 2:]
-    ab, cd = (a * b).sum(axis=1), (c * d).sum(axis=1)
-    H = np.zeros((len(t), 3, 3))
-    H[:, 0, 0] = (a * a).sum(axis=1)
-    H[:, 1, 1] = (c * c).sum(axis=1)
-    H[:, 2, 2] = (b * b).sum(axis=1) + (d * d).sum(axis=1)
-    H[:, 0, 2] = H[:, 2, 0] = ab
-    H[:, 1, 2] = H[:, 2, 1] = cd
     ru, rv = r[:, :2], r[:, 2:]
-    g = np.stack([(a * ru).sum(axis=1), (c * rv).sum(axis=1), (b * ru).sum(axis=1) + (d * rv).sum(axis=1)], axis=1)
-    return H, g
+    H = ((a * a).sum(axis=1), (c * c).sum(axis=1), (b * b).sum(axis=1) + (d * d).sum(axis=1),
+         (a * b).sum(axis=1), (c * d).sum(axis=1))
+    return H, ((a * ru).sum(axis=1), (c * rv).sum(axis=1), (b * ru).sum(axis=1) + (d * rv).sum(axis=1))
 
 
 def _sequential_gauss_newton(t0, prepared, config):
@@ -629,6 +623,130 @@ def _sequential_gauss_newton(t0, prepared, config):
     iterations[act] = config.max_iterations
     final[act] = rnorm
     return location, iterations, final, converged, failed
+
+
+def _stacked(H):
+    """The (n, 3, 3) matrices of _normal_equations' five columns."""
+    hxx, hyy, hzz, hxz, hyz = H
+    zero = np.zeros_like(hxx)
+    return np.stack([hxx, zero, hxz, zero, hyy, hyz, hxz, hyz, hzz], axis=1).reshape(-1, 3, 3)
+
+
+def _lapack_normal_step(H, g, damping):
+    """Reference: the LAPACK solve that the closed form replaced, on the same
+    columns.  The whole stack is solved at once unless some row is singular;
+    then each row on its own, a singular row again with damping*I, and it is
+    flagged with a zero step if that is singular too."""
+    H, g = _stacked(H), np.stack(g, axis=1)
+    singular = np.zeros(len(g), dtype=bool)
+    try:
+        return np.linalg.solve(H, g[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    step = np.zeros_like(g)
+    for i in range(len(g)):
+        try:
+            step[i] = np.linalg.solve(H[i], g[i])
+        except np.linalg.LinAlgError:
+            try:
+                step[i] = np.linalg.solve(H[i] + damping * np.eye(3), g[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    return step, singular
+
+
+@pytest.mark.parametrize("rows_of", [
+    _mixed_rows, lambda: _decoded_run(range(300), box_noise_sigma=1.0),
+], ids=["mixed", "box_noise_1px"])
+@pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(max_iterations=1), SolverConfig(damping=0.0)],
+                         ids=["default", "max_iterations_1", "no_damping"])
+def test_closed_form_step_agrees_with_the_lapack_solve(monkeypatch, rows_of, config):
+    # the tolerance, fixed before measuring: the same outcome for every row,
+    # and locations within 1e-6 m and residuals within 1e-6 relative
+    rows = rows_of()
+    closed = lift_batch(rows, IMAGE, config)
+    monkeypatch.setattr(solver, "_normal_step", _lapack_normal_step)
+    lapack = lift_batch(rows, IMAGE, config)
+    assert closed.used_refinement.any()
+    for field in ("status", "used_refinement", "iterations", "converged"):
+        assert np.array_equal(getattr(closed, field), getattr(lapack, field)), field
+    assert np.array_equal(np.isnan(closed.location), np.isnan(lapack.location))
+    lifted = closed.lifted
+    assert (np.linalg.norm(closed.location[lifted] - lapack.location[lifted], axis=1) <= 1e-6).all()
+    np.testing.assert_allclose(closed.residual, lapack.residual, rtol=1e-6, atol=0.0)
+
+
+# drawn normal equations are compared with LAPACK only where their condition
+# number is under COND_MAX; there the steps agree to STEP_RTOL of their norm
+COND_MAX = 1e6
+STEP_RTOL = 1e-8
+
+
+@st.composite
+def _jacobians(draw):
+    """Per-constraint Jacobian entries p along the constraint's image axis
+    and q along z, and residuals r, each (n, 4) [u_left, u_right, v_top,
+    v_bottom]."""
+    n = draw(st.integers(1, 6))
+
+    def column(bound):
+        return np.array(draw(st.lists(st.floats(-bound, bound), min_size=4 * n, max_size=4 * n))).reshape(n, 4)
+
+    return column(1e3), column(1e3), column(1e2)
+
+
+def _normal_columns(p, q, r):
+    """J^T J (n, 3, 3) of the Jacobian whose u rows are (p, 0, q) and v rows
+    (0, p, q), as the five columns _normal_step takes, and J^T r as three."""
+    J = np.zeros((*p.shape, 3))
+    J[:, :2, 0], J[:, 2:, 1], J[:, :, 2] = p[:, :2], p[:, 2:], q
+    H, g = np.einsum("nki,nkj->nij", J, J), np.einsum("nki,nk->ni", J, r)
+    return (H[:, 0, 0], H[:, 1, 1], H[:, 2, 2], H[:, 0, 2], H[:, 1, 2]), tuple(g.T)
+
+
+def _well_conditioned(p, q, r):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = np.linalg.cond(_stacked(_normal_columns(p, q, r)[0])) < COND_MAX
+    assume(keep.any())
+    return p[keep], q[keep], r[keep]
+
+
+def _solve(H, g):
+    return np.linalg.solve(H, g[..., None])[..., 0]
+
+
+def _close(step, reference):
+    return (np.linalg.norm(step - reference, axis=1) <= STEP_RTOL * np.linalg.norm(reference, axis=1)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jacobians())
+def test_normal_step_matches_lapack_on_drawn_systems(jacobians):
+    H, g = _normal_columns(*_well_conditioned(*jacobians))
+    step, singular = _normal_step(H, g, 1e-9)
+    assert not singular.any()
+    assert _close(step, _solve(_stacked(H), np.stack(g, axis=1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_jacobians(), st.sampled_from([0.0, 1e-9, 1.0]))
+def test_normal_step_on_singular_rows(jacobians, damping):
+    p, q, r = _well_conditioned(*jacobians)
+    others = _normal_step(*_normal_columns(p, q, r), damping)[0]
+    # a row whose u pair has p = 0 (hxx = 0) and one whose v pair does (hyy = 0)
+    zero_u, zero_v = p[:1].copy(), p[:1].copy()
+    zero_u[:, :2] = zero_v[:, 2:] = 0.0
+    p, q, r = np.concatenate([zero_u, p, zero_v]), np.concatenate([q[:1], q, q[:1]]), np.concatenate([r[:1], r, r[:1]])
+    H, g = _normal_columns(p, q, r)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on a zero pivot
+        step, singular = _normal_step(H, g, damping)
+    assert np.array_equal(step[1:-1], others) and not singular[1:-1].any()
+    ends = [0, -1]
+    if damping:
+        assert not singular[ends].any()
+        assert _close(step[ends], _solve(_stacked(H)[ends] + damping * np.eye(3), np.stack(g, axis=1)[ends]))
+    else:
+        assert singular[ends].all() and (step[ends] == 0.0).all()
 
 
 SEARCH_CONFIGS = {
