@@ -6,10 +6,10 @@ projected height, (vc - v_min)/h = f/Z.  Stage two, skipped for truncated
 detections, refines that location with Gauss-Newton on the four tight-fit
 constraints tying the selected 3D corners to the 2D box edges.
 
-``lift_batch`` runs both stages on the decoded rows of a whole run at once,
-``LIFT_BLOCK_ROWS`` rows per vectorised pass, and gives every row a status
-instead of raising.  ``gauss_newton_refine`` runs stage two alone, from
-given starting locations.
+``lift_batch`` runs both stages on the decoded rows of a whole run, with
+Gauss-Newton on ``LIFT_BLOCK_ROWS`` refined rows at a time, and gives every
+row a status instead of raising.  ``gauss_newton_refine`` runs stage two
+alone, from given starting locations.
 
 Gauss-Newton works on four columns per row, one per constraint, and solves
 its 3x3 normal equations in closed form, with no LAPACK call.  Its line
@@ -57,12 +57,17 @@ class SolverConfig:
                             "truncation_margin_px"))
         check_fields(self, ("max_iterations", "max_halvings"), lambda v: isinstance(v, numbers.Integral),
                      "an integer")
+        # iteration counts are int64; and every step scale past 2^-1074, the
+        # least positive float, is 0.0, which cannot decrease the residual
+        check_fields(self, ("max_iterations",), lambda v: v <= np.iinfo(np.int64).max,
+                     f"at most {np.iinfo(np.int64).max}")
+        check_fields(self, ("max_halvings",), lambda v: v <= 1074, "at most 1074")
 
 
 DEFAULT_SOLVER_CONFIG = SolverConfig()
 
-# Rows per vectorised pass of lift_batch: bounds the pass's temporaries
-# (a few kB per row) whatever the size of the run.
+# Refined rows per Gauss-Newton block of lift_batch: bounds the block's
+# temporaries (a few kB per row) whatever the size of the run.
 LIFT_BLOCK_ROWS = 1024
 
 # Per-row outcome of lift_batch.  The first three carry a finite location:
@@ -264,35 +269,32 @@ def _gauss_newton(t0, cols, config: SolverConfig):
     tolerance.  A selected corner behind the camera at t0, or normal
     equations still singular after damping, stop it failed at t0.
 
-    The line search groups scales into passes as the module docstring
-    says; a pass holds no more trial rows than the rows still iterating.
+    Each row's iterate, residuals and residual norm live in n-row arrays that
+    the line search writes in place.  Its passes group scales as the module
+    docstring says, and hold no more trial rows than the rows still iterating.
 
     Returns (location, iterations, final residual norm, converged, failed).
     """
-    n = len(t0)
-    location = t0.copy()
-    iterations = np.zeros(n, dtype=np.int64)
-    final = np.full(n, math.inf)
-    converged = np.zeros(n, dtype=bool)
+    t = t0.copy()
     r, failed = _residuals(t0, cols)
+    rnorm = np.where(failed, math.inf, _norm(r))
+    iterations = np.where(failed, 0, np.int64(config.max_iterations))  # rows left iterating hit the cap
+    converged = np.zeros(len(t0), dtype=bool)
     act = np.flatnonzero(~failed)  # rows still iterating
-    t, r, cols = t0[act], r[act], cols[:, act]
-    rnorm = _norm(r)
     for it in range(config.max_iterations):
         if not act.size:
             break
-        step, singular = _normal_step(*_normal_equations(t, r, cols), config.damping)
+        ta, ra, ca, na = t[act], r[act], cols[:, act], rnorm[act]
+        step, singular = _normal_step(*_normal_equations(ta, ra, ca), config.damping)
 
-        scale = np.ones(len(act))
-        accepted = np.zeros(len(act), dtype=bool)
-        t_new, r_new, rnorm_new = t.copy(), r.copy(), rnorm.copy()
+        scale = np.zeros(len(act))  # stays 0 on a singular row and on a stalled one (a local minimum)
         s = np.flatnonzero(~singular)  # rows still searching
         tried = 0  # scales tried so far by every searching row
         while s.size and tried <= config.max_halvings:
             k = min(max(len(act) // len(s), 1), config.max_halvings + 1 - tried)
             scales = np.ldexp(1.0, -np.arange(tried, tried + k))
             # a pass that holds every row needs no gathered copies
-            ts, steps, cs, rs = (t, step, cols, rnorm) if len(s) == len(act) else (t[s], step[s], cols[:, s], rnorm[s])
+            ts, steps, cs, rs = (ta, step, ca, na) if len(s) == len(act) else (ta[s], step[s], ca[:, s], na[s])
             t_try = ts[:, None] - scales[:, None] * steps[:, None]  # (len(s), k, 3)
             r_try, behind = _residuals(t_try, cs[:, :, None])
             rnorm_try = _norm(r_try)
@@ -300,32 +302,20 @@ def _gauss_newton(t0, cols, config: SolverConfig):
             first = better.argmax(axis=1)  # each row's first scale that decreases
             won = better.any(axis=1)
             pick = np.flatnonzero(won), first[won]
-            w = s[won]
-            t_new[w], r_new[w], rnorm_new[w] = t_try[pick], r_try[pick], rnorm_try[pick]
-            scale[w] = scales[pick[1]]
-            accepted[w] = True
+            w = act[s[won]]
+            t[w], r[w], rnorm[w] = t_try[pick], r_try[pick], rnorm_try[pick]
+            scale[s[won]] = scales[pick[1]]
             s = s[~won]
             tried += k
 
-        small = (_norm(scale[:, None] * step) < config.step_tol) | (
-            rnorm - rnorm_new < config.residual_change_tol
-        )
-        t, r, rnorm = t_new, r_new, rnorm_new
-        # not accepted: a stalled line search (a local minimum) or singular
-        done = ~accepted | small
+        small = (_norm(scale[:, None] * step) < config.step_tol) | (na - rnorm[act] < config.residual_change_tol)
+        done = (scale == 0) | small
         stop = act[done]
         ok = ~singular[done]
         iterations[stop] = it + ok
-        final[stop] = rnorm[done]
-        converged[stop] = ok
-        failed[stop] = ~ok
-        location[stop[ok]] = t[done][ok]
-        keep = ~done
-        act, t, r, rnorm, cols = act[keep], t[keep], r[keep], rnorm[keep], cols[:, keep]
-    location[act] = t
-    iterations[act] = config.max_iterations
-    final[act] = rnorm
-    return location, iterations, final, converged, failed
+        converged[stop], failed[stop] = ok, ~ok
+        act = act[~done]
+    return np.where(failed[:, None], t0, t), iterations, rnorm, converged, failed
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +326,9 @@ def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOL
     """Lift every row: closed form, then, unless config.refine is off,
     Gauss-Newton on the rows the truncation gate lets through.
 
-    Rows are processed LIFT_BLOCK_ROWS at a time.  No row raises or affects
-    another: each gets a status from STATUSES.
+    The checks and the closed form cover every row at once; Gauss-Newton
+    runs on LIFT_BLOCK_ROWS refined rows at a time.  No row raises or
+    affects another: each gets a status from STATUSES.
       ok                   refined (converged says whether it converged), or
                            the closed form when refinement is off
       truncated_init_only  the closed form; the 2D box touches the image margin
@@ -349,38 +340,31 @@ def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOL
       non_finite           no location: a non-finite input or result
     """
     n = len(rows)
-    codes = np.full(n, _OK, dtype=np.int8)
+    box, dims, cbf, cam = rows.box, rows.dims, rows.cbf, rows.camera
     location = np.full((n, 3), np.nan)
     used = np.zeros(n, dtype=bool)
     iterations = np.zeros(n, dtype=np.int64)
     residual = np.full(n, np.nan)
-    converged = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        for start in range(0, n, LIFT_BLOCK_ROWS):
-            block = rows[start:start + LIFT_BLOCK_ROWS]
-            box, dims, cbf, cam, vp = block.box, block.dims, block.cbf, block.camera, block.viewpoint
-            finite = np.isfinite(block.data).all(axis=1)
-            well_formed = (
-                (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]) & (cbf[:, 1] > box[:, 1])
-                & (dims > 0).all(axis=1) & (cam[:, :2] > 0).all(axis=1) & np.isin(vp, _VIEWPOINT_IDS)
-            )
-            idx = np.arange(start, start + len(block))
-            codes[idx[~well_formed]] = _DEGENERATE
-            codes[idx[~finite]] = _NON_FINITE
-            good = finite & well_formed
-            lift = idx[good]
-            t0 = _closed_form(cbf[good], box[good, 1], dims[good, 0], cam[good])
-            location[lift] = t0
-            converged[lift] = True
-            if not config.refine:
-                continue
-            gated = _truncated(box[good], image_size, config.truncation_margin_px)
+        finite = np.isfinite(rows.data).all(axis=1)
+        well_formed = (
+            (box[:, 0] < box[:, 2]) & (box[:, 1] < box[:, 3]) & (cbf[:, 1] > box[:, 1])
+            & (dims > 0).all(axis=1) & (cam[:, :2] > 0).all(axis=1) & np.isin(rows.viewpoint, _VIEWPOINT_IDS)
+        )
+        codes = np.select([~finite, ~well_formed], [_NON_FINITE, _DEGENERATE], _OK).astype(np.int8)
+        converged = finite & well_formed  # a closed-form location counts as converged
+        lift = np.flatnonzero(converged)
+        location[lift] = _closed_form(cbf[lift], box[lift, 1], dims[lift, 0], cam[lift])
+        if config.refine:
+            gated = _truncated(box[lift], image_size, config.truncation_margin_px)
             codes[lift[gated]] = _TRUNCATED
             refine = lift[~gated]
-            t, it, rnorm, conv, failed = _gauss_newton(t0[~gated], _prepared(rows[refine]), config)
-            location[refine], iterations[refine], residual[refine], converged[refine] = t, it, rnorm, conv
             used[refine] = True
-            codes[refine[failed]] = _REFINE_FAILED
+            for start in range(0, len(refine), LIFT_BLOCK_ROWS):
+                block = refine[start:start + LIFT_BLOCK_ROWS]
+                t, it, rnorm, conv, failed = _gauss_newton(location[block], _prepared(rows[block]), config)
+                location[block], iterations[block], residual[block], converged[block] = t, it, rnorm, conv
+                codes[block[failed]] = _REFINE_FAILED
         codes[(codes < _DEGENERATE) & ~np.isfinite(location).all(axis=1)] = _NON_FINITE
     location[codes >= _DEGENERATE] = np.nan
     return LiftResult(location, np.array(STATUSES)[codes], used, iterations, residual, converged)

@@ -758,6 +758,9 @@ def test_eval_overflowing_dimension_error_prints_no_numpy_warning(pipeline_dirs,
     ("refine false\n", "expected 'key = value'"),
     ("truncation_margin_px = nan\n", "truncation_margin_px must be a non-negative number, got nan"),
     ("max_iterations = -3\n", "max_iterations must be a non-negative number, got -3"),
+    ("max_iterations = 9223372036854775808\n",
+     "max_iterations must be at most 9223372036854775807, got 9223372036854775808"),
+    ("max_halvings = 1075\n", "max_halvings must be at most 1074, got 1075"),
 ])
 def test_bad_config_file_exits_naming_it(pipeline_dirs, tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"

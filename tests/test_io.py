@@ -766,6 +766,8 @@ def test_coerce_bad_value_names_key(key, raw):
         ("vertical_slack", "nan"), ("depth_gap_max", "nan"), ("dim_tolerance", "-0.5"),
         ("vertical_centers", ""), ("vertical_centers", "1, inf"), ("vertical_centers", "2, 1"),
         ("mean_dims", "inf 1.64 3.86"), ("mean_dims", "1.5, 1e400, 3.9"))),
+    *((SolverConfig(), key, raw) for key, raw in (
+        ("max_iterations", str(2**63)), ("max_halvings", "1075"))),
 ])
 def test_coerce_out_of_range_value_names_key(config, key, raw):
     with pytest.raises(ValueError, match=rf"^{key} must be"):

@@ -477,6 +477,28 @@ def test_lift_batch_rows_are_independent_of_the_batch(config):
         assert together.used_refinement[i] == alone.used_refinement[0]
 
 
+def test_a_row_that_fails_after_moving_returns_its_start(monkeypatch):
+    rows = _decoded_run([0], box_noise_sigma=1.0)[[0]]
+    closed = lift_batch(rows, IMAGE, CLOSED_FORM).location
+    # the first step is accepted and moves the row, and a second iteration runs
+    assert not np.array_equal(lift_batch(rows, IMAGE, SolverConfig(max_iterations=1)).location, closed)
+    assert lift_batch(rows, IMAGE).iterations[0] >= 2
+    calls = []
+
+    def singular_on_the_second_call(H, g, damping):
+        step, singular = _normal_step(H, g, damping)
+        calls.append(len(singular))
+        if len(calls) == 2:
+            step[0], singular[0] = 0.0, True
+        return step, singular
+
+    monkeypatch.setattr(solver, "_normal_step", singular_on_the_second_call)
+    result = lift_batch(rows, IMAGE)
+    assert calls == [1, 1]
+    assert (result.status[0], result.converged[0], result.iterations[0]) == ("refine_failed", False, 1)
+    assert np.array_equal(result.location, closed)
+
+
 def test_lift_batch_blocks_do_not_change_results(monkeypatch):
     rows = _mixed_rows()
     whole = lift_batch(rows, IMAGE)
@@ -758,6 +780,12 @@ SEARCH_CONFIGS = {
     "every_row_stalls": SolverConfig(step_tol=0.0, residual_change_tol=0.0),
     "no_damping": SolverConfig(damping=0.0),
     "block_rows_3": SolverConfig(),
+    # rows still iterating at the cap: every refined row at 0 and nearly every
+    # one at 1; at 6, with no tolerance, about 40% of the rows, while the
+    # others stall first
+    "max_iterations_0": SolverConfig(max_iterations=0),
+    "max_iterations_1": SolverConfig(max_iterations=1),
+    "max_iterations_6": SolverConfig(max_iterations=6, step_tol=0.0, residual_change_tol=0.0),
 }
 
 
