@@ -326,11 +326,9 @@ def _label_array(table):
 
     A number x is written as the integer round(|x| * 1e6), rounded half to
     even on the exact product, which is how '%.6f' rounds.  rint of the
-    float product p is that integer unless p is exactly a half integer:
-    there the sign of the product's exact remainder, found with Dekker's
-    two-product (1e6 has 14 significant bits, so only |x| needs Veltkamp's
-    split), breaks the tie.  The occlusion level takes the same steps as
-    |int(x)|, its fraction words left empty."""
+    float product p is that integer unless p is exactly a half integer;
+    there '%.6f' itself writes the digits.  The occlusion level takes the
+    same steps as |int(x)|, its fraction words left empty."""
     data = table.data
     n = len(data)
     scored = ~np.isnan(data[:, 14])
@@ -349,13 +347,8 @@ def _label_array(table):
     p = mags * 1e6
     r = np.rint(p)
     tie = np.flatnonzero(np.abs(p - r) == 0.5)
-    if len(tie):  # p is a half integer: the exact product's remainder decides
-        a, p_tie, r_tie = mags.ravel()[tie], p.ravel()[tie], r.ravel()[tie]
-        c = a * 134217729.0  # Veltkamp's split of a at 2**27 + 1
-        a_high = c - (c - a)
-        rest = (a_high * 1e6 - p_tie) + (a - a_high) * 1e6  # a * 1e6 - p, exactly
-        away = np.where(p_tie > r_tie, 1.0, -1.0)  # from r toward p
-        r.ravel()[tie] = r_tie + away * (rest * away > 0)
+    if len(tie):  # p is a half integer: '%.6f' rounds the exact product
+        r.ravel()[tie] = [float(f"{a:.6f}".replace(".", "")) for a in mags.ravel()[tie].tolist()]
     if not (r < 1e15).all():
         return None
     groups, millions = [], r.astype(np.int64)  # 3-digit groups, the lowest first

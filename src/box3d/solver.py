@@ -135,7 +135,7 @@ class LiftResult:
     location: np.ndarray         # (N, 3) bottom-face centers; NaN where not lifted
     status: np.ndarray           # (N,) entries of STATUSES
     used_refinement: np.ndarray  # (N,) whether Gauss-Newton ran
-    iterations: np.ndarray       # (N,) Gauss-Newton iterations
+    iterations: np.ndarray       # (N,) Gauss-Newton iterations, a try whose line search stalled included
     residual: np.ndarray         # (N,) final residual norm, px; NaN where not refined
     converged: np.ndarray        # (N,)
 

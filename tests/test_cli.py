@@ -272,6 +272,24 @@ def test_run_with_two_faults_names_the_first(pipeline_dirs, tmp_path, monkeypatc
     assert info.value.code == message
 
 
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+def test_solve_names_a_frame_whose_row_counts_differ_when_the_totals_agree(tmp_path, monkeypatch, budget):
+    """A property row moved to the next frame leaves the run's totals equal,
+    so only the per-frame count pairs each detection with its own row."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--frames", "3", "--seed", "5"]) == 0
+    moved, kept = data / "properties" / "000001.txt", data / "properties" / "000002.txt"
+    *lines, last = moved.read_text().splitlines(keepends=True)
+    moved.write_text("".join(lines))
+    kept.write_text(kept.read_text() + last)
+    n = len((data / "detections" / "000001.txt").read_text().splitlines())
+    monkeypatch.setattr(cli, "BLOCK_BYTES", budget)
+    with pytest.raises(SystemExit) as info:
+        main(_solve_argv(data, tmp_path / "results"))
+    assert info.value.code == f"frame 000001: {n} detections but {n - 1} property rows"
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.fixture(scope="module")
 def six_frame_run(tmp_path_factory):
     """Each file of a 6-frame synth run and of its `box3d solve` results, as
@@ -805,6 +823,7 @@ def test_bad_depuration_config_exits_naming_it(pipeline_dirs, tmp_path, text, me
                                         "boundary_margin_deg of 0 deg unless allow_boundary_poses is set"),
     ("boundary_margin_deg = 22.5\n", "1", "config {cfg}: boundary_margin_deg must be below 22.5 unless "
                                           "allow_boundary_poses is set, got 22.5"),
+    ("n_objects_max = 0\n", "1", "config {cfg}: object count range empty"),
     ("", "-3", "argument --frames: expected a whole number >= 0, got '-3'"),
 ])
 def test_synth_bad_spec_or_frame_count_exits_before_writing(tmp_path, capsys, text, frames, message):

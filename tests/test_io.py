@@ -336,8 +336,10 @@ def _with(table, row, col, value):
     lambda t: _with(t, 3, 12, 1e9 - 5e-7),  # written as 1000000000.000000
     lambda t: _with(t, 3, 1, -1e9),
     lambda t: LabelTable(t.data, [*t.cls[:-1], "Car\0"]),
+    lambda t: LabelTable(t.data, [*t.cls[:-1], 7]),
     lambda t: t[:-1],  # below the crossover
-], ids=["nan", "inf", "score_inf", "rounds_to_1e9", "occluded_1e9", "nul_in_name", "few_rows"])
+], ids=["nan", "inf", "score_inf", "rounds_to_1e9", "occluded_1e9", "nul_in_name", "name_not_str",
+        "few_rows"])
 def test_write_labels_falls_back_to_the_row_formatter(change):
     table = change(_label_rows_to_fall_back())
     assert len(table) < kitti_io.LABEL_ARRAY_MIN_ROWS or kitti_io._label_array(table) is None
@@ -361,6 +363,19 @@ def test_write_labels_of_a_large_table_equals_the_row_formatter():
     data[:, 1] = rng.integers(-1, 4, 2000)
     data[::2, 14] = math.nan
     table = LabelTable(data, rng.choice(["Car", "Van", "DontCare"], 2000))
+    assert kitti_io._label_array(table) is not None
+    assert write_labels(table) == kitti_io._label_rows(table)
+
+
+def test_write_labels_of_half_way_products_equals_the_row_formatter():
+    # exact halves of a millionth round to even, and 0.0000025, a float just
+    # above its half, rounds up: only the exact product tells them apart
+    n = kitti_io.LABEL_ARRAY_MIN_ROWS
+    halves = (2 * np.arange(n * 15) + 1) / 128  # a million times one is a half integer
+    data = np.where(np.arange(n * 15) % 3 == 0, 0.0000025, halves).reshape(n, 15)
+    data[:, 1] = 0.0
+    data[1::2] *= -1.0
+    table = LabelTable(data, ["Car"] * n)
     assert kitti_io._label_array(table) is not None
     assert write_labels(table) == kitti_io._label_rows(table)
 

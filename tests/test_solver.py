@@ -403,6 +403,12 @@ def _decoded_run(seeds, **spec_kwargs):
     return DecodedRows.concatenate(parts)
 
 
+def test_decode_rows_of_tables_of_different_lengths_raises():
+    gt, dets, props = generate_scene(SyntheticSceneSpec(seed=0, n_objects_min=3, n_objects_max=3))
+    with pytest.raises(ValueError, match="^3 detections but 2 property rows$"):
+        decode_rows(dets, props[:-1], astuple(gt.camera))
+
+
 @pytest.mark.parametrize("seeds, spec", [
     (range(1000), {"n_objects_min": 1, "n_objects_max": 1}),  # the acceptance scenes
     (range(300), {"box_noise_sigma": 1.0}),
