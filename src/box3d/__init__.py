@@ -13,7 +13,7 @@ from .camera import (
     wrap_angle,
     yaw_rotation,
 )
-from .depuration import DepurationConfig, Verdict, depurate
+from .depuration import DepurationConfig, Verdict, depurate, pair_rules
 from .kitti_io import DetectionTable, LabelTable, PropertyTable
 from .metrics import (
     aos_and_os,

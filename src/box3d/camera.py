@@ -65,23 +65,21 @@ class Box2D(NamedTuple):
     v_max: float
 
 
-def box_iou_2d(a, b) -> float:
-    """Intersection over union of two image boxes given as (u_min, v_min,
-    u_max, v_max) sequences; positive exactly when they overlap by a positive
-    extent on both axes."""
-    # `y if y < x else x` is min(x, y) and `y if y > x else x` is max(x, y),
-    # NaN and -0.0 included, without the builtins' call cost
-    au0, av0, au1, av1 = a
-    bu0, bv0, bu1, bv1 = b
-    iw = (bu1 if bu1 < au1 else au1) - (bu0 if bu0 > au0 else au0)
-    if iw <= 0:
-        return 0.0
-    ih = (bv1 if bv1 < av1 else av1) - (bv0 if bv0 > av0 else av0)
-    if ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = (au1 - au0) * (av1 - av0) + (bu1 - bu0) * (bv1 - bv0) - inter
-    return inter / union if union > 0 else 0.0
+def box_iou_2d(a, b):
+    """Intersection over union of image boxes given as (u_min, v_min, u_max,
+    v_max): of two boxes, or pair by pair of two (P, 4) arrays of them;
+    positive exactly when they overlap by a positive extent on both axes, and
+    0.0 where any of its terms is NaN."""
+    # np.where(y < x, y, x) is min(x, y) and np.where(y > x, y, x) is
+    # max(x, y) as the builtins take them, NaN and -0.0 included
+    au0, av0, au1, av1 = np.asarray(a, dtype=float).T
+    bu0, bv0, bu1, bv1 = np.asarray(b, dtype=float).T
+    with np.errstate(all="ignore"):
+        iw = np.where(bu1 < au1, bu1, au1) - np.where(bu0 > au0, bu0, au0)
+        ih = np.where(bv1 < av1, bv1, av1) - np.where(bv0 > av0, bv0, av0)
+        inter = iw * ih
+        union = (au1 - au0) * (av1 - av0) + (bu1 - bu0) * (bv1 - bv0) - inter
+        return np.where((iw > 0) & (ih > 0) & (union > 0), inter / union, 0.0)
 
 
 @dataclass(frozen=True)

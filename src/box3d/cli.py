@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kitti_io, solver
 from .camera import wrap_angle
-from .depuration import DEFAULT_DEPURATION_CONFIG, depurate
+from .depuration import DEFAULT_DEPURATION_CONFIG, depurate, pair_rules
 from .metrics import (
     RECALL_POINTS_11,
     RECALL_POINTS_40,
@@ -322,14 +322,16 @@ def cmd_depurate(args):
     with _FrameDir(args.calib) as calib, _FrameDir(args.in_dir) as results:
         blocks = _parse_blocks(frames, [lambda f: _read(calib, f, "calibration"),
                                         lambda f: _read(results, f, "result")], parse) or [parse([], [])]
-    fvs = np.concatenate([block for block, _ in blocks])[:, 1].tolist()
+    fvs = np.concatenate([block for block, _ in blocks])[:, 1]
     labels, offsets = kitti_io.join([parsed for _, parsed in blocks])
+    rules = pair_rules(labels, offsets, np.repeat(fvs, np.diff(offsets)), cfg)
     _make_dir(args.out)
     kept, report_lines = [], []
     at = offsets.tolist()
-    for f, (frame, fv) in enumerate(zip(frames, fvs)):
-        table = labels[at[f]:at[f + 1]]
-        for i, v in enumerate(depurate(table, fv, cfg)):
+    for f, (frame, fv) in enumerate(zip(frames, fvs.tolist())):
+        rows = slice(at[f], at[f + 1])
+        table = labels[rows]
+        for i, v in enumerate(depurate(table, fv, cfg, [a[rows] for a in rules])):
             kept.append(v.kept)
             if not v.kept:
                 report_lines.append(

@@ -5,12 +5,20 @@ projected height shrinking with depth, and depth agreement with adjacent
 (2D-overlapping) neighbors.  An implausible vertical location alone removes
 a detection; the other three are soft and co-determine removal, at least
 two must fail.  Removing a 2D detection abandons its paired 3D box.
+
+The two pair rules are scored for a whole run at once, by pair_rules: it
+takes the pairs i < j within each frame in blocks of whole frames of about
+metrics.PAIR_BUDGET pairs, as pair_ious does, and scores each block in array
+code.  depurate then judges one frame's rows from its slice of that pass.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import compress
 
+import numpy as np
+
+from . import metrics
 from .camera import Dimensions, box_iou_2d
 from .kitti_io import check_fields
 from .properties import CAR_PRIOR
@@ -65,7 +73,61 @@ class Verdict:
 _CLEAN = Verdict(frozenset())
 
 
-def depurate(table, fv: float, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
+def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
+    """The pair rules' findings for every row of a run of frames: the
+    (N,) smallest depth gap to an adjacent neighbour on the row's left and on
+    its right, -1 where it has none, and the (N,) height_depth blame.
+
+    labels is a LabelTable holding the frames one after the other, frame f
+    being rows offsets[f]:offsets[f + 1]; fv is each row's vertical focal
+    length in pixels, or one for every row.  The pairs i < j within each
+    frame come in blocks of whole frames of about metrics.PAIR_BUDGET pairs.
+    A gap is the smallest of the row's gaps as min() takes them in the order
+    of the other row, so it is NaN where the first of them is NaN.
+    """
+    offsets, n = np.asarray(offsets), len(labels)
+    sizes = np.diff(offsets)
+    box, z, h3 = np.ascontiguousarray(labels.box), labels.location[:, 2], labels.dims[:, 0]
+    left_gap, right_gap, blamed = np.full(n, -1.0), np.full(n, -1.0), np.zeros(n, dtype=bool)
+    with np.errstate(invalid="ignore"):
+        height = box[:, 3] - box[:, 1]
+        center_u = 0.5 * (box[:, 0] + box[:, 2])
+        residual = np.abs(height * z - fv * h3)
+        for first, last in metrics._blocks((sizes * (sizes - 1) // 2).tolist()):
+            i, j = metrics._frame_pairs(offsets[first:last + 1], offsets[first:last + 1])
+            upper = i < j
+            i, j = i[upper], j[upper]
+            zi, zj, dvi, dvj, ri, rj = z[i], z[j], height[i], height[j], residual[i], residual[j]
+            # of two rows within eps in 3D height, the deeper one must look
+            # shorter; a violating pair blames the one with the larger residual
+            same = ~(np.abs(h3[i] - h3[j]) > cfg.height_monotonic_eps)
+            blamed[np.where(ri >= rj, i, j)[same & (zi > zj) & (dvi >= dvj)]] = True
+            blamed[np.where(rj >= ri, j, i)[same & (zj > zi) & (dvj >= dvi)]] = True
+            # take() gathers the rows of a contiguous array far faster than
+            # fancy indexing does
+            adjacent = box_iou_2d(box.take(i, axis=0), box.take(j, axis=0)) > cfg.adjacency_iou_min
+            i, j, gap = i[adjacent], j[adjacent], np.abs(zi[adjacent] - zj[adjacent])
+            j_left, j_right = center_u[j] < center_u[i], center_u[j] > center_u[i]
+            # each adjacent pair seen from both rows, sorted by row, then other row
+            row = np.concatenate([i, j])
+            order = np.argsort(row * n + np.concatenate([j, i]))
+            row, gap = row[order], np.concatenate([gap, gap])[order]
+            for out, side in ((left_gap, np.concatenate([j_left, j_right])[order]),
+                              (right_gap, np.concatenate([j_right, j_left])[order])):
+                _least(out, row[side], gap[side])
+    return left_gap, right_gap, blamed
+
+
+def _least(out, rows, gaps):
+    """out[r] = the smallest of row r's gaps, given sorted by row, NaN where
+    its first gap is NaN (as a running minimum that starts there stays)."""
+    if len(rows):
+        starts = np.flatnonzero(np.concatenate([[True], rows[1:] != rows[:-1]]))
+        first = gaps[starts]
+        out[rows[starts]] = np.where(np.isnan(first), first, np.fmin.reduceat(gaps, starts))
+
+
+def depurate(table, fv: float, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG, pairs=None):
     """Verdicts for the rows of a LabelTable (2D box, dimensions and
     location) seen with vertical focal length fv in pixels, by rule:
 
@@ -78,56 +140,22 @@ def depurate(table, fv: float, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG
     adjacent_depth  2D-overlapped (IoU above the minimum) on both sides, and
                     more than depth_gap_max in depth from every such neighbor.
 
-    Every row that violates no rule gets the same clean Verdict.
+    pairs is this frame's slice of pair_rules over a run; without it,
+    pair_rules runs on this one frame.  Every row that violates no rule gets
+    the same clean Verdict.
     """
-    boxes, dims, location = table.box.tolist(), table.dims.tolist(), table.location.tolist()
-    n = len(boxes)
-    height = [v_max - v_min for _, v_min, _, v_max in boxes]
-    center_u = [0.5 * (u_min + u_max) for u_min, _, u_max, _ in boxes]
-    z = [p[2] for p in location]
-    h3 = [d[0] for d in dims]
-    residual = [abs(dv * zi - fv * h) for dv, zi, h in zip(height, z, h3)]
-    iou_min, eps = cfg.adjacency_iou_min, cfg.height_monotonic_eps
-    blamed = [False] * n
-    # the smallest depth gap to an adjacent neighbour on each side, taken in
-    # the order min() takes a list of them; -1 while there is none, as a gap
-    # is >= 0 or NaN, and -1 is never above the non-negative depth_gap_max
-    left_gap, right_gap = [-1.0] * n, [-1.0] * n
-    for i in range(n):
-        box_i, zi, hi, ui, dvi, ri = boxes[i], z[i], h3[i], center_u[i], height[i], residual[i]
-        left_i, right_i = left_gap[i], right_gap[i]
-        for j in range(i + 1, n):
-            zj = z[j]
-            if box_iou_2d(box_i, boxes[j]) > iou_min:
-                gap = abs(zi - zj)
-                uj = center_u[j]
-                if uj < ui:
-                    if gap < left_i or left_i < 0:
-                        left_i = gap
-                    if gap < right_gap[j] or right_gap[j] < 0:
-                        right_gap[j] = gap
-                elif uj > ui:
-                    if gap < right_i or right_i < 0:
-                        right_i = gap
-                    if gap < left_gap[j] or left_gap[j] < 0:
-                        left_gap[j] = gap
-            if abs(hi - h3[j]) > eps:
-                continue
-            if zi > zj:
-                if dvi >= height[j]:
-                    blamed[i if ri >= residual[j] else j] = True
-            elif zj > zi:
-                if height[j] >= dvi:
-                    blamed[j if residual[j] >= ri else i] = True
-        left_gap[i], right_gap[i] = left_i, right_i
-
+    if pairs is None:
+        pairs = pair_rules(table, [0, len(table)], fv, cfg)
+    # -1 for no neighbour is never above the non-negative depth_gap_max
+    left_gap, right_gap, blamed = (a.tolist() for a in pairs)
     lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
     mean = cfg.mean_dims
     h_lo, h_hi, w_lo, w_hi, l_lo, l_hi = mean.h * lo, mean.h * hi, mean.w * lo, mean.w * hi, mean.l * lo, mean.l * hi
     y_lo = min(cfg.vertical_centers) - cfg.vertical_slack
     y_hi = max(cfg.vertical_centers) + cfg.vertical_slack
     verdicts = []
-    for (h, w, l), (_, y, _), height_depth, left, right in zip(dims, location, blamed, left_gap, right_gap):
+    for (h, w, l), (_, y, _), height_depth, left, right in zip(table.dims.tolist(), table.location.tolist(), blamed,
+                                                                left_gap, right_gap):
         bad = (not (h_lo <= h <= h_hi and w_lo <= w <= w_hi and l_lo <= l <= l_hi), not y_lo <= y <= y_hi,
                height_depth, left > cfg.depth_gap_max and right > cfg.depth_gap_max)
         verdicts.append(Verdict(frozenset(compress(RULES, bad))) if any(bad) else _CLEAN)

@@ -227,17 +227,30 @@ def _box_pairs(draw):
     return Box2D(*a), Box2D(*b)
 
 
-@given(_box_pairs())
-@example((Box2D(0.0, 0.0, -0.0, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)))  # an overlap width of -0.0
-@example((Box2D(0.0, 0.0, 1.0, -0.0), Box2D(0.0, 0.0, 1.0, 1.0)))  # an overlap height of -0.0
-@example((Box2D(0.0, 0.0, 1e-200, 1e-200), Box2D(0.0, 0.0, 1e-200, 1e-200)))  # areas that underflow to 0
-@example((Box2D(0.0, 0.0, 2.0, 2.0), Box2D(2.0, 0.0, 4.0, 2.0)))  # touching edges
-@example((Box2D(0.0, 0.0, 2.0, 2.0), Box2D(2.0, 2.0, 4.0, 4.0)))  # touching corners
-@example((Box2D(2.0, 2.0, 0.0, 0.0), Box2D(0.0, 0.0, 2.0, 2.0)))  # inverted
-@example((Box2D(math.nan, 0.0, 1.0, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)))
-@example((Box2D(-math.inf, 0.0, math.inf, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)))
-@settings(max_examples=1000)
-def test_box_iou_2d_is_the_builtin_min_max_form_bit_for_bit(boxes):
-    # compared as bytes, so that NaN equals NaN and -0.0 differs from 0.0
-    for a, b in (boxes, boxes[::-1]):
-        assert struct.pack("<d", box_iou_2d(a, b)) == struct.pack("<d", _box_iou_2d_builtins(a, b)), (a, b)
+@given(st.lists(_box_pairs(), min_size=1, max_size=8))
+@example([(Box2D(0.0, 0.0, -0.0, 1.0), Box2D(0.0, 0.0, 1.0, 1.0))])  # an overlap width of -0.0
+@example([(Box2D(0.0, 0.0, 1.0, -0.0), Box2D(0.0, 0.0, 1.0, 1.0))])  # an overlap height of -0.0
+@example([(Box2D(0.0, 0.0, 1e-200, 1e-200), Box2D(0.0, 0.0, 1e-200, 1e-200))])  # areas that underflow to 0
+@example([(Box2D(0.0, 0.0, 2.0, 2.0), Box2D(2.0, 0.0, 4.0, 2.0))])  # touching edges
+@example([(Box2D(0.0, 0.0, 2.0, 2.0), Box2D(2.0, 2.0, 4.0, 4.0))])  # touching corners
+@example([(Box2D(2.0, 2.0, 0.0, 0.0), Box2D(0.0, 0.0, 2.0, 2.0))])  # inverted
+@example([(Box2D(math.nan, 0.0, 1.0, 1.0), Box2D(0.0, 0.0, 1.0, 1.0))])
+@example([(Box2D(-math.inf, 0.0, math.inf, 1.0), Box2D(0.0, 0.0, 1.0, 1.0))])
+@example([  # all of the above in one array, next to an overlap of 1/7
+    (Box2D(0.0, 0.0, -0.0, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)), (Box2D(0.0, 0.0, 1.0, -0.0), Box2D(0.0, 0.0, 1.0, 1.0)),
+    (Box2D(0.0, 0.0, 1e-200, 1e-200), Box2D(0.0, 0.0, 1e-200, 1e-200)),
+    (Box2D(0.0, 0.0, 2.0, 2.0), Box2D(2.0, 0.0, 4.0, 2.0)), (Box2D(0.0, 0.0, 2.0, 2.0), Box2D(2.0, 2.0, 4.0, 4.0)),
+    (Box2D(0.0, 0.0, 2.0, 2.0), Box2D(1.0, 1.0, 3.0, 3.0)), (Box2D(2.0, 2.0, 0.0, 0.0), Box2D(0.0, 0.0, 2.0, 2.0)),
+    (Box2D(math.nan, 0.0, 1.0, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)),
+    (Box2D(-math.inf, 0.0, math.inf, 1.0), Box2D(0.0, 0.0, 1.0, 1.0)),
+])
+@settings(max_examples=400)  # of up to 8 pairs each
+def test_box_iou_2d_is_the_builtin_min_max_form_bit_for_bit(pairs):
+    # compared as bytes, so that NaN equals NaN and -0.0 differs from 0.0;
+    # each pair alone, then all of them as one (P, 4) array against another
+    pairs = pairs + [(b, a) for a, b in pairs]
+    want = [struct.pack("<d", _box_iou_2d_builtins(a, b)) for a, b in pairs]
+    assert [struct.pack("<d", box_iou_2d(a, b)) for a, b in pairs] == want
+    a, b = (np.array(boxes) for boxes in zip(*pairs))
+    assert a.shape == b.shape == (len(pairs), 4)
+    assert box_iou_2d(a, b).astype("<f8").tobytes() == b"".join(want)

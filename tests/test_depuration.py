@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from box3d import metrics
 from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, box_iou_2d
 from box3d.depuration import (
     DEFAULT_DEPURATION_CONFIG,
@@ -16,6 +17,7 @@ from box3d.depuration import (
     RULE_VERTICAL,
     Verdict,
     depurate,
+    pair_rules,
 )
 from box3d.kitti_io import LabelTable
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
@@ -282,6 +284,75 @@ def test_depurate_equals_the_gap_list_depurate(rows, picks, fv):
     camera = CameraIntrinsics(fv, fv, 609.5593, 172.854)
     for cfg in PROPERTY_CFGS:
         assert depurate(table, fv, cfg) == _depurate_parent(table, camera, cfg)
+
+
+def _run(frames):
+    """One LabelTable of a run's frames of label rows, and its row offsets."""
+    rows = [row for frame in frames for row in frame]
+    return LabelTable(rows, ["Car"] * len(rows)), np.cumsum([0] + [len(frame) for frame in frames])
+
+
+def _run_verdicts(frames, fvs, cfg):
+    """depurate of each frame of a run, fed its slice of one pair_rules pass."""
+    labels, offsets = _run(frames)
+    rules = pair_rules(labels, offsets, np.repeat(fvs, np.diff(offsets)), cfg)
+    return [depurate(labels[a:b], fv, cfg, [r[a:b] for r in rules])
+            for a, b, fv in zip(offsets[:-1], offsets[1:], fvs)]
+
+
+@pytest.mark.parametrize("budget", [1, metrics.PAIR_BUDGET])
+def test_pair_rules_over_a_run_give_the_per_frame_verdicts(monkeypatch, budget):
+    """A run of crowded frames, with 0-row and 1-row frames and one frame of
+    more pairs than the default budget, at a budget of one pair and at the
+    default: each frame's verdicts from its slice of the run's pass are the
+    frame's own, and the reference's."""
+    monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
+    rng = np.random.default_rng(11)
+    frames = [_table(_crowded_scene(rng)).data.tolist() for _ in range(12)]
+    big = []
+    while len(big) < 100:
+        big += _table(_crowded_scene(rng)).data.tolist()
+    frames += [[], [frames[0][0]], big, [], [frames[1][0]]]
+    frames = [frames[k] for k in rng.permutation(len(frames))]
+    assert len(big) * (len(big) - 1) // 2 > metrics.PAIR_BUDGET or budget == 1
+    fvs = rng.choice([1.0, K.fv, 2.0 * K.fv], len(frames))
+    for cfg in (CFG, DepurationConfig(adjacency_iou_min=0.2, depth_gap_max=3.0, height_monotonic_eps=0.0)):
+        got = _run_verdicts(frames, fvs, cfg)
+        for frame, fv, verdicts in zip(frames, fvs, got):
+            table = LabelTable(frame, ["Car"] * len(frame))
+            assert verdicts == depurate(table, fv, cfg)
+            assert verdicts == _depurate_parent(table, CameraIntrinsics(fv, fv, 609.5593, 172.854), cfg)
+    # the frames' rows would pair across frames: as one frame, they judge otherwise
+    labels, _ = _run(frames)
+    assert depurate(labels, K.fv, CFG) != [v for verdicts in _run_verdicts(frames, [K.fv] * len(frames), CFG)
+                                           for v in verdicts]
+
+
+# depths that are NaN, infinite or tie, and 3D heights that are NaN
+_odd_label_row = st.builds(
+    lambda row, z, h: row[:7] + [h] + row[8:12] + [z] + row[13:],
+    _label_row,
+    st.sampled_from([math.nan, math.inf, -math.inf, 10.0, 13.0]) | st.floats(1.0, 80.0),
+    st.sampled_from([math.nan, 1.5]) | st.floats(0.3, 2.5),
+)
+
+
+@given(
+    frames=st.lists(st.lists(_odd_label_row, max_size=12), min_size=1, max_size=5),
+    fv=st.sampled_from([1.0, K.fv]),
+    budget=st.sampled_from([1, 7, metrics.PAIR_BUDGET]),
+)
+@settings(max_examples=150, deadline=None)
+def test_pair_rules_keep_the_gap_list_rules_on_nan_and_infinite_depths(frames, fv, budget):
+    """A gap is the first of a row's gaps unless a later one is smaller, so a
+    row whose first adjacent neighbour's gap is NaN keeps a NaN gap."""
+    camera = CameraIntrinsics(fv, fv, 609.5593, 172.854)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "PAIR_BUDGET", budget)
+        for cfg in PROPERTY_CFGS[:5]:
+            got = _run_verdicts(frames, [fv] * len(frames), cfg)
+            assert got == [_depurate_parent(LabelTable(frame, ["Car"] * len(frame)), camera, cfg)
+                           for frame in frames]
 
 
 def test_empty_scene_has_no_verdicts():

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from box3d.kitti_io import (
 from box3d.depuration import DepurationConfig
 from box3d.properties import CAR_PRIOR
 from box3d.solver import SolverConfig, decode_rows, lift_batch
-from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
+from box3d.synthetic import SyntheticSceneSpec, _acceptable, exact_box2d, generate_scene
 from box3d.viewpoints import away_from_viewpoint_boundaries, extremal_vertices
 
 REAL_CALIB = (
@@ -743,10 +743,34 @@ def test_parse_keyvalue_basics():
     assert parse_keyvalue(text) == {"a": "1.5", "b": "hello", "c": "2"}
 
 
+def test_parse_units_reraises_a_fault_that_no_piece_of_the_block_shows():
+    """A parser that refuses only a whole block of three: no bisected part
+    and no piece fails, so the block's own error comes back unnamed."""
+    def parse(units):
+        if len(units) == 3:
+            raise ValueError("three units")
+        return units
+
+    assert kitti_io.parse_units(parse, ["a", "b"]) == ["a", "b"]
+    with pytest.raises(ValueError, match="^three units$") as info:
+        kitti_io.parse_units(parse, ["a", "b", "c"])
+    assert type(info.value) is ValueError
+
+
 def test_coerce_solver_config():
     cfg = coerce_fields(SolverConfig(), {"max_iterations": "7", "step_tol": "1e-4"})
     assert cfg.max_iterations == 7
     assert cfg.step_tol == pytest.approx(1e-4)
+
+
+@dataclass(frozen=True)
+class _Named:
+    name: str = "car"
+    scale: float = 1.0
+
+
+def test_coerce_keeps_a_text_field_as_given():
+    assert coerce_fields(_Named(), {"name": " Van 2", "scale": "2"}) == _Named(" Van 2", 2.0)
 
 
 def test_coerce_unknown_key_raises():
@@ -876,6 +900,16 @@ def test_border_straddling_object_flagged_truncated():
     assert list(result.status) == ["truncated_init_only"]
     closed_form = lift_batch(rows, (spec.image_width, spec.image_height), SolverConfig(refine=False))
     assert np.array_equal(result.location, closed_form.location)
+
+
+@pytest.mark.parametrize("depth, acceptable", [(0.3, False), (0.45, False), (0.55, True)])
+def test_scene_sampler_refuses_a_vertex_at_half_a_metre_or_nearer(depth, acceptable):
+    # every other check passes: truncated and boundary poses are allowed
+    spec = SyntheticSceneSpec(allow_truncated=True, allow_boundary_poses=True)
+    dims = CAR_PRIOR.mean_dims
+    b = Box3D(np.array([0.0, 1.65, depth + 0.5 * dims.w]), dims, 0.0)  # the nearest face at z = depth
+    assert np.isclose(b.location[2] - 0.5 * dims.w, depth)
+    assert _acceptable(b, spec, []) is acceptable
 
 
 def test_scene_spec_validation():

@@ -205,6 +205,13 @@ def test_boundary_predicate_rejects_near_boundary_poses():
     assert away_from_viewpoint_boundaries(_pose(math.radians(30.0)))
 
 
+def test_boundary_predicate_rejects_a_ray_no_longer_than_the_box():
+    # at a local yaw of 30 deg, every other check passes at these depths
+    assert away_from_viewpoint_boundaries(_pose(math.radians(30.0), depth=CAR.l + 0.01))
+    for depth in (CAR.l, 3.0, 2.5):
+        assert not away_from_viewpoint_boundaries(_pose(math.radians(30.0), depth=depth))
+
+
 def test_local_yaw_matches_global_relation():
     b = _pose(math.radians(100.0), depth=30.0, x=8.0)
     assert local_yaw(b) == pytest.approx(math.radians(100.0), abs=1e-12)
