@@ -96,8 +96,8 @@ class _FrameDir:
 
 
 def _read(directory, frame, kind):
-    """The text of a frame's file in a _FrameDir; a missing or unreadable
-    one, or one that is not UTF-8, raises ValueError naming it."""
+    """The text of a frame's file in a _FrameDir, or a ValueError naming a
+    missing or unreadable one, or one that is not UTF-8 (see _texts)."""
     try:
         fd = directory.open(frame, os.O_RDONLY)
         try:
@@ -107,40 +107,15 @@ def _read(directory, frame, kind):
         finally:
             os.close(fd)
     except FileNotFoundError:
-        raise ValueError(f"missing {kind} file {directory.path_of(frame)}") from None
+        return ValueError(f"missing {kind} file {directory.path_of(frame)}")
     except OSError as exc:
-        raise ValueError(f"cannot read {kind} file {directory.path_of(frame)}: {exc.strerror or exc}") from None
+        return ValueError(f"cannot read {kind} file {directory.path_of(frame)}: {exc.strerror or exc}")
     raw = b"".join(chunks)
     try:
         return raw.decode()
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"line {line}: {kind} file is not UTF-8 ({exc.reason})") from None
-
-
-def _read_blocks(frames, readers):
-    """(frames, units) blocks of whole frames of at most BLOCK_BYTES of text,
-    in order: units holds, per frame, the tuple of its read(frame) texts.  A
-    read's ValueError is held in place of its text (see _texts); a read may
-    give None for a frame that has no file of its kind."""
-    block, units, size = [], [], 0
-    for frame in frames:
-        got, n = [], 0
-        for read in readers:
-            try:
-                text = read(frame)
-                n += len(text or "")
-            except ValueError as fault:
-                text = fault
-            got.append(text)
-        if block and size + n > BLOCK_BYTES:
-            yield block, units
-            block, units, size = [], [], 0
-        block.append(frame)
-        units.append(tuple(got))
-        size += n
-    if block:
-        yield block, units
+        return ValueError(f"line {line}: {kind} file is not UTF-8 ({exc.reason})")
 
 
 def _texts(texts):
@@ -153,18 +128,22 @@ def _texts(texts):
 
 
 def _parse_blocks(frames, readers, parse):
-    """parse(*texts) of each block of whole frames (see _read_blocks), in
-    order.  parse takes its steps in the order one frame takes them, and
-    passes each reader's texts through _texts before it first uses them, so
-    that a failed read is one step of its frame.  The run ends on its first
-    fault in frame order, which kitti_io.parse_units finds among the block's
-    frames, as "frame F: ..."."""
+    """parse(*texts) of each block of whole frames of at most BLOCK_BYTES of
+    text (kitti_io.frame_blocks), in order, once every read(frame) has run: a
+    text, a ValueError, or None for a frame with no file of its kind.  parse
+    takes its steps in the order one frame takes them, and passes each
+    reader's texts through _texts before it first uses them, so that a
+    failed read is one step of its frame.  The run ends on its first fault in
+    frame order, which kitti_io.parse_units finds among the block's frames,
+    as "frame F: ..."."""
+    units = list(zip(*([read(frame) for frame in frames] for read in readers)))
+    sizes = [sum(len(text) for text in unit if isinstance(text, str)) for unit in units]
     parsed = []
-    for block, units in _read_blocks(frames, readers):
+    for first, last in kitti_io.frame_blocks(sizes, BLOCK_BYTES) if units else ():
         try:
-            parsed.append(kitti_io.parse_units(lambda part: parse(*zip(*part)), units))
+            parsed.append(kitti_io.parse_units(lambda part: parse(*zip(*part)), units[first:last]))
         except kitti_io.ParseError as exc:
-            raise SystemExit(f"frame {block[exc.frame]}: {exc}") from None
+            raise SystemExit(f"frame {frames[first + exc.frame]}: {exc}") from None
     return parsed
 
 
@@ -207,12 +186,11 @@ def _make_dir(path):
 def _write_frames(out, frames, labels, offsets, written):
     """The `written` rows among rows offsets[f] to offsets[f + 1] of a run's
     labels to out/<frame f>.txt, from one write_labels call per block of whole
-    frames of about WRITE_BLOCK_ROWS written rows.  The files are opened
-    relative to one handle on out."""
+    frames of at most WRITE_BLOCK_ROWS written rows (kitti_io.frame_blocks).
+    The files are opened relative to one handle on out."""
     kept = np.append(0, np.cumsum(written))[offsets]  # offsets among the written rows
-    starts = np.flatnonzero(np.diff(kept[:-1] // WRITE_BLOCK_ROWS, prepend=-1)).tolist()
     with _FrameDir(out) as directory:
-        for a, b in zip(starts, [*starts[1:], len(frames)]):
+        for a, b in kitti_io.frame_blocks(np.diff(kept).tolist(), WRITE_BLOCK_ROWS):
             rows = slice(offsets[a], offsets[b])
             text = kitti_io.write_labels(labels[rows][written[rows]]).encode()
             # every row ends in its only line break: the byte offset of each

@@ -7,9 +7,9 @@ a detection; the other three are soft and co-determine removal, at least
 two must fail.  Removing a 2D detection abandons its paired 3D box.
 
 The two pair rules are scored for a whole run at once, by pair_rules: it
-takes the pairs i < j within each frame in blocks of whole frames of about
-metrics.PAIR_BUDGET pairs, as pair_ious does, and scores each block in array
-code.  depurate then judges one frame's rows from its slice of that pass.
+takes the pairs i < j within each frame in kitti_io.frame_blocks of at most
+metrics.PAIR_BUDGET pairs, and scores each block in array code.  depurate
+then judges one frame's rows from its slice of that pass.
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics
 from .camera import Dimensions, box_iou_2d
-from .kitti_io import check_fields
+from .kitti_io import check_fields, frame_blocks
 from .properties import CAR_PRIOR
 
 RULE_DIMS = "dims"
@@ -81,7 +81,7 @@ def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_C
     labels is a LabelTable holding the frames one after the other, frame f
     being rows offsets[f]:offsets[f + 1]; fv is each row's vertical focal
     length in pixels, or one for every row.  The pairs i < j within each
-    frame come in blocks of whole frames of about metrics.PAIR_BUDGET pairs.
+    frame come in blocks of whole frames of at most metrics.PAIR_BUDGET pairs.
     A gap is the smallest of the row's gaps as min() takes them in the order
     of the other row, so it is NaN where the first of them is NaN.
     """
@@ -93,7 +93,7 @@ def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_C
         height = box[:, 3] - box[:, 1]
         center_u = 0.5 * (box[:, 0] + box[:, 2])
         residual = np.abs(height * z - fv * h3)
-        for first, last in metrics._blocks((sizes * (sizes - 1) // 2).tolist()):
+        for first, last in frame_blocks((sizes * (sizes - 1) // 2).tolist(), metrics.PAIR_BUDGET):
             i, j = metrics._frame_pairs(offsets[first:last + 1], offsets[first:last + 1])
             upper = i < j
             i, j = i[upper], j[upper]

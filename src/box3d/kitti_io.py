@@ -137,6 +137,20 @@ def join(parts) -> Parsed:
     return Parsed(objects, np.append(0, np.cumsum(np.concatenate([np.diff(p.offsets) for p in parts]))))
 
 
+def frame_blocks(weights, budget):
+    """[first, last) ranges of consecutive frames, in order, given each
+    frame's weight: each block takes frames while they weigh at most budget
+    in all, and a heavier frame is a block alone.  No frames are one empty
+    block, (0, 0)."""
+    first, size = 0, 0
+    for f, weight in enumerate(weights):
+        if f > first and size + weight > budget:
+            yield first, f
+            first, size = f, 0
+        size += weight
+    yield first, len(weights)
+
+
 # kept for bench/spans.py, whose generate_scene counter reads result[0].objects
 @dataclass
 class FrameRecord:
@@ -338,7 +352,7 @@ def _label_array(table):
     if not (mags < 1e9).all():  # NaN and infinity fail too
         return None
     try:
-        names = "\0".join(table.cls).encode()
+        names = "\0".join(table.cls).encode("utf-8", "surrogatepass")
     except TypeError:
         return None
     if names.count(b"\0") != n - 1:
@@ -375,7 +389,7 @@ def _label_array(table):
     words[:, 1, 4:] = 0
     words[~scored, 14] = 0
     rows[:, -1] = _NEWLINE
-    return rows.tobytes().translate(None, b"\0").decode()
+    return rows.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
 
 
 def _detections(texts):

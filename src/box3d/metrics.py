@@ -12,13 +12,16 @@ bounding-circle radius, a non-positive-dimension flag), so that no pair
 gathers whole rows, and clips only the pairs whose vertical extents and
 ground-plane bounding circles overlap; every other pair scores exactly 0.
 dimension_error takes its center distances from the same kind of
-per-coordinate columns.
+per-coordinate columns.  Both take a run's pairs in blocks of whole frames of
+at most PAIR_BUDGET pairs, cut by kitti_io.frame_blocks.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .kitti_io import frame_blocks
 
 RECALL_POINTS_11 = tuple(np.linspace(0.0, 1.0, 11))
 RECALL_POINTS_40 = tuple(np.linspace(1.0 / 40.0, 1.0, 40))
@@ -155,18 +158,6 @@ def _may_meet(a: _Cull, b: _Cull) -> np.ndarray:
         return ~(a.flat | b.flat | (overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
 
 
-def _blocks(n_pairs):
-    """[first, last) ranges of consecutive frames, given each frame's pair
-    count, of at most PAIR_BUDGET pairs; a larger frame is a block alone."""
-    first, size = 0, 0
-    for f, n in enumerate(n_pairs):
-        if size and size + n > PAIR_BUDGET:
-            yield first, f
-            first, size = f, 0
-        size += n
-    yield first, len(n_pairs)
-
-
 def _frame_pairs(det_offsets, gt_offsets):
     """Detection and ground-truth rows of every pair within a frame, over
     frames given by their (F + 1,) row offsets: frame by frame, detection
@@ -189,7 +180,7 @@ def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
     one and gt_offsets[f]:gt_offsets[f + 1] of the other.  Returns the
     (det row, gt row, IoU) triples as three arrays, in detection order, then
     ground-truth order.  The cull (_may_meet) reads columns computed once
-    per table, over blocks of whole frames of about PAIR_BUDGET pairs.  The
+    per table, over blocks of whole frames of at most PAIR_BUDGET pairs.  The
     run's survivors are clipped in equal blocks of about PAIR_BUDGET // 4, as
     a clipped pair's temporaries weigh about four times a culled pair's.  A
     NaN IoU is left out.
@@ -198,7 +189,7 @@ def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
     cull_d = _Cull.of(detections.location, detections.dims)
     cull_g = _Cull.of(ground_truths.location, ground_truths.dims)
     survivors = []
-    for first, last in _blocks((np.diff(det_offsets) * np.diff(gt_offsets)).tolist()):
+    for first, last in frame_blocks((np.diff(det_offsets) * np.diff(gt_offsets)).tolist(), PAIR_BUDGET):
         d, g = _frame_pairs(det_offsets[first:last + 1], gt_offsets[first:last + 1])
         keep = _may_meet(cull_d.take(d), cull_g.take(g))
         survivors.append((d[keep], g[keep]))
@@ -307,7 +298,7 @@ def dimension_error(detections, det_offsets, ground_truths, gt_offsets) -> np.nd
     frame with no detection or no ground truth.
 
     Tables and offsets as pair_ious takes them.  The run is scored in blocks
-    of whole frames of about PAIR_BUDGET pairs, each pair's squared distance
+    of whole frames of at most PAIR_BUDGET pairs, each pair's squared distance
     (dx*dx + dy*dy) + dz*dz from gathers of one coordinate column at a time;
     every sum adds its terms in the order, and with numpy's pairwise
     summation, that one frame's own arrays would.
@@ -318,7 +309,7 @@ def dimension_error(detections, det_offsets, ground_truths, gt_offsets) -> np.nd
     sums = np.zeros(len(n_gt))
     coords = [[np.ascontiguousarray(table.location[:, k]) for k in range(3)] for table in (detections, ground_truths)]
     with np.errstate(all="ignore"):
-        for first, last in _blocks((n_det * n_gt).tolist()):
+        for first, last in frame_blocks((n_det * n_gt).tolist(), PAIR_BUDGET):
             d, g = _frame_pairs(det_offsets[first:last + 1], gt_offsets[first:last + 1])
             if not len(d):
                 continue

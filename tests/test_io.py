@@ -4,7 +4,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from box3d import cli, kitti_io
@@ -315,6 +315,13 @@ def test_label_array_pass_writes_the_row_formatters_bytes(rows, edge):
     assert (text is None) == falls_back
     if text is not None:
         assert text == kitti_io._label_rows(table)
+
+
+def test_label_array_pass_writes_a_class_name_that_utf8_cannot_encode():
+    """A lone surrogate in a class name, which no UTF-8 file gives but a
+    library caller may, is written as the row formatter writes it."""
+    table = LabelTable(np.full((2, 15), 0.5), ["\ud800", "Car"])
+    assert kitti_io._label_array(table) == kitti_io._label_rows(table)
 
 
 def _label_rows_to_fall_back():
@@ -732,6 +739,65 @@ def test_the_cli_names_a_bad_frame_in_logarithmically_many_parses(monkeypatch):
     assert info.value.code == "frame 001023: line 2: label row has 3 columns, expected 15 or 16"
     # the block; halves of the frames; the bad frame alone, then after the block's first; the bad frame alone
     assert len(calls) <= 3 + math.ceil(math.log2(len(frames)))
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+@pytest.mark.parametrize("unreadable", [None, "000002"])
+def test_the_cli_reads_every_frame_before_its_first_parse(monkeypatch, budget, unreadable):
+    """_parse_blocks calls every reader once on every frame, in frame order,
+    before its first parse call, whether each frame is a block or the run is
+    one, and whether or not a read fails: a run's reads are one phase before
+    its parses."""
+    events, frames = [], [f"{i:06d}" for i in range(5)]
+    text = write_labels(LabelTable(np.zeros((1, 15)), ["Car"]))
+
+    def reader(kind):
+        def read(frame):
+            events.append((kind, frame))
+            return ValueError(f"missing {kind} file") if frame == unreadable else text
+        return read
+
+    def parse(gts, results):
+        events.append("parse")
+        return parse_labels(cli._texts(gts)), parse_labels(cli._texts(results))
+
+    monkeypatch.setattr(cli, "BLOCK_BYTES", budget)
+    if unreadable:
+        with pytest.raises(SystemExit, match=f"^frame {unreadable}: missing ground-truth file$"):
+            cli._parse_blocks(frames, [reader("ground-truth"), reader("result")], parse)
+    else:
+        assert len(cli._parse_blocks(frames, [reader("ground-truth"), reader("result")], parse)) == \
+            (len(frames) if budget == 1 else 1)
+    reads = 2 * len(frames)
+    for kind in ("ground-truth", "result"):
+        assert [e for e in events[:reads] if e[0] == kind] == [(kind, frame) for frame in frames]
+    assert set(events[reads:]) == {"parse"}
+
+
+@given(weights=st.lists(st.integers(0, 12), max_size=30), budget=st.integers(1, 20))
+@example(weights=[3, 0, 2, 9, 0, 0, 1], budget=5)
+@example(weights=[0, 0, 30, 0], budget=5)
+@example(weights=[5, 0, 0], budget=5)
+@example(weights=[], budget=1)
+@settings(max_examples=300, deadline=None)
+def test_frame_blocks_cut_a_run_greedily_into_whole_frames(weights, budget):
+    """The blocks are [first, last) ranges that cover the frames in order; a
+    block heavier than the budget is one frame; no block could take the next
+    frame without passing the budget, so a frame of no weight joins the block
+    before it unless that block is already heavier.  No frames are one empty
+    block, (0, 0), whose empty pair arrays pair_ious concatenates for an empty
+    run."""
+    blocks = list(kitti_io.frame_blocks(weights, budget))
+    if not weights:
+        assert blocks == [(0, 0)]
+        return
+    assert [first for first, _ in blocks] == [0, *(last for _, last in blocks[:-1])]
+    assert blocks[-1][1] == len(weights)
+    for first, last in blocks:
+        assert last > first
+        assert sum(weights[first:last]) <= budget or last - first == 1
+    for first, last in blocks[:-1]:
+        assert sum(weights[first:last + 1]) > budget
 
 
 # ---------------------------------------------------------------------------
