@@ -6,10 +6,10 @@ projected height shrinking with depth, and depth agreement with adjacent
 a detection; the other three are soft and co-determine removal, at least
 two must fail.  Removing a 2D detection abandons its paired 3D box.
 
-The two pair rules are scored for a whole run at once, by pair_rules: it
-takes the pairs i < j within each frame in kitti_io.frame_blocks of at most
-metrics.PAIR_BUDGET pairs, and scores each block in array code.  depurate
-then judges one frame's rows from its slice of that pass.
+All four rules are judged for a whole run at once, in array code, by
+pair_rules: it scores the pairs i < j within each frame in kitti_io.frame_blocks
+of at most metrics.PAIR_BUDGET pairs, then each row against the bands, into
+bits of violated rules.  depurate looks up a frame's Verdicts from its slice.
 """
 
 import math
@@ -70,20 +70,32 @@ class Verdict:
         return not self.hard_violation and len(self.violated_rules) < 2
 
 
-_CLEAN = Verdict(frozenset())
+# the Verdict of each set of violated rules, by its bits (pair_rules' last column)
+VERDICTS = tuple(Verdict(frozenset(compress(RULES, (bits >> k & 1 for k in range(len(RULES))))))
+                 for bits in range(1 << len(RULES)))
 
 
 def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
-    """The pair rules' findings for every row of a run of frames: the
-    (N,) smallest depth gap to an adjacent neighbour on the row's left and on
-    its right, -1 where it has none, and the (N,) height_depth blame.
+    """The rules' findings for every row of a run of frames: the (N,)
+    smallest depth gap to an adjacent neighbour on the row's left and on its
+    right, -1 where it has none, the (N,) height_depth blame, and the (N,)
+    violated rules as integer bits, bit k set when RULES[k] is violated:
+
+    dims            h, w and l each within mean*(1 +- tolerance), inclusive;
+    vertical        bottom-center Y within [min(centers) - slack, max(centers) + slack];
+    height_depth    of two objects with heights within eps, the deeper one must
+                    have the smaller projected height; a violating pair blames
+                    the one whose projected height disagrees more with its
+                    solved depth, by |dv*Z - fv*h|;
+    adjacent_depth  2D-overlapped (IoU above the minimum) on both sides, and
+                    more than depth_gap_max in depth from every such neighbor.
 
     labels is a LabelTable holding the frames one after the other, frame f
     being rows offsets[f]:offsets[f + 1]; fv is each row's vertical focal
     length in pixels, or one for every row.  The pairs i < j within each
     frame come in blocks of whole frames of at most metrics.PAIR_BUDGET pairs.
     A gap is the smallest of the row's gaps as min() takes them in the order
-    of the other row, so it is NaN where the first of them is NaN.
+    of the other row, so it is NaN where the first of them is NaN.  NaN fails a band.
     """
     offsets, n = np.asarray(offsets), len(labels)
     sizes = np.diff(offsets)
@@ -115,7 +127,13 @@ def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_C
             for out, side in ((left_gap, np.concatenate([j_left, j_right])[order]),
                               (right_gap, np.concatenate([j_right, j_left])[order])):
                 _least(out, row[side], gap[side])
-    return left_gap, right_gap, blamed
+    mean, dims = np.array([cfg.mean_dims.h, cfg.mean_dims.w, cfg.mean_dims.l]), labels.dims
+    dims_ok = ((mean * (1.0 - cfg.dim_tolerance) <= dims) & (dims <= mean * (1.0 + cfg.dim_tolerance))).all(axis=1)
+    y = labels.location[:, 1]
+    y_ok = (min(cfg.vertical_centers) - cfg.vertical_slack <= y) & (y <= max(cfg.vertical_centers) + cfg.vertical_slack)
+    # -1 for no neighbour is never above the non-negative depth_gap_max
+    far = (left_gap > cfg.depth_gap_max) & (right_gap > cfg.depth_gap_max)
+    return left_gap, right_gap, blamed, ~dims_ok + 2 * ~y_ok + 4 * blamed + 8 * far
 
 
 def _least(out, rows, gaps):
@@ -128,35 +146,10 @@ def _least(out, rows, gaps):
 
 
 def depurate(table, fv: float, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG, pairs=None):
-    """Verdicts for the rows of a LabelTable (2D box, dimensions and
-    location) seen with vertical focal length fv in pixels, by rule:
-
-    dims            h, w and l each within mean*(1 +- tolerance), inclusive;
-    vertical        bottom-center Y within [min(centers) - slack, max(centers) + slack];
-    height_depth    of two objects with heights within eps, the deeper one must
-                    have the smaller projected height; a violating pair blames
-                    the one whose projected height disagrees more with its
-                    solved depth, by |dv*Z - fv*h|;
-    adjacent_depth  2D-overlapped (IoU above the minimum) on both sides, and
-                    more than depth_gap_max in depth from every such neighbor.
-
-    pairs is this frame's slice of pair_rules over a run; without it,
-    pair_rules runs on this one frame.  Every row that violates no rule gets
-    the same clean Verdict.
-    """
+    """The Verdict in VERDICTS of each row of a LabelTable (2D box,
+    dimensions and location) seen with vertical focal length fv in pixels, by
+    pair_rules' rules.  pairs is this frame's slice of pair_rules over a run;
+    without it, pair_rules runs on this one frame."""
     if pairs is None:
         pairs = pair_rules(table, [0, len(table)], fv, cfg)
-    # -1 for no neighbour is never above the non-negative depth_gap_max
-    left_gap, right_gap, blamed = (a.tolist() for a in pairs)
-    lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
-    mean = cfg.mean_dims
-    h_lo, h_hi, w_lo, w_hi, l_lo, l_hi = mean.h * lo, mean.h * hi, mean.w * lo, mean.w * hi, mean.l * lo, mean.l * hi
-    y_lo = min(cfg.vertical_centers) - cfg.vertical_slack
-    y_hi = max(cfg.vertical_centers) + cfg.vertical_slack
-    verdicts = []
-    for (h, w, l), (_, y, _), height_depth, left, right in zip(table.dims.tolist(), table.location.tolist(), blamed,
-                                                                left_gap, right_gap):
-        bad = (not (h_lo <= h <= h_hi and w_lo <= w <= w_hi and l_lo <= l <= l_hi), not y_lo <= y <= y_hi,
-               height_depth, left > cfg.depth_gap_max and right > cfg.depth_gap_max)
-        verdicts.append(Verdict(frozenset(compress(RULES, bad))) if any(bad) else _CLEAN)
-    return verdicts
+    return [VERDICTS[bits] for bits in pairs[3].tolist()]

@@ -62,7 +62,10 @@ class Table:
         return len(self.data)
 
     def __getitem__(self, idx):
-        return type(self)(self.data[idx], None if self.cls is None else self.cls[idx])
+        # data and cls are a float and an object array already: no conversion
+        table = object.__new__(type(self))
+        table.data, table.cls = self.data[idx], None if self.cls is None else self.cls[idx]
+        return table
 
 
 class LabelTable(Table):

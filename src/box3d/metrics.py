@@ -194,11 +194,14 @@ def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
         keep = _may_meet(cull_d.take(d), cull_g.take(g))
         survivors.append((d[keep], g[keep]))
     d, g = (np.concatenate(rows) for rows in zip(*survivors))
+    # take() on contiguous copies gathers rows far faster than fancy indexing
+    loc_d, dims_d, loc_g, dims_g = (np.ascontiguousarray(a) for a in (
+        detections.location, detections.dims, ground_truths.location, ground_truths.dims))
     corners_d, corners_g = bev_corners(detections), bev_corners(ground_truths)
     blocks = max(round(len(d) / max(PAIR_BUDGET // 4, 1)), 1)
     iou = np.concatenate([
-        _ious(detections.location[b], detections.dims[b], ground_truths.location[c], ground_truths.dims[c],
-              corners_d[b], corners_g[c])
+        _ious(loc_d.take(b, axis=0), dims_d.take(b, axis=0), loc_g.take(c, axis=0), dims_g.take(c, axis=0),
+              corners_d.take(b, axis=0), corners_g.take(c, axis=0))
         for b, c in zip(np.array_split(d, blocks), np.array_split(g, blocks))])
     positive = iou > 0
     return d[positive], g[positive], iou[positive]

@@ -15,6 +15,8 @@ from box3d.depuration import (
     RULE_DIMS,
     RULE_HEIGHT_DEPTH,
     RULE_VERTICAL,
+    RULES,
+    VERDICTS,
     Verdict,
     depurate,
     pair_rules,
@@ -39,6 +41,10 @@ def _table(scene):
     )
 
 
+def _label(u0, v0, u1, v1, h, y, z, w=1.64, l=3.86):
+    return [0.0, 0.0, 0.0, u0, v0, u1, v1, h, w, l, 0.0, y, z, 0.0, 0.0]
+
+
 def _pairs(table):
     """(Box2D, Box3D) of each label row."""
     return [(Box2D(*box), Box3D(location, Dimensions(*dims), yaw))
@@ -56,17 +62,41 @@ def _fails(rule, scene):
     return [rule in v.violated_rules for v in depurate(_table(scene), K.fv, CFG)]
 
 
+# the default thresholds; a narrower adjacency, a smaller depth gap and no
+# height band; the same with a narrow dims band around a shorter car; and
+# bands whose lower edges are 0, so that -0.0 and 0.0 sit on them
+CFGS = [CFG, DepurationConfig(adjacency_iou_min=0.2, depth_gap_max=3.0, height_monotonic_eps=0.0),
+        DepurationConfig(adjacency_iou_min=0.2, depth_gap_max=3.0, height_monotonic_eps=0.0,
+                         mean_dims=Dimensions(1.52, 1.64, 3.5), dim_tolerance=0.05),
+        DepurationConfig(dim_tolerance=1.0, vertical_centers=(0.5, 1.0), vertical_slack=0.5)]
+
+
+def _edges(cfg):
+    """A config's band edges, as depurate computes them: those of h, w and l,
+    then those of the bottom-face Y."""
+    mean = cfg.mean_dims
+    return [*([m * (1.0 - cfg.dim_tolerance), m * (1.0 + cfg.dim_tolerance)] for m in (mean.h, mean.w, mean.l)),
+            [min(cfg.vertical_centers) - cfg.vertical_slack, max(cfg.vertical_centers) + cfg.vertical_slack]]
+
+
+# per column (h, w, l, bottom-face Y): values that no band holds or that sit
+# on the edge of a band of CFGS
+ODD_VALUES = [[math.nan, math.inf, -math.inf, -0.0, 0.0, *(edge for cfg in CFGS for edge in _edges(cfg)[k])]
+              for k in range(4)]
+
+
 # ---------------------------------------------------------------------------
 # reference: one function per rule, each pair rule with its own pair loop
 
 
-def _depurate_loop(scene, camera, cfg):
-    """(kept, violated rules, hard violation) per object."""
-    n = len(scene)
+def _depurate_loop(table, fv, cfg):
+    """(kept, violated rules, hard violation) per row of a LabelTable."""
+    boxes, dims, location = table.box.tolist(), table.dims.tolist(), table.location.tolist()
+    n = len(boxes)
 
     def dims_ok(d):
         lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
-        for value, mean in ((d.h, cfg.mean_dims.h), (d.w, cfg.mean_dims.w), (d.l, cfg.mean_dims.l)):
+        for value, mean in zip(d, (cfg.mean_dims.h, cfg.mean_dims.w, cfg.mean_dims.l)):
             if not mean * lo <= value <= mean * hi:
                 return False
         return True
@@ -75,18 +105,17 @@ def _depurate_loop(scene, camera, cfg):
         return (min(cfg.vertical_centers) - cfg.vertical_slack <= y
                 <= max(cfg.vertical_centers) + cfg.vertical_slack)
 
-    height = [b2.v_max - b2.v_min for b2, _ in scene]
-    center_u = [0.5 * (b2.u_min + b2.u_max) for b2, _ in scene]
+    height = [v_max - v_min for _, v_min, _, v_max in boxes]
+    center_u = [0.5 * (u_min + u_max) for u_min, _, u_max, _ in boxes]
     height_depth_ok = [True] * n
-    residual = [abs(h * b3.location[2] - camera.fv * b3.dims.h) for h, (_, b3) in zip(height, scene)]
+    residual = [abs(h * p[2] - fv * d[0]) for h, p, d in zip(height, location, dims)]
     for i in range(n):
         for j in range(i + 1, n):
-            b3i, b3j = scene[i][1], scene[j][1]
-            if abs(b3i.dims.h - b3j.dims.h) > cfg.height_monotonic_eps:
+            if abs(dims[i][0] - dims[j][0]) > cfg.height_monotonic_eps:
                 continue
-            if b3i.location[2] > b3j.location[2]:
+            if location[i][2] > location[j][2]:
                 far, near = i, j
-            elif b3j.location[2] > b3i.location[2]:
+            elif location[j][2] > location[i][2]:
                 far, near = j, i
             else:
                 continue
@@ -95,15 +124,13 @@ def _depurate_loop(scene, camera, cfg):
 
     adjacent_ok = [True] * n
     for i in range(n):
-        b2i, b3i = scene[i]
         left_gaps, right_gaps = [], []
         for j in range(n):
             if j == i:
                 continue
-            b2j, b3j = scene[j]
-            if box_iou_2d(b2i, b2j) <= cfg.adjacency_iou_min:
+            if box_iou_2d(boxes[i], boxes[j]) <= cfg.adjacency_iou_min:
                 continue
-            gap = abs(b3i.location[2] - b3j.location[2])
+            gap = abs(location[i][2] - location[j][2])
             if center_u[j] < center_u[i]:
                 left_gaps.append(gap)
             elif center_u[j] > center_u[i]:
@@ -113,11 +140,11 @@ def _depurate_loop(scene, camera, cfg):
                 adjacent_ok[i] = False
 
     out = []
-    for i, (_, box3d) in enumerate(scene):
+    for i in range(n):
         violated = set()
-        if not dims_ok(box3d.dims):
+        if not dims_ok(dims[i]):
             violated.add(RULE_DIMS)
-        if not vertical_ok(box3d.location[1]):
+        if not vertical_ok(location[i][1]):
             violated.add(RULE_VERTICAL)
         if not height_depth_ok[i]:
             violated.add(RULE_HEIGHT_DEPTH)
@@ -132,38 +159,43 @@ def _as_tuples(verdicts):
     return [(v.kept, v.violated_rules, v.hard_violation) for v in verdicts]
 
 
+def _odd(rng, value, k):
+    """value, or one time in ten a value of column k of ODD_VALUES."""
+    pool = ODD_VALUES[k]
+    return pool[int(rng.integers(len(pool)))] if rng.random() < 0.1 else value
+
+
 def _crowded_scene(rng):
-    """A frame of 2-30 objects whose depths, heights, bottom-face Ys and 2D
-    centres often tie, with exact copies, edge-touching 2D boxes and
-    objects on the vertical band's edges."""
-    scene = []
+    """A LabelTable of a frame of 2-30 objects whose depths, heights,
+    bottom-face Ys and 2D centres often tie, with exact copies, edge-touching
+    2D boxes and objects on the vertical band's edges, and whose dimensions
+    and bottom-face Ys are sometimes NaN, infinite, -0.0 or on a band's edge."""
+    rows = []
     for _ in range(int(rng.integers(2, 31))):
-        if scene and rng.random() < 0.1:
-            scene.append(scene[int(rng.integers(len(scene)))])
+        if rows and rng.random() < 0.1:
+            rows.append(rows[int(rng.integers(len(rows)))])
             continue
         z = float(rng.choice([12.0, 20.0, 40.0])) if rng.random() < 0.5 else float(rng.uniform(5.0, 60.0))
         h = float(rng.choice([1.52, 1.6, 1.82])) if rng.random() < 0.5 else float(rng.uniform(0.6, 2.5))
         y = float(rng.choice([1.65, 0.53842871, 2.9684, -1.0])) if rng.random() < 0.4 else float(rng.uniform(0.0, 3.5))
-        dims = Dimensions(h, float(rng.uniform(0.7, 2.5)), float(rng.uniform(1.8, 6.0)))
+        w, l = float(rng.uniform(0.7, 2.5)), float(rng.uniform(1.8, 6.0))
         cu = float(rng.choice([500.0, 600.0, 700.0])) if rng.random() < 0.5 else float(rng.uniform(300.0, 900.0))
         half_w = float(rng.choice([50.0, 100.0])) if rng.random() < 0.5 else float(rng.uniform(5.0, 200.0))
         v_max = float(rng.uniform(180.0, 370.0))
         height_px = float(rng.choice([40.0, 80.0])) if rng.random() < 0.5 else float(rng.uniform(5.0, 250.0))
-        box2d = Box2D(cu - half_w, v_max - height_px, cu + half_w, v_max)
-        scene.append((box2d, Box3D(np.array([float(rng.uniform(-15.0, 15.0)), y, z]), dims, 0.0)))
-    return scene
+        rows.append(_label(cu - half_w, v_max - height_px, cu + half_w, v_max, _odd(rng, h, 0), _odd(rng, y, 3), z,
+                           _odd(rng, w, 1), _odd(rng, l, 2)))
+    return LabelTable(rows, ["Car"] * len(rows))
 
 
 def test_depurate_equals_the_per_rule_loops_on_crowded_scenes():
     rng = np.random.default_rng(6)
-    cfgs = [CFG, DepurationConfig(adjacency_iou_min=0.2, depth_gap_max=3.0, height_monotonic_eps=0.0)]
     for k in range(300):
-        scene = _crowded_scene(rng)
-        cfg = cfgs[k % 2]
-        assert _as_tuples(depurate(_table(scene), K.fv, cfg)) == _depurate_loop(scene, K, cfg)
+        table, cfg = _crowded_scene(rng), CFGS[k % len(CFGS)]
+        assert _as_tuples(depurate(table, K.fv, cfg)) == _depurate_loop(table, K.fv, cfg)
     for seed in range(20):
-        scene = _synthetic_scene(seed, n=6)
-        assert _as_tuples(depurate(_table(scene), K.fv, CFG)) == _depurate_loop(scene, K, CFG)
+        table = _table(_synthetic_scene(seed, n=6))
+        assert _as_tuples(depurate(table, K.fv, CFG)) == _depurate_loop(table, K.fv, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +269,6 @@ def _tied(pool, low, high):
     return st.sampled_from(pool) | st.floats(low, high)
 
 
-def _label(u0, v0, u1, v1, h, y, z, w=1.64, l=3.86):
-    return [0.0, 0.0, 0.0, u0, v0, u1, v1, h, w, l, 0.0, y, z, 0.0, 0.0]
-
-
-def _band_edges(mean):
-    """A dimension's default band edges, as depurate computes them."""
-    return [mean * (1.0 - CFG.dim_tolerance), mean * (1.0 + CFG.dim_tolerance)]
-
-
 # label rows of small pools, so that boxes coincide, touch, share a centre u
 # or have no area, heights are exactly the default band apart (0.3 and 0.6),
 # dimensions sit on their band edges and depths are exactly 3 m apart (10 and
@@ -264,11 +287,11 @@ _label_row = st.sampled_from([
     _tied([0.0, 50.0, 100.0], -20.0, 300.0),
     _tied([100.0, 150.0], 0.0, 370.0),
     _tied([0.0, 2.0, 50.0, 100.0], -20.0, 300.0),
-    _tied([0.3, 0.6, 1.2, 1.5, 18.0, *_band_edges(CFG.mean_dims.h)], 0.3, 2.5),
+    _tied([0.3, 0.6, 1.2, 1.5, 18.0, *_edges(CFG)[0]], 0.3, 2.5),
     _tied([1.65, -1.0, 0.53842871, 2.9684], -2.0, 4.0),
     _tied([8.0, 10.0, 13.0, 20.0, 40.0], 1.0, 80.0),
-    _tied([CFG.mean_dims.w, *_band_edges(CFG.mean_dims.w)], 0.5, 3.0),
-    _tied([CFG.mean_dims.l, *_band_edges(CFG.mean_dims.l)], 1.5, 6.0),
+    _tied([CFG.mean_dims.w, *_edges(CFG)[1]], 0.5, 3.0),
+    _tied([CFG.mean_dims.l, *_edges(CFG)[2]], 1.5, 6.0),
 )
 
 
@@ -304,24 +327,31 @@ def _run_verdicts(frames, fvs, cfg):
 def test_pair_rules_over_a_run_give_the_per_frame_verdicts(monkeypatch, budget):
     """A run of crowded frames, with 0-row and 1-row frames and one frame of
     more pairs than the default budget, at a budget of one pair and at the
-    default: each frame's verdicts from its slice of the run's pass are the
-    frame's own, and the reference's."""
+    default, under each of CFGS: each frame's verdicts from its slice of the
+    run's pass are the frame's own, and both references'.  One frame holds
+    every value of ODD_VALUES in each dimension and in the bottom-face Y."""
     monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
     rng = np.random.default_rng(11)
-    frames = [_table(_crowded_scene(rng)).data.tolist() for _ in range(12)]
+    frames = [_crowded_scene(rng).data.tolist() for _ in range(12)]
     big = []
     while len(big) < 100:
-        big += _table(_crowded_scene(rng)).data.tolist()
-    frames += [[], [frames[0][0]], big, [], [frames[1][0]]]
+        big += _crowded_scene(rng).data.tolist()
+    # a frame whose r-th row holds the r-th value of ODD_VALUES in each column
+    odd = [list(row) for row in big[:len(ODD_VALUES[0])]]
+    for k, column in enumerate((7, 8, 9, 11)):
+        for row, value in zip(odd, ODD_VALUES[k], strict=True):
+            row[column] = value
+    frames += [[], [frames[0][0]], big, [], [frames[1][0]], odd]
     frames = [frames[k] for k in rng.permutation(len(frames))]
     assert len(big) * (len(big) - 1) // 2 > metrics.PAIR_BUDGET or budget == 1
     fvs = rng.choice([1.0, K.fv, 2.0 * K.fv], len(frames))
-    for cfg in (CFG, DepurationConfig(adjacency_iou_min=0.2, depth_gap_max=3.0, height_monotonic_eps=0.0)):
+    for cfg in CFGS:
         got = _run_verdicts(frames, fvs, cfg)
         for frame, fv, verdicts in zip(frames, fvs, got):
             table = LabelTable(frame, ["Car"] * len(frame))
             assert verdicts == depurate(table, fv, cfg)
             assert verdicts == _depurate_parent(table, CameraIntrinsics(fv, fv, 609.5593, 172.854), cfg)
+            assert _as_tuples(verdicts) == _depurate_loop(table, fv, cfg)
     # the frames' rows would pair across frames: as one frame, they judge otherwise
     labels, _ = _run(frames)
     assert depurate(labels, K.fv, CFG) != [v for verdicts in _run_verdicts(frames, [K.fv] * len(frames), CFG)
@@ -353,6 +383,21 @@ def test_pair_rules_keep_the_gap_list_rules_on_nan_and_infinite_depths(frames, f
             got = _run_verdicts(frames, [fv] * len(frames), cfg)
             assert got == [_depurate_parent(LabelTable(frame, ["Car"] * len(frame)), camera, cfg)
                            for frame in frames]
+
+
+def test_each_rule_bit_pattern_is_the_verdict_of_its_rules():
+    """depurate gives row k the Verdict of bit pattern k of pair_rules' last
+    column: the rules RULES[b] of its set bits b, removed by vertical alone
+    or by any two rules, and a hard violation exactly when vertical is set."""
+    assert RULES == (RULE_DIMS, RULE_VERTICAL, RULE_HEIGHT_DEPTH, RULE_ADJACENT_DEPTH)
+    table = LabelTable([_label(0.0, 0.0, 1.0, 1.0, 1.5, 1.65, 10.0)] * 16, ["Car"] * 16)
+    pairs = [np.full(16, -1.0), np.full(16, -1.0), np.zeros(16, dtype=bool), np.arange(16)]
+    verdicts = depurate(table, K.fv, CFG, pairs)
+    assert verdicts == list(VERDICTS)
+    for bits, v in enumerate(verdicts):
+        assert v == Verdict(frozenset(rule for b, rule in enumerate(RULES) if bits >> b & 1))
+        assert v.kept == (bits in (0b0000, 0b0001, 0b0100, 0b1000))
+        assert v.hard_violation == bool(bits & 0b0010)
 
 
 def test_empty_scene_has_no_verdicts():
@@ -571,7 +616,7 @@ def test_verdicts_permute_with_the_scene(objects, data):
         scene.append((Box2D(b.u_min, b.v_min + shift, b.u_max, b.v_max), box3d))
     perm = data.draw(st.permutations(range(len(scene))))
     base = depurate(_table(scene), K.fv, CFG)
-    assert _as_tuples(base) == _depurate_loop(scene, K, CFG)
+    assert _as_tuples(base) == _depurate_loop(_table(scene), K.fv, CFG)
     assert depurate(_table([scene[i] for i in perm]), K.fv, CFG) == [base[i] for i in perm]
 
 

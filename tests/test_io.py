@@ -146,6 +146,28 @@ def test_detection_wrong_columns_raise():
         parse_detections(["Car 1 2 3\n"])
 
 
+def test_table_selection_equals_a_table_built_from_the_selected_rows():
+    """A slice, a mask or an index array selects what the constructor builds
+    from the selected data and names: same type, rows, names, and a view of
+    the rows exactly where the constructor's is one."""
+    rng = np.random.default_rng(5)
+    tables = [LabelTable(rng.normal(size=(6, 15)), ["Car", "Van", "Car", "Cyclist", "Car", "Truck"]),
+              DetectionTable(rng.normal(size=(6, 5)), ["Car"] * 6), PropertyTable(rng.normal(size=(6, 9)))]
+    selections = [slice(1, 4), slice(None), slice(4, 2), slice(None, None, -2), rng.random(6) < 0.5,
+                  np.zeros(6, dtype=bool), np.array([5, 0, 0, 3]), np.array([], dtype=int), [2, 1]]
+    for table in tables:
+        for idx in selections:
+            got = table[idx]
+            built = type(table)(table.data[idx], None if table.cls is None else table.cls[idx])
+            assert type(got) is type(built) and len(got) == len(built)
+            assert got.data.dtype == built.data.dtype and got.data.shape == built.data.shape
+            assert np.array_equal(got.data, built.data)
+            assert np.shares_memory(got.data, table.data) == np.shares_memory(built.data, table.data)
+            assert (got.cls is None) == (built.cls is None)
+            if got.cls is not None:
+                assert got.cls.dtype == built.cls.dtype and got.cls.tolist() == built.cls.tolist()
+
+
 # ---------------------------------------------------------------------------
 # regressed-property sidecar
 
