@@ -18,10 +18,11 @@ it stands) and each seed, each tree:
   (``DEPURATION_CONFIG``);
 - runs ``box3d eval --json`` on both results and both sets of kept frames,
   at every combination of ``--iou``, ``--recall-points`` and
-  ``--difficulty`` (16 per output), and once on the refined results against
-  a copy of the ground truth without its last frame (``UNSCORED_GT``, so
-  that one result frame is not scored), in process in one fresh
-  interpreter.
+  ``--difficulty`` (16 per output), once on the refined results against a
+  copy of the ground truth without its last frame (``UNSCORED_GT``, so that
+  one result frame is not scored), and once on a copy of the refined results
+  with every frame's rows written twice (``DOUBLED_RESULTS``, so that every
+  matched ground truth is contested), in process in one fresh interpreter.
 
 Every other command runs in a fresh interpreter of its own.  Each tree is on
 PYTHONPATH, and each case runs from a working directory of its own with
@@ -150,6 +151,11 @@ DEPURATION_CONFIG = ("adjacency_iou_min = 0.2\ndepth_gap_max = 3\nheight_monoton
 # inputs and results that the seeded faults are drawn from
 UNSCORED_GT = "gt_without_last"
 
+# a case's copy of its refined results with each frame's rows written twice:
+# each row's copy ties with it on score, so every ground truth a row takes is
+# contested, at any frame count
+DOUBLED_RESULTS = "results_doubled"
+
 # tokens a replaced-token fault puts in.  The finite ones on the second line
 # reach the edges of the label writer's array pass: written back, they read
 # 1000000000.000000 (10 whole digits), -0.000000, 0.000003 (whose float
@@ -263,7 +269,7 @@ def commands(name, seed, frames):
 def eval_grid():
     """(label, argv) of `box3d eval --json` on each output of a case, at every
     IoU threshold, recall grid and difficulty that eval takes, then on the
-    refined results against UNSCORED_GT."""
+    refined results against UNSCORED_GT, then on DOUBLED_RESULTS."""
     runs = []
     for scored in ("results", "kept", "results_closed_form", "kept_closed_form"):
         for iou in ("0.5", "0.7"):
@@ -275,6 +281,8 @@ def eval_grid():
                                   "--json", f"{scored}-{iou}-{points}-{difficulty}.json"]))
     runs.append((f"eval results --gt {UNSCORED_GT}",
                  ["eval", "--results", "results", "--gt", UNSCORED_GT, "--json", "results-unscored.json"]))
+    runs.append((f"eval {DOUBLED_RESULTS}",
+                 ["eval", "--results", DOUBLED_RESULTS, "--gt", "inputs/gt", "--json", "results-doubled.json"]))
     return runs
 
 
@@ -297,6 +305,9 @@ def run_tree(src, work, cases):
         (case / UNSCORED_GT).mkdir()
         for path in sorted((case / "inputs" / "gt").glob("*.txt"))[:-1]:
             (case / UNSCORED_GT / path.name).write_bytes(path.read_bytes())
+        (case / DOUBLED_RESULTS).mkdir()
+        for path in sorted((case / "results").glob("*.txt")):
+            (case / DOUBLED_RESULTS / path.name).write_bytes(path.read_bytes() * 2)
         grid, ran = work / f"{name}-{seed}-grid.json", work / f"{name}-{seed}-grid-outcomes.json"
         grid.write_text(json.dumps([argv for _, argv in eval_grid()]))
         subprocess.run([sys.executable, "-c", COMMAND_RUNNER, str(grid), str(ran)], cwd=case, env=env,

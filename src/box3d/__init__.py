@@ -20,6 +20,7 @@ from .metrics import (
     average_precision,
     dimension_error,
     match_frame,
+    match_run,
     orientation_similarity,
     pair_ious,
 )

@@ -28,6 +28,7 @@ from .metrics import (
     average_precision,
     dimension_error,
     match_frame,
+    match_run,
     pair_ious,
     passes_difficulty,
 )
@@ -311,7 +312,7 @@ def cmd_depurate(args):
         table = labels[rows]
         for i, v in enumerate(depurate(table, fv, cfg, [a[rows] for a in rules])):
             kept.append(v.kept)
-            if not v.kept:
+            if not kept[-1]:
                 report_lines.append(
                     f"{frame} object {i} ({table.cls[i]}): removed, "
                     f"{'hard rule' if v.hard_violation else 'co-determination'} [{','.join(sorted(v.violated_rules))}]"
@@ -352,17 +353,12 @@ def cmd_eval(args):
     gt, gt_offsets = gt[scored], np.append(0, np.cumsum(scored))[gt_offsets]
     for labels in (gt, det):
         labels.yaw[:] = wrap_angle(labels.yaw)  # into [-pi, pi), as Box3D does
-    det_rows, gt_rows, ious = pair_ious(det, det_offsets, gt, gt_offsets)
-    cuts = np.searchsorted(det_rows, det_offsets)
-    # the pairs' rows counted from their frame's first
-    frame_of = np.repeat(np.arange(len(gt_frames)), np.diff(cuts))
-    det_rows, gt_rows = det_rows - det_offsets[frame_of], gt_rows - gt_offsets[frame_of]
-    cuts, d_at, g_at = cuts.tolist(), det_offsets.tolist(), gt_offsets.tolist()
+    run = match_run(det, gt, args.iou, pair_ious(det, det_offsets, gt, gt_offsets))
+    d_at, g_at = det_offsets.tolist(), gt_offsets.tolist()
     matches = [(np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0))]
     for f in range(len(gt_frames)):
-        pairs = slice(cuts[f], cuts[f + 1])
-        matches.append(match_frame(det[d_at[f]:d_at[f + 1]], gt[g_at[f]:g_at[f + 1]], args.iou,
-                                   (det_rows[pairs], gt_rows[pairs], ious[pairs])))
+        rows = slice(d_at[f], d_at[f + 1])
+        matches.append(match_frame(det[rows], gt[g_at[f]:g_at[f + 1]], args.iou, [c[rows] for c in run]))
     matches = [np.concatenate(column) for column in zip(*matches)]
     # closest-ground-truth matching is per frame; the frames' means, weighted
     # by their detections, are summed in frame order

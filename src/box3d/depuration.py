@@ -14,6 +14,7 @@ bits of violated rules.  depurate looks up a frame's Verdicts from its slice.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -61,11 +62,12 @@ DEFAULT_DEPURATION_CONFIG = DepurationConfig()
 class Verdict:
     violated_rules: frozenset
 
-    @property
+    # worked out on first read, then a plain attribute: VERDICTS are read per row
+    @cached_property
     def hard_violation(self) -> bool:
         return RULE_VERTICAL in self.violated_rules
 
-    @property
+    @cached_property
     def kept(self) -> bool:
         return not self.hard_violation and len(self.violated_rules) < 2
 

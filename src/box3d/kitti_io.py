@@ -42,7 +42,7 @@ class Table:
     class names, ``cls``: an object array, or None where the file has none.
 
     ``len`` is the row count; indexing with a slice, a mask or an index array
-    selects rows.
+    selects rows, and any other index raises TypeError.
     """
 
     __slots__ = ("data", "cls")
@@ -62,9 +62,12 @@ class Table:
         return len(self.data)
 
     def __getitem__(self, idx):
+        data = self.data[idx]
+        if data.ndim != 2:  # an integer selects one row's numbers, not a table
+            raise TypeError(f"select {type(self).__name__} rows by a slice, a mask or an index array, not {idx!r}")
         # data and cls are a float and an object array already: no conversion
         table = object.__new__(type(self))
-        table.data, table.cls = self.data[idx], None if self.cls is None else self.cls[idx]
+        table.data, table.cls = data, None if self.cls is None else self.cls[idx]
         return table
 
 

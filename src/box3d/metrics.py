@@ -3,9 +3,10 @@
 AP follows the interpolated protocol at a configurable recall grid
 (11 points {0.0, 0.1, ..., 1.0} by default, 40-point variant available).
 Matching is greedy in descending score, each ground truth consumable once,
-a detection is a true positive when its best 3D IoU clears the threshold; a
-frame's matches are four columns (score, true positive, orientation
-similarity, IoU).
+a detection is a true positive when its best 3D IoU clears the threshold.
+match_run matches a whole run in one pass over pair_ious' triples, into four
+columns (score, true positive, orientation similarity, IoU); match_frame
+hands back one frame's slice of them.
 pair_ious scores a whole run's within-frame pairs.  It culls them from a few
 columns computed once per table (ground-plane x and z, bottom and top y,
 bounding-circle radius, a non-positive-dimension flag), so that no pair
@@ -216,38 +217,50 @@ def orientation_similarity(theta_det: float, theta_gt: float) -> float:
 # matching and ranked metrics
 
 
-def match_frame(detections, ground_truths, iou_threshold: float, ious):
-    """Greedy match of one frame's detections against its ground truths, two
-    LabelTables (location, dims, yaw; a detection without a score counts
-    1.0).
+def match_run(detections, ground_truths, iou_threshold: float, ious):
+    """Greedy match of a run's detections against its ground truths, two
+    LabelTables holding the frames one after the other (location, dims, yaw;
+    a detection without a score counts 1.0), given the run's positive IoUs
+    as pair_ious returns them.
 
-    ious holds the frame's positive IoUs as pair_ious returns them, rows
-    counted from the frame's first.
     In descending score (ties keep their input order), each detection takes
     the first unused ground truth of largest IoU, and is a true positive if
-    that IoU clears the threshold.  Returns four columns in detection order,
-    to be pooled across frames: the score, whether a true positive, the
+    that IoU clears the threshold.  No ground truth is in two frames, so one
+    pass over the run gives each frame its own greedy.  Returns four (N,)
+    columns in detection order: the score, whether a true positive, the
     orientation similarity (0.0 for a false positive) and the IoU taken (0.0
     where no unused ground truth overlaps).
     """
-    scores = [1.0 if math.isnan(s) else s for s in detections.score.tolist()]
-    n = len(scores)
-    is_tp, sims, taken = [False] * n, [0.0] * n, [0.0] * n
-    candidates = {}  # each overlapping detection's (gt, IoU), ground truths ascending
-    for i, j, iou in zip(*(column.tolist() for column in ious)):
-        candidates.setdefault(i, []).append((j, iou))
-    used = set()
-    yaw_d, yaw_g = detections.yaw.tolist(), ground_truths.yaw.tolist()
-    for i in sorted(candidates, key=lambda i: -scores[i]):  # stable: ties keep row order
+    d, g, iou = ious
+    score = np.where(np.isnan(detections.score), 1.0, detections.score)
+    is_tp, sims, taken = np.zeros(len(score), dtype=bool), np.zeros(len(score)), np.zeros(len(score))
+    starts = np.flatnonzero(np.diff(d, prepend=-1))  # each overlapping detection's first triple
+    order = np.argsort(-score[d[starts]], kind="stable")  # ties keep row order
+    rows, bounds = d[starts[order]], np.append(starts, len(d)).tolist()
+    g, iou, best_of, taker = g.tolist(), iou.tolist(), [], {}  # taker: each used ground truth's detection
+    for i, n in zip(rows.tolist(), order.tolist()):
         best, k = 0.0, -1
-        for j, iou in candidates[i]:
-            if iou > best and j not in used:  # strict: the first of equal IoUs
-                best, k = iou, j
-        taken[i] = best
+        for j in range(bounds[n], bounds[n + 1]):  # ground truths ascending
+            if iou[j] > best and g[j] not in taker:  # strict: the first of equal IoUs
+                best, k = iou[j], g[j]
+        best_of.append(best)
         if k >= 0 and best >= iou_threshold:
-            used.add(k)  # each ground truth is consumed once
-            is_tp[i], sims[i] = True, orientation_similarity(yaw_d[i], yaw_g[k])
-    return np.array(scores, dtype=float), np.array(is_tp, dtype=bool), np.array(sims), np.array(taken)
+            taker[k] = i  # each ground truth is consumed once
+    taken[rows], tp = best_of, list(taker.values())
+    is_tp[tp] = True
+    sims[tp] = [orientation_similarity(a, b)
+                for a, b in zip(detections.yaw[tp].tolist(), ground_truths.yaw[list(taker)].tolist())]
+    return score, is_tp, sims, taken
+
+
+def match_frame(detections, ground_truths, iou_threshold: float, matches=None):
+    """match_run's four columns for one frame's detections and ground truths:
+    matches, the frame's slice of them over the run, or else those of the
+    frame's own pair_ious and match_run."""
+    if matches is None:
+        matches = match_run(detections, ground_truths, iou_threshold,
+                            pair_ious(detections, [0, len(detections)], ground_truths, [0, len(ground_truths)]))
+    return tuple(matches)
 
 
 def _ranked(matches, n_gt):

@@ -168,6 +168,15 @@ def test_table_selection_equals_a_table_built_from_the_selected_rows():
                 assert got.cls.dtype == built.cls.dtype and got.cls.tolist() == built.cls.tolist()
 
 
+def test_table_selection_by_a_single_index_raises():
+    """An integer, a numpy integer or a 0-d index picks one row's numbers,
+    not rows: it raises TypeError naming the indexes that select rows."""
+    table = LabelTable(np.zeros((4, 15)), ["Car"] * 4)
+    for idx in (2, np.int64(1), np.array(1), -1):
+        with pytest.raises(TypeError, match="a slice, a mask or an index array"):
+            table[idx]
+
+
 # ---------------------------------------------------------------------------
 # regressed-property sidecar
 

@@ -19,6 +19,7 @@ from box3d.metrics import (
     bev_corners,
     dimension_error,
     match_frame,
+    match_run,
     orientation_similarity,
     pair_ious,
     passes_difficulty,
@@ -61,9 +62,8 @@ def _iou(a, b):
 
 
 def _match_tables(detections, ground_truths, iou_threshold):
-    """match_frame on one frame's tables, with the frame's pair_ious."""
-    ious = pair_ious(detections, [0, len(detections)], ground_truths, [0, len(ground_truths)])
-    return match_frame(detections, ground_truths, iou_threshold, ious)
+    """match_frame on one frame's tables, without a run's columns."""
+    return match_frame(detections, ground_truths, iou_threshold)
 
 
 def _match(detections, ground_truths, iou_threshold):
@@ -575,17 +575,37 @@ def test_pair_ious_equal_scalar_reference(monkeypatch, budget):
 @pytest.mark.parametrize("iou_threshold", [0.5, 0.7])
 def test_run_pass_matches_per_frame_loop(monkeypatch, budget, iou_threshold):
     monkeypatch.setattr(metrics, "PAIR_BUDGET", budget)
-    frames = _random_run(13)
+    car = dict(h=1.5, w=2.0, l=4.0)
+    frames = _random_run(13) + [
+        # the later frame's detection outscores the earlier frame's, and
+        # takes nothing from it: each ground truth is its frame's row 0
+        ([(_box(z=10.0), 0.5)], [_box(z=10.0)]),
+        ([(_box(z=20.0), 0.9)], [_box(z=20.0)]),
+        # NaN counts 1.0 and takes the ground truth; -0.0 and 0.0 tie
+        ([(_box(**car), -0.0), (_box(**car), 0.0), (_box(**car), math.nan)], [_box(**car), _box(x=0.1, **car)]),
+        # the first detection's best IoU (about 0.23) is below the threshold,
+        # so it leaves the ground truth to the second
+        ([(_box(x=2.5, **car), 0.9), (_box(**car), 0.8)], [_box(**car)]),
+    ]
     dets, det_offsets, gts, gt_offsets = _joined(frames)
-    d, g, iou = pair_ious(dets, det_offsets, gts, gt_offsets)
-    cuts = np.searchsorted(d, det_offsets)
+    run = match_run(dets, gts, iou_threshold, pair_ious(dets, det_offsets, gts, gt_offsets))
+    assert run[0].tobytes() == np.where(np.isnan(dets.score), 1.0, dets.score).tobytes()
     for f, (ds, gs) in enumerate(frames):
-        pairs = slice(cuts[f], cuts[f + 1])
-        got = match_frame(dets[det_offsets[f]:det_offsets[f + 1]], gts[gt_offsets[f]:gt_offsets[f + 1]],
-                          iou_threshold, (d[pairs] - det_offsets[f], g[pairs] - gt_offsets[f], iou[pairs]))
+        rows = slice(det_offsets[f], det_offsets[f + 1])
+        det, gt = dets[rows], gts[gt_offsets[f]:gt_offsets[f + 1]]
+        got = match_frame(det, gt, iou_threshold, [column[rows] for column in run])
         # a detection without a score counts 1.0
         scored = [(box, 1.0 if math.isnan(s) else s) for box, s in ds]
         assert _rows(got) == _match_frame_loop(scored, gs, iou_threshold)
+        alone = match_frame(det, gt, iou_threshold)
+        assert [(c.dtype, c.tobytes()) for c in alone] == [(c.dtype, c.tobytes()) for c in got]
+    at = det_offsets[-5:].tolist()
+    assert [_rows([column[first:last] for column in run]) for first, last in zip(at, at[1:])] == [
+        [(0.5, True, 1.0, 1.0)],
+        [(0.9, True, 1.0, 1.0)],
+        [(1.0, True, 1.0, 1.0), (-0.0, True, 1.0, _iou(_box(**car), _box(x=0.1, **car))), (0.0, False, 0.0, 0.0)],
+        [(0.9, False, 0.0, 1.5 / 6.5), (0.8, True, 1.0, 1.0)],
+    ]
 
 
 @given(frames=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8),

@@ -27,7 +27,7 @@ def test_pipeline_demo_prints_sections(tmp_path):
 def test_same_outputs_finds_no_difference_between_a_tree_and_itself():
     stdout = _run("same_outputs.py", str(ROOT / "src"), "--frames", "2", "--seeds", "0",
                   "--workloads", "crowded_eval")
-    assert stdout.splitlines()[-1] == ("0 differences in 92 files and 73 commands (0 exited non-zero) "
+    assert stdout.splitlines()[-1] == ("0 differences in 95 files and 74 commands (0 exited non-zero) "
                                        "over 1 workload-seed cases")
 
 
@@ -38,7 +38,7 @@ def test_same_outputs_runs_seeded_faults_in_both_trees():
     match = re.fullmatch(r"0 differences in 12 fault commands \((\d+) exited non-zero\) over 4 faults "
                          r"in each of 1 workload-seed cases", faults)
     assert match and int(match[1]) > 0, faults  # the faults reach the commands
-    assert total.startswith("0 differences in 92 files and 73 commands")
+    assert total.startswith("0 differences in 95 files and 74 commands")
 
 
 LABEL_ROW = "Car 0.000000 0 -1.570000 100.0 150.0 200.0 220.0 1.520000 1.640000 3.860000 {x} 1.650000 {z} 0.1 0.9"
