@@ -80,8 +80,8 @@ VERDICTS = tuple(Verdict(frozenset(compress(RULES, (bits >> k & 1 for k in range
 def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG):
     """The rules' findings for every row of a run of frames: the (N,)
     smallest depth gap to an adjacent neighbour on the row's left and on its
-    right, -1 where it has none, the (N,) height_depth blame, and the (N,)
-    violated rules as integer bits, bit k set when RULES[k] is violated:
+    right, -1 where it has none, and the (N,) violated rules as integer bits,
+    bit k set when RULES[k] is violated:
 
     dims            h, w and l each within mean*(1 +- tolerance), inclusive;
     vertical        bottom-center Y within [min(centers) - slack, max(centers) + slack];
@@ -135,7 +135,7 @@ def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_C
     y_ok = (min(cfg.vertical_centers) - cfg.vertical_slack <= y) & (y <= max(cfg.vertical_centers) + cfg.vertical_slack)
     # -1 for no neighbour is never above the non-negative depth_gap_max
     far = (left_gap > cfg.depth_gap_max) & (right_gap > cfg.depth_gap_max)
-    return left_gap, right_gap, blamed, ~dims_ok + 2 * ~y_ok + 4 * blamed + 8 * far
+    return left_gap, right_gap, ~dims_ok + 2 * ~y_ok + 4 * blamed + 8 * far
 
 
 def _least(out, rows, gaps):
@@ -154,4 +154,4 @@ def depurate(table, fv: float, cfg: DepurationConfig = DEFAULT_DEPURATION_CONFIG
     without it, pair_rules runs on this one frame."""
     if pairs is None:
         pairs = pair_rules(table, [0, len(table)], fv, cfg)
-    return [VERDICTS[bits] for bits in pairs[3].tolist()]
+    return [VERDICTS[bits] for bits in pairs[-1].tolist()]

@@ -157,7 +157,7 @@ def frame_blocks(weights, budget):
     yield first, len(weights)
 
 
-# kept for bench/spans.py, whose generate_scene counter reads result[0].objects
+# generate_scene's ground truth: box3d synth writes its objects and camera
 @dataclass
 class FrameRecord:
     frame_id: str

@@ -574,6 +574,15 @@ def _one_frame_copy(data, frame, root):
     return root
 
 
+def _add_floating_car(data, frame):
+    """Append to `frame` a detection above the horizon, with mean dimensions,
+    which depuration removes by the vertical rule."""
+    with (data / "detections" / f"{frame}.txt").open("a") as f:
+        f.write("Car 520.0 60.0 640.0 130.0 0.95\n")
+    with (data / "properties" / f"{frame}.txt").open("a") as f:
+        f.write("0 0 0 5 0 0 1 0.389418342 0.921060994 0 0 1\n")
+
+
 def test_run_level_writer_equals_per_frame_writes(tmp_path, capsys):
     data, results, kept = tmp_path / "data", tmp_path / "results", tmp_path / "kept"
     assert main(["synth", "--out", str(data), "--frames", "5", "--seed", "11"]) == 0
@@ -585,10 +594,7 @@ def test_run_level_writer_equals_per_frame_writes(tmp_path, capsys):
     props = data / "properties" / "000003.txt"
     header, *rows = props.read_text().splitlines()
     props.write_text("\n".join([header, *(" ".join([*r.split()[:5], "nan", *r.split()[6:]]) for r in rows)]) + "\n")
-    with (data / "detections" / "000002.txt").open("a") as f:
-        f.write("Car 520.0 60.0 640.0 130.0 0.95\n")
-    with (data / "properties" / "000002.txt").open("a") as f:
-        f.write("0 0 0 5 0 0 1 0.389418342 0.921060994 0 0 1\n")
+    _add_floating_car(data, "000002")
     frames = [f"{i:06d}" for i in range(5)]
     # stale files, longer than anything written over them
     for directory in (results, kept):
@@ -628,11 +634,7 @@ def test_write_blocks_of_any_row_count_write_the_same_bytes(tmp_path, monkeypatc
     spec, data = tmp_path / "spec.cfg", tmp_path / "data"
     spec.write_text("allow_truncated = true\n")
     assert main(["synth", "--out", str(data), "--frames", "20", "--seed", "0", "--spec", str(spec)]) == 0
-    # a detection above the horizon that depuration removes
-    with (data / "detections" / "000002.txt").open("a") as f:
-        f.write("Car 520.0 60.0 640.0 130.0 0.95\n")
-    with (data / "properties" / "000002.txt").open("a") as f:
-        f.write("0 0 0 5 0 0 1 0.389418342 0.921060994 0 0 1\n")
+    _add_floating_car(data, "000002")
     written, default = {}, cli.WRITE_BLOCK_ROWS
     for rows in (default, 1, 2, 5):
         monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", rows)

@@ -391,7 +391,7 @@ def test_each_rule_bit_pattern_is_the_verdict_of_its_rules():
     or by any two rules, and a hard violation exactly when vertical is set."""
     assert RULES == (RULE_DIMS, RULE_VERTICAL, RULE_HEIGHT_DEPTH, RULE_ADJACENT_DEPTH)
     table = LabelTable([_label(0.0, 0.0, 1.0, 1.0, 1.5, 1.65, 10.0)] * 16, ["Car"] * 16)
-    pairs = [np.full(16, -1.0), np.full(16, -1.0), np.zeros(16, dtype=bool), np.arange(16)]
+    pairs = [np.full(16, -1.0), np.full(16, -1.0), np.arange(16)]
     verdicts = depurate(table, K.fv, CFG, pairs)
     assert verdicts == list(VERDICTS)
     for bits, v in enumerate(verdicts):
