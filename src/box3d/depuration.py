@@ -7,9 +7,9 @@ a detection; the other three are soft and co-determine removal, at least
 two must fail.  Removing a 2D detection abandons its paired 3D box.
 
 All four rules are judged for a whole run at once, in array code, by
-pair_rules: it scores the pairs i < j within each frame in kitti_io.frame_blocks
-of at most metrics.PAIR_BUDGET pairs, then each row against the bands, into
-bits of violated rules.  depurate looks up a frame's Verdicts from its slice.
+pair_rules: it scores the pairs i < j within each frame, from
+metrics.frame_pairs, then each row against the bands, into bits of violated
+rules.  depurate looks up a frame's Verdicts from its slice.
 """
 
 import math
@@ -19,9 +19,9 @@ from itertools import compress
 
 import numpy as np
 
-from . import metrics
 from .camera import Dimensions, box_iou_2d
-from .kitti_io import check_fields, frame_blocks
+from .kitti_io import check_fields
+from .metrics import frame_pairs
 from .properties import CAR_PRIOR
 
 RULE_DIMS = "dims"
@@ -95,22 +95,18 @@ def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_C
     labels is a LabelTable holding the frames one after the other, frame f
     being rows offsets[f]:offsets[f + 1]; fv is each row's vertical focal
     length in pixels, or one for every row.  The pairs i < j within each
-    frame come in blocks of whole frames of at most metrics.PAIR_BUDGET pairs.
-    A gap is the smallest of the row's gaps as min() takes them in the order
-    of the other row, so it is NaN where the first of them is NaN.  NaN fails a band.
+    frame come from frame_pairs.  A gap is the smallest of the row's gaps as
+    min() takes them in the order of the other row, so it is NaN where the
+    first of them is NaN.  NaN fails a band.
     """
-    offsets, n = np.asarray(offsets), len(labels)
-    sizes = np.diff(offsets)
+    n = len(labels)
     box, z, h3 = np.ascontiguousarray(labels.box), labels.location[:, 2], labels.dims[:, 0]
     left_gap, right_gap, blamed = np.full(n, -1.0), np.full(n, -1.0), np.zeros(n, dtype=bool)
     with np.errstate(invalid="ignore"):
         height = box[:, 3] - box[:, 1]
         center_u = 0.5 * (box[:, 0] + box[:, 2])
         residual = np.abs(height * z - fv * h3)
-        for first, last in frame_blocks((sizes * (sizes - 1) // 2).tolist(), metrics.PAIR_BUDGET):
-            i, j = metrics._frame_pairs(offsets[first:last + 1], offsets[first:last + 1])
-            upper = i < j
-            i, j = i[upper], j[upper]
+        for _, i, j in frame_pairs(offsets):
             zi, zj, dvi, dvj, ri, rj = z[i], z[j], height[i], height[j], residual[i], residual[j]
             # of two rows within eps in 3D height, the deeper one must look
             # shorter; a violating pair blames the one with the larger residual

@@ -13,8 +13,7 @@ bounding-circle radius, a non-positive-dimension flag), so that no pair
 gathers whole rows, and clips only the pairs whose vertical extents and
 ground-plane bounding circles overlap; every other pair scores exactly 0.
 dimension_error takes its center distances from the same kind of
-per-coordinate columns.  Both take a run's pairs in blocks of whole frames of
-at most PAIR_BUDGET pairs, cut by kitti_io.frame_blocks.
+per-coordinate columns.  Both take their pairs from frame_pairs.
 """
 
 import math
@@ -31,7 +30,7 @@ RECALL_POINTS_40 = tuple(np.linspace(1.0 / 40.0, 1.0, 40))
 # ---------------------------------------------------------------------------
 # rotated 3D IoU
 
-# Pairs per block of pair_ious: enough that numpy's per-call overhead is
+# Pairs per block of frame_pairs: enough that numpy's per-call overhead is
 # spread thin, few enough that a block's arrays stay within a few MB.
 PAIR_BUDGET = 4096
 
@@ -159,17 +158,25 @@ def _may_meet(a: _Cull, b: _Cull) -> np.ndarray:
         return ~(a.flat | b.flat | (overlap_y <= 0) | (dx * dx + dz * dz > reach * reach))
 
 
-def _frame_pairs(det_offsets, gt_offsets):
-    """Detection and ground-truth rows of every pair within a frame, over
-    frames given by their (F + 1,) row offsets: frame by frame, detection
-    by detection, ground truths ascending."""
-    n_det = np.diff(det_offsets)
-    n_gt = np.repeat(np.diff(gt_offsets), n_det)  # each detection's pair count
-    ends = np.cumsum(n_gt)
-    d = np.repeat(np.arange(det_offsets[0], det_offsets[-1]), n_gt)
-    # a detection's pairs count up from its frame's first ground truth
-    g = np.arange(len(d)) + np.repeat(np.repeat(gt_offsets[:-1], n_det) - (ends - n_gt), n_gt)
-    return d, g
+def frame_pairs(a_offsets, b_offsets=None):
+    """The row pairs within each frame of a run, frames given by their (F + 1,)
+    row offsets into a table a and a table b, in kitti_io.frame_blocks of at
+    most PAIR_BUDGET pairs.  Yields each block's frames as a slice, then its a
+    and b rows: frame by frame, a ascending, then b ascending.  Without
+    b_offsets, the pairs a < b within one table's frames."""
+    one = b_offsets is None
+    a_offsets, b_offsets = np.asarray(a_offsets), np.asarray(a_offsets if one else b_offsets)
+    n_a, n_b = np.diff(a_offsets), np.diff(b_offsets)
+    for first, last in frame_blocks((n_a * (n_a - 1) // 2 if one else n_a * n_b).tolist(), PAIR_BUDGET):
+        counts = np.repeat(n_b[first:last], n_a[first:last])  # each a row's pair count
+        ends = np.cumsum(counts)
+        a = np.repeat(np.arange(a_offsets[first], a_offsets[last]), counts)
+        # an a row's pairs count up from its frame's first b row
+        b = np.arange(len(a)) + np.repeat(np.repeat(b_offsets[first:last], n_a[first:last]) - (ends - counts), counts)
+        if one:
+            upper = a < b
+            a, b = a[upper], b[upper]
+        yield slice(first, last), a, b
 
 
 def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
@@ -181,17 +188,14 @@ def pair_ious(detections, det_offsets, ground_truths, gt_offsets):
     one and gt_offsets[f]:gt_offsets[f + 1] of the other.  Returns the
     (det row, gt row, IoU) triples as three arrays, in detection order, then
     ground-truth order.  The cull (_may_meet) reads columns computed once
-    per table, over blocks of whole frames of at most PAIR_BUDGET pairs.  The
-    run's survivors are clipped in equal blocks of about PAIR_BUDGET // 4, as
-    a clipped pair's temporaries weigh about four times a culled pair's.  A
-    NaN IoU is left out.
+    per table, over the pairs from frame_pairs.  The run's survivors are
+    clipped in equal blocks of about PAIR_BUDGET // 4, as a clipped pair's
+    temporaries weigh about four times a culled pair's; a NaN IoU is left out.
     """
-    det_offsets, gt_offsets = np.asarray(det_offsets), np.asarray(gt_offsets)
     cull_d = _Cull.of(detections.location, detections.dims)
     cull_g = _Cull.of(ground_truths.location, ground_truths.dims)
     survivors = []
-    for first, last in frame_blocks((np.diff(det_offsets) * np.diff(gt_offsets)).tolist(), PAIR_BUDGET):
-        d, g = _frame_pairs(det_offsets[first:last + 1], gt_offsets[first:last + 1])
+    for _, d, g in frame_pairs(det_offsets, gt_offsets):
         keep = _may_meet(cull_d.take(d), cull_g.take(g))
         survivors.append((d[keep], g[keep]))
     d, g = (np.concatenate(rows) for rows in zip(*survivors))
@@ -313,20 +317,18 @@ def dimension_error(detections, det_offsets, ground_truths, gt_offsets) -> np.nd
     tie or a NaN distance goes to the first, as argmin has it.  NaN for a
     frame with no detection or no ground truth.
 
-    Tables and offsets as pair_ious takes them.  The run is scored in blocks
-    of whole frames of at most PAIR_BUDGET pairs, each pair's squared distance
-    (dx*dx + dy*dy) + dz*dz from gathers of one coordinate column at a time;
-    every sum adds its terms in the order, and with numpy's pairwise
-    summation, that one frame's own arrays would.
+    Tables and offsets as pair_ious takes them.  Over the pairs from
+    frame_pairs, each pair's squared distance (dx*dx + dy*dy) + dz*dz comes
+    from gathers of one coordinate column at a time; every sum adds its terms
+    in the order, and with numpy's pairwise summation, that one frame's own
+    arrays would.
     """
-    det_offsets, gt_offsets = np.asarray(det_offsets), np.asarray(gt_offsets)
     n_gt = np.diff(gt_offsets)
     n_det = np.where(n_gt > 0, np.diff(det_offsets), 0)  # the detections scored
     sums = np.zeros(len(n_gt))
     coords = [[np.ascontiguousarray(table.location[:, k]) for k in range(3)] for table in (detections, ground_truths)]
     with np.errstate(all="ignore"):
-        for first, last in frame_blocks((n_det * n_gt).tolist(), PAIR_BUDGET):
-            d, g = _frame_pairs(det_offsets[first:last + 1], gt_offsets[first:last + 1])
+        for frames, d, g in frame_pairs(det_offsets, gt_offsets):
             if not len(d):
                 continue
             dx, dy, dz = (a[d] - b[g] for a, b in zip(*coords))
@@ -341,7 +343,7 @@ def dimension_error(detections, det_offsets, ground_truths, gt_offsets) -> np.nd
             err *= err
             # reduceat starts each sum from its first term and .sum() from
             # 0.0, so each frame's terms follow a 0.0 of their own
-            paired = first + np.flatnonzero(n_det[first:last])
+            paired = frames.start + np.flatnonzero(n_det[frames])
             counts = n_det[paired]
             terms = np.zeros(len(err) + len(paired))
             terms[np.arange(len(err)) + np.repeat(np.arange(1, len(paired) + 1), counts)] = np.sqrt(

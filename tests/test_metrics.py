@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from box3d import metrics
 from box3d.camera import Box3D, Dimensions
-from box3d.kitti_io import LabelTable
+from box3d.kitti_io import LabelTable, frame_blocks
 from box3d.metrics import (
     RECALL_POINTS_11,
     RECALL_POINTS_40,
@@ -151,42 +151,6 @@ def _same(x, y) -> bool:
     return (math.isnan(x) and math.isnan(y)) or (x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
 
 
-def _mc_iou(a, b, n=1_000_000, seed=0):
-    """Monte-Carlo point-sampling oracle over the joint bounding region."""
-    rng = np.random.default_rng(seed)
-
-    def bounds(box):
-        from box3d.camera import box_vertices
-
-        v = box_vertices(box)
-        return v.min(axis=0), v.max(axis=0)
-
-    lo_a, hi_a = bounds(a)
-    lo_b, hi_b = bounds(b)
-    lo = np.minimum(lo_a, lo_b)
-    hi = np.maximum(hi_a, hi_b)
-    pts = rng.uniform(lo, hi, size=(n, 3))
-
-    def inside(box):
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        rel = pts - box.location
-        ox = rel[:, 0] * c - rel[:, 2] * s
-        oz = rel[:, 0] * s + rel[:, 2] * c
-        return (
-            (np.abs(ox) <= box.dims.l / 2)
-            & (np.abs(oz) <= box.dims.w / 2)
-            & (rel[:, 1] <= 0)
-            & (rel[:, 1] >= -box.dims.h)
-        )
-
-    in_a = inside(a)
-    in_b = inside(b)
-    union = np.count_nonzero(in_a | in_b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(in_a & in_b) / union
-
-
 # ---------------------------------------------------------------------------
 # rotated 3D IoU
 
@@ -207,21 +171,6 @@ def test_unit_cubes_half_offset():
 def test_vertical_offset_only():
     # y down, boxes span [y-h, y]: offset 0.25 leaves 0.75 overlap
     assert _iou(_box(), _box(y=0.25)) == pytest.approx(0.75 / 1.25)
-
-
-def test_rotated_iou_against_monte_carlo():
-    rng = np.random.default_rng(42)
-    for trial in range(12):
-        a = _box(
-            h=rng.uniform(1, 2), w=rng.uniform(1, 2), l=rng.uniform(2, 5),
-            yaw=rng.uniform(-math.pi, math.pi),
-        )
-        b = _box(
-            x=rng.uniform(-1.5, 1.5), y=rng.uniform(-0.5, 0.5), z=rng.uniform(-1.5, 1.5),
-            h=rng.uniform(1, 2), w=rng.uniform(1, 2), l=rng.uniform(2, 5),
-            yaw=rng.uniform(-math.pi, math.pi),
-        )
-        assert _iou(a, b) == pytest.approx(_mc_iou(a, b, seed=trial), abs=0.01)
 
 
 @given(
@@ -608,20 +557,27 @@ def test_run_pass_matches_per_frame_loop(monkeypatch, budget, iou_threshold):
     ]
 
 
-@given(frames=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8),
-       start=st.tuples(st.integers(0, 20), st.integers(0, 20)))
-def test_frame_pairs_equal_nested_loops(frames, start):
-    """Every frame's detection x ground-truth pairs, detection by detection,
-    ground truths ascending; a frame without detections or without ground
-    truths has none.  The offsets may start past row 0, as the slices of a
-    run's offsets that pair_ious passes do."""
-    det_offsets = start[0] + np.cumsum([0] + [n for n, _ in frames])
-    gt_offsets = start[1] + np.cumsum([0] + [n for _, n in frames])
-    d, g = metrics._frame_pairs(det_offsets, gt_offsets)
-    assert d.dtype.kind == g.dtype.kind == "i"
-    assert list(zip(d.tolist(), g.tolist())) == [
-        (i, j) for f in range(len(frames))
-        for i in range(det_offsets[f], det_offsets[f + 1]) for j in range(gt_offsets[f], gt_offsets[f + 1])
+@given(frames=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8),
+       start=st.tuples(st.integers(1, 20), st.integers(1, 20)), one_table=st.booleans(),
+       budget=st.sampled_from([1, 7, metrics.PAIR_BUDGET]))
+def test_frame_pairs_equal_nested_loops(frames, start, one_table, budget):
+    """Each block of frame_pairs holds the a x b pairs of its frames, frame by
+    frame, a ascending, then b ascending; of one table's frames, the pairs
+    a < b only.  The blocks are kitti_io.frame_blocks of the frames weighted
+    by their pair counts.  The offsets start past row 0, so that no row is
+    taken for its place in the block."""
+    a_offsets = start[0] + np.cumsum([0] + [n for n, _ in frames])
+    b_offsets = a_offsets if one_table else start[1] + np.cumsum([0] + [n for _, n in frames])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "PAIR_BUDGET", budget)
+        blocks = list(metrics.frame_pairs(a_offsets, None if one_table else b_offsets))
+    assert all(a.dtype.kind == b.dtype.kind == "i" for _, a, b in blocks)
+    n_a, n_b = np.diff(a_offsets).tolist(), np.diff(b_offsets).tolist()
+    weights = [n * (n - 1) // 2 for n in n_a] if one_table else [n * m for n, m in zip(n_a, n_b)]
+    assert [(block.start, block.stop, list(zip(a.tolist(), b.tolist()))) for block, a, b in blocks] == [
+        (first, last, [(i, j) for f in range(first, last) for i in range(a_offsets[f], a_offsets[f + 1])
+                       for j in range(b_offsets[f], b_offsets[f + 1]) if not one_table or i < j])
+        for first, last in frame_blocks(weights, budget)
     ]
 
 
@@ -649,9 +605,9 @@ def test_pair_ious_memory_grows_by_its_survivors_not_by_their_clipping():
 
     def peak(run):
         dets, det_offsets, gts, gt_offsets = _joined(run)
-        d, g = metrics._frame_pairs(det_offsets, gt_offsets)
         cull_d, cull_g = metrics._Cull.of(dets.location, dets.dims), metrics._Cull.of(gts.location, gts.dims)
-        survivors = int(metrics._may_meet(cull_d.take(d), cull_g.take(g)).sum())
+        survivors = sum(int(metrics._may_meet(cull_d.take(d), cull_g.take(g)).sum())
+                        for _, d, g in metrics.frame_pairs(det_offsets, gt_offsets))
         tracemalloc.start()
         try:
             pair_ious(dets, det_offsets, gts, gt_offsets)
