@@ -20,9 +20,10 @@ it stands) and each seed, each tree:
   at every combination of ``--iou``, ``--recall-points`` and
   ``--difficulty`` (16 per output), once on the refined results against a
   copy of the ground truth without its last frame (``UNSCORED_GT``, so that
-  one result frame is not scored), and once on a copy of the refined results
+  one result frame is not scored), and on a copy of the refined results
   with every frame's rows written twice (``DOUBLED_RESULTS``, so that every
-  matched ground truth is contested), in process in one fresh interpreter.
+  matched ground truth is contested) at both ``--iou`` thresholds, in process
+  in one fresh interpreter.
 
 Every other command runs in a fresh interpreter of its own.  Each tree is on
 PYTHONPATH, and each case runs from a working directory of its own with
@@ -269,7 +270,8 @@ def commands(name, seed, frames):
 def eval_grid():
     """(label, argv) of `box3d eval --json` on each output of a case, at every
     IoU threshold, recall grid and difficulty that eval takes, then on the
-    refined results against UNSCORED_GT, then on DOUBLED_RESULTS."""
+    refined results against UNSCORED_GT, then on DOUBLED_RESULTS at each IoU
+    threshold."""
     runs = []
     for scored in ("results", "kept", "results_closed_form", "kept_closed_form"):
         for iou in ("0.5", "0.7"):
@@ -281,8 +283,10 @@ def eval_grid():
                                   "--json", f"{scored}-{iou}-{points}-{difficulty}.json"]))
     runs.append((f"eval results --gt {UNSCORED_GT}",
                  ["eval", "--results", "results", "--gt", UNSCORED_GT, "--json", "results-unscored.json"]))
-    runs.append((f"eval {DOUBLED_RESULTS}",
-                 ["eval", "--results", DOUBLED_RESULTS, "--gt", "inputs/gt", "--json", "results-doubled.json"]))
+    for iou in ("0.5", "0.7"):
+        runs.append((f"eval {DOUBLED_RESULTS} --iou {iou}",
+                     ["eval", "--results", DOUBLED_RESULTS, "--gt", "inputs/gt", "--iou", iou,
+                      "--json", f"results-doubled-{iou}.json"]))
     return runs
 
 

@@ -6,12 +6,17 @@ Matching is greedy in descending score, each ground truth consumable once,
 a detection is a true positive when its best 3D IoU clears the threshold.
 match_run matches a whole run in one pass over pair_ious' triples, into four
 columns (score, true positive, orientation similarity, IoU); match_frame
-hands back one frame's slice of them.
+hands back one frame's slice of them.  A detection whose ground truths no
+other detection overlaps is settled in array code, and only the detections
+that share a ground truth run the greedy loop: neither kind can take a
+ground truth of the other, so the outcome is the greedy's.
 pair_ious scores a whole run's within-frame pairs.  It culls them from a few
 columns computed once per table (ground-plane x and z, bottom and top y,
 bounding-circle radius, a non-positive-dimension flag), so that no pair
 gathers whole rows, and clips only the pairs whose vertical extents and
 ground-plane bounding circles overlap; every other pair scores exactly 0.
+The clip moves each polygon's vertices by their flat index into row-major
+arrays.
 dimension_error takes its center distances from the same kind of
 per-coordinate columns.  Both take their pairs from frame_pairs.
 """
@@ -41,16 +46,18 @@ def bev_corners(boxes) -> np.ndarray:
     x, z = boxes.location[:, 0, None], boxes.location[:, 2, None]
     hl, hw = 0.5 * boxes.dims[:, 2], 0.5 * boxes.dims[:, 1]
     yaw = boxes.yaw.tolist()  # math's cos and sin, whose last bits numpy need not share
-    c = np.array([math.cos(v) for v in yaw])[:, None]
-    s = np.array([math.sin(v) for v in yaw])[:, None]
+    c = np.fromiter(map(math.cos, yaw), float, len(yaw))[:, None]
+    s = np.fromiter(map(math.sin, yaw), float, len(yaw))[:, None]
     ox, oz = np.stack([hl, -hl, -hl, hl], axis=1), np.stack([hw, hw, -hw, -hw], axis=1)
     return np.stack([x + ox * c + oz * s, z - ox * s + oz * c], axis=2)
 
 
 def _next(values, n):
     """Each row's values one slot on, the n-th used slot wrapping to the first."""
+    p, w = values.shape
     out = np.concatenate([values[:, 1:], values[:, :1]], axis=1)
-    out[np.arange(len(n)), n - 1] = values[:, 0]
+    # the % keeps a row of n = 0 in its own row, at its last slot
+    out.ravel()[np.arange(0, p * w, w) + (n - 1) % w] = values[:, 0]
     return out
 
 
@@ -60,26 +67,33 @@ def _clip(xs, zs, n, x1, z1, x2, z2):
     directed edge (x1, z1) -> (x2, z2).  Each vertex in turn is kept if on or
     inside the line, then followed by the crossing point if the edge to the
     next vertex crosses the line strictly.  Returns the clipped polygons the
-    same way."""
+    same way.  Vertices are gathered and scattered by their flat indices
+    into the row-major arrays, from np.flatnonzero."""
+    p, w = xs.shape
     side = (x2 - x1)[:, None] * (zs - z1[:, None]) - (z2 - z1)[:, None] * (xs - x1[:, None])
     side_n = _next(side, n)
-    used = np.arange(xs.shape[1]) < n[:, None]
+    used = np.arange(w) < n[:, None]
     keep = used & (side >= 0)
     cross = used & (((side > 0) & (side_n < 0)) | ((side < 0) & (side_n > 0)))
-    emitted = keep.astype(int) + cross
-    at = np.cumsum(emitted, axis=1) - emitted  # where each slot's first point goes
-    clipped = emitted.sum(axis=1)
+    emitted = keep.view(np.int8) + cross.view(np.int8)
+    ends = np.cumsum(emitted, axis=1, dtype=np.intp)
+    clipped = ends[:, -1]
     # a quad clipped four times keeps at most 8 vertices; the width follows
     # the largest count all the same, should rounding ever emit more
-    out_x, out_z = (np.zeros((len(n), max(int(clipped.max(initial=0)), 1))) for _ in range(2))
-    r, i = np.nonzero(keep)
-    out_x[r, at[r, i]], out_z[r, at[r, i]] = xs[r, i], zs[r, i]
-    r, i = np.nonzero(cross)
-    j = np.where(i + 1 < n[r], i + 1, 0)
-    t = side[r, i] / (side[r, i] - side_n[r, i])
-    x, z, to = xs[r, i], zs[r, i], at[r, i] + keep[r, i]
-    out_x[r, to], out_z[r, to] = x + t * (xs[r, j] - x), z + t * (zs[r, j] - z)
-    return out_x, out_z, clipped
+    width = max(int(clipped.max(initial=0)), 1)
+    at = (ends - emitted + np.arange(0, p * width, width)[:, None]).ravel()  # each slot's first point
+    out_x, out_z = np.zeros(p * width), np.zeros(p * width)
+    xs, zs = xs.ravel(), zs.ravel()
+    k = np.flatnonzero(keep)
+    out_x[at[k]], out_z[at[k]] = xs[k], zs[k]
+    k = np.flatnonzero(cross)
+    i = k % w
+    j = np.where(i + 1 < n[k // w], k + 1, k - i)  # the next vertex, or the row's first
+    s = side.ravel()[k]
+    t = s / (s - side_n.ravel()[k])
+    x, z, to = xs[k], zs[k], at[k] + keep.ravel()[k]
+    out_x[to], out_z[to] = x + t * (xs[j] - x), z + t * (zs[j] - z)
+    return out_x.reshape(p, width), out_z.reshape(p, width), clipped
 
 
 def _clipped_areas(subject, clip) -> np.ndarray:
@@ -234,14 +248,29 @@ def match_run(detections, ground_truths, iou_threshold: float, ious):
     columns in detection order: the score, whether a true positive, the
     orientation similarity (0.0 for a false positive) and the IoU taken (0.0
     where no unused ground truth overlaps).
+
+    A detection none of whose ground truths another detection overlaps finds
+    them all unused whenever the greedy reaches it, so it is settled in array
+    code, in any order; only the detections that share a ground truth go
+    through the greedy loop.  Neither kind can take a ground truth of the
+    other, so the split is exact.
     """
     d, g, iou = ious
     score = np.where(np.isnan(detections.score), 1.0, detections.score)
     is_tp, sims, taken = np.zeros(len(score), dtype=bool), np.zeros(len(score)), np.zeros(len(score))
     starts = np.flatnonzero(np.diff(d, prepend=-1))  # each overlapping detection's first triple
-    order = np.argsort(-score[d[starts]], kind="stable")  # ties keep row order
-    rows, bounds = d[starts[order]], np.append(starts, len(d)).tolist()
-    g, iou, best_of, taker = g.tolist(), iou.tolist(), [], {}  # taker: each used ground truth's detection
+    bounds, rows = np.append(starts, len(d)), d[starts]
+    shared = np.logical_or.reduceat(np.bincount(g)[g] > 1, starts)
+    # an unshared detection takes its first ground truth of largest IoU; the
+    # loop below overwrites what the shared ones take
+    peak = np.maximum.reduceat(iou, starts)
+    first = np.minimum.reduceat(np.where(iou == np.repeat(peak, np.diff(bounds)), np.arange(len(d)), len(d)), starts)
+    won = ~shared & (peak >= iou_threshold)
+    taken[rows] = peak
+    taker = dict(zip(g[first[won]].tolist(), rows[won].tolist()))  # each used ground truth's detection
+    order = np.flatnonzero(shared)
+    order = order[np.argsort(-score[rows[order]], kind="stable")]  # ties keep row order
+    rows, bounds, g, iou, best_of = rows[order], bounds.tolist(), g.tolist(), iou.tolist(), []
     for i, n in zip(rows.tolist(), order.tolist()):
         best, k = 0.0, -1
         for j in range(bounds[n], bounds[n + 1]):  # ground truths ascending
@@ -250,10 +279,10 @@ def match_run(detections, ground_truths, iou_threshold: float, ious):
         best_of.append(best)
         if k >= 0 and best >= iou_threshold:
             taker[k] = i  # each ground truth is consumed once
-    taken[rows], tp = best_of, list(taker.values())
+    taken[rows] = best_of
+    tp, used = np.fromiter(taker.values(), np.intp, len(taker)), np.fromiter(taker, np.intp, len(taker))
     is_tp[tp] = True
-    sims[tp] = [orientation_similarity(a, b)
-                for a, b in zip(detections.yaw[tp].tolist(), ground_truths.yaw[list(taker)].tolist())]
+    sims[tp] = list(map(orientation_similarity, detections.yaw[tp].tolist(), ground_truths.yaw[used].tolist()))
     return score, is_tp, sims, taken
 
 

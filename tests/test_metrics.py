@@ -273,6 +273,23 @@ def test_batched_clip_equals_scalar_reference_on_random_near_duplicates():
     _assert_clips_like_reference([(_quad(*p), _quad(*q)) for p, q in zip(params.tolist(), near.tolist())])
 
 
+def test_next_of_a_batch_equals_next_of_each_row_alone():
+    """Rows of every used count from 0 to W, a full row directly before an
+    empty one: a wrap value written outside its own row shows in the full
+    row's last slot."""
+    w = 8
+    n = np.array([3, w, 0, 1, 2, 4, 5, 6, 7])
+    assert sorted(n.tolist()) == list(range(w + 1))
+    values = np.random.default_rng(2).uniform(-1.0, 1.0, (len(n), w))
+    got = metrics._next(values, n)
+    assert got.tolist() == [metrics._next(values[r:r + 1], n[r:r + 1])[0].tolist() for r in range(len(n))]
+    # a used count of n sends the first value to slot n - 1, and a row of
+    # none keeps the plain shift
+    assert got[1].tolist() == values[1, 1:].tolist() + [values[1, 0]]
+    assert got[2].tolist() == values[2, 1:].tolist() + [values[2, 0]]
+    assert got[0].tolist() == values[0, 1:3].tolist() + [values[0, 0]] + values[0, 4:].tolist() + [values[0, 0]]
+
+
 # ---------------------------------------------------------------------------
 # orientation similarity
 
@@ -554,6 +571,39 @@ def test_run_pass_matches_per_frame_loop(monkeypatch, budget, iou_threshold):
         [(0.9, True, 1.0, 1.0)],
         [(1.0, True, 1.0, 1.0), (-0.0, True, 1.0, _iou(_box(**car), _box(x=0.1, **car))), (0.0, False, 0.0, 0.0)],
         [(0.9, False, 0.0, 1.5 / 6.5), (0.8, True, 1.0, 1.0)],
+    ]
+
+
+@pytest.mark.parametrize("iou_threshold", [0.5, 0.7])
+def test_match_run_settles_unshared_detections_as_the_greedy_does(iou_threshold):
+    """match_run settles a detection whose ground truths no other detection
+    overlaps in array code, and loops over the rest; each frame must equal the
+    greedy loop all the same."""
+    car = dict(h=1.5, w=2.0, l=4.0)
+    frames = [
+        # g0 is overlapped by both detections; d1 also overlaps g1, which no
+        # other detection overlaps.  d0 outscores d1 and takes g0, so d1 is
+        # left g1's IoU, below the threshold; settled alone, d1 would take g0
+        ([(_box(z=-0.2, **car), 0.9), (_box(**car), 0.8)], [_box(**car), _box(z=1.9, **car)]),
+        # one unshared detection, its one IoU (about 0.23) below the threshold
+        ([(_box(x=2.5, **car), 0.7)], [_box(**car)]),
+        # one unshared detection at two equal IoUs: the lower row, turned by
+        # pi, wins, so its orientation similarity is 0.0
+        ([(_box(**car), 0.6)], [_box(x=-0.5, yaw=math.pi, **car), _box(x=0.5, **car)]),
+    ]
+    dets, det_offsets, gts, gt_offsets = _joined(frames)
+    d, g, iou = pair_ious(dets, det_offsets, gts, gt_offsets)
+    assert list(zip(d.tolist(), g.tolist())) == [(0, 0), (1, 0), (1, 1), (2, 2), (3, 3), (3, 4)]
+    assert iou[-2] == iou[-1]
+    run = match_run(dets, gts, iou_threshold, (d, g, iou))
+    for f, (ds, gs) in enumerate(frames):
+        rows = slice(det_offsets[f], det_offsets[f + 1])
+        assert _rows([column[rows] for column in run]) == _match_frame_loop(ds, gs, iou_threshold)
+    assert _rows(run) == [
+        (0.9, True, 1.0, float(iou[0])),
+        (0.8, False, 0.0, float(iou[2])),
+        (0.7, False, 0.0, 1.5 / 6.5),
+        (0.6, True, 0.0, 10.5 / 13.5),
     ]
 
 
