@@ -14,14 +14,15 @@ alone, from given starting locations.
 Gauss-Newton works on four columns per row, one per constraint, and solves
 its 3x3 normal equations in closed form, with no LAPACK call.  Its line
 search takes each step at the first of the scales 1, 1/2, ...,
-2^-max_halvings that decreases the residual norm, and tries the next k
+2^-MAX_HALVINGS that decreases the residual norm, and tries the next k
 scales of every row still searching in one pass, k being the rows still
 iterating over the rows searching.  The scales are powers of two and each
 trial is computed on its own, so the results do not depend on the grouping.
+Its iteration cap, tolerances and damping are the module constants below,
+not settings: the paper names none.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,30 +42,24 @@ from .viewpoints import N_VIEWPOINTS, selected_vertex_indices
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Refinement switch and tolerances; all overridable from key-value config files."""
+    """Refinement switch and truncation margin; both overridable from key-value config files."""
 
     refine: bool = True             # False: closed form only, for every row
-    max_iterations: int = 100
-    step_tol: float = 1e-6          # meters, on the accepted step norm
-    residual_change_tol: float = 1e-9  # pixels, on the residual-norm change
-    damping: float = 1e-9           # added to the three diagonal entries of a row with a zero pivot
-    max_halvings: int = 10
     truncation_margin_px: float = 10.0
 
     def __post_init__(self):
         # a NaN margin would switch the truncation gate off
-        check_fields(self, ("max_iterations", "step_tol", "residual_change_tol", "damping", "max_halvings",
-                            "truncation_margin_px"))
-        check_fields(self, ("max_iterations", "max_halvings"), lambda v: isinstance(v, numbers.Integral),
-                     "an integer")
-        # iteration counts are int64; and every step scale past 2^-1074, the
-        # least positive float, is 0.0, which cannot decrease the residual
-        check_fields(self, ("max_iterations",), lambda v: v <= np.iinfo(np.int64).max,
-                     f"at most {np.iinfo(np.int64).max}")
-        check_fields(self, ("max_halvings",), lambda v: v <= 1074, "at most 1074")
+        check_fields(self, ("truncation_margin_px",))
 
 
 DEFAULT_SOLVER_CONFIG = SolverConfig()
+
+# Gauss-Newton's numerical constants
+MAX_ITERATIONS = 100
+STEP_TOL = 1e-6             # meters, on the accepted step norm
+RESIDUAL_CHANGE_TOL = 1e-9  # pixels, on the residual-norm change
+DAMPING = 1e-9              # added to the three diagonal entries of a row with a zero pivot
+MAX_HALVINGS = 10           # the line search's last scale is 2^-MAX_HALVINGS
 
 # Refined rows per Gauss-Newton block of lift_batch: bounds the block's
 # temporaries (a few kB per row) whatever the size of the run.
@@ -258,16 +253,17 @@ def _normal_step(H, g, damping):
     return step, singular
 
 
-def _gauss_newton(t0, cols, config: SolverConfig):
+def _gauss_newton(t0, cols):
     """Gauss-Newton on the tight-fit equations of n rows at once, from
     starts t0 (n, 3), on their constraint columns cols (see _prepared).
 
     Each row takes plain Gauss-Newton steps, each at the first of the scales
-    1, 1/2, ..., 2^-max_halvings that decreases the residual norm.  It stops
-    converged when no scale decreases it (already at a local minimum) or
-    when the accepted step or the residual decrease falls below its
-    tolerance.  A selected corner behind the camera at t0, or normal
-    equations still singular after damping, stop it failed at t0.
+    1, 1/2, ..., 2^-MAX_HALVINGS that decreases the residual norm, for at
+    most MAX_ITERATIONS steps.  It stops converged when no scale decreases
+    it (already at a local minimum) or when the accepted step or the
+    residual decrease falls below STEP_TOL or RESIDUAL_CHANGE_TOL.  A
+    selected corner behind the camera at t0, or normal equations still
+    singular after DAMPING, stop it failed at t0.
 
     Each row's iterate, residuals and residual norm live in n-row arrays that
     the line search writes in place.  Its passes group scales as the module
@@ -278,20 +274,20 @@ def _gauss_newton(t0, cols, config: SolverConfig):
     t = t0.copy()
     r, failed = _residuals(t0, cols)
     rnorm = np.where(failed, math.inf, _norm(r))
-    iterations = np.where(failed, 0, np.int64(config.max_iterations))  # rows left iterating hit the cap
+    iterations = np.where(failed, 0, np.int64(MAX_ITERATIONS))  # rows left iterating hit the cap
     converged = np.zeros(len(t0), dtype=bool)
     act = np.flatnonzero(~failed)  # rows still iterating
-    for it in range(config.max_iterations):
+    for it in range(MAX_ITERATIONS):
         if not act.size:
             break
         ta, ra, ca, na = t[act], r[act], cols[:, act], rnorm[act]
-        step, singular = _normal_step(*_normal_equations(ta, ra, ca), config.damping)
+        step, singular = _normal_step(*_normal_equations(ta, ra, ca), DAMPING)
 
         scale = np.zeros(len(act))  # stays 0 on a singular row and on a stalled one (a local minimum)
         s = np.flatnonzero(~singular)  # rows still searching
         tried = 0  # scales tried so far by every searching row
-        while s.size and tried <= config.max_halvings:
-            k = min(max(len(act) // len(s), 1), config.max_halvings + 1 - tried)
+        while s.size and tried <= MAX_HALVINGS:
+            k = min(max(len(act) // len(s), 1), MAX_HALVINGS + 1 - tried)
             scales = np.ldexp(1.0, -np.arange(tried, tried + k))
             # a pass that holds every row needs no gathered copies
             ts, steps, cs, rs = (ta, step, ca, na) if len(s) == len(act) else (ta[s], step[s], ca[:, s], na[s])
@@ -308,7 +304,7 @@ def _gauss_newton(t0, cols, config: SolverConfig):
             s = s[~won]
             tried += k
 
-        small = (_norm(scale[:, None] * step) < config.step_tol) | (na - rnorm[act] < config.residual_change_tol)
+        small = (_norm(scale[:, None] * step) < STEP_TOL) | (na - rnorm[act] < RESIDUAL_CHANGE_TOL)
         done = (scale == 0) | small
         stop = act[done]
         ok = ~singular[done]
@@ -362,7 +358,7 @@ def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOL
             used[refine] = True
             for start in range(0, len(refine), LIFT_BLOCK_ROWS):
                 block = refine[start:start + LIFT_BLOCK_ROWS]
-                t, it, rnorm, conv, failed = _gauss_newton(location[block], _prepared(rows[block]), config)
+                t, it, rnorm, conv, failed = _gauss_newton(location[block], _prepared(rows[block]))
                 location[block], iterations[block], residual[block], converged[block] = t, it, rnorm, conv
                 codes[block[failed]] = _REFINE_FAILED
         codes[(codes < _DEGENERATE) & ~np.isfinite(location).all(axis=1)] = _NON_FINITE
@@ -371,7 +367,7 @@ def lift_batch(rows: DecodedRows, image_size, config: SolverConfig = DEFAULT_SOL
 
 
 # kept for bench/spans.py, which wraps it as its solver.refine layer
-def gauss_newton_refine(t0, rows: DecodedRows, config: SolverConfig = DEFAULT_SOLVER_CONFIG) -> LiftResult:
+def gauss_newton_refine(t0, rows: DecodedRows) -> LiftResult:
     """Stage two alone: refine each row from its start in t0 (n, 3), with no
     closed form and no truncation gate, on rows lift_batch would lift.
 
@@ -380,6 +376,6 @@ def gauss_newton_refine(t0, rows: DecodedRows, config: SolverConfig = DEFAULT_SO
     """
     t0 = np.asarray(t0, dtype=float).reshape(-1, 3)
     with np.errstate(all="ignore"):
-        t, it, rnorm, conv, failed = _gauss_newton(t0, _prepared(rows), config)
+        t, it, rnorm, conv, failed = _gauss_newton(t0, _prepared(rows))
     status = np.array(STATUSES)[np.where(failed, _REFINE_FAILED, _OK)]
     return LiftResult(t, status, np.ones(len(t), dtype=bool), it, rnorm, conv)

@@ -36,6 +36,13 @@ IMAGE = (1242.0, 375.0)
 CLOSED_FORM = SolverConfig(refine=False)
 
 
+def _set_constants(monkeypatch, constants):
+    """Set the solver module's constants named in constants, such as
+    MAX_ITERATIONS, until the test ends."""
+    for name, value in constants.items():
+        monkeypatch.setattr(solver, name, value)
+
+
 def _row(box: Box2D, dims: Dimensions, yaw, viewpoint, cbf, k: CameraIntrinsics = K) -> DecodedRows:
     """A one-row table; alpha and score are not used by the lift."""
     return DecodedRows([
@@ -295,9 +302,10 @@ def test_refinement_failure_falls_back_to_initialization():
     assert np.all(np.isfinite(result.location))
 
 
-def test_solver_config_overrides():
+def test_solver_config_overrides(monkeypatch):
     truth, row = _scene_input(seed=6)
-    result = gauss_newton_refine(truth[None] + 0.5, row, SolverConfig(max_iterations=1))
+    _set_constants(monkeypatch, {"MAX_ITERATIONS": 1})
+    result = gauss_newton_refine(truth[None] + 0.5, row)
     assert result.iterations[0] <= 1
 
 
@@ -337,10 +345,11 @@ def _fd_jacobian(t, rotated, targets, k, step):
     return J
 
 
-def _fd_gauss_newton(t0, rows, i, config=SolverConfig(), fd_step=1e-5):
+def _fd_gauss_newton(t0, rows, i, fd_step=1e-5):
     """Reference: the per-object Gauss-Newton with a central-difference
-    Jacobian that lift_batch replaced, on row i.  Returns (location,
-    iterations, final residual norm, converged)."""
+    Jacobian that lift_batch replaced, on row i, with the solver module's
+    constants as they are at the call.  Returns (location, iterations, final
+    residual norm, converged)."""
     t0 = np.asarray(t0, dtype=float).reshape(3)
     rotated, targets = _fd_prepared(rows, i)
     k = _camera(rows, i)
@@ -352,7 +361,7 @@ def _fd_gauss_newton(t0, rows, i, config=SolverConfig(), fd_step=1e-5):
     rnorm = float(np.linalg.norm(r))
     converged = False
     iterations = 0
-    for _ in range(config.max_iterations):
+    for _ in range(solver.MAX_ITERATIONS):
         try:
             J = _fd_jacobian(t, rotated, targets, k, fd_step)
         except BehindCameraError:
@@ -363,12 +372,12 @@ def _fd_gauss_newton(t0, rows, i, config=SolverConfig(), fd_step=1e-5):
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             try:
-                step = np.linalg.solve(H + config.damping * np.eye(3), g)
+                step = np.linalg.solve(H + solver.DAMPING * np.eye(3), g)
             except np.linalg.LinAlgError:
                 return t0.copy(), iterations, rnorm, False
         alpha = 1.0
         accepted = False
-        for _ in range(config.max_halvings + 1):
+        for _ in range(solver.MAX_HALVINGS + 1):
             t_new = t - alpha * step
             try:
                 r_new = _fd_residuals(t_new, rotated, targets, k)
@@ -387,7 +396,7 @@ def _fd_gauss_newton(t0, rows, i, config=SolverConfig(), fd_step=1e-5):
         dt_norm = float(np.linalg.norm(alpha * step))
         change = rnorm - rnorm_new
         t, r, rnorm = t_new, r_new, rnorm_new
-        if dt_norm < config.step_tol or change < config.residual_change_tol:
+        if dt_norm < solver.STEP_TOL or change < solver.RESIDUAL_CHANGE_TOL:
             converged = True
             break
     return t, iterations, rnorm, converged
@@ -446,7 +455,7 @@ def _mixed_rows():
     return rows
 
 
-def test_mixed_batch_statuses():
+def test_mixed_batch_statuses(monkeypatch):
     rows = _mixed_rows()
     n = len(rows) - 9
     result = lift_batch(rows, IMAGE)
@@ -458,17 +467,20 @@ def test_mixed_batch_statuses():
     assert np.isfinite(result.location[result.lifted]).all()
     assert np.isnan(result.location[~result.lifted]).all()
     # without damping the singular row fails back to the closed form
-    failed = lift_batch(rows, IMAGE, SolverConfig(damping=0.0))
+    _set_constants(monkeypatch, {"DAMPING": 0.0})
+    failed = lift_batch(rows, IMAGE)
     assert failed.status[n + 2] == "refine_failed" and not failed.converged[n + 2]
     closed = lift_batch(rows, IMAGE, SolverConfig(refine=False))
     assert np.array_equal(failed.location[n + 2], closed.location[n + 2])
     assert np.array_equal(result.location[n + 1], closed.location[n + 1])
 
 
-@pytest.mark.parametrize("config", [
-    SolverConfig(), SolverConfig(max_iterations=1), SolverConfig(damping=0.0), SolverConfig(refine=False),
+@pytest.mark.parametrize("constants, config", [
+    ({}, SolverConfig()), ({"MAX_ITERATIONS": 1}, SolverConfig()), ({"DAMPING": 0.0}, SolverConfig()),
+    ({}, SolverConfig(refine=False)),
 ], ids=["default", "max_iterations_1", "no_damping", "no_refine"])
-def test_lift_batch_rows_are_independent_of_the_batch(config):
+def test_lift_batch_rows_are_independent_of_the_batch(monkeypatch, constants, config):
+    _set_constants(monkeypatch, constants)
     rows = _mixed_rows()
     order = np.random.default_rng(3).permutation(len(rows))
     shuffled = rows[order]
@@ -487,7 +499,9 @@ def test_a_row_that_fails_after_moving_returns_its_start(monkeypatch):
     rows = _decoded_run([0], box_noise_sigma=1.0)[[0]]
     closed = lift_batch(rows, IMAGE, CLOSED_FORM).location
     # the first step is accepted and moves the row, and a second iteration runs
-    assert not np.array_equal(lift_batch(rows, IMAGE, SolverConfig(max_iterations=1)).location, closed)
+    with monkeypatch.context() as m:
+        _set_constants(m, {"MAX_ITERATIONS": 1})
+        assert not np.array_equal(lift_batch(rows, IMAGE).location, closed)
     assert lift_batch(rows, IMAGE).iterations[0] >= 2
     calls = []
 
@@ -597,9 +611,10 @@ def _sequential_normal_equations(t, r, rotated, cam):
     return H, ((a * ru).sum(axis=1), (c * rv).sum(axis=1), (b * ru).sum(axis=1) + (d * rv).sum(axis=1))
 
 
-def _sequential_gauss_newton(t0, prepared, config):
+def _sequential_gauss_newton(t0, prepared):
     """Reference: the vectorised Gauss-Newton whose line search tries one
-    step scale per pass, on (n, 4, 3) corners; the arguments and results of
+    step scale per pass, on (n, 4, 3) corners, with the solver module's
+    constants as they are at the call; the arguments and results of
     solver._gauss_newton."""
     rotated, targets, cam = prepared
     n = len(t0)
@@ -611,15 +626,15 @@ def _sequential_gauss_newton(t0, prepared, config):
     act = np.flatnonzero(~failed)
     t, r, rotated, targets, cam = t0[act], r[act], rotated[act], targets[act], cam[act]
     rnorm = _sequential_norm(r)
-    for it in range(config.max_iterations):
+    for it in range(solver.MAX_ITERATIONS):
         if not act.size:
             break
-        step, singular = _normal_step(*_sequential_normal_equations(t, r, rotated, cam), config.damping)
+        step, singular = _normal_step(*_sequential_normal_equations(t, r, rotated, cam), solver.DAMPING)
         alpha = np.ones(len(act))
         accepted = np.zeros(len(act), dtype=bool)
         t_new, r_new, rnorm_new = t.copy(), r.copy(), rnorm.copy()
         searching = ~singular
-        for _ in range(config.max_halvings + 1):
+        for _ in range(solver.MAX_HALVINGS + 1):
             s = np.flatnonzero(searching)
             if not s.size:
                 break
@@ -632,8 +647,8 @@ def _sequential_gauss_newton(t0, prepared, config):
             accepted[won] = True
             searching[won] = False
             alpha[s[~better]] *= 0.5
-        small = (_sequential_norm(alpha[:, None] * step) < config.step_tol) | (
-            rnorm - rnorm_new < config.residual_change_tol
+        small = (_sequential_norm(alpha[:, None] * step) < solver.STEP_TOL) | (
+            rnorm - rnorm_new < solver.RESIDUAL_CHANGE_TOL
         )
         t, r, rnorm = t_new, r_new, rnorm_new
         done = ~accepted | small
@@ -648,7 +663,7 @@ def _sequential_gauss_newton(t0, prepared, config):
         act, t, r, rnorm = act[keep], t[keep], r[keep], rnorm[keep]
         rotated, targets, cam = rotated[keep], targets[keep], cam[keep]
     location[act] = t
-    iterations[act] = config.max_iterations
+    iterations[act] = solver.MAX_ITERATIONS
     final[act] = rnorm
     return location, iterations, final, converged, failed
 
@@ -686,15 +701,16 @@ def _lapack_normal_step(H, g, damping):
 @pytest.mark.parametrize("rows_of", [
     _mixed_rows, lambda: _decoded_run(range(300), box_noise_sigma=1.0),
 ], ids=["mixed", "box_noise_1px"])
-@pytest.mark.parametrize("config", [SolverConfig(), SolverConfig(max_iterations=1), SolverConfig(damping=0.0)],
+@pytest.mark.parametrize("constants", [{}, {"MAX_ITERATIONS": 1}, {"DAMPING": 0.0}],
                          ids=["default", "max_iterations_1", "no_damping"])
-def test_closed_form_step_agrees_with_the_lapack_solve(monkeypatch, rows_of, config):
+def test_closed_form_step_agrees_with_the_lapack_solve(monkeypatch, rows_of, constants):
     # the tolerance, fixed before measuring: the same outcome for every row,
     # and locations within 1e-6 m and residuals within 1e-6 relative
+    _set_constants(monkeypatch, constants)
     rows = rows_of()
-    closed = lift_batch(rows, IMAGE, config)
+    closed = lift_batch(rows, IMAGE)
     monkeypatch.setattr(solver, "_normal_step", _lapack_normal_step)
-    lapack = lift_batch(rows, IMAGE, config)
+    lapack = lift_batch(rows, IMAGE)
     assert closed.used_refinement.any()
     for field in ("status", "used_refinement", "iterations", "converged"):
         assert np.array_equal(getattr(closed, field), getattr(lapack, field)), field
@@ -777,36 +793,36 @@ def test_normal_step_on_singular_rows(jacobians, damping):
         assert singular[ends].all() and (step[ends] == 0.0).all()
 
 
-SEARCH_CONFIGS = {
-    "default": SolverConfig(),
-    "max_halvings_0": SolverConfig(max_halvings=0),
-    "max_halvings_1": SolverConfig(max_halvings=1),
-    "max_halvings_3": SolverConfig(max_halvings=3),
-    "max_halvings_40": SolverConfig(max_halvings=40),
-    "every_row_stalls": SolverConfig(step_tol=0.0, residual_change_tol=0.0),
-    "no_damping": SolverConfig(damping=0.0),
-    "block_rows_3": SolverConfig(),
+# the solver module's constants that each case sets
+SEARCH_CONSTANTS = {
+    "default": {},
+    "max_halvings_0": {"MAX_HALVINGS": 0},
+    "max_halvings_1": {"MAX_HALVINGS": 1},
+    "max_halvings_3": {"MAX_HALVINGS": 3},
+    "max_halvings_40": {"MAX_HALVINGS": 40},
+    "every_row_stalls": {"STEP_TOL": 0.0, "RESIDUAL_CHANGE_TOL": 0.0},
+    "no_damping": {"DAMPING": 0.0},
+    "block_rows_3": {"LIFT_BLOCK_ROWS": 3},
     # rows still iterating at the cap: every refined row at 0 and nearly every
     # one at 1; at 6, with no tolerance, about 40% of the rows, while the
     # others stall first
-    "max_iterations_0": SolverConfig(max_iterations=0),
-    "max_iterations_1": SolverConfig(max_iterations=1),
-    "max_iterations_6": SolverConfig(max_iterations=6, step_tol=0.0, residual_change_tol=0.0),
+    "max_iterations_0": {"MAX_ITERATIONS": 0},
+    "max_iterations_1": {"MAX_ITERATIONS": 1},
+    "max_iterations_6": {"MAX_ITERATIONS": 6, "STEP_TOL": 0.0, "RESIDUAL_CHANGE_TOL": 0.0},
 }
 
 
 @pytest.mark.parametrize("rows_of", [
     _mixed_rows, lambda: _decoded_run(range(300), box_noise_sigma=1.0),
 ], ids=["mixed", "box_noise_1px"])
-@pytest.mark.parametrize("name", SEARCH_CONFIGS)
+@pytest.mark.parametrize("name", SEARCH_CONSTANTS)
 def test_lift_batch_equals_the_sequential_line_search(monkeypatch, rows_of, name):
-    rows, config = rows_of(), SEARCH_CONFIGS[name]
-    if name == "block_rows_3":
-        monkeypatch.setattr(solver, "LIFT_BLOCK_ROWS", 3)
-    batched = lift_batch(rows, IMAGE, config)
+    rows = rows_of()
+    _set_constants(monkeypatch, SEARCH_CONSTANTS[name])
+    batched = lift_batch(rows, IMAGE)
     monkeypatch.setattr(solver, "_prepared", _sequential_prepared)
     monkeypatch.setattr(solver, "_gauss_newton", _sequential_gauss_newton)
-    sequential = lift_batch(rows, IMAGE, config)
+    sequential = lift_batch(rows, IMAGE)
     assert batched.used_refinement.any()
     for field in ("location", "status", "used_refinement", "iterations", "residual", "converged"):
         assert np.array_equal(getattr(batched, field), getattr(sequential, field),
@@ -826,7 +842,8 @@ def test_a_line_search_pass_holds_no_more_rows_than_its_block(monkeypatch):
     monkeypatch.setattr(solver, "_residuals", counted)
     # no tolerance stops a row, so every row ends in a stalled line search
     # that walks all 41 scales
-    result = lift_batch(rows, IMAGE, SolverConfig(step_tol=0.0, residual_change_tol=0.0, max_halvings=40))
+    _set_constants(monkeypatch, {"STEP_TOL": 0.0, "RESIDUAL_CHANGE_TOL": 0.0, "MAX_HALVINGS": 40})
+    result = lift_batch(rows, IMAGE)
     assert len(rows) > 2 * block and result.used_refinement.sum() > block
     assert max(int(np.prod(shape)) for shape in calls) <= block
     assert any(len(shape) == 2 and shape[1] > 1 for shape in calls)  # some pass tried several scales
