@@ -10,16 +10,21 @@ All four rules are judged for a whole run at once, in array code, by
 pair_rules: it scores the pairs i < j within each frame, from
 metrics.frame_pairs, then each row against the bands, into bits of violated
 rules.  depurate looks up a frame's Verdicts from its slice.
+
+Only the vertical band, where the road lies below the camera, is a
+DepurationConfig.  The other rules read CAR_PRIOR's mean dimensions, the ones
+solve decodes against, and the constants DIM_TOLERANCE, HEIGHT_MONOTONIC_EPS,
+ADJACENCY_IOU_MIN and DEPTH_GAP_MAX.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 from itertools import compress
 
 import numpy as np
 
-from .camera import Dimensions, box_iou_2d
+from .camera import box_iou_2d
 from .kitti_io import check_fields
 from .metrics import frame_pairs
 from .properties import CAR_PRIOR
@@ -30,25 +35,22 @@ RULE_HEIGHT_DEPTH = "height_depth"
 RULE_ADJACENT_DEPTH = "adjacent_depth"
 RULES = (RULE_DIMS, RULE_VERTICAL, RULE_HEIGHT_DEPTH, RULE_ADJACENT_DEPTH)
 
+DIM_TOLERANCE = 0.5  # fractional band around CAR_PRIOR's mean dimensions
+HEIGHT_MONOTONIC_EPS = 0.3  # meters, "same height" band
+ADJACENCY_IOU_MIN = 0.0  # 2D IoU above this makes boxes adjacent
+DEPTH_GAP_MAX = 10.0  # meters
+
 
 @dataclass(frozen=True)
 class DepurationConfig:
-    """Thresholds for the four rules; car-tuned defaults, all overridable."""
+    """The vertical band of the bottom face; car-tuned defaults."""
 
-    mean_dims: Dimensions = CAR_PRIOR.mean_dims
-    dim_tolerance: float = 0.5  # fractional band around the mean
     vertical_centers: tuple = (1.28842871, 1.72911, 2.2184)  # bottom-face Y, meters
     vertical_slack: float = 0.75
-    height_monotonic_eps: float = 0.3  # meters, "same height" band
-    adjacency_iou_min: float = 0.0  # 2D IoU above this makes boxes adjacent
-    depth_gap_max: float = 10.0  # meters
 
     def __post_init__(self):
-        # a NaN threshold would switch its rule off
-        check_fields(self, ("dim_tolerance", "vertical_slack", "height_monotonic_eps", "adjacency_iou_min",
-                            "depth_gap_max"))
-        # an infinite mean dimension would fail the dims rule on every row
-        check_fields(self, ("mean_dims",), lambda d: all(map(math.isfinite, (d.h, d.w, d.l))), "finite")
+        # a NaN slack would switch the rule off
+        check_fields(self, ("vertical_slack",))
         if not self.vertical_centers or not all(map(math.isfinite, self.vertical_centers)):
             raise ValueError("vertical_centers must be one or more finite numbers")
         if list(self.vertical_centers) != sorted(self.vertical_centers):
@@ -83,14 +85,14 @@ def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_C
     right, -1 where it has none, and the (N,) violated rules as integer bits,
     bit k set when RULES[k] is violated:
 
-    dims            h, w and l each within mean*(1 +- tolerance), inclusive;
+    dims            h, w and l each within CAR_PRIOR's mean*(1 +- DIM_TOLERANCE), inclusive;
     vertical        bottom-center Y within [min(centers) - slack, max(centers) + slack];
-    height_depth    of two objects with heights within eps, the deeper one must
-                    have the smaller projected height; a violating pair blames
-                    the one whose projected height disagrees more with its
-                    solved depth, by |dv*Z - fv*h|;
-    adjacent_depth  2D-overlapped (IoU above the minimum) on both sides, and
-                    more than depth_gap_max in depth from every such neighbor.
+    height_depth    of two objects with heights within HEIGHT_MONOTONIC_EPS, the
+                    deeper one must have the smaller projected height; a
+                    violating pair blames the one whose projected height
+                    disagrees more with its solved depth, by |dv*Z - fv*h|;
+    adjacent_depth  2D-overlapped (IoU above ADJACENCY_IOU_MIN) on both sides,
+                    and more than DEPTH_GAP_MAX in depth from every such neighbor.
 
     labels is a LabelTable holding the frames one after the other, frame f
     being rows offsets[f]:offsets[f + 1]; fv is each row's vertical focal
@@ -110,12 +112,12 @@ def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_C
             zi, zj, dvi, dvj, ri, rj = z[i], z[j], height[i], height[j], residual[i], residual[j]
             # of two rows within eps in 3D height, the deeper one must look
             # shorter; a violating pair blames the one with the larger residual
-            same = ~(np.abs(h3[i] - h3[j]) > cfg.height_monotonic_eps)
+            same = ~(np.abs(h3[i] - h3[j]) > HEIGHT_MONOTONIC_EPS)
             blamed[np.where(ri >= rj, i, j)[same & (zi > zj) & (dvi >= dvj)]] = True
             blamed[np.where(rj >= ri, j, i)[same & (zj > zi) & (dvj >= dvi)]] = True
             # take() gathers the rows of a contiguous array far faster than
             # fancy indexing does
-            adjacent = box_iou_2d(box.take(i, axis=0), box.take(j, axis=0)) > cfg.adjacency_iou_min
+            adjacent = box_iou_2d(box.take(i, axis=0), box.take(j, axis=0)) > ADJACENCY_IOU_MIN
             i, j, gap = i[adjacent], j[adjacent], np.abs(zi[adjacent] - zj[adjacent])
             j_left, j_right = center_u[j] < center_u[i], center_u[j] > center_u[i]
             # each adjacent pair seen from both rows, sorted by row, then other row
@@ -125,12 +127,12 @@ def pair_rules(labels, offsets, fv, cfg: DepurationConfig = DEFAULT_DEPURATION_C
             for out, side in ((left_gap, np.concatenate([j_left, j_right])[order]),
                               (right_gap, np.concatenate([j_right, j_left])[order])):
                 _least(out, row[side], gap[side])
-    mean, dims = np.array([cfg.mean_dims.h, cfg.mean_dims.w, cfg.mean_dims.l]), labels.dims
-    dims_ok = ((mean * (1.0 - cfg.dim_tolerance) <= dims) & (dims <= mean * (1.0 + cfg.dim_tolerance))).all(axis=1)
+    mean, dims = np.array(astuple(CAR_PRIOR.mean_dims)), labels.dims
+    dims_ok = ((mean * (1.0 - DIM_TOLERANCE) <= dims) & (dims <= mean * (1.0 + DIM_TOLERANCE))).all(axis=1)
     y = labels.location[:, 1]
     y_ok = (min(cfg.vertical_centers) - cfg.vertical_slack <= y) & (y <= max(cfg.vertical_centers) + cfg.vertical_slack)
-    # -1 for no neighbour is never above the non-negative depth_gap_max
-    far = (left_gap > cfg.depth_gap_max) & (right_gap > cfg.depth_gap_max)
+    # -1 for no neighbour is never above the non-negative DEPTH_GAP_MAX
+    far = (left_gap > DEPTH_GAP_MAX) & (right_gap > DEPTH_GAP_MAX)
     return left_gap, right_gap, ~dims_ok + 2 * ~y_ok + 4 * blamed + 8 * far
 
 

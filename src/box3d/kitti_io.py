@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .camera import Box2D, CameraIntrinsics, Detection2D, Dimensions
+from .camera import Box2D, CameraIntrinsics, Detection2D
 
 
 def _column_group(cols, doc):
@@ -517,11 +517,6 @@ def _coerce(current, raw: str):
         return type(current)(raw)
     if isinstance(current, tuple):
         return tuple(float(v) for v in raw.replace(",", " ").split())
-    if isinstance(current, Dimensions):
-        values = [float(v) for v in raw.replace(",", " ").split()]
-        if len(values) != 3:
-            raise ValueError(f"expected three numbers (h w l), got {len(values)}")
-        return Dimensions(*values)
     return raw
 
 

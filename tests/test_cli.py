@@ -701,14 +701,23 @@ def test_depuration_config_override(pipeline_dirs, tmp_path):
         "--properties", str(pipeline_dirs / "properties"),
         "--out", str(results),
     ])
-    cfg = tmp_path / "dep.cfg"
-    # absurdly tight dims band plus adjacency never firing: still one soft rule
-    cfg.write_text("dim_tolerance = 0.0\n")
-    kept = tmp_path / "kept"
-    assert main([
-        "depurate", "--in", str(results), "--calib", str(pipeline_dirs / "calib"),
-        "--out", str(kept), "--config", str(cfg),
-    ]) == 0
+    # noiseless results put every row's bottom face at the camera height,
+    # 1.65 m: inside the default vertical band, outside [0.8, 1.2]
+    def depurate_with(name, text):
+        """The rows kept and the report lines of depurate under a config."""
+        cfg, kept = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_text(text)
+        assert main(["depurate", "--in", str(results), "--calib", str(pipeline_dirs / "calib"),
+                     "--out", str(kept), "--config", str(cfg)]) == 0
+        report = (kept / cli.DEPURATION_REPORT).read_text().splitlines()
+        return sum(len(p.read_text().splitlines()) for p in kept.glob("0*.txt")), report
+
+    n_rows = sum(len(p.read_text().splitlines()) for p in results.glob("*.txt"))
+    assert n_rows > 0
+    assert depurate_with("default", "") == (n_rows, [])
+    kept, report = depurate_with("low_band", "vertical_centers = 1.0\nvertical_slack = 0.2\n")
+    assert (kept, len(report)) == (0, n_rows)
+    assert all(line.endswith("): removed, hard rule [vertical]") for line in report)
 
 
 def test_solve_skips_row_with_unknown_viewpoint_class(pipeline_dirs, tmp_path, capsys):
@@ -798,7 +807,9 @@ def test_bad_config_file_exits_naming_it(pipeline_dirs, tmp_path, text, message)
     ("vertical_slack = nan\n", "vertical_slack must be a non-negative number, got nan"),
     ("vertical_centers =\n", "vertical_centers must be one or more finite numbers"),
     ("vertical_centers = 1.2, inf\n", "vertical_centers must be one or more finite numbers"),
-    ("mean_dims = inf 1.64 3.86\n", "mean_dims must be finite, got Dimensions(h=inf, w=1.64, l=3.86)"),
+    # the dims rule's mean dimensions and the other rules' thresholds are depuration constants
+    *((f"{key} = 1\n", f"unknown config key '{key}'")
+      for key in ("mean_dims", "dim_tolerance", "height_monotonic_eps", "adjacency_iou_min", "depth_gap_max")),
 ])
 def test_bad_depuration_config_exits_naming_it(pipeline_dirs, tmp_path, text, message):
     cfg = tmp_path / "bad.cfg"
@@ -887,8 +898,7 @@ def test_solve_counts_boxes_past_the_image(pipeline_dirs, tmp_path, capsys):
 
 
 _SOLVER_CFG = "refine = true\ntruncation_margin_px = 10\n"
-_DEPURATION_CFG = ("dim_tolerance = 0.5\nvertical_centers = 1.28842871, 1.72911, 2.2184\n"
-                   "vertical_slack = 0.75\ndepth_gap_max = 10\n")
+_DEPURATION_CFG = "vertical_centers = 1.28842871, 1.72911, 2.2184\nvertical_slack = 0.75\n"
 _replacement = st.one_of(
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e300", "-1e300", "1e-300",
                      "0", "-0", "-1", "15", "16", "1.5", "", "x", "#", "=", ",", "Car", "DontCare"]),

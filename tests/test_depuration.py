@@ -1,11 +1,13 @@
 import math
+from dataclasses import fields
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from box3d import metrics
+from box3d import depuration, metrics
 from box3d.camera import Box2D, Box3D, CameraIntrinsics, Dimensions, box_iou_2d
 from box3d.depuration import (
     DEFAULT_DEPURATION_CONFIG,
@@ -22,6 +24,7 @@ from box3d.depuration import (
     pair_rules,
 )
 from box3d.kitti_io import LabelTable
+from box3d.properties import ClassPrior
 from box3d.synthetic import SyntheticSceneSpec, exact_box2d, generate_scene
 
 K = CameraIntrinsics(721.5377, 721.5377, 609.5593, 172.854)
@@ -62,26 +65,38 @@ def _fails(rule, scene):
     return [rule in v.violated_rules for v in depurate(_table(scene), K.fv, CFG)]
 
 
-# the default thresholds; a narrower adjacency, a smaller depth gap and no
-# height band; the same with a narrow dims band around a shorter car; and
-# bands whose lower edges are 0, so that -0.0 and 0.0 sit on them
-CFGS = [CFG, DepurationConfig(adjacency_iou_min=0.2, depth_gap_max=3.0, height_monotonic_eps=0.0),
-        DepurationConfig(adjacency_iou_min=0.2, depth_gap_max=3.0, height_monotonic_eps=0.0,
-                         mean_dims=Dimensions(1.52, 1.64, 3.5), dim_tolerance=0.05),
-        DepurationConfig(dim_tolerance=1.0, vertical_centers=(0.5, 1.0), vertical_slack=0.5)]
+# the rules' constants, at their values in depuration
+RULE_CONSTANTS = {name: getattr(depuration, name) for name in (
+    "CAR_PRIOR", "DIM_TOLERANCE", "HEIGHT_MONOTONIC_EPS", "ADJACENCY_IOU_MIN", "DEPTH_GAP_MAX")}
 
 
-def _edges(cfg):
-    """A config's band edges, as depurate computes them: those of h, w and l,
+def _constants(**values):
+    """The rules' constants, with the given ones in place of depuration's."""
+    return {**RULE_CONSTANTS, **values}
+
+
+# (config, rule constants): the defaults; a narrower adjacency, a smaller
+# depth gap and no height band; the same with a narrow dims band around a
+# shorter car; and bands whose lower edges are 0, so that -0.0 and 0.0 sit on
+# them
+CFGS = [(CFG, _constants()),
+        (CFG, _constants(ADJACENCY_IOU_MIN=0.2, DEPTH_GAP_MAX=3.0, HEIGHT_MONOTONIC_EPS=0.0)),
+        (CFG, _constants(ADJACENCY_IOU_MIN=0.2, DEPTH_GAP_MAX=3.0, HEIGHT_MONOTONIC_EPS=0.0,
+                         CAR_PRIOR=ClassPrior("Car", Dimensions(1.52, 1.64, 3.5)), DIM_TOLERANCE=0.05)),
+        (DepurationConfig(vertical_centers=(0.5, 1.0), vertical_slack=0.5), _constants(DIM_TOLERANCE=1.0))]
+
+
+def _edges(cfg, constants):
+    """A case's band edges, as depurate computes them: those of h, w and l,
     then those of the bottom-face Y."""
-    mean = cfg.mean_dims
-    return [*([m * (1.0 - cfg.dim_tolerance), m * (1.0 + cfg.dim_tolerance)] for m in (mean.h, mean.w, mean.l)),
+    mean, tolerance = constants["CAR_PRIOR"].mean_dims, constants["DIM_TOLERANCE"]
+    return [*([m * (1.0 - tolerance), m * (1.0 + tolerance)] for m in (mean.h, mean.w, mean.l)),
             [min(cfg.vertical_centers) - cfg.vertical_slack, max(cfg.vertical_centers) + cfg.vertical_slack]]
 
 
 # per column (h, w, l, bottom-face Y): values that no band holds or that sit
 # on the edge of a band of CFGS
-ODD_VALUES = [[math.nan, math.inf, -math.inf, -0.0, 0.0, *(edge for cfg in CFGS for edge in _edges(cfg)[k])]
+ODD_VALUES = [[math.nan, math.inf, -math.inf, -0.0, 0.0, *(edge for case in CFGS for edge in _edges(*case)[k])]
               for k in range(4)]
 
 
@@ -90,13 +105,15 @@ ODD_VALUES = [[math.nan, math.inf, -math.inf, -0.0, 0.0, *(edge for cfg in CFGS 
 
 
 def _depurate_loop(table, fv, cfg):
-    """(kept, violated rules, hard violation) per row of a LabelTable."""
+    """(kept, violated rules, hard violation) per row of a LabelTable, under
+    depuration's rule constants as they are at the call."""
     boxes, dims, location = table.box.tolist(), table.dims.tolist(), table.location.tolist()
     n = len(boxes)
+    mean_dims = depuration.CAR_PRIOR.mean_dims
 
     def dims_ok(d):
-        lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
-        for value, mean in zip(d, (cfg.mean_dims.h, cfg.mean_dims.w, cfg.mean_dims.l)):
+        lo, hi = 1.0 - depuration.DIM_TOLERANCE, 1.0 + depuration.DIM_TOLERANCE
+        for value, mean in zip(d, (mean_dims.h, mean_dims.w, mean_dims.l)):
             if not mean * lo <= value <= mean * hi:
                 return False
         return True
@@ -111,7 +128,7 @@ def _depurate_loop(table, fv, cfg):
     residual = [abs(h * p[2] - fv * d[0]) for h, p, d in zip(height, location, dims)]
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(dims[i][0] - dims[j][0]) > cfg.height_monotonic_eps:
+            if abs(dims[i][0] - dims[j][0]) > depuration.HEIGHT_MONOTONIC_EPS:
                 continue
             if location[i][2] > location[j][2]:
                 far, near = i, j
@@ -128,7 +145,7 @@ def _depurate_loop(table, fv, cfg):
         for j in range(n):
             if j == i:
                 continue
-            if box_iou_2d(boxes[i], boxes[j]) <= cfg.adjacency_iou_min:
+            if box_iou_2d(boxes[i], boxes[j]) <= depuration.ADJACENCY_IOU_MIN:
                 continue
             gap = abs(location[i][2] - location[j][2])
             if center_u[j] < center_u[i]:
@@ -136,7 +153,7 @@ def _depurate_loop(table, fv, cfg):
             elif center_u[j] > center_u[i]:
                 right_gaps.append(gap)
         if left_gaps and right_gaps:
-            if min(left_gaps) > cfg.depth_gap_max and min(right_gaps) > cfg.depth_gap_max:
+            if min(left_gaps) > depuration.DEPTH_GAP_MAX and min(right_gaps) > depuration.DEPTH_GAP_MAX:
                 adjacent_ok[i] = False
 
     out = []
@@ -191,8 +208,9 @@ def _crowded_scene(rng):
 def test_depurate_equals_the_per_rule_loops_on_crowded_scenes():
     rng = np.random.default_rng(6)
     for k in range(300):
-        table, cfg = _crowded_scene(rng), CFGS[k % len(CFGS)]
-        assert _as_tuples(depurate(table, K.fv, cfg)) == _depurate_loop(table, K.fv, cfg)
+        table, (cfg, constants) = _crowded_scene(rng), CFGS[k % len(CFGS)]
+        with patch.multiple(depuration, **constants):
+            assert _as_tuples(depurate(table, K.fv, cfg)) == _depurate_loop(table, K.fv, cfg)
     for seed in range(20):
         table = _table(_synthetic_scene(seed, n=6))
         assert _as_tuples(depurate(table, K.fv, CFG)) == _depurate_loop(table, K.fv, CFG)
@@ -200,7 +218,9 @@ def test_depurate_equals_the_per_rule_loops_on_crowded_scenes():
 
 # ---------------------------------------------------------------------------
 # reference: the depurate of one pair visit with a gap list per row and side,
-# before it kept running minimum gaps; verbatim but for its name and docstring
+# before it kept running minimum gaps; verbatim but for its name and for
+# reading the rule constants of depuration at the call in place of config
+# fields
 
 
 def _depurate_parent(table, camera: CameraIntrinsics,
@@ -218,7 +238,7 @@ def _depurate_parent(table, camera: CameraIntrinsics,
         box_i, zi, hi, ui = boxes[i], z[i], dims[i][0], center_u[i]
         for j in range(i + 1, n):
             zj = z[j]
-            if box_iou_2d(box_i, boxes[j]) > cfg.adjacency_iou_min:
+            if box_iou_2d(box_i, boxes[j]) > depuration.ADJACENCY_IOU_MIN:
                 gap = abs(zi - zj)
                 if center_u[j] < ui:
                     left_gaps[i].append(gap)
@@ -226,7 +246,7 @@ def _depurate_parent(table, camera: CameraIntrinsics,
                 elif center_u[j] > ui:
                     right_gaps[i].append(gap)
                     left_gaps[j].append(gap)
-            if abs(hi - dims[j][0]) > cfg.height_monotonic_eps:
+            if abs(hi - dims[j][0]) > depuration.HEIGHT_MONOTONIC_EPS:
                 continue
             if zi > zj:
                 far, near = i, j
@@ -237,8 +257,9 @@ def _depurate_parent(table, camera: CameraIntrinsics,
             if height[far] >= height[near]:
                 blamed.add(far if residual[far] >= residual[near] else near)
 
-    lo, hi = 1.0 - cfg.dim_tolerance, 1.0 + cfg.dim_tolerance
-    dim_bands = [(m * lo, m * hi) for m in (cfg.mean_dims.h, cfg.mean_dims.w, cfg.mean_dims.l)]
+    lo, hi = 1.0 - depuration.DIM_TOLERANCE, 1.0 + depuration.DIM_TOLERANCE
+    mean_dims = depuration.CAR_PRIOR.mean_dims
+    dim_bands = [(m * lo, m * hi) for m in (mean_dims.h, mean_dims.w, mean_dims.l)]
     y_lo = min(cfg.vertical_centers) - cfg.vertical_slack
     y_hi = max(cfg.vertical_centers) + cfg.vertical_slack
     verdicts = []
@@ -251,17 +272,18 @@ def _depurate_parent(table, camera: CameraIntrinsics,
         if i in blamed:
             violated.add(RULE_HEIGHT_DEPTH)
         left, right = left_gaps[i], right_gaps[i]
-        if left and right and min(left) > cfg.depth_gap_max and min(right) > cfg.depth_gap_max:
+        if left and right and min(left) > depuration.DEPTH_GAP_MAX and min(right) > depuration.DEPTH_GAP_MAX:
             violated.add(RULE_ADJACENT_DEPTH)
         verdicts.append(Verdict(frozenset(violated)))
     return verdicts
 
 
-# the default thresholds, then every combination of an adjacency IoU at 0,
-# inside (0, 1) and at 1, a depth gap at 0 and at 3 m, and a height band at
-# the default and at 0
-PROPERTY_CFGS = [CFG] + [DepurationConfig(adjacency_iou_min=iou, depth_gap_max=gap, height_monotonic_eps=eps)
-                       for iou in (0.0, 0.2, 1.0) for gap in (0.0, 3.0) for eps in (CFG.height_monotonic_eps, 0.0)]
+# rule constants, each with the default config: the defaults, then every
+# combination of an adjacency IoU at 0, inside (0, 1) and at 1, a depth gap
+# at 0 and at 3 m, and a height band at the default and at 0
+PROPERTY_CFGS = [_constants()] + [
+    _constants(ADJACENCY_IOU_MIN=iou, DEPTH_GAP_MAX=gap, HEIGHT_MONOTONIC_EPS=eps)
+    for iou in (0.0, 0.2, 1.0) for gap in (0.0, 3.0) for eps in (depuration.HEIGHT_MONOTONIC_EPS, 0.0)]
 
 
 def _tied(pool, low, high):
@@ -287,11 +309,11 @@ _label_row = st.sampled_from([
     _tied([0.0, 50.0, 100.0], -20.0, 300.0),
     _tied([100.0, 150.0], 0.0, 370.0),
     _tied([0.0, 2.0, 50.0, 100.0], -20.0, 300.0),
-    _tied([0.3, 0.6, 1.2, 1.5, 18.0, *_edges(CFG)[0]], 0.3, 2.5),
+    _tied([0.3, 0.6, 1.2, 1.5, 18.0, *_edges(*CFGS[0])[0]], 0.3, 2.5),
     _tied([1.65, -1.0, 0.53842871, 2.9684], -2.0, 4.0),
     _tied([8.0, 10.0, 13.0, 20.0, 40.0], 1.0, 80.0),
-    _tied([CFG.mean_dims.w, *_edges(CFG)[1]], 0.5, 3.0),
-    _tied([CFG.mean_dims.l, *_edges(CFG)[2]], 1.5, 6.0),
+    _tied([CAR.w, *_edges(*CFGS[0])[1]], 0.5, 3.0),
+    _tied([CAR.l, *_edges(*CFGS[0])[2]], 1.5, 6.0),
 )
 
 
@@ -305,8 +327,9 @@ def test_depurate_equals_the_gap_list_depurate(rows, picks, fv):
     # a frame of 0-40 of the drawn rows, picked with repeats: exact duplicates
     table = LabelTable([rows[k % len(rows)] for k in picks], ["Car"] * len(picks))
     camera = CameraIntrinsics(fv, fv, 609.5593, 172.854)
-    for cfg in PROPERTY_CFGS:
-        assert depurate(table, fv, cfg) == _depurate_parent(table, camera, cfg)
+    for constants in PROPERTY_CFGS:
+        with patch.multiple(depuration, **constants):
+            assert depurate(table, fv, CFG) == _depurate_parent(table, camera, CFG)
 
 
 def _run(frames):
@@ -345,13 +368,14 @@ def test_pair_rules_over_a_run_give_the_per_frame_verdicts(monkeypatch, budget):
     frames = [frames[k] for k in rng.permutation(len(frames))]
     assert len(big) * (len(big) - 1) // 2 > metrics.PAIR_BUDGET or budget == 1
     fvs = rng.choice([1.0, K.fv, 2.0 * K.fv], len(frames))
-    for cfg in CFGS:
-        got = _run_verdicts(frames, fvs, cfg)
-        for frame, fv, verdicts in zip(frames, fvs, got):
-            table = LabelTable(frame, ["Car"] * len(frame))
-            assert verdicts == depurate(table, fv, cfg)
-            assert verdicts == _depurate_parent(table, CameraIntrinsics(fv, fv, 609.5593, 172.854), cfg)
-            assert _as_tuples(verdicts) == _depurate_loop(table, fv, cfg)
+    for cfg, constants in CFGS:
+        with patch.multiple(depuration, **constants):
+            got = _run_verdicts(frames, fvs, cfg)
+            for frame, fv, verdicts in zip(frames, fvs, got):
+                table = LabelTable(frame, ["Car"] * len(frame))
+                assert verdicts == depurate(table, fv, cfg)
+                assert verdicts == _depurate_parent(table, CameraIntrinsics(fv, fv, 609.5593, 172.854), cfg)
+                assert _as_tuples(verdicts) == _depurate_loop(table, fv, cfg)
     # the frames' rows would pair across frames: as one frame, they judge otherwise
     labels, _ = _run(frames)
     assert depurate(labels, K.fv, CFG) != [v for verdicts in _run_verdicts(frames, [K.fv] * len(frames), CFG)
@@ -377,12 +401,12 @@ def test_pair_rules_keep_the_gap_list_rules_on_nan_and_infinite_depths(frames, f
     """A gap is the first of a row's gaps unless a later one is smaller, so a
     row whose first adjacent neighbour's gap is NaN keeps a NaN gap."""
     camera = CameraIntrinsics(fv, fv, 609.5593, 172.854)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(metrics, "PAIR_BUDGET", budget)
-        for cfg in PROPERTY_CFGS[:5]:
-            got = _run_verdicts(frames, [fv] * len(frames), cfg)
-            assert got == [_depurate_parent(LabelTable(frame, ["Car"] * len(frame)), camera, cfg)
-                           for frame in frames]
+    with patch.object(metrics, "PAIR_BUDGET", budget):
+        for constants in PROPERTY_CFGS[:5]:
+            with patch.multiple(depuration, **constants):
+                got = _run_verdicts(frames, [fv] * len(frames), CFG)
+                assert got == [_depurate_parent(LabelTable(frame, ["Car"] * len(frame)), camera, CFG)
+                               for frame in frames]
 
 
 def test_each_rule_bit_pattern_is_the_verdict_of_its_rules():
@@ -620,10 +644,13 @@ def test_verdicts_permute_with_the_scene(objects, data):
     assert depurate(_table([scene[i] for i in perm]), K.fv, CFG) == [base[i] for i in perm]
 
 
+def test_config_holds_only_the_vertical_band():
+    # the dims rule reads CAR_PRIOR, and the other thresholds are module constants
+    assert [f.name for f in fields(DepurationConfig)] == ["vertical_centers", "vertical_slack"]
+
+
 def test_config_validation():
-    nan_thresholds = ({name: math.nan} for name in (
-        "dim_tolerance", "vertical_slack", "height_monotonic_eps", "adjacency_iou_min", "depth_gap_max"))
-    for bad in ({"dim_tolerance": -0.1}, {"vertical_centers": (2.0, 1.0)}, {"vertical_centers": ()},
-                {"vertical_centers": (1.0, math.inf)}, {"vertical_centers": (math.nan,)}, *nan_thresholds):
+    for bad in ({"vertical_slack": -0.1}, {"vertical_slack": math.nan}, {"vertical_centers": (2.0, 1.0)},
+                {"vertical_centers": ()}, {"vertical_centers": (1.0, math.inf)}, {"vertical_centers": (math.nan,)}):
         with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             DepurationConfig(**bad)

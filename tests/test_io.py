@@ -870,10 +870,17 @@ def test_coerce_keeps_a_text_field_as_given():
 
 
 def test_coerce_unknown_key_raises():
-    # Gauss-Newton's iteration cap, tolerances and damping are solver constants, not fields
-    for key in ("bogus", "max_iterations", "step_tol", "residual_change_tol", "damping", "max_halvings"):
-        with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
-            coerce_fields(SolverConfig(), {key: "1"})
+    # Gauss-Newton's iteration cap, tolerances and damping are solver constants,
+    # and the dims rule's mean dimensions and the other rules' thresholds are
+    # depuration constants, not fields
+    for config, keys in (
+        (SolverConfig(), ("bogus", "max_iterations", "step_tol", "residual_change_tol", "damping", "max_halvings")),
+        (DepurationConfig(), ("bogus", "mean_dims", "dim_tolerance", "height_monotonic_eps", "adjacency_iou_min",
+                              "depth_gap_max")),
+    ):
+        for key in keys:
+            with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+                coerce_fields(config, {key: "1"})
 
 
 @pytest.mark.parametrize("spellings, value", [
@@ -902,9 +909,8 @@ def test_coerce_bad_value_names_key(key, raw):
         ("n_objects_min", "0"), ("seed", "-1"), ("image_height", "0"), ("camera_height", "inf"),
         ("angle_noise_sigma", "nan"))),
     *((DepurationConfig(), key, raw) for key, raw in (
-        ("vertical_slack", "nan"), ("depth_gap_max", "nan"), ("dim_tolerance", "-0.5"),
-        ("vertical_centers", ""), ("vertical_centers", "1, inf"), ("vertical_centers", "2, 1"),
-        ("mean_dims", "inf 1.64 3.86"), ("mean_dims", "1.5, 1e400, 3.9"))),
+        ("vertical_slack", "nan"), ("vertical_slack", "-0.5"), ("vertical_centers", "nan"),
+        ("vertical_centers", ""), ("vertical_centers", "1, inf"), ("vertical_centers", "2, 1"))),
 ])
 def test_coerce_out_of_range_value_names_key(config, key, raw):
     with pytest.raises(ValueError, match=rf"^{key} must be"):
@@ -912,18 +918,8 @@ def test_coerce_out_of_range_value_names_key(config, key, raw):
 
 
 @pytest.mark.parametrize("raw", ["1.5 1.6 3.9", "1.5, 1.6, 3.9", " 1.5,1.6 ,3.9 "])
-def test_coerce_mean_dims_takes_three_numbers(raw):
-    assert coerce_fields(DepurationConfig(), {"mean_dims": raw}).mean_dims == Dimensions(1.5, 1.6, 3.9)
-
-
-@pytest.mark.parametrize("raw, message", [
-    ("1.5 1.6", r"expected three numbers \(h w l\), got 2$"),
-    ("1.5 1.6 3.9 4.0", r"expected three numbers \(h w l\), got 4$"),
-    ("1.5 0 3.9", r"dimensions must be positive, got \(1.5, 0.0, 3.9\)$"),
-], ids=["1.5 1.6", "1.5 1.6 3.9 4.0", "1.5 0 3.9"])
-def test_coerce_mean_dims_refuses_two_numbers_or_a_zero(raw, message):
-    with pytest.raises(ValueError, match=r"^config key 'mean_dims': " + message):
-        coerce_fields(DepurationConfig(), {"mean_dims": raw})
+def test_coerce_vertical_centers_takes_commas_or_spaces(raw):
+    assert coerce_fields(DepurationConfig(), {"vertical_centers": raw}).vertical_centers == (1.5, 1.6, 3.9)
 
 
 def test_parse_keyvalue_line_without_equals_raises():
