@@ -16,6 +16,10 @@ it stands) and each seed, each tree:
 - runs ``box3d depurate`` on both results, and once more on the refined
   results with ``--config`` and a non-default config it writes into the case
   (``DEPURATION_CONFIG``);
+- runs ``box3d solve`` and then ``box3d depurate`` with a copy of the
+  calibration in which every third frame's P2 has another fu
+  (``VARIED_CALIB``), so that a block holds more than one distinct
+  calibration text;
 - runs ``box3d eval --json`` on both results and both sets of kept frames,
   at every combination of ``--iou``, ``--recall-points`` and
   ``--difficulty`` (16 per output), once on the refined results against a
@@ -148,6 +152,12 @@ SOLVER_CONFIG = "truncation_margin_px = 40\n"
 # vertical band is a config, so only tests/test_depuration.py checks that rule
 DEPURATION_CONFIG = "vertical_centers = 1.5\nvertical_slack = 0.2\n"
 
+# a case's copy of its calibration in which every third frame's P2, from
+# the first, has its fu scaled by 1.1, outside the inputs and results that
+# the seeded faults are drawn from: the synthetic frames share one camera, so
+# only this copy gives solve and depurate blocks of several distinct texts
+VARIED_CALIB = "calib_varied"
+
 # a case's copy of its ground truth without the last frame, outside the
 # inputs and results that the seeded faults are drawn from
 UNSCORED_GT = "gt_without_last"
@@ -167,6 +177,16 @@ FAULT_TOKENS = ["nan", "inf", "-inf", "1e400", "x", "-1", "0", "16", "1.5", "#",
 
 # the kinds of a single fault; a property file also takes "bins"
 FAULT_KINDS = ["token", "byte", "column", "delete", "dir"]
+
+
+def write_varied_calib(case):
+    """VARIED_CALIB of a case whose inputs are written."""
+    (case / VARIED_CALIB).mkdir()
+    for f, path in enumerate(sorted((case / "inputs" / "calib").glob("*.txt"))):
+        text = path.read_text()
+        if f % 3 == 0:
+            text = re.sub(r"^P2: (\S+)", lambda m: f"P2: {float(m[1]) * 1.1:.12e}", text, count=1, flags=re.M)
+        (case / VARIED_CALIB / path.name).write_text(text)
 
 
 def fault_commands(name):
@@ -264,6 +284,11 @@ def commands(name, seed, frames):
                                             "--config", "solver.cfg"]))
     runs.append(("depurate results --config", box3d + ["depurate", "--in", "results", "--calib", "inputs/calib",
                                                         "--out", "kept_config", "--config", "depuration.cfg"]))
+    runs.append((f"solve --calib {VARIED_CALIB}", box3d + ["solve", "--calib", VARIED_CALIB, "--detections",
+                                                           "inputs/detections", "--properties", "inputs/properties",
+                                                           "--out", "results_varied"]))
+    runs.append(("depurate results_varied", box3d + ["depurate", "--in", "results_varied", "--calib", VARIED_CALIB,
+                                                     "--out", "kept_varied"]))
     return runs
 
 
@@ -306,6 +331,8 @@ def run_tree(src, work, cases):
         for label, argv in commands(name, seed, frames):
             out = subprocess.run(argv, cwd=case, env=env, capture_output=True, timeout=600)
             outcomes[(name, seed, label)] = (out.returncode, out.stdout, out.stderr)
+            if label == "inputs":
+                write_varied_calib(case)
         (case / UNSCORED_GT).mkdir()
         for path in sorted((case / "inputs" / "gt").glob("*.txt"))[:-1]:
             (case / UNSCORED_GT / path.name).write_bytes(path.read_bytes())

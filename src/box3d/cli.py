@@ -9,6 +9,7 @@ Subcommands:
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -422,7 +423,12 @@ def cmd_viewpoint_table(args):
     print(format_viewpoint_table())
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: parse_args keeps nothing
+    from one call to the next, and building the parser costs more than a
+    small command's parse.  set_defaults binds the cmd_* functions as they
+    are at the first build."""
     parser = argparse.ArgumentParser(prog="box3d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -43,7 +43,10 @@ DEPTH_GAP_MAX = 10.0  # meters
 
 @dataclass(frozen=True)
 class DepurationConfig:
-    """The vertical band of the bottom face; car-tuned defaults."""
+    """The vertical band of the bottom face; car-tuned defaults.  Only the
+    lowest and highest of vertical_centers bound it: the band runs from the
+    lowest less vertical_slack to the highest plus it, and a centre between
+    them changes nothing."""
 
     vertical_centers: tuple = (1.28842871, 1.72911, 2.2184)  # bottom-face Y, meters
     vertical_slack: float = 0.75

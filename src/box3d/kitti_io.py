@@ -214,8 +214,11 @@ def _rows(text):
 
 
 def _calib(texts):
+    # each distinct text is parsed once; index gives each text's row
+    distinct = {}
+    index = [distinct.setdefault(text, len(distinct)) for text in texts]
     p2 = []
-    for text in texts:
+    for text in distinct:
         for line in text.splitlines():
             line = line.strip()
             if line.startswith("P2:"):
@@ -230,7 +233,7 @@ def _calib(texts):
     if not ((cameras[:, :2] > 0).all() and np.isfinite(cameras).all()):
         for camera in cameras.tolist():  # the same tests: the first bad camera raises
             CameraIntrinsics(*camera)
-    return cameras
+    return cameras[index]  # a copy: each frame's own row
 
 
 def parse_calib(texts) -> np.ndarray:
@@ -238,7 +241,9 @@ def parse_calib(texts) -> np.ndarray:
     texts, each from its first P2 line: the 12 numbers of a row-major 3x4
     projection matrix, whose translation column is ignored (single-camera
     use).  A text without a P2 line, with a P2 line of another length, or
-    whose intrinsics CameraIntrinsics rejects raises ParseError."""
+    whose intrinsics CameraIntrinsics rejects raises ParseError.  Each
+    distinct text of the block is parsed once: a recording's frames often
+    share one calibration."""
     return parse_units(_calib, texts)
 
 

@@ -282,7 +282,9 @@ def match_run(detections, ground_truths, iou_threshold: float, ious):
     taken[rows] = best_of
     tp, used = np.fromiter(taker.values(), np.intp, len(taker)), np.fromiter(taker, np.intp, len(taker))
     is_tp[tp] = True
-    sims[tp] = list(map(orientation_similarity, detections.yaw[tp].tolist(), ground_truths.yaw[used].tolist()))
+    # orientation_similarity of each true positive, with math's cos
+    sims[tp] = 0.5 * (1.0 + np.fromiter(map(math.cos, (detections.yaw[tp] - ground_truths.yaw[used]).tolist()),
+                                        float, len(tp)))
     return score, is_tp, sims, taken
 
 

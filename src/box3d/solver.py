@@ -112,7 +112,7 @@ def decode_rows(detections: DetectionTable, properties: PropertyTable, cameras) 
         theta_l = decode_local_angle(properties.bins)
         # the viewing ray's ground-plane angle atan2(z, x) through the bottom-face
         # center's column, in (0, pi); math's atan2, row by row with each row's camera
-        theta_ray = np.array([math.atan2(f, du) for f, du in zip(fu.tolist(), (cbf[:, 0] - cu).tolist())])
+        theta_ray = np.fromiter(map(math.atan2, fu.tolist(), (cbf[:, 0] - cu).tolist()), float, len(fu))
         rows.box[:] = detections.box
         rows.dims[:] = dimension_values(properties.dim_residual, CAR_PRIOR)
         rows.yaw[:] = global_from_local(theta_l, theta_ray)

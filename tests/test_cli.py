@@ -659,6 +659,40 @@ def test_solve_refine_field_matches_no_refine_flag(pipeline_dirs, tmp_path):
         assert path.read_text() == (tmp_path / "field" / path.name).read_text()
 
 
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_refused_option_leaves_the_cached_parser_as_it_was(pipeline_dirs, tmp_path, capsys):
+    assert _solve(pipeline_dirs, tmp_path / "results") == 0
+    argv = ["eval", "--results", str(tmp_path / "results"), "--gt", str(pipeline_dirs / "gt")]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--iou", "0.6"])
+    assert info.value.code == 2
+    assert "invalid choice: 0.6" in capsys.readouterr().err
+    assert main([*argv, "--json", str(tmp_path / "table.json")]) == 0
+    assert json.loads((tmp_path / "table.json").read_text())["AP3D@0.7"] == pytest.approx(1.0)
+
+
+def test_no_option_leaks_from_one_command_to_the_next(pipeline_dirs, tmp_path):
+    """`solve --no-refine`, then `solve` in the same process, writes what a
+    solve in a fresh process writes."""
+    assert _solve(pipeline_dirs, tmp_path / "closed", "--no-refine") == 0
+    assert _solve(pipeline_dirs, tmp_path / "refined") == 0
+    fresh = tmp_path / "fresh"
+    out = subprocess.run([sys.executable, "-m", "box3d.cli", "solve", "--calib", str(pipeline_dirs / "calib"),
+                          "--detections", str(pipeline_dirs / "detections"),
+                          "--properties", str(pipeline_dirs / "properties"), "--out", str(fresh)],
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    written = sorted(path.name for path in fresh.iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "refined").iterdir())
+    for name in written:
+        assert (tmp_path / "refined" / name).read_bytes() == (fresh / name).read_bytes()
+    # a --no-refine carried over would show: the closed form writes other bytes
+    assert any((tmp_path / "closed" / name).read_bytes() != (fresh / name).read_bytes() for name in written)
+
+
 def test_depurate_cli(pipeline_dirs, tmp_path):
     results = tmp_path / "results"
     main([

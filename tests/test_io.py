@@ -683,11 +683,13 @@ def test_block_calib_parse_equals_per_file_parse(data):
     """A block of calibration texts gives each file's own intrinsics, or the
     first failing file's error naming the same frame, through kitti_io and
     through cli._parse_blocks at a block budget of one byte and of more than
-    the run."""
-    texts = data.draw(st.lists(_calib_text(), min_size=1, max_size=6))
+    the run.  The texts come from a small pool, so that a block repeats
+    texts, good or bad, as a recording's frames do."""
+    pool = data.draw(st.lists(_calib_text(), min_size=1, max_size=3))
     if data.draw(st.booleans()):
-        f = data.draw(st.integers(0, len(texts) - 1))
-        texts[f] = _tokens_replaced(texts[f], data)
+        f = data.draw(st.integers(0, len(pool) - 1))
+        pool[f] = _tokens_replaced(pool[f], data)
+    texts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     cameras, fault = [], None
     for f, text in enumerate(texts):
         try:
@@ -714,6 +716,21 @@ def test_block_calib_parse_equals_per_file_parse(data):
             else:
                 blocks = cli._parse_blocks(frames, [reader], lambda t: parse_calib(cli._texts(t)))
                 assert np.concatenate(blocks).tolist() == [list(c) for c in cameras]
+
+
+def test_equal_calibration_texts_parse_into_independent_rows():
+    cameras = parse_calib([REAL_CALIB, REAL_CALIB])
+    cameras[0, 0] = 1.0
+    assert cameras[1].tolist() == parse_calib([REAL_CALIB])[0].tolist()
+
+
+def test_a_repeated_bad_calibration_is_named_at_its_first_frame():
+    bad = REAL_CALIB.replace("P2: 7.215377000000e+02", "P2: x")
+    texts = [REAL_CALIB, REAL_CALIB, bad, REAL_CALIB, bad]
+    frames = [f"{i:06d}" for i in range(len(texts))]
+    with pytest.raises(SystemExit) as info:
+        cli._parse_blocks(frames, [dict(zip(frames, texts)).__getitem__], lambda t: parse_calib(cli._texts(t)))
+    assert info.value.code == "frame 000002: could not convert string to float: 'x'"
 
 
 def test_block_parse_names_the_frame_whose_bins_differ():

@@ -19,7 +19,7 @@ def test_same_outputs_runs_seeded_faults_in_both_trees():
     match = re.fullmatch(r"0 differences in 12 fault commands \((\d+) exited non-zero\) over 4 faults "
                          r"in each of 1 workload-seed cases", faults)
     assert match and int(match[1]) > 0, faults  # the faults reach the commands
-    assert total == ("0 differences in 96 files and 75 commands (0 exited non-zero) "
+    assert total == ("0 differences in 103 files and 77 commands (0 exited non-zero) "
                      "over 1 workload-seed cases")
 
 
